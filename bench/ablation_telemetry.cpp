@@ -14,6 +14,7 @@
 #include "qos/translation.h"
 #include "support.h"
 #include "wlm/compliance.h"
+#include "wlm/controller.h"
 #include "wlm/telemetry.h"
 
 namespace {

@@ -1,7 +1,8 @@
 // Ablation: what the workload manager's reaction lag costs. QoS translation
 // plans for allocations that track demand exactly (clairvoyant); the real
 // control loop of Section II allocates from the *previous* interval's
-// measurement. This bench quantifies the compliance gap on a shared server.
+// measurement. This bench quantifies the compliance gap across the
+// consolidated pool.
 #include <iostream>
 #include <vector>
 
@@ -11,7 +12,7 @@
 #include "qos/allocation.h"
 #include "support.h"
 #include "wlm/compliance.h"
-#include "wlm/server_sim.h"
+#include "wlm/failure_drill.h"
 
 int main() {
   using namespace ropus;
@@ -35,8 +36,18 @@ int main() {
   TextTable table({"policy", "mean degraded %", "worst degraded %",
                    "violating %", "unserved CPU-intervals"});
 
-  const auto by_server = placement::workloads_by_server(
-      placed.assignment, problem.server_count());
+  // The consolidated placement as one schedule phase: every server runs
+  // its hosted containers for the whole trace.
+  wlm::SchedulePhase phase;
+  phase.hosts = placed.assignment;
+  phase.failure_mode.assign(demands.size(), false);
+  phase.down.assign(pool.size(), false);
+  std::vector<qos::Translation> translations;
+  for (const qos::AllocationTrace& a : allocations) {
+    translations.push_back(a.translation());
+  }
+  const auto minutes =
+      static_cast<double>(demands.front().calendar().minutes_per_sample());
 
   struct PolicyCase {
     const char* label;
@@ -53,41 +64,26 @@ int main() {
     double sum_degraded = 0.0;
     double worst_degraded = 0.0;
     double sum_violating = 0.0;
-    double unserved = 0.0;
-    std::size_t containers = 0;
 
-    for (std::size_t srv = 0; srv < by_server.size(); ++srv) {
-      if (by_server[srv].empty()) continue;
-      std::vector<trace::DemandTrace> hosted;
-      std::vector<wlm::Controller> controllers;
-      for (std::size_t w : by_server[srv]) {
-        hosted.push_back(demands[w]);
-        controllers.emplace_back(allocations[w].translation(), pc.policy,
-                                 pc.window);
-      }
-      const wlm::ServerRunResult run = wlm::run_shared_server(
-          hosted, controllers, pool[srv].capacity());
-      for (std::size_t c = 0; c < hosted.size(); ++c) {
-        const wlm::ComplianceReport rep =
-            wlm::check_compliance(hosted[c], run.containers[c], req);
-        const double active =
-            static_cast<double>(rep.intervals - rep.idle);
-        const double degraded = 100.0 * rep.degraded_fraction();
-        sum_degraded += degraded;
-        worst_degraded = std::max(worst_degraded, degraded);
-        sum_violating +=
-            active > 0.0
-                ? 100.0 * static_cast<double>(rep.violating) / active
-                : 0.0;
-        unserved += run.containers[c].unserved_demand;
-        ++containers;
-      }
+    const wlm::ScheduleResult run = wlm::run_event_schedule(
+        demands, translations, translations, pool, std::span(&phase, 1), {},
+        pc.policy, pc.window);
+    for (std::size_t a = 0; a < demands.size(); ++a) {
+      const wlm::ComplianceReport rep = wlm::check_compliance_range(
+          demands[a].values(), run.apps[a].granted, req, minutes);
+      const double active = static_cast<double>(rep.intervals - rep.idle);
+      const double degraded = 100.0 * rep.degraded_fraction();
+      sum_degraded += degraded;
+      worst_degraded = std::max(worst_degraded, degraded);
+      sum_violating +=
+          active > 0.0 ? 100.0 * static_cast<double>(rep.violating) / active
+                       : 0.0;
     }
-    const double n = static_cast<double>(containers);
+    const double n = static_cast<double>(demands.size());
     table.add_row({pc.label, TextTable::num(sum_degraded / n, 2),
                    TextTable::num(worst_degraded, 2),
                    TextTable::num(sum_violating / n, 2),
-                   TextTable::num(unserved, 1)});
+                   TextTable::num(run.unserved_demand, 1)});
   }
   table.render(std::cout);
 

@@ -266,7 +266,8 @@ TrialOutcome replay_trial(std::span<const trace::DemandTrace> demands,
 
   const wlm::ScheduleResult replay =
       wlm::run_event_schedule(active, normal, failure, fleet, phases, outages,
-                              config.policy, schedule_telemetry);
+                              config.policy, wlm::kDefaultHistoryWindow,
+                              schedule_telemetry);
 
   // Per-slot accounting and per-mode compliance masks.
   const double slot_hours =

@@ -56,7 +56,6 @@
 #include "wlm/compliance.h"     // IWYU pragma: export
 #include "wlm/failure_drill.h"  // IWYU pragma: export
 #include "wlm/controller.h"  // IWYU pragma: export
-#include "wlm/server_sim.h"  // IWYU pragma: export
 
 #include "core/backtest.h"          // IWYU pragma: export
 #include "core/capacity_planner.h"  // IWYU pragma: export

@@ -1,7 +1,5 @@
 #include "serve/arbiter.h"
 
-#include <algorithm>
-#include <cmath>
 #include <map>
 
 #include "common/error.h"
@@ -9,6 +7,7 @@
 #include "obs/recorder.h"
 #include "qos/translation.h"
 #include "trace/calendar.h"
+#include "wlm/compliance.h"
 
 namespace ropus::serve {
 
@@ -42,15 +41,6 @@ constexpr std::size_t kMaxLifetimeApps = 0xFFFE;
 
 }  // namespace
 
-slo::Band band_of(const qos::Requirement& req) {
-  slo::Band band;
-  band.u_high = req.u_high;
-  band.u_degr = req.u_degr;
-  band.m_percent = req.m_percent;
-  band.t_degr_minutes = req.t_degr_minutes.value_or(0.0);
-  return band;
-}
-
 void ServeConfig::validate() const {
   cos2.validate();
   degraded.validate();
@@ -76,7 +66,7 @@ Arbiter::App::App(std::string name_, std::uint16_t id_, qos::Requirement req,
       translation(qos::translate(profile, req, cos2)),
       alloc(profile, translation),
       controller(translation, cfg.policy, cfg.history_window, cfg.degraded),
-      band(band_of(req)),
+      band(wlm::band_of(req)),
       bands(cfg.minutes_per_sample) {}
 
 Arbiter::Arbiter(const ServeConfig& config)
@@ -378,19 +368,8 @@ std::string Arbiter::advance_slot(const TickMessage& msg, bool filler) {
   next_slot_ += 1;
 
   std::map<std::string_view, const DemandReading*> readings;
-  std::size_t unknown_apps = 0;
   if (!filler) {
     for (const DemandReading& r : msg.demand) readings[r.app] = &r;
-    for (const auto& [name, reading] : readings) {
-      bool known = false;
-      for (const App& app : apps_) {
-        if (app.name == name) {
-          known = true;
-          break;
-        }
-      }
-      if (!known) unknown_apps += 1;
-    }
   }
 
   struct SlotState {
@@ -403,56 +382,49 @@ std::string Arbiter::advance_slot(const TickMessage& msg, bool filler) {
   };
   std::vector<SlotState> states(apps_.size());
 
+  // Three passes: requests summed per host in ascending app order, one
+  // kernel grant (and deferral backlog step) per server, then each app's
+  // grant below. Names are unique, so readings matched by no app are the
+  // unknown ones.
+  std::vector<wlm::AllocationRequest> requested(server_cpus_.size());
+  std::size_t matched = 0;
   for (std::size_t i = 0; i < apps_.size(); ++i) {
     App& app = apps_[i];
     SlotState& st = states[i];
     wlm::Observation obs = wlm::Observation::missing();
     if (!filler) {
       const auto it = readings.find(app.name);
-      if (it != readings.end() && !it->second->missing) {
-        obs = wlm::Observation::ok(it->second->value);
+      if (it != readings.end()) {
+        matched += 1;
+        if (!it->second->missing) obs = wlm::Observation::ok(it->second->value);
       }
     }
     st.cls = app.controller.classify(obs);
     st.demand = st.cls == wlm::ObservationClass::kOk ? obs.value : 0.0;
     st.request = app.controller.observe(obs);
     st.fallback = app.controller.in_fallback();
+    requested[app.host].cos1 += st.request.cos1;
+    requested[app.host].cos2 += st.request.cos2;
   }
+  const std::size_t unknown_apps = readings.size() - matched;
 
-  // The shared-server grant rule (wlm/server_sim.cpp): CoS1 first pro-rata,
-  // CoS2 splits whatever capacity remains.
+  std::vector<slo::GrantScales> grants(server_cpus_.size());
   double pool_cos2 = 0.0;
   double pool_satisfied2 = 0.0;
   double backlog_total = 0.0;
   bool overdue = false;
   for (std::size_t s = 0; s < server_cpus_.size(); ++s) {
     const double capacity = server_cpus_[s];
-    double sum_cos1 = 0.0;
-    double sum_cos2 = 0.0;
-    for (std::size_t i = 0; i < apps_.size(); ++i) {
-      if (apps_[i].host != s) continue;
-      sum_cos1 += states[i].request.cos1;
-      sum_cos2 += states[i].request.cos2;
-    }
-    const double cos1_scale = sum_cos1 > capacity ? capacity / sum_cos1 : 1.0;
-    const double granted_cos1 = std::min(sum_cos1, capacity);
-    const double available = capacity - granted_cos1;
-    const double cos2_scale =
-        sum_cos2 > 0.0 ? std::min(1.0, available / sum_cos2) : 1.0;
-    for (std::size_t i = 0; i < apps_.size(); ++i) {
-      if (apps_[i].host != s) continue;
-      SlotState& st = states[i];
-      st.granted = st.request.cos1 * cos1_scale + st.request.cos2 * cos2_scale;
-      st.satisfied2 = st.request.cos2 * cos2_scale;
-    }
-    const double granted_cos2 = sum_cos2 * cos2_scale;
+    grants[s] =
+        slo::grant_scales(capacity, requested[s].cos1, requested[s].cos2);
+    const slo::GrantScales& grant = grants[s];
     slo::DeferralQueue& backlog = backlogs_[s];
-    backlog.drain(capacity - granted_cos1 - granted_cos2);
-    backlog.defer(slot, sum_cos2 - granted_cos2);
+    backlog.drain(capacity - grant.cos1_granted - grant.cos2_granted);
+    backlog.defer(slot, requested[s].cos2 - grant.cos2_granted);
     backlog_total += backlog.total();
     overdue = overdue || backlog.overdue(slot);
-    pool_cos2 += sum_cos2;
-    pool_satisfied2 += granted_cos2;
+    pool_cos2 += requested[s].cos2;
+    pool_satisfied2 += grant.cos2_granted;
   }
 
   // Feed the watchdog (and the flight recorder, when one is installed)
@@ -464,7 +436,10 @@ std::string Arbiter::advance_slot(const TickMessage& msg, bool filler) {
   }
   for (std::size_t i = 0; i < apps_.size(); ++i) {
     App& app = apps_[i];
-    const SlotState& st = states[i];
+    SlotState& st = states[i];
+    const slo::GrantScales& grant = grants[app.host];
+    st.granted = grant.grant(st.request.cos1, st.request.cos2);
+    st.satisfied2 = st.request.cos2 * grant.cos2;
     obs::SlotRecord rec;
     rec.slot = static_cast<std::uint32_t>(slot);
     rec.app = app.id;
@@ -663,13 +638,21 @@ void Arbiter::save_state(json::Writer& w) const {
 
 void Arbiter::load_state(const json::Value& v) {
   const auto read_size = [](const json::Value& obj, std::string_view key) {
-    return static_cast<std::size_t>(obj.at(key).as_number());
+    const double value = obj.at(key).as_number();
+    if (!(value >= 0.0 && value <= 0x1p53)) {
+      throw IoError("checkpoint field '" + std::string(key) +
+                    "' is not a count");
+    }
+    return static_cast<std::size_t>(value);
   };
   next_slot_ = read_size(v, "next_slot");
   any_tick_ = v.at("any_tick").as_bool();
   last_tick_slot_ = read_size(v, "last_tick_slot");
   reported_alerts_ = read_size(v, "reported_alerts");
   next_app_id_ = read_size(v, "next_app_id");
+  if (next_app_id_ > kMaxLifetimeApps) {
+    throw IoError("checkpoint next_app_id exceeds the app id space");
+  }
   departed_ = read_size(v, "departed");
   last_tick_replies_.clear();
   for (const json::Value& r : v.at("last_tick_replies").as_array()) {
@@ -689,8 +672,28 @@ void Arbiter::load_state(const json::Value& v) {
   // the next delta-path admission rebuild it from the restored fleet.
   engine_.reset();
   for (const json::Value& item : v.at("apps").as_array()) {
+    // Every later tick indexes the pool by host and matches readings by
+    // name, and admissions key the engine by id: a payload that passed its
+    // CRC must still name each app once, on a real server, under an id
+    // that was handed out.
     AdmitMessage msg;
     msg.app = item.at("name").as_string();
+    const std::size_t id = read_size(item, "id");
+    const std::size_t host = read_size(item, "host");
+    if (host >= config_.servers) {
+      throw IoError("checkpoint app '" + msg.app + "' is on server " +
+                    std::to_string(host) + " outside the pool");
+    }
+    if (id >= next_app_id_) {
+      throw IoError("checkpoint app '" + msg.app + "' has id " +
+                    std::to_string(id) + ", never handed out");
+    }
+    for (const App& other : apps_) {
+      if (other.name == msg.app || other.id == id) {
+        throw IoError("checkpoint app '" + msg.app +
+                      "' repeats the name or id of '" + other.name + "'");
+      }
+    }
     msg.revenue = item.at("revenue").as_number();
     msg.requirement.u_low = item.at("ulow").as_number();
     msg.requirement.u_high = item.at("uhigh").as_number();
@@ -705,8 +708,8 @@ void Arbiter::load_state(const json::Value& v) {
     App app = build_app(msg, msg.requirement);
     // build_app stamps the next fresh id; restored apps keep the one they
     // were admitted with (departures leave holes that are never reused).
-    app.id = static_cast<std::uint16_t>(read_size(item, "id"));
-    app.host = read_size(item, "host");
+    app.id = static_cast<std::uint16_t>(id);
+    app.host = host;
     app.renegotiated = item.at("renegotiated").as_bool();
 
     const json::Value& ctl = item.at("controller");

@@ -162,7 +162,4 @@ class Arbiter {
   std::deque<std::pair<std::string, std::vector<std::string>>> id_cache_;
 };
 
-/// Converts an admitted requirement into the kernel's plain-number band.
-slo::Band band_of(const qos::Requirement& req);
-
 }  // namespace ropus::serve

@@ -1,7 +1,5 @@
 #include "sim/server.h"
 
-#include <algorithm>
-
 #include "common/error.h"
 
 namespace ropus::sim {
@@ -22,22 +20,6 @@ std::vector<ServerSpec> homogeneous_pool(std::size_t count, std::size_t cpus,
     pool.push_back(ServerSpec{prefix + "-" + suffix, cpus});
   }
   return pool;
-}
-
-GrantScales grant_scales(double capacity, double cos1_requested,
-                         double cos2_requested) {
-  ROPUS_REQUIRE(capacity >= 0.0 && cos1_requested >= 0.0 &&
-                    cos2_requested >= 0.0,
-                "grant inputs must be >= 0");
-  GrantScales scales;
-  if (cos1_requested > capacity) {
-    scales.cos1 = capacity > 0.0 ? capacity / cos1_requested : 0.0;
-  }
-  const double available = capacity - std::min(cos1_requested, capacity);
-  if (cos2_requested > 0.0) {
-    scales.cos2 = std::min(1.0, available / cos2_requested);
-  }
-  return scales;
 }
 
 }  // namespace ropus::sim

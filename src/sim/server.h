@@ -25,19 +25,4 @@ struct ServerSpec {
 std::vector<ServerSpec> homogeneous_pool(std::size_t count, std::size_t cpus,
                                          const std::string& prefix = "server");
 
-/// Proportional scaling of one server's per-interval grants across the two
-/// classes of service: CoS1 requests are honoured first (scaled down only
-/// when their sum exceeds capacity) and CoS2 requests share whatever
-/// capacity remains. Both the failure drill and the fault-injection replay
-/// grant with these factors.
-struct GrantScales {
-  double cos1 = 1.0;
-  double cos2 = 1.0;
-};
-
-/// Scales for a server of `capacity` CPUs facing aggregate requests
-/// `cos1_requested` / `cos2_requested` (all >= 0).
-GrantScales grant_scales(double capacity, double cos1_requested,
-                         double cos2_requested);
-
 }  // namespace ropus::sim

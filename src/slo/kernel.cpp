@@ -260,6 +260,24 @@ void DeferralQueue::restore(std::span<const Entry> entries, double total) {
   }
 }
 
+GrantScales grant_scales(double capacity, double cos1_requested,
+                         double cos2_requested) {
+  ROPUS_REQUIRE(capacity >= 0.0 && cos1_requested >= 0.0 &&
+                    cos2_requested >= 0.0,
+                "grant inputs must be >= 0");
+  GrantScales scales;
+  if (cos1_requested > capacity) {
+    scales.cos1 = capacity > 0.0 ? capacity / cos1_requested : 0.0;
+  }
+  scales.cos1_granted = std::min(cos1_requested, capacity);
+  if (cos2_requested > 0.0) {
+    scales.cos2 =
+        std::min(1.0, (capacity - scales.cos1_granted) / cos2_requested);
+  }
+  scales.cos2_granted = cos2_requested * scales.cos2;
+  return scales;
+}
+
 bool DeferralQueue::overdue_at_end(std::size_t trace_size) const {
   for (const Entry& e : entries_) {
     if (e.created + deadline_slots_ < trace_size &&

@@ -333,6 +333,32 @@ class DeferralQueue {
   std::size_t deadline_slots_;
 };
 
+/// One server's grant for one slot under the two allocation priorities of
+/// Section II: CoS1 requests are granted first, scaled pro rata only when
+/// their sum exceeds capacity, and CoS2 requests share whatever capacity
+/// remains. Every pool loop (the wlm event schedule, the serve arbiter)
+/// grants through this rule.
+struct GrantScales {
+  double cos1 = 1.0;  // factor on every CoS1 request
+  double cos2 = 1.0;  // factor on every CoS2 request
+  /// The server's granted totals: min(CoS1 requested, capacity) and CoS2
+  /// requested x `cos2` — what a CoS2 deferral backlog drains and defers
+  /// from.
+  double cos1_granted = 0.0;
+  double cos2_granted = 0.0;
+
+  /// One app's grant for its (cos1, cos2) request on this server.
+  double grant(double cos1_request, double cos2_request) const {
+    return cos1_request * cos1 + cos2_request * cos2;
+  }
+};
+
+/// The grant for a server of `capacity` CPUs facing aggregate requests
+/// `cos1_requested` / `cos2_requested`. Throws InvalidArgument unless all
+/// three are >= 0.
+GrantScales grant_scales(double capacity, double cos1_requested,
+                         double cos2_requested);
+
 /// True when a grant scales back the guaranteed class itself: CoS1 is
 /// served first, so `granted < cos1` (beyond rounding slack) means the
 /// guarantee was overcommitted.

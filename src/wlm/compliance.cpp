@@ -69,12 +69,4 @@ ComplianceReport check_compliance_attributed(std::span<const double> demand,
                           minutes_per_sample);
 }
 
-ComplianceReport check_compliance(const trace::DemandTrace& demand,
-                                  const ContainerOutcome& outcome,
-                                  const qos::Requirement& req) {
-  return check_compliance_range(
-      demand.values(), outcome.granted, req,
-      static_cast<double>(demand.calendar().minutes_per_sample()));
-}
-
 }  // namespace ropus::wlm

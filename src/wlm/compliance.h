@@ -3,12 +3,11 @@
 // (planning) and the workload-manager execution simulation.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "qos/requirements.h"
 #include "slo/kernel.h"
-#include "trace/demand_trace.h"
-#include "wlm/server_sim.h"
 
 namespace ropus::wlm {
 
@@ -27,13 +26,9 @@ struct ComplianceReport : slo::BandCounts {
 /// "<= 0 means unconstrained" convention).
 slo::Band band_of(const qos::Requirement& req);
 
-/// Compares a container's realized grants against its demand under `req`.
-ComplianceReport check_compliance(const trace::DemandTrace& demand,
-                                  const ContainerOutcome& outcome,
-                                  const qos::Requirement& req);
-
-/// Span variant for windows that are not whole traces (the failure drill
-/// judges the pre- and post-failure stretches separately).
+/// Compares a container's realized grants against its demand under `req`,
+/// over a whole trace or any window of one (the failure drill judges the
+/// pre- and post-failure stretches separately).
 ComplianceReport check_compliance_range(std::span<const double> demand,
                                         std::span<const double> granted,
                                         const qos::Requirement& req,

@@ -72,6 +72,9 @@ struct AllocationRequest {
   double total() const { return cos1 + cos2; }
 };
 
+/// The kWindowedMax history window used unless a caller picks another.
+inline constexpr std::size_t kDefaultHistoryWindow = 3;
+
 class Controller {
  public:
   /// Builds a controller enforcing translation `tr` (burst factor 1/U_low,
@@ -79,7 +82,7 @@ class Controller {
   /// only matters under kWindowedMax (>= 1; 1 behaves like kReactive).
   /// `degraded` configures classification and the telemetry fallback.
   Controller(const qos::Translation& tr, Policy policy,
-             std::size_t history_window = 3,
+             std::size_t history_window = kDefaultHistoryWindow,
              const DegradedModeConfig& degraded = {});
 
   /// Feeds one measured demand observation (CPUs) and returns the request

@@ -6,6 +6,7 @@
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/span.h"
+#include "slo/kernel.h"
 
 namespace ropus::wlm {
 
@@ -29,25 +30,14 @@ void validate_phase(const SchedulePhase& phase, std::size_t apps,
 
 }  // namespace
 
-ScheduleResult run_event_schedule(std::span<const trace::DemandTrace> demands,
-                                  std::span<const qos::Translation> normal,
-                                  std::span<const qos::Translation> failure,
-                                  std::span<const sim::ServerSpec> pool,
-                                  std::span<const SchedulePhase> phases,
-                                  std::span<const OutageWindow> outages,
-                                  Policy policy) {
-  return run_event_schedule(demands, normal, failure, pool, phases, outages,
-                            policy, ScheduleTelemetry{});
-}
-
-ScheduleResult run_event_schedule(std::span<const trace::DemandTrace> demands,
-                                  std::span<const qos::Translation> normal,
-                                  std::span<const qos::Translation> failure,
-                                  std::span<const sim::ServerSpec> pool,
-                                  std::span<const SchedulePhase> phases,
-                                  std::span<const OutageWindow> outages,
-                                  Policy policy,
-                                  const ScheduleTelemetry& telemetry) {
+ScheduleResult run_event_schedule(
+    std::span<const trace::DemandTrace> demands,
+    std::span<const qos::Translation> normal,
+    std::span<const qos::Translation> failure,
+    std::span<const sim::ServerSpec> pool,
+    std::span<const SchedulePhase> phases,
+    std::span<const OutageWindow> outages, Policy policy,
+    std::size_t history_window, const ScheduleTelemetry& telemetry) {
   static obs::Counter& runs = obs::counter("wlm.schedule.runs");
   static obs::Counter& slots = obs::counter("wlm.schedule.slots");
   static obs::Counter& phase_count = obs::counter("wlm.schedule.phases");
@@ -105,8 +95,10 @@ ScheduleResult run_event_schedule(std::span<const trace::DemandTrace> demands,
   normal_ctl.reserve(n);
   failure_ctl.reserve(n);
   for (std::size_t a = 0; a < n; ++a) {
-    normal_ctl.emplace_back(normal[a], policy, 3, telemetry.degraded);
-    failure_ctl.emplace_back(failure[a], policy, 3, telemetry.degraded);
+    normal_ctl.emplace_back(normal[a], policy, history_window,
+                            telemetry.degraded);
+    failure_ctl.emplace_back(failure[a], policy, history_window,
+                             telemetry.degraded);
   }
 
   ScheduleResult result;
@@ -131,8 +123,8 @@ ScheduleResult run_event_schedule(std::span<const trace::DemandTrace> demands,
   }
 
   std::vector<AllocationRequest> requests(n);
-  std::vector<double> server_cos1(pool.size());
-  std::vector<double> server_cos2(pool.size());
+  std::vector<AllocationRequest> requested(pool.size());  // per server
+  std::vector<slo::GrantScales> scales(pool.size());
   std::size_t phase_idx = 0;
   for (std::size_t i = 0; i < cal.size(); ++i) {
     while (phase_idx + 1 < phases.size() &&
@@ -149,8 +141,9 @@ ScheduleResult run_event_schedule(std::span<const trace::DemandTrace> demands,
     }
     const SchedulePhase& phase = phases[phase_idx];
 
-    std::fill(server_cos1.begin(), server_cos1.end(), 0.0);
-    std::fill(server_cos2.begin(), server_cos2.end(), 0.0);
+    // Three passes: requests summed per host in ascending app order, one
+    // grant per server, then each hosted app's grant.
+    std::fill(requested.begin(), requested.end(), AllocationRequest{});
     for (std::size_t a = 0; a < n; ++a) {
       const bool silent = in_outage[a][i] || phase.hosts[a] == kUnhosted;
       if (silent) {
@@ -165,29 +158,29 @@ ScheduleResult run_event_schedule(std::span<const trace::DemandTrace> demands,
       } else {
         requests[a] = ctl.step(demands[a][i]);
       }
-      server_cos1[phase.hosts[a]] += requests[a].cos1;
-      server_cos2[phase.hosts[a]] += requests[a].cos2;
+      requested[phase.hosts[a]].cos1 += requests[a].cos1;
+      requested[phase.hosts[a]].cos2 += requests[a].cos2;
     }
 
     for (std::size_t s = 0; s < pool.size(); ++s) {
-      if (phase.down[s]) continue;
-      const sim::GrantScales scales =
-          sim::grant_scales(pool[s].capacity(), server_cos1[s],
-                            server_cos2[s]);
-      for (std::size_t a = 0; a < n; ++a) {
-        if (phase.hosts[a] != s || in_outage[a][i]) continue;
-        result.apps[a].granted[i] = requests[a].cos1 * scales.cos1 +
-                                    requests[a].cos2 * scales.cos2;
-      }
+      scales[s] = slo::grant_scales(pool[s].capacity(), requested[s].cos1,
+                                    requested[s].cos2);
     }
 
     for (std::size_t a = 0; a < n; ++a) {
-      if (phase.hosts[a] == kUnhosted) result.apps[a].unhosted_slots += 1;
+      ScheduleAppOutcome& app = result.apps[a];
+      const std::size_t host = phase.hosts[a];
+      if (host == kUnhosted) {
+        app.unhosted_slots += 1;
+      } else if (!in_outage[a][i]) {
+        app.granted[i] = scales[host].grant(requests[a].cos1,
+                                            requests[a].cos2);
+      }
       const double d = demands[a][i];
-      if (d > result.apps[a].granted[i]) {
-        const double lost = d - result.apps[a].granted[i];
-        result.apps[a].unserved_demand += lost;
-        if (in_outage[a][i]) result.apps[a].outage_unserved += lost;
+      if (d > app.granted[i]) {
+        const double lost = d - app.granted[i];
+        app.unserved_demand += lost;
+        if (in_outage[a][i]) app.outage_unserved += lost;
       }
     }
 

@@ -86,32 +86,27 @@ struct ScheduleTelemetry {
 ///    (parallel to `demands`);
 ///  * `pool`: server specs; phase hosts index into it;
 ///  * `phases`: the fleet configuration over time (validated);
-///  * `outages`: migration blackouts (demand inside counts as unserved).
-/// Controllers carry per-mode history; a controller is reset whenever its
+///  * `outages`: migration blackouts (demand inside counts as unserved);
+///  * `policy` / `history_window`: how every controller observes demand;
+///  * `telemetry`: when its observation span is non-empty, controllers
+///    observe those readings instead of the true demand (grants and
+///    unserved demand still run against the true traces).
+/// Each slot grants every server through slo::grant_scales. Controllers
+/// carry per-mode history; a controller is reset whenever its
 /// application's host or mode changes at a phase boundary (the container
 /// was just re-placed, so its history is gone). Compliance is not judged
 /// here — callers window the granted series however their analysis needs
-/// (see check_compliance_masked).
-ScheduleResult run_event_schedule(std::span<const trace::DemandTrace> demands,
-                                  std::span<const qos::Translation> normal,
-                                  std::span<const qos::Translation> failure,
-                                  std::span<const sim::ServerSpec> pool,
-                                  std::span<const SchedulePhase> phases,
-                                  std::span<const OutageWindow> outages,
-                                  Policy policy);
-
-/// Telemetry-aware variant: controllers observe `telemetry.observations`
-/// instead of the true demand (grants and compliance still run against the
-/// true traces). With an empty observation span this is exactly the
-/// perfect-telemetry overload.
-ScheduleResult run_event_schedule(std::span<const trace::DemandTrace> demands,
-                                  std::span<const qos::Translation> normal,
-                                  std::span<const qos::Translation> failure,
-                                  std::span<const sim::ServerSpec> pool,
-                                  std::span<const SchedulePhase> phases,
-                                  std::span<const OutageWindow> outages,
-                                  Policy policy,
-                                  const ScheduleTelemetry& telemetry);
+/// (see check_compliance_masked). A single phase over a placed pool is a
+/// plain shared-server run.
+ScheduleResult run_event_schedule(
+    std::span<const trace::DemandTrace> demands,
+    std::span<const qos::Translation> normal,
+    std::span<const qos::Translation> failure,
+    std::span<const sim::ServerSpec> pool,
+    std::span<const SchedulePhase> phases,
+    std::span<const OutageWindow> outages, Policy policy,
+    std::size_t history_window = kDefaultHistoryWindow,
+    const ScheduleTelemetry& telemetry = {});
 
 struct DrillConfig {
   /// Observation index at which the server dies.

@@ -9,8 +9,9 @@
 #include "placement/consolidator.h"
 #include "qos/allocation.h"
 #include "sim/simulator.h"
+#include "slo/kernel.h"
 #include "wlm/compliance.h"
-#include "wlm/server_sim.h"
+#include "wlm/controller.h"
 #include "workload/fleet.h"
 
 namespace ropus {
@@ -95,42 +96,64 @@ TEST(EndToEnd, ClairvoyantWlmRunHonoursQosOnEveryServer) {
       placement::consolidate(problem, fast_consolidation());
   ASSERT_TRUE(report.feasible);
 
-  const auto by_server = placement::workloads_by_server(report.assignment, 6);
-  for (std::size_t srv = 0; srv < by_server.size(); ++srv) {
-    if (by_server[srv].empty()) continue;
-    std::vector<trace::DemandTrace> hosted;
-    std::vector<wlm::Controller> controllers;
-    for (std::size_t w : by_server[srv]) {
-      hosted.push_back(s.demands[w]);
-      controllers.emplace_back(s.allocations[w].translation(),
-                               wlm::Policy::kClairvoyant);
+  // Each server runs at exactly the capacity the placement says it
+  // requires. Every app's clairvoyant controller steps beside the others,
+  // and each slot's requests are granted per server through the slo
+  // kernel's rule.
+  const std::size_t apps = s.demands.size();
+  const std::size_t servers = problem.server_count();
+  const std::size_t slots = s.demands[0].calendar().size();
+  std::vector<wlm::Controller> controllers;
+  for (const qos::AllocationTrace& a : s.allocations) {
+    controllers.emplace_back(a.translation(), wlm::Policy::kClairvoyant);
+  }
+  std::vector<std::vector<double>> granted(apps, std::vector<double>(slots));
+  std::vector<wlm::AllocationRequest> requests(apps);
+  for (std::size_t i = 0; i < slots; ++i) {
+    std::vector<double> cos1(servers, 0.0);
+    std::vector<double> cos2(servers, 0.0);
+    for (std::size_t a = 0; a < apps; ++a) {
+      requests[a] = controllers[a].step(s.demands[a][i]);
+      cos1[report.assignment[a]] += requests[a].cos1;
+      cos2[report.assignment[a]] += requests[a].cos2;
     }
-    const double capacity =
-        report.evaluation.servers[srv].required_capacity;
-    const wlm::ServerRunResult run =
-        wlm::run_shared_server(hosted, controllers, capacity);
-    EXPECT_EQ(run.cos1_violations, 0u) << "server " << srv;
+    std::vector<slo::GrantScales> scales;
+    for (std::size_t srv = 0; srv < servers; ++srv) {
+      scales.push_back(slo::grant_scales(
+          report.evaluation.servers[srv].required_capacity, cos1[srv],
+          cos2[srv]));
+      // The placement leaves room for every CoS1 request: no server ever
+      // scales CoS1 back.
+      ASSERT_EQ(scales[srv].cos1, 1.0) << "server " << srv << " slot " << i;
+    }
+    for (std::size_t a = 0; a < apps; ++a) {
+      granted[a][i] = scales[report.assignment[a]].grant(requests[a].cos1,
+                                                          requests[a].cos2);
+      ASSERT_FALSE(slo::cos1_overcommitted(requests[a].cos1, granted[a][i]))
+          << s.demands[a].name() << " slot " << i;
+    }
+  }
 
-    for (std::size_t c = 0; c < hosted.size(); ++c) {
-      const wlm::ComplianceReport compliance =
-          wlm::check_compliance(hosted[c], run.containers[c], s.req);
-      // The theta commitment is an average over the days of a week-slot
-      // group, so individual intervals may receive less than theta even at
-      // the required capacity (the deadline term covers the deferral).
-      // Ask for the planning-level guarantee plus a small execution slack:
-      // mostly acceptable, degraded within budget + 2%, and only a sliver
-      // of intervals beyond U_degr.
-      const double active = static_cast<double>(compliance.intervals -
-                                                compliance.idle);
-      const double violating_share =
-          active > 0.0 ? static_cast<double>(compliance.violating) / active
-                       : 0.0;
-      EXPECT_LE(violating_share, 0.01)
-          << "server " << srv << " container " << hosted[c].name();
-      EXPECT_LE(compliance.degraded_fraction() * 100.0,
-                s.req.m_degr_percent() + 2.0)
-          << "server " << srv << " container " << hosted[c].name();
-    }
+  const auto minutes =
+      static_cast<double>(s.demands[0].calendar().minutes_per_sample());
+  for (std::size_t a = 0; a < apps; ++a) {
+    const wlm::ComplianceReport compliance = wlm::check_compliance_range(
+        s.demands[a].values(), granted[a], s.req, minutes);
+    // The theta commitment is an average over the days of a week-slot
+    // group, so individual intervals may receive less than theta even at
+    // the required capacity (the deadline term covers the deferral).
+    // Ask for the planning-level guarantee plus a small execution slack:
+    // mostly acceptable, degraded within budget + 2%, and only a sliver
+    // of intervals beyond U_degr.
+    const double active =
+        static_cast<double>(compliance.intervals - compliance.idle);
+    const double violating_share =
+        active > 0.0 ? static_cast<double>(compliance.violating) / active
+                     : 0.0;
+    EXPECT_LE(violating_share, 0.01) << s.demands[a].name();
+    EXPECT_LE(compliance.degraded_fraction() * 100.0,
+              s.req.m_degr_percent() + 2.0)
+        << s.demands[a].name();
   }
 }
 

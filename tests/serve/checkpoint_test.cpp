@@ -8,9 +8,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/json.h"
 #include "serve/arbiter.h"
 
@@ -240,6 +242,85 @@ TEST_F(CheckpointTest, CorruptCheckpointRefusedWithoutTouchingState) {
   load = load_checkpoint((dir_ / "absent.ckpt").string(), victim);
   EXPECT_FALSE(load.ok);
   EXPECT_EQ(victim.next_slot(), 0u);
+}
+
+/// Reads the checkpoint at `path`, lets `edit` rewrite its payload, and
+/// writes it back framed under the edited payload's own length and CRC: a
+/// well-formed file whose content lies.
+void reframe(const fs::path& path,
+             const std::function<void(std::string&)>& edit) {
+  std::string bytes;
+  {
+    std::ifstream f(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(f), {});
+  }
+  std::string payload = bytes.substr(bytes.find('\n') + 1);
+  edit(payload);
+  char crc[9];
+  std::snprintf(crc, sizeof crc, "%08x", crc::crc32(payload));
+  fs::remove(path);
+  append_raw(path, "ROPUS-CHECKPOINT v2 len=" +
+                       std::to_string(payload.size()) + " crc=" + crc + "\n" +
+                       payload);
+}
+
+/// Sets the first `field` at or after offset `from` of `payload` to the
+/// JSON text `value`.
+void set_field(std::string& payload, const std::string& field,
+               const std::string& value, std::size_t from = 0) {
+  const std::size_t key = payload.find("\"" + field + "\":", from);
+  ASSERT_NE(key, std::string::npos) << field;
+  const std::size_t begin = key + field.size() + 3;
+  payload.replace(begin, payload.find(',', begin) - begin, value);
+}
+
+/// Sets `field` of the saved app named `app` to the JSON text `value`.
+void set_app_field(std::string& payload, const std::string& app,
+                   const std::string& field, const std::string& value) {
+  const std::size_t record = payload.find("\"name\":\"" + app + "\"");
+  ASSERT_NE(record, std::string::npos) << app;
+  set_field(payload, field, value, record);
+}
+
+TEST_F(CheckpointTest, CraftedAppIdentityIsRefused) {
+  const std::string path = (dir_ / "crafted.ckpt").string();
+  const ServeConfig config = small_config();  // 2 servers
+  Arbiter original = seeded_arbiter(config);
+  std::string profile = "2.0";
+  for (std::size_t i = 1; i < kWeekSlots; ++i) profile += ",2.0";
+  original.handle(parse_message(
+      R"({"type":"admit","app":"db","profile":[)" + profile + "]}"));
+  ASSERT_EQ(original.app_count(), 2u);  // web has id 0, db id 1
+
+  // The re-framing itself is sound: an untouched payload still loads.
+  write_checkpoint(path, original, 4);
+  reframe(path, [](std::string&) {});
+  Arbiter control(config);
+  ASSERT_TRUE(load_checkpoint(path, control).ok);
+
+  const std::vector<std::pair<const char*, std::function<void(std::string&)>>>
+      faults = {
+          {"host outside the pool",
+           [](std::string& p) { set_app_field(p, "web", "host", "7"); }},
+          {"repeated id",
+           [](std::string& p) { set_app_field(p, "db", "id", "0"); }},
+          {"id never handed out",
+           [](std::string& p) { set_app_field(p, "db", "id", "5"); }},
+          {"repeated name",
+           [](std::string& p) { set_app_field(p, "db", "name", "\"web\""); }},
+          {"negative count",
+           [](std::string& p) { set_field(p, "departed", "-1"); }},
+          {"next id beyond the id space",
+           [](std::string& p) { set_field(p, "next_app_id", "65535"); }},
+      };
+  for (const auto& [what, edit] : faults) {
+    write_checkpoint(path, original, 4);
+    reframe(path, edit);
+    Arbiter victim(config);
+    const CheckpointLoad load = load_checkpoint(path, victim);
+    EXPECT_FALSE(load.ok) << what;
+    EXPECT_NE(load.error.find("invalid"), std::string::npos) << what;
+  }
 }
 
 TEST_F(CheckpointTest, CompactDropsFramesButKeepsTheEntryCount) {

@@ -4,11 +4,13 @@
 
 #include <vector>
 
+#include "common/error.h"
+#include "trace/calendar.h"
+
 namespace ropus::wlm {
 namespace {
 
 using trace::Calendar;
-using trace::DemandTrace;
 
 Calendar tiny() { return Calendar(1, 720); }  // 14 observations
 
@@ -22,11 +24,10 @@ qos::Requirement req(std::optional<double> t_degr = std::nullopt) {
   return r;
 }
 
-ContainerOutcome outcome_with_grants(std::vector<double> grants) {
-  ContainerOutcome o;
-  o.granted = std::move(grants);
-  o.utilization.resize(o.granted.size());
-  return o;
+/// Judges a whole tiny-calendar trace.
+ComplianceReport check(const std::vector<double>& demand,
+                       const std::vector<double>& grants) {
+  return check_compliance_range(demand, grants, req(), 720.0);
 }
 
 TEST(Compliance, ClassifiesBands) {
@@ -37,9 +38,7 @@ TEST(Compliance, ClassifiesBands) {
   grants[1] = 1.25;  // u = 0.8: degraded
   grants[2] = 1.0;   // u = 1.0: violating (> u_degr)
   grants[3] = 0.0;   // no grant with demand: violating
-  const DemandTrace t("t", tiny(), demand);
-  const ComplianceReport r =
-      check_compliance(t, outcome_with_grants(grants), req());
+  const ComplianceReport r = check(demand, grants);
   EXPECT_EQ(r.intervals, tiny().size());
   EXPECT_EQ(r.idle, 1u);
   EXPECT_EQ(r.degraded, 1u);
@@ -51,9 +50,7 @@ TEST(Compliance, DegradedFractionExcludesIdle) {
   std::vector<double> demand(tiny().size(), 0.0);
   demand[0] = 1.0;
   std::vector<double> grants(tiny().size(), 1.25);  // u = 0.8 on the one
-  const DemandTrace t("t", tiny(), demand);
-  const ComplianceReport r =
-      check_compliance(t, outcome_with_grants(grants), req());
+  const ComplianceReport r = check(demand, grants);
   EXPECT_DOUBLE_EQ(r.degraded_fraction(), 1.0);
 }
 
@@ -61,9 +58,7 @@ TEST(Compliance, LongestRunInMinutes) {
   std::vector<double> demand(tiny().size(), 1.0);
   std::vector<double> grants(tiny().size(), 2.0);
   grants[4] = grants[5] = grants[6] = 1.25;  // 3 consecutive degraded
-  const DemandTrace t("t", tiny(), demand);
-  const ComplianceReport r =
-      check_compliance(t, outcome_with_grants(grants), req());
+  const ComplianceReport r = check(demand, grants);
   EXPECT_DOUBLE_EQ(r.longest_degraded_minutes, 3.0 * 720.0);
 }
 
@@ -91,10 +86,8 @@ TEST(Compliance, SatisfiesChecksAllTerms) {
 }
 
 TEST(Compliance, MismatchedLengthsThrow) {
-  const DemandTrace t("t", tiny(),
-                      std::vector<double>(tiny().size(), 1.0));
-  ContainerOutcome o = outcome_with_grants({1.0, 2.0});
-  EXPECT_THROW(check_compliance(t, o, req()), InvalidArgument);
+  EXPECT_THROW(check(std::vector<double>(tiny().size(), 1.0), {1.0, 2.0}),
+               InvalidArgument);
 }
 
 TEST(Compliance, AttributedSplitsDegradationByFallbackCause) {

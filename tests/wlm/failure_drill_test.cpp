@@ -195,6 +195,31 @@ TEST(EventSchedule, UnhostedAppRecordedNotFatal) {
   EXPECT_EQ(r.apps[1].unhosted_slots, 0u);
 }
 
+TEST(EventSchedule, SinglePhaseSharesOneServer) {
+  // Two flat all-CoS2 containers (demand 2, burst factor 2) on one 6-CPU
+  // server ask for 8 CPUs between them: each is granted 3 every slot.
+  const qos::CosCommitment all_cos2{0.95, 720.0};
+  std::vector<DemandTrace> demands;
+  std::vector<qos::Translation> translations;
+  for (const char* name : {"a", "b"}) {
+    demands.emplace_back(name, tiny(), std::vector<double>(tiny().size(), 2.0));
+    translations.push_back(
+        qos::translate(demands.back(), band(0.5, 0.66, 0.9), all_cos2));
+  }
+  const std::vector<sim::ServerSpec> pool{sim::ServerSpec{"s", 6}};
+  SchedulePhase phase;
+  phase.hosts = {0, 0};
+  phase.failure_mode.assign(2, false);
+  phase.down.assign(1, false);
+  const ScheduleResult r =
+      run_event_schedule(demands, translations, translations, pool,
+                         std::span(&phase, 1), {}, Policy::kClairvoyant);
+  for (const ScheduleAppOutcome& app : r.apps) {
+    for (const double g : app.granted) EXPECT_DOUBLE_EQ(g, 3.0) << app.name;
+    EXPECT_DOUBLE_EQ(app.unserved_demand, 0.0) << app.name;
+  }
+}
+
 TEST(FailureDrill, ValidatesInputs) {
   Rig rig = make_rig();
   DrillConfig cfg;

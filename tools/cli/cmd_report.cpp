@@ -16,6 +16,7 @@
 #include "obs/recorder.h"
 #include "obs/watchdog.h"
 #include "qos/requirements.h"
+#include "wlm/compliance.h"
 
 namespace ropus::cli {
 
@@ -29,15 +30,6 @@ std::vector<std::string> split_list(const std::string& spec) {
     if (!item.empty()) items.push_back(item);
   }
   return items;
-}
-
-obs::SloBand band_from(const qos::Requirement& req) {
-  obs::SloBand band;
-  band.u_high = req.u_high;
-  band.u_degr = req.u_degr;
-  band.m_percent = req.m_percent;
-  band.t_degr_minutes = req.t_degr_minutes.value_or(0.0);
-  return band;
 }
 
 std::string slot_coordinates(std::uint32_t slot, std::size_t slots_per_day) {
@@ -206,8 +198,8 @@ int cmd_report(const Flags& flags, std::ostream& out, std::ostream& err) {
     }
     obs::Recording recording = obs::read_recording(path);
     obs::WatchdogConfig config;
-    config.normal = band_from(normal);
-    config.failure = band_from(failure);
+    config.normal = wlm::band_of(normal);
+    config.failure = wlm::band_of(failure);
     config.theta = theta_target;
     config.minutes_per_sample = recording.minutes_per_sample;
     config.slots_per_day = recording.slots_per_day;
@@ -286,7 +278,7 @@ int cmd_report(const Flags& flags, std::ostream& out, std::ostream& err) {
             report.watchdog.report(app, failure_mode);
         if (counts == nullptr) continue;
         const obs::SloBand& band =
-            failure_mode ? band_from(failure) : band_from(normal);
+            failure_mode ? wlm::band_of(failure) : wlm::band_of(normal);
         const bool ok = counts->satisfies(band);
         if (!ok) report.ok = false;
         table.add_row({rec.app_name(app), failure_mode ? "failure" : "normal",
@@ -425,7 +417,7 @@ int cmd_report(const Flags& flags, std::ostream& out, std::ostream& err) {
               report.watchdog.report(app, failure_mode);
           if (counts == nullptr) continue;
           const obs::SloBand& band =
-              failure_mode ? band_from(failure) : band_from(normal);
+              failure_mode ? wlm::band_of(failure) : wlm::band_of(normal);
           w.begin_object();
           w.key("app").value(rec.app_name(app));
           w.key("mode").value(failure_mode ? "failure" : "normal");

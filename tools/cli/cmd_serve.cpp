@@ -10,6 +10,7 @@
 #include "serve/daemon.h"
 #include "serve/transport.h"
 #include "trace/calendar.h"
+#include "wlm/compliance.h"
 
 namespace ropus::cli {
 
@@ -50,8 +51,8 @@ int cmd_serve(const Flags& flags, std::ostream& out, std::ostream& err) {
   }
 
   serve::ServeConfig config;
-  config.normal = serve::band_of(normal);
-  config.failure = serve::band_of(failure);
+  config.normal = wlm::band_of(normal);
+  config.failure = wlm::band_of(failure);
   config.cos2 = cos2_from_flags(flags);
   config.minutes_per_sample = flags.get_double("minutes", 5.0);
   if (config.minutes_per_sample <= 0.0 ||
