@@ -598,8 +598,15 @@ int main() {
     report(run_bench("evaluate", agg.cos1.size(),
                      [&] { do_not_optimize(sim::evaluate(agg, 16.0, cos2())); }),
            reporter);
+    // The 8 workloads need ~20 CPUs: under the 64-CPU limit the search
+    // really searches (a 16-CPU limit would time one failing replay).
     report(run_bench("required_capacity", agg.cos1.size(), [&] {
-             do_not_optimize(sim::required_capacity(agg, 16.0, cos2()));
+             do_not_optimize(sim::required_capacity(agg, 64.0, cos2()));
+           }),
+           reporter);
+    // The analytic floor the search replays at: no slower than one replay.
+    report(run_bench("sim/capacity_floor", agg.cos1.size(), [&] {
+             do_not_optimize(sim::capacity_floor(agg, 64.0, cos2()));
            }),
            reporter);
   }
@@ -641,8 +648,8 @@ int main() {
     (void)engine.verdict(2);
 
     // One placement move: two O(slots) series passes (leave one server,
-    // land on the other) plus two warm-started verdicts — the genetic
-    // search's inner loop when the memo misses.
+    // land on the other) plus two verdicts — the genetic search's inner
+    // loop when the memo misses.
     std::size_t flip = 0;
     report(run_bench("placement/delta_move", cal.size(),
                      [&] {
@@ -654,10 +661,9 @@ int main() {
                      }),
            reporter);
 
-    // One admission probe: temporary add, warm required-capacity search,
-    // exact removal — what each per-server fit check costs the serve
-    // daemon's delta admission path (vs the cold `required_capacity`
-    // phase above).
+    // One admission probe: temporary add, required-capacity search, exact
+    // removal — what each per-server fit check costs the serve daemon's
+    // delta admission path (vs the batch `required_capacity` phase above).
     report(run_bench("sim/required_capacity_delta", cal.size(),
                      [&] { do_not_optimize(engine.probe(2, n)); }),
            reporter);

@@ -37,6 +37,16 @@ std::string to_json(const CapacityPlan& plan) {
     w.key("server").value(s);
     w.key("required_capacity").value(se.required_capacity);
     w.key("utilization").value(se.utilization);
+    w.key("binding").begin_object();
+    w.key("kind").value(sim::kind_name(se.binding.kind));
+    if (se.binding.kind == sim::Binding::Kind::kTheta) {
+      w.key("week").value(se.binding.week);
+      w.key("slot").value(se.binding.slot);
+    } else if (se.binding.kind == sim::Binding::Kind::kDeadline) {
+      w.key("slot").value(se.binding.slot);
+      w.key("backlog").value(se.binding.backlog);
+    }
+    w.end_object();
     w.key("workloads").begin_array();
     for (std::size_t idx : se.workloads) {
       w.value(plan.applications[idx].name);

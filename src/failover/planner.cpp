@@ -28,12 +28,12 @@ FailurePlanner::FailurePlanner(std::span<const trace::DemandTrace> demands,
 }
 
 std::vector<qos::AllocationTrace> FailurePlanner::build_allocations(
-    const std::vector<bool>& use_failure_mode) const {
+    bool failure_mode) const {
   std::vector<qos::AllocationTrace> allocations;
   allocations.reserve(demands_.size());
   for (std::size_t a = 0; a < demands_.size(); ++a) {
     const qos::Requirement& req =
-        use_failure_mode[a] ? qos_[a].failure : qos_[a].normal;
+        failure_mode ? qos_[a].failure : qos_[a].normal;
     const qos::Translation tr =
         qos::translate(demands_[a], req, commitments_.cos2);
     allocations.emplace_back(demands_[a], tr);
@@ -43,6 +43,8 @@ std::vector<qos::AllocationTrace> FailurePlanner::build_allocations(
 
 placement::ConsolidationReport FailurePlanner::consolidate_survivors(
     const placement::ConsolidationReport& normal,
+    std::span<const qos::AllocationTrace> normal_allocs,
+    std::span<const qos::AllocationTrace> failure_allocs,
     const std::vector<std::size_t>& active,
     const std::vector<std::size_t>& failed, const PlannerConfig& config,
     std::vector<std::size_t>* surviving_servers) const {
@@ -57,15 +59,17 @@ placement::ConsolidationReport FailurePlanner::consolidate_survivors(
   // Affected apps always run at failure-mode QoS; the rest degrade too when
   // the pool operates the whole fleet under failure constraints until the
   // repair completes (the case-study policy).
-  std::vector<bool> failure_mode(demands_.size(), config.degrade_all_apps);
-  for (std::size_t a = 0; a < demands_.size(); ++a) {
-    if (std::binary_search(failed.begin(), failed.end(),
-                           normal.assignment[a])) {
-      failure_mode[a] = true;
+  std::span<const qos::AllocationTrace> allocs = failure_allocs;
+  std::vector<qos::AllocationTrace> mixed;
+  if (!config.degrade_all_apps) {
+    mixed.reserve(demands_.size());
+    for (std::size_t a = 0; a < demands_.size(); ++a) {
+      const bool affected = std::binary_search(failed.begin(), failed.end(),
+                                               normal.assignment[a]);
+      mixed.push_back(affected ? failure_allocs[a] : normal_allocs[a]);
     }
+    allocs = mixed;
   }
-  const std::vector<qos::AllocationTrace> allocs =
-      build_allocations(failure_mode);
 
   std::vector<sim::ServerSpec> survivors;
   survivors.reserve(surviving_servers->size());
@@ -95,8 +99,10 @@ FailoverReport FailurePlanner::plan(const PlannerConfig& config) const {
   FailoverReport report;
 
   // Normal mode: everyone under normal QoS, consolidate on the full pool.
+  // Each app is translated once per QoS mode; every failure scenario reuses
+  // the two sets.
   const std::vector<qos::AllocationTrace> normal_allocs =
-      build_allocations(std::vector<bool>(demands_.size(), false));
+      build_allocations(false);
   const placement::PlacementProblem normal_problem(normal_allocs, pool_,
                                                    commitments_.cos2);
   report.normal = placement::consolidate(normal_problem, config.normal);
@@ -126,14 +132,16 @@ FailoverReport FailurePlanner::plan(const PlannerConfig& config) const {
     return report;
   }
 
+  const std::vector<qos::AllocationTrace> failure_allocs =
+      build_allocations(true);
   for (std::size_t failed : report.active_servers) {
     FailureOutcome outcome;
     outcome.failed_server = failed;
     outcome.affected_apps = report.normal.evaluation.servers[failed].workloads;
 
     const placement::ConsolidationReport cr = consolidate_survivors(
-        report.normal, report.active_servers, {failed}, config,
-        &outcome.surviving_servers);
+        report.normal, normal_allocs, failure_allocs, report.active_servers,
+        {failed}, config, &outcome.surviving_servers);
     outcome.supported = cr.feasible;
     outcome.servers_used = cr.servers_used;
     outcome.total_required_capacity = cr.total_required_capacity;
@@ -153,7 +161,7 @@ MultiFailoverReport FailurePlanner::plan_concurrent(
   report.concurrent_failures = concurrent_failures;
 
   const std::vector<qos::AllocationTrace> normal_allocs =
-      build_allocations(std::vector<bool>(demands_.size(), false));
+      build_allocations(false);
   const placement::PlacementProblem normal_problem(normal_allocs, pool_,
                                                    commitments_.cos2);
   report.normal = placement::consolidate(normal_problem, config.normal);
@@ -161,6 +169,8 @@ MultiFailoverReport FailurePlanner::plan_concurrent(
     report.unsupported = 1;
     return report;
   }
+  const std::vector<qos::AllocationTrace> failure_allocs =
+      build_allocations(true);
   for (std::size_t s = 0; s < pool_.size(); ++s) {
     if (!report.normal.evaluation.servers[s].workloads.empty()) {
       report.active_servers.push_back(s);
@@ -186,9 +196,9 @@ MultiFailoverReport FailurePlanner::plan_concurrent(
                                    apps.end());
     }
     std::vector<std::size_t> survivors;
-    const placement::ConsolidationReport cr =
-        consolidate_survivors(report.normal, report.active_servers,
-                              outcome.failed_servers, config, &survivors);
+    const placement::ConsolidationReport cr = consolidate_survivors(
+        report.normal, normal_allocs, failure_allocs, report.active_servers,
+        outcome.failed_servers, config, &survivors);
     outcome.supported = cr.feasible;
     outcome.servers_used = cr.servers_used;
     outcome.total_required_capacity = cr.total_required_capacity;

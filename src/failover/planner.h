@@ -94,13 +94,16 @@ class FailurePlanner {
   qos::PoolCommitments commitments_;
   std::vector<sim::ServerSpec> pool_;
 
-  std::vector<qos::AllocationTrace> build_allocations(
-      const std::vector<bool>& use_failure_mode) const;
+  /// Every app's allocation trace under its normal or failure-mode QoS.
+  std::vector<qos::AllocationTrace> build_allocations(bool failure_mode) const;
 
   /// Re-consolidates after the servers in `failed` (pool indices, sorted)
-  /// go down simultaneously. Shared by the single- and multi-failure sweeps.
+  /// go down simultaneously, from the allocations each app has in either
+  /// mode. Shared by the single- and multi-failure sweeps.
   placement::ConsolidationReport consolidate_survivors(
       const placement::ConsolidationReport& normal,
+      std::span<const qos::AllocationTrace> normal_allocs,
+      std::span<const qos::AllocationTrace> failure_allocs,
       const std::vector<std::size_t>& active,
       const std::vector<std::size_t>& failed, const PlannerConfig& config,
       std::vector<std::size_t>* surviving_servers) const;

@@ -210,7 +210,7 @@ GeneticResult genetic_search(const PlacementModel& problem,
   // seeded stream, and results land in index-addressed slots — so the
   // search returns the same result at any --threads value. An active
   // flight recorder forces the serial path (sim::required_capacity toggles
-  // the process-global recorder around its binary search).
+  // the process-global recorder around its search).
   const std::size_t threads = obs::Recorder::active() != nullptr
                                   ? 1
                                   : parallel::thread_count();

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "placement/assignment.h"
+#include "sim/simulator.h"
 
 namespace ropus::placement {
 
@@ -22,6 +23,7 @@ struct ServerEvaluation {
   double required_capacity = 0.0;  // CPU attribute (the scored one)
   double utilization = 0.0;    // scoring utilization in [0, 1] when fits
   double score = 0.0;          // contribution to the objective
+  sim::Binding binding;        // the constraint that set required_capacity
 };
 
 /// Evaluation of a whole assignment.
@@ -39,6 +41,7 @@ struct PlacementEvaluation {
 struct ServerVerdict {
   bool fits = false;
   double capacity = 0.0;
+  sim::Binding binding;  // the constraint that set `capacity`
 };
 
 /// A mutable evaluation context for one search thread. Contexts exist so a

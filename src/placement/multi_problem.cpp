@@ -104,6 +104,7 @@ PlacementEvaluation MultiPlacementProblem::evaluate(
     const sim::MultiRequiredCapacity rc =
         server_required_capacity(se.workloads, servers_[s]);
     se.fits = rc.fits;
+    se.binding = rc.cpu.binding;
     if (!rc.fits) {
       ev.feasible = false;
       se.score = -static_cast<double>(se.workloads.size());

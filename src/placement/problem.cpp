@@ -110,7 +110,7 @@ ServerVerdict PlacementProblem::server_required_capacity(
   const sim::Aggregate agg = sim::aggregate_workloads(hosted, calendar_);
   const sim::RequiredCapacity rc =
       sim::required_capacity(agg, server.capacity(), cos2_, tolerance_);
-  v = ServerVerdict{rc.fits, rc.capacity};
+  v = ServerVerdict{rc.fits, rc.capacity, rc.binding};
   memo_store(workload_ids, server.cpus, v);
   return v;
 }
@@ -129,6 +129,7 @@ void PlacementProblem::score_server(ServerEvaluation& se,
   se.used = true;
   ev.servers_used += 1;
   se.fits = v.fits;
+  se.binding = v.binding;
   if (!v.fits) {
     ev.feasible = false;
     se.score = -static_cast<double>(se.workloads.size());
@@ -243,7 +244,7 @@ PlacementEvaluation DeltaPlacementContext::evaluate(const Assignment& a) {
     ServerVerdict v;
     if (!problem_.memo_find(hosted, spec.cpus, v)) {
       const sim::RequiredCapacity& rc = engine_.verdict(s);
-      v = ServerVerdict{rc.fits, rc.capacity};
+      v = ServerVerdict{rc.fits, rc.capacity, rc.binding};
       problem_.memo_store(hosted, spec.cpus, v);
     }
     PlacementProblem::score_server(se, v, spec, ev);
@@ -265,7 +266,7 @@ ServerVerdict DeltaPlacementContext::probe(std::size_t server,
   ServerVerdict v;
   if (problem_.memo_find(probe_key_, spec.cpus, v)) return v;
   const sim::RequiredCapacity rc = engine_.probe(server, workload);
-  v = ServerVerdict{rc.fits, rc.capacity};
+  v = ServerVerdict{rc.fits, rc.capacity, rc.binding};
   problem_.memo_store(probe_key_, spec.cpus, v);
   return v;
 }

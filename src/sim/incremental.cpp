@@ -285,14 +285,12 @@ const RequiredCapacity& IncrementalEvaluator::verdict(std::size_t server) {
       stats_.delta_verdicts += 1;
       delta_verdicts_counter().add(1);
     }
-    s.verdict = required_capacity(view_of(s), s.cpus, cos2_, tolerance_,
-                                  s.warm);
+    s.verdict = required_capacity(view_of(s), s.cpus, cos2_, tolerance_);
   } else {
     stats_.batch_fallbacks += 1;
     fallbacks_counter().add(1);
     s.verdict = batch_verdict(s, nullptr);
   }
-  if (s.verdict.fits) s.warm = s.verdict.capacity;
   s.verdict_valid = true;
   return s.verdict;
 }
@@ -316,13 +314,11 @@ RequiredCapacity IncrementalEvaluator::probe(std::size_t server,
     s.sum_peak_cos1 += w.peak_cos1;
     AggregateView v = view_of(s);
     v.workloads = s.ids.size() + 1;
-    const RequiredCapacity out =
-        required_capacity(v, s.cpus, cos2_, tolerance_, s.warm);
+    const RequiredCapacity out = required_capacity(v, s.cpus, cos2_, tolerance_);
     // Exact restore: the subtraction returns every slot (and hence the
     // recomputed peak) to its previous bits.
     apply_series(s, w, -1.0);
     s.sum_peak_cos1 = saved_sum_peak;
-    if (out.fits) s.warm = out.capacity;
     return out;
   }
   stats_.batch_probes += 1;

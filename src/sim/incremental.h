@@ -9,10 +9,10 @@
 // and reversible: after any sequence of adds and removes a server's per-slot
 // aggregate holds the same bits the batch `sim::aggregate_workloads` would
 // produce, and removing a workload restores the previous bits. Verdicts run
-// through the same `sim::required_capacity` grid search as the batch path —
-// a pure function of the aggregate — warm-started from the server's last
-// verdict, so a small move re-verdicts in a couple of evaluate() passes
-// instead of a full cold search over a rebuilt aggregate.
+// through the same `sim::required_capacity` search as the batch path — a
+// pure function of the aggregate that starts at its exact capacity floor —
+// so a move re-verdicts in about one evaluate() pass over maintained sums
+// instead of a search over a rebuilt aggregate.
 //
 // Inputs that break the exactness contract — workloads with off-grid values
 // (hand-built test data, external feeds) or servers whose peak sums exceed
@@ -145,7 +145,6 @@ class IncrementalEvaluator {
     bool sums_valid = false;
     bool verdict_valid = false;
     RequiredCapacity verdict;
-    double warm = -1.0;  // last satisfying capacity, the search seed
   };
 
   bool delta_eligible(const Server& s) const {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <span>
 
 #include "common/error.h"
@@ -14,8 +15,8 @@ namespace ropus::sim {
 
 namespace {
 // Tolerance for "CoS1 exceeds capacity": the kernel's shared slack, so a
-// required capacity found by binary search is not rejected for a few ULPs
-// on re-evaluation.
+// required capacity found by the search is not rejected for a few ULPs on
+// re-evaluation.
 constexpr double kCapacityEps = slo::kCapacityEps;
 
 // Instrumentation (docs/observability.md): the replay slot loop and the
@@ -108,8 +109,8 @@ Evaluation evaluate(const AggregateView& agg, double capacity,
     // deficit above the epsilon defer() would enqueue, the backlog is empty
     // going in (nothing to drain or expire), and nothing is recording. On
     // such a day the sequential loop below degenerates to theta adds of
-    // sat2 = min(s2, max(0, C - s1)); computing exactly those values in a
-    // vector pass is bit-identical by construction.
+    // slo::satisfied_cos2; computing exactly those values in a vector pass
+    // is bit-identical by construction.
     bool pure = rec == nullptr && backlog.empty();
     if (pure) {
       double m1 = 0.0;
@@ -122,7 +123,7 @@ Evaluation evaluate(const AggregateView& agg, double capacity,
     }
     if (pure) {
       for (std::size_t j = i; j < end; ++j) {
-        sat_run[j - i] = std::min(s2v[j], std::max(0.0, capacity - s1v[j]));
+        sat_run[j - i] = slo::satisfied_cos2(capacity, s1v[j], s2v[j]);
       }
       theta.add_run(i, std::span(s2v + i, end - i),
                     std::span(sat_run, end - i));
@@ -155,7 +156,7 @@ Evaluation evaluate(const AggregateView& agg, double capacity,
       return ev;
     }
     const double available = std::max(0.0, capacity - s1);
-    const double sat2 = std::min(s2, available);
+    const double sat2 = slo::satisfied_cos2(capacity, s1, s2);
     const double deficit = s2 - sat2;
 
     theta.add(i, s2, sat2);
@@ -200,7 +201,7 @@ ThetaBreakdown theta_breakdown(const Aggregate& agg, double capacity) {
     ROPUS_REQUIRE(s1 <= capacity + kCapacityEps,
                   "CoS1 exceeds capacity; breakdown is undefined");
     const double s2 = agg.cos2[i];
-    theta.add(i, s2, std::min(s2, std::max(0.0, capacity - s1)));
+    theta.add(i, s2, slo::satisfied_cos2(capacity, s1, s2));
   }
   breakdown.group_ratios = theta.ratios();
   const slo::ThetaAccumulator::Worst worst = theta.worst();
@@ -217,9 +218,78 @@ double capacity_grid_step(double tolerance) {
   return std::ldexp(1.0, e - 1);
 }
 
+const char* kind_name(Binding::Kind kind) {
+  switch (kind) {
+    case Binding::Kind::kNone:
+      return "none";
+    case Binding::Kind::kCos1Peak:
+      return "cos1-peak";
+    case Binding::Kind::kTheta:
+      return "theta";
+    case Binding::Kind::kDeadline:
+      return "deadline";
+    case Binding::Kind::kLimit:
+      return "limit";
+  }
+  return "none";
+}
+
+std::string to_string(const Binding& binding) {
+  std::string out = kind_name(binding.kind);
+  if (binding.kind == Binding::Kind::kTheta) {
+    out += " w" + std::to_string(binding.week) + " s" +
+           std::to_string(binding.slot);
+  } else if (binding.kind == Binding::Kind::kDeadline) {
+    char backlog[32];
+    std::snprintf(backlog, sizeof(backlog), "%.2f", binding.backlog);
+    out += " t" + std::to_string(binding.slot) + " b" + backlog;
+  }
+  return out;
+}
+
+CapacityFloor capacity_floor(const AggregateView& agg, double limit,
+                             const qos::CosCommitment& cos2,
+                             double tolerance) {
+  ROPUS_REQUIRE(!agg.empty(), "the capacity floor needs a workload");
+  cos2.validate();
+  const trace::Calendar& cal = *agg.calendar;
+  CapacityFloor floor;
+  floor.step = capacity_grid_step(tolerance);
+  const std::int64_t k_lo =
+      static_cast<std::int64_t>(std::ceil(agg.peak_cos1 / floor.step));
+  const std::int64_t k_hi =
+      static_cast<std::int64_t>(std::floor(limit / floor.step));
+  floor.theta_binding.kind = Binding::Kind::kCos1Peak;
+
+  const slo::GridFloor theta =
+      slo::theta_floor(agg.cos1, agg.cos2, cal.slots_per_day(), cos2.theta,
+                       floor.step, k_lo, k_hi);
+  if (theta.raised) {
+    floor.theta_binding.kind = Binding::Kind::kTheta;
+    floor.theta_binding.week = theta.where / cal.slots_per_day();
+    floor.theta_binding.slot = theta.where % cal.slots_per_day();
+  }
+  floor.theta_k = theta.k;
+  floor.k = theta.k;
+  floor.binding = floor.theta_binding;
+  if (floor.k > k_hi) return floor;
+
+  const slo::GridFloor deadline = slo::deadline_floor(
+      agg.cos1, agg.cos2, cal.observations_in(cos2.deadline_minutes),
+      floor.step, theta.k, k_hi);
+  if (deadline.raised) {
+    floor.k = deadline.k;
+    floor.binding = Binding{};
+    floor.binding.kind = Binding::Kind::kDeadline;
+    floor.binding.slot = deadline.where;
+    floor.binding.backlog = deadline.backlog;
+  }
+  return floor;
+}
+
 RequiredCapacity required_capacity(const AggregateView& agg, double limit,
                                    const qos::CosCommitment& cos2,
-                                   double tolerance, double warm_capacity) {
+                                   double tolerance) {
   ROPUS_REQUIRE(limit >= 0.0, "capacity limit must be >= 0");
   ROPUS_REQUIRE(tolerance > 0.0, "tolerance must be > 0");
   static obs::Counter& searches = obs::counter("sim.required_capacity.searches");
@@ -227,9 +297,9 @@ RequiredCapacity required_capacity(const AggregateView& agg, double limit,
       obs::histogram("sim.required_capacity.seconds");
   searches.add(1);
   obs::ScopedTimer timer(seconds);
-  // The search probes capacities that are *expected* to fail (that is how a
-  // binary search works); recording those passes would flood a flight
-  // recording with pool sections whose theta says nothing about any accepted
+  // The search may probe capacities that fail (the step below a deadline
+  // floor, a gallop); recording those passes would flood a flight recording
+  // with pool sections whose theta says nothing about any accepted
   // configuration. Suppress recording for the whole search — callers record
   // a real configuration by calling evaluate() directly.
   struct RecorderPause {
@@ -244,6 +314,7 @@ RequiredCapacity required_capacity(const AggregateView& agg, double limit,
     result.capacity = 0.0;
     return result;
   }
+  result.binding.kind = Binding::Kind::kLimit;
 
   // Section VI-A's precheck: the sum of per-workload CoS1 peaks may not
   // exceed the server's capacity, or the workloads do not fit.
@@ -253,115 +324,73 @@ RequiredCapacity required_capacity(const AggregateView& agg, double limit,
   // with `limit` itself as the last resort when even the topmost grid point
   // falls short. The predicate "satisfies at capacity C" is monotone in C
   // (more capacity never hurts CoS1, theta, or the deferral deadline), so
-  // the minimum satisfying candidate is unique and every search strategy —
-  // cold bisection here, warm galloping below — lands on the same bits.
+  // the minimum satisfying candidate is unique.
   const double step = capacity_grid_step(tolerance);
   const std::int64_t k_lo =
       static_cast<std::int64_t>(std::ceil(agg.peak_cos1 / step));
   const std::int64_t k_hi =
       static_cast<std::int64_t>(std::floor(limit / step));
-
-  const auto finish = [&](double capacity, const Evaluation& at) {
+  const auto at_grid = [&](std::int64_t k) {
+    return evaluate(agg, static_cast<double>(k) * step, cos2);
+  };
+  const auto finish = [&](double capacity, const Evaluation& at,
+                          const Binding& binding) {
     result.fits = true;
     result.capacity = capacity;
     result.at_capacity = at;
+    result.binding = binding;
     return result;
   };
+  // No grid candidate satisfies: `limit` itself is the last resort when no
+  // grid point reaches the CoS1 peak or it lies above the topmost one.
+  const auto at_limit = [&] {
+    if (k_lo > k_hi || limit > static_cast<double>(k_hi) * step) {
+      const Evaluation at = evaluate(agg, limit, cos2);
+      if (at.satisfies(cos2)) return finish(limit, at, result.binding);
+    }
+    return result;
+  };
+  if (k_lo > k_hi) return at_limit();
 
-  if (k_lo > k_hi) {
-    // No grid candidate between the peak and the limit; only `limit` left.
-    const Evaluation at_limit = evaluate(agg, limit, cos2);
-    if (!at_limit.satisfies(cos2)) return result;
-    return finish(limit, at_limit);
+  const CapacityFloor floor = capacity_floor(agg, limit, cos2, tolerance);
+  // Theta fails exactly below theta_k, and at every grid point when it
+  // passes the top.
+  if (floor.theta_k > k_hi) return at_limit();
+  // What set the answer: the CoS1 peak or theta at theta_k, the deadline
+  // above it.
+  const auto binding_at = [&](std::int64_t k) {
+    if (k == floor.theta_k) return floor.theta_binding;
+    if (floor.binding.kind == Binding::Kind::kDeadline) return floor.binding;
+    Binding deadline;  // the floor's replay failed: no slot to name
+    deadline.kind = Binding::Kind::kDeadline;
+    return deadline;
+  };
+
+  std::int64_t k = std::min(floor.k, k_hi);
+  Evaluation at = at_grid(k);
+  if (at.satisfies(cos2)) {
+    // The deadline floor holds in real arithmetic; the replay's epsilons
+    // can pass a step lower. Below theta_k nothing passes.
+    while (k > floor.theta_k) {
+      const Evaluation below = at_grid(k - 1);
+      if (!below.satisfies(cos2)) break;
+      --k;
+      at = below;
+    }
+    return finish(static_cast<double>(k) * step, at, binding_at(k));
   }
 
-  // Bracket invariant: lo_k known-unsatisfying (k_lo - 1 is virtually
-  // unsatisfying: below the CoS1 peak candidate range), hi_k known-
-  // satisfying with its evaluation in at_hi.
-  std::int64_t lo_k = k_lo - 1;
-  std::int64_t hi_k = -1;
+  // The floor's replay failed: gallop up to a satisfying grid point, then
+  // bisect.
   Evaluation at_hi;
-
-  if (warm_capacity >= 0.0) {
-    // Warm start: gallop out from the previous verdict. After a small
-    // delta the boundary is usually within a step or two.
-    const std::int64_t k_w = std::clamp(
-        static_cast<std::int64_t>(std::llround(warm_capacity / step)), k_lo,
-        k_hi);
-    const Evaluation at_w = evaluate(agg, static_cast<double>(k_w) * step,
-                                     cos2);
-    if (at_w.satisfies(cos2)) {
-      hi_k = k_w;
-      at_hi = at_w;
-      for (std::int64_t d = 1; hi_k > lo_k + 1; d *= 2) {
-        const std::int64_t p = std::max(k_lo, k_w - d);
-        if (p >= hi_k) continue;
-        const Evaluation e = evaluate(agg, static_cast<double>(p) * step,
-                                      cos2);
-        if (e.satisfies(cos2)) {
-          hi_k = p;
-          at_hi = e;
-          if (p == k_lo) break;
-        } else {
-          lo_k = p;
-          break;
-        }
-      }
-    } else {
-      lo_k = k_w;
-      for (std::int64_t d = 1; lo_k < k_hi; d *= 2) {
-        const std::int64_t p = std::min(k_hi, k_w + d);
-        if (p <= lo_k) continue;
-        const Evaluation e = evaluate(agg, static_cast<double>(p) * step,
-                                      cos2);
-        if (e.satisfies(cos2)) {
-          hi_k = p;
-          at_hi = e;
-          break;
-        }
-        lo_k = p;
-      }
-    }
-  } else {
-    // Cold start: confirm the top, quick-check the bottom, then bisect.
-    const Evaluation at_top =
-        evaluate(agg, static_cast<double>(k_hi) * step, cos2);
-    if (at_top.satisfies(cos2)) {
-      hi_k = k_hi;
-      at_hi = at_top;
-      if (k_lo < k_hi) {
-        const Evaluation at_bot =
-            evaluate(agg, static_cast<double>(k_lo) * step, cos2);
-        if (at_bot.satisfies(cos2)) return finish(
-            static_cast<double>(k_lo) * step, at_bot);
-        lo_k = k_lo;
-      }
-    } else {
-      lo_k = k_hi;
-    }
-  }
-
-  if (hi_k < 0) {
-    // Even the topmost grid candidate fails; `limit` is the only hope.
-    if (limit > static_cast<double>(k_hi) * step) {
-      const Evaluation at_limit = evaluate(agg, limit, cos2);
-      if (at_limit.satisfies(cos2)) return finish(limit, at_limit);
-    }
-    return result;  // not satisfiable within limit
-  }
-
-  while (hi_k - lo_k > 1) {
-    const std::int64_t mid = lo_k + (hi_k - lo_k) / 2;
-    const Evaluation at_mid =
-        evaluate(agg, static_cast<double>(mid) * step, cos2);
-    if (at_mid.satisfies(cos2)) {
-      hi_k = mid;
-      at_hi = at_mid;
-    } else {
-      lo_k = mid;
-    }
-  }
-  return finish(static_cast<double>(hi_k) * step, at_hi);
+  const std::int64_t hi = slo::first_passing(k, k_hi, [&](std::int64_t p) {
+    const Evaluation e = at_grid(p);
+    if (!e.satisfies(cos2)) return false;
+    at_hi = e;
+    return true;
+  });
+  if (hi > k_hi) return at_limit();
+  return finish(static_cast<double>(hi) * step, at_hi, binding_at(hi));
 }
 
 }  // namespace ropus::sim

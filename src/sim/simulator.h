@@ -6,10 +6,13 @@
 //           (sum over days x of satisfied CoS2) / (sum over days x of
 //            requested CoS2),
 // tracks a FIFO backlog of deferred CoS2 allocation that must drain within
-// the commitment's deadline, and binary-searches the smallest capacity (the
-// *required capacity*) for which both parts of the commitment hold.
+// the commitment's deadline, and finds the smallest capacity (the *required
+// capacity*) for which both parts of the commitment hold: an analytic floor
+// from the CoS1 peak, theta and the deadline, confirmed by a replay.
 #pragma once
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "qos/allocation.h"
@@ -101,34 +104,82 @@ struct ThetaBreakdown {
 /// first when unsure).
 ThetaBreakdown theta_breakdown(const Aggregate& agg, double capacity);
 
+/// Which constraint set a server's required capacity, as the capacity
+/// floor found it (docs/algorithms.md §5).
+struct Binding {
+  enum class Kind : std::uint8_t {
+    kNone,      // nothing hosted: the capacity is 0
+    kCos1Peak,  // the aggregate CoS1 peak; theta and the deadline hold there
+    kTheta,     // theta in the (week, slot-of-day) group
+    kDeadline,  // the deadline of the CoS2 deferred at `slot`
+    kLimit,     // the answer is the limit itself, or nothing fits within it
+  };
+  Kind kind = Kind::kNone;
+  std::size_t week = 0;  // kTheta
+  std::size_t slot = 0;  // kTheta: slot of day; kDeadline: trace slot
+  double backlog = 0.0;  // kDeadline: the deferred CoS2 queued at `slot`
+                         // at the required capacity (CPUs)
+};
+
+/// "cos1-peak", "theta w<week> s<slot>", "deadline t<slot> b<backlog>",
+/// "limit" or "none".
+std::string to_string(const Binding& binding);
+
+/// The kind's name alone: "none", "cos1-peak", "theta", "deadline", "limit".
+const char* kind_name(Binding::Kind kind);
+
 /// Result of the required-capacity search for one server.
 struct RequiredCapacity {
   bool fits = false;        // commitments satisfiable within `limit`
   double capacity = 0.0;    // smallest satisfying capacity when fits
   Evaluation at_capacity;   // evaluation at the reported capacity
+  Binding binding;          // the constraint that set `capacity`
 };
 
 /// The capacity search grid: the largest power of two <= `tolerance`
 /// (0.03125 CPUs for the default 0.05). Searching a fixed grid instead of
 /// bisecting real endpoints makes the result a pure function of the
 /// aggregate — the minimum of a fixed candidate set under a monotone
-/// predicate — so a warm-started delta search and the cold batch search
-/// land on the same bits (docs/algorithms.md §11).
+/// predicate — so the delta engine and the batch path land on the same
+/// bits (docs/algorithms.md §11).
 double capacity_grid_step(double tolerance);
 
+/// The floor of the required-capacity search on the grid { k * step }
+/// (docs/algorithms.md §5): the largest of the CoS1-peak index
+/// ceil(peak / step), the theta floor and the deadline floor.
+struct CapacityFloor {
+  double step = 0.0;
+  /// The CoS1-peak and theta floors together. Exact: every grid point
+  /// below it cuts CoS1 or misses theta in a replay.
+  std::int64_t theta_k = 0;
+  Binding theta_binding;  // what set theta_k: kCos1Peak or kTheta
+  /// theta_k raised by the deadline floor, which is exact in real
+  /// arithmetic; a replay confirms it. floor(limit / step) + 1 when no
+  /// grid point up to the limit meets both.
+  std::int64_t k = 0;
+  Binding binding;  // what set k: theta_binding, or kDeadline above theta_k
+};
+
+/// The floor for a non-empty aggregate whose CoS1 peak fits under `limit`.
+CapacityFloor capacity_floor(const AggregateView& agg, double limit,
+                             const qos::CosCommitment& cos2,
+                             double tolerance = 0.05);
+
 /// Section VI-A's search: first the peak-demand precheck (sum of per-
-/// workload CoS1 peaks must not exceed `limit`), then a search for the
-/// smallest satisfying capacity among the grid candidates
+/// workload CoS1 peaks must not exceed `limit`), then the smallest
+/// satisfying capacity among the grid candidates
 ///   { k * capacity_grid_step(tolerance) : k*step in [CoS1 peak, limit] }
 /// with `limit` itself as the last-resort candidate. An empty aggregate
 /// trivially fits with required capacity 0.
 ///
-/// `warm_capacity` (>= 0) seeds the search near a previous verdict for the
-/// same server — the incremental engine's O(1)-ish re-verdict after a small
-/// move. The returned capacity is identical with or without a seed.
+/// The search replays once at capacity_floor(). When only the CoS1 peak or
+/// theta set the floor, that replay is the verdict. When the deadline set
+/// it, one more replay a step lower confirms the step below fails. Only if
+/// the floor's replay fails does the search gallop up and bisect. The
+/// result is the minimum of the candidate set under the replay's predicate
+/// whichever path finds it.
 RequiredCapacity required_capacity(const AggregateView& agg, double limit,
                                    const qos::CosCommitment& cos2,
-                                   double tolerance = 0.05,
-                                   double warm_capacity = -1.0);
+                                   double tolerance = 0.05);
 
 }  // namespace ropus::sim

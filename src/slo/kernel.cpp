@@ -218,6 +218,45 @@ std::vector<double> ThetaAccumulator::ratios() const {
   return out;
 }
 
+GridFloor theta_floor(std::span<const double> cos1,
+                      std::span<const double> cos2, std::size_t slots_per_day,
+                      double theta, double step, std::int64_t k_min,
+                      std::int64_t k_max) {
+  ROPUS_REQUIRE(cos1.size() == cos2.size(), "floor series must align");
+  ROPUS_REQUIRE(slots_per_day > 0, "slots_per_day must be > 0");
+  ROPUS_REQUIRE(step > 0.0, "grid step must be > 0");
+  GridFloor floor{k_min};
+  const std::size_t n = cos1.size();
+  const std::size_t week = kDaysPerWeek * slots_per_day;
+  for (std::size_t w = 0; w < n; w += week) {
+    const std::size_t end = std::min(n, w + week);
+    for (std::size_t first = w; first < std::min(end, w + slots_per_day);
+         ++first) {
+      double requested = 0.0;
+      for (std::size_t i = first; i < end; i += slots_per_day) {
+        requested += cos2[i];
+      }
+      // ThetaAccumulator::theta() skips groups with nothing requested and
+      // lowers theta only on a ratio below it, hence `!(ratio < theta)`.
+      if (!(requested > 0.0)) continue;
+      const auto holds = [&](std::int64_t k) {
+        const double capacity = static_cast<double>(k) * step;
+        double satisfied = 0.0;
+        for (std::size_t i = first; i < end; i += slots_per_day) {
+          satisfied += satisfied_cos2(capacity, cos1[i], cos2[i]);
+        }
+        return !(satisfied / requested < theta);
+      };
+      if (holds(floor.k)) continue;
+      floor.k = first_passing(floor.k, k_max, holds);
+      floor.raised = true;
+      floor.where = (w / week) * slots_per_day + (first - w);
+      if (floor.k > k_max) return floor;
+    }
+  }
+  return floor;
+}
+
 void DeferralQueue::drain(double spare) {
   while (spare > 0.0 && !entries_.empty()) {
     Entry& front = entries_.front();
@@ -258,6 +297,75 @@ void DeferralQueue::restore(std::span<const Entry> entries, double total) {
     total_ = 0.0;
     for (const Entry& e : entries_) total_ += e.remaining;
   }
+}
+
+GridFloor deadline_floor(std::span<const double> cos1,
+                         std::span<const double> cos2,
+                         std::size_t deadline_slots, double step,
+                         std::int64_t k_min, std::int64_t k_max) {
+  ROPUS_REQUIRE(cos1.size() == cos2.size(), "floor series must align");
+  ROPUS_REQUIRE(step > 0.0, "grid step must be > 0");
+  GridFloor floor{k_min};
+  const std::size_t n = cos1.size();
+  // Only deferrals whose deadline falls inside the series are checked.
+  if (deadline_slots >= n) return floor;
+  const std::size_t last = n - 1 - deadline_slots;
+  // Slot t's CoS2 deferred minus the capacity it leaves over at
+  // `capacity`, as a replay computes them. At most one of the two is
+  // nonzero, so the spare is max(0, -net).
+  const auto net = [&](std::size_t t, double capacity) {
+    const double served = satisfied_cos2(capacity, cos1[t], cos2[t]);
+    return (cos2[t] - served) -
+           (std::max(0.0, capacity - cos1[t]) - served);
+  };
+  // The spare capacity of slots j+1..j+deadline_slots.
+  const auto window_spare = [&](std::size_t j, double capacity) {
+    double sum = 0.0;
+    for (std::size_t t = j + 1; t <= j + deadline_slots; ++t) {
+      sum += std::max(0.0, -net(t, capacity));
+    }
+    return sum;
+  };
+
+  double capacity = static_cast<double>(floor.k) * step;
+  double window = window_spare(0, capacity);
+  double backlog = 0.0;   // Lindley backlog after slot j at `capacity`
+  std::size_t start = 0;  // first slot of the busy period holding it
+  for (std::size_t j = 0; j <= last; ++j) {
+    const double net_j = net(j, capacity);
+    if (j > 0) {
+      window += std::max(0.0, -net(j + deadline_slots, capacity));
+      window -= std::max(0.0, -net_j);
+    }
+    if (backlog <= 0.0) start = j;
+    backlog = std::max(0.0, backlog + net_j);
+    while (backlog > 0.0 && backlog > window) {
+      // Counted from `start` without the clamp at zero, the busy period's
+      // backlog is a lower bound on the backlog at any higher capacity:
+      // lift k until that bound fits.
+      floor.k = first_passing(floor.k, k_max, [&](std::int64_t k) {
+        const double c = static_cast<double>(k) * step;
+        double bound = 0.0;
+        for (std::size_t t = start; t <= j; ++t) bound += net(t, c);
+        return bound <= window_spare(j, c);
+      });
+      floor.raised = true;
+      floor.where = j;
+      if (floor.k > k_max) return floor;
+      // The queue was empty before `start` at the lower capacity, so it is
+      // at this one: re-run the busy period from there.
+      capacity = static_cast<double>(floor.k) * step;
+      const std::size_t from = start;
+      backlog = 0.0;
+      for (std::size_t t = from; t <= j; ++t) {
+        if (backlog <= 0.0) start = t;
+        backlog = std::max(0.0, backlog + net(t, capacity));
+      }
+      floor.backlog = backlog;
+      window = window_spare(j, capacity);
+    }
+  }
+  return floor;
 }
 
 GrantScales grant_scales(double capacity, double cos1_requested,

@@ -17,6 +17,7 @@
 // (`Band`), not qos::Requirement — the qos layer converts.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -32,7 +33,7 @@ namespace ropus::slo {
 inline constexpr double kRelEps = 1e-9;
 
 /// Absolute slack on capacity comparisons (CoS1-fits checks and deferral
-/// residuals), so a capacity found by binary search is not rejected for a
+/// residuals), so a capacity found by the search is not rejected for a
 /// few ULPs on re-evaluation.
 inline constexpr double kCapacityEps = 1e-9;
 
@@ -175,6 +176,19 @@ BandCounts accumulate_bands(std::span<const double> demand,
                             const std::vector<bool>* mask = nullptr,
                             const std::vector<bool>* fallback = nullptr);
 
+/// Days per theta week; mirrors trace::Calendar::kDaysPerWeek without
+/// depending on trace.
+inline constexpr std::size_t kDaysPerWeek = 7;
+
+/// The CoS2 a server of `capacity` CPUs serves in the slot itself: CoS1
+/// first, CoS2 from the remainder, `min(cos2, max(0, capacity - cos1))`.
+/// The one statement of same-slot service: the placement replay's theta
+/// sums and deferral deficits, the theta breakdown and both capacity floors
+/// below compute it here.
+inline double satisfied_cos2(double capacity, double cos1, double cos2) {
+  return std::min(cos2, std::max(0.0, capacity - cos1));
+}
+
 /// Streaming theta statistic: per-(week, slot-of-day) sums of requested and
 /// satisfied CoS2, with theta = min over groups of satisfied/requested
 /// (groups with nothing requested count as 1.0). Group index is
@@ -191,7 +205,7 @@ class ThetaAccumulator {
 
   /// The (week, slot-of-day) group of a linear slot index.
   std::size_t group_of(std::size_t slot) const {
-    return (slot / (Calendar_kDaysPerWeek * slots_per_day_)) * slots_per_day_ +
+    return (slot / (kDaysPerWeek * slots_per_day_)) * slots_per_day_ +
            slot % slots_per_day_;
   }
 
@@ -256,13 +270,61 @@ class ThetaAccumulator {
                std::span<const double> satisfied);
 
  private:
-  // Mirrors trace::Calendar::kDaysPerWeek without depending on trace.
-  static constexpr std::size_t Calendar_kDaysPerWeek = 7;
-
   std::size_t slots_per_day_;
   std::vector<double> requested_;
   std::vector<double> satisfied_;
 };
+
+/// The smallest k in (lo, k_max] at which the monotone predicate `passes`
+/// holds, given that it fails at `lo`: gallops up from `lo`, then bisects.
+/// k_max + 1 when nothing up to k_max passes. The last call that passed was
+/// at the returned k.
+template <typename Pred>
+std::int64_t first_passing(std::int64_t lo, std::int64_t k_max, Pred passes) {
+  std::int64_t hi = k_max + 1;
+  for (std::int64_t d = 1; lo < k_max; d *= 2) {
+    const std::int64_t p = std::min(k_max, lo + d);
+    if (passes(p)) {
+      hi = p;
+      break;
+    }
+    lo = p;
+  }
+  while (hi - lo > 1) {
+    const std::int64_t mid = lo + (hi - lo) / 2;
+    if (passes(mid)) {
+      hi = mid;
+    } else {
+      lo = mid;
+    }
+  }
+  return hi;
+}
+
+/// A floor of a capacity search over the grid { k * step }.
+struct GridFloor {
+  std::int64_t k = 0;      // the floor's grid index
+  bool raised = false;     // a constraint lifted k above the starting index
+  std::size_t where = 0;   // theta: the group that set k; deadline: the slot
+  double backlog = 0.0;    // deadline: deferred CoS2 at `where` at k * step
+};
+
+/// The theta floor: the smallest k in [k_min, k_max] at which a replay at
+/// capacity k * step measures theta >= `theta` over the per-slot series
+/// `cos1`/`cos2` (k_max + 1 when none does). Requires k_min * step to cover
+/// the CoS1 peak, so no slot's CoS1 is cut.
+///
+/// Theta counts only same-slot service, so each group's ratio depends on
+/// the capacity alone and is nondecreasing in it; the floor is the largest
+/// of the per-group thresholds. Each group's satisfied sum is computed as
+/// ThetaAccumulator sums it during a replay — satisfied_cos2() of each
+/// member, added in slot order — so the floor agrees with the replay's
+/// theta predicate bit for bit and needs no confirming replay. `where` is
+/// the group (week * slots_per_day + slot of day) that set k.
+GridFloor theta_floor(std::span<const double> cos1,
+                      std::span<const double> cos2, std::size_t slots_per_day,
+                      double theta, double step, std::int64_t k_min,
+                      std::int64_t k_max);
 
 /// FIFO backlog of deferred CoS2 allocation with a drain deadline: a
 /// deferred entry must be fully served within `deadline_slots` of its
@@ -332,6 +394,30 @@ class DeferralQueue {
   double total_ = 0.0;
   std::size_t deadline_slots_;
 };
+
+/// The deadline floor: the smallest k in [k_min, k_max] at which the CoS2
+/// deferred at every slot j drains within `deadline_slots`, in real
+/// arithmetic (k_max + 1 when none does). Requires k_min * step to cover
+/// the CoS1 peak.
+///
+/// At capacity C a slot defers the CoS2 that satisfied_cos2() leaves
+/// unserved, or leaves spare capacity, never both. The deferral FIFO's
+/// backlog after slot j is the Lindley recursion
+/// B_j = max(0, B_{j-1} + deficit_j - spare_j), and slot j's deferral meets
+/// its deadline iff B_j fits in the spare of slots j+1..j+deadline_slots
+/// (slots whose deadline falls past the end of the series are exempt, as
+/// in a replay). One pass checks each slot at the
+/// running floor; a slot that does not fit lifts the floor to the smallest
+/// k at which its busy period's backlog would fit, and the backlog is
+/// re-run from the busy period's start at the new capacity. Every lift is
+/// a lower bound on the answer and every checked slot stays satisfied as k
+/// rises, so the pass ends on the exact real-arithmetic floor. A replay
+/// differs only by its kCapacityEps residuals, so the caller confirms it
+/// with one. `where` and `backlog` name the slot that set k.
+GridFloor deadline_floor(std::span<const double> cos1,
+                         std::span<const double> cos2,
+                         std::size_t deadline_slots, double step,
+                         std::int64_t k_min, std::int64_t k_max);
 
 /// One server's grant for one slot under the two allocation priorities of
 /// Section II: CoS1 requests are granted first, scaled pro rata only when

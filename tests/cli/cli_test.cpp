@@ -122,6 +122,8 @@ TEST_F(CliTest, ConsolidatePlacesAllWorkloads) {
             0)
       << err_.str();
   EXPECT_NE(out_.str().find("C_requ"), std::string::npos);
+  // Each server names the constraint that set its required capacity.
+  EXPECT_NE(out_.str().find("binding"), std::string::npos);
   for (const char* app : {"app-01", "app-04"}) {
     EXPECT_NE(out_.str().find(app), std::string::npos) << app;
   }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "obs/metrics.h"
 
 namespace ropus::failover {
 namespace {
@@ -143,6 +144,31 @@ TEST(FailurePlanner, DegradeOnlyAffectedMode) {
   const FailoverReport report = planner.plan(cfg);
   ASSERT_TRUE(report.normal.feasible);
   EXPECT_TRUE(report.spare_needed);
+}
+
+TEST(FailurePlanner, TranslatesEachAppOncePerQosMode) {
+  // Two active servers, so two failure scenarios; each of the six apps is
+  // translated once under normal QoS and once under failure QoS, however
+  // many scenarios reuse the translation.
+  Scenario s = make_scenario(band(0.8, 0.9, 0.95));
+  FailurePlanner planner(s.demands, s.qos, s.commitments,
+                         sim::homogeneous_pool(3, 16));
+  const obs::Counter& translations = obs::counter("qos.translate.calls");
+  for (const bool degrade_all : {true, false}) {
+    PlannerConfig cfg = fast_config();
+    cfg.degrade_all_apps = degrade_all;
+    std::uint64_t before = translations.value();
+    const FailoverReport report = planner.plan(cfg);
+    ASSERT_EQ(report.outcomes.size(), 2u);
+    EXPECT_EQ(translations.value() - before, 2 * s.demands.size())
+        << "degrade_all_apps=" << degrade_all;
+
+    before = translations.value();
+    const MultiFailoverReport multi = planner.plan_concurrent(cfg, 1);
+    ASSERT_EQ(multi.outcomes.size(), 2u);
+    EXPECT_EQ(translations.value() - before, 2 * s.demands.size())
+        << "degrade_all_apps=" << degrade_all;
+  }
 }
 
 }  // namespace

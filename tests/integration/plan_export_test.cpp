@@ -72,6 +72,18 @@ TEST(PlanExport, CapacityPlanJsonHasKeySections) {
   }
 }
 
+TEST(PlanExport, PlacementNamesEachServersBinding) {
+  const CapacityPlan plan = make_plan(false);
+  const std::string doc = to_json(plan);
+  std::size_t bindings = 0;
+  for (std::size_t at = doc.find("\"binding\":{\"kind\":\"");
+       at != std::string::npos;
+       at = doc.find("\"binding\":{\"kind\":\"", at + 1)) {
+    ++bindings;
+  }
+  EXPECT_EQ(bindings, plan.servers_used);
+}
+
 TEST(PlanExport, NoFailoverSerializesNull) {
   const std::string doc = to_json(make_plan(false));
   expect_balanced(doc);

@@ -1,0 +1,337 @@
+// The exact capacity floor (docs/algorithms.md §5) against the definition of
+// the required capacity: the smallest grid candidate a replay accepts, found
+// by scanning every candidate from the CoS1 peak up. Randomized aggregates
+// far from the case study — on- and off-grid values, 1- and 3-week
+// calendars at 3, 9 and 288 slots per day, deadlines of 0 and 1 slots and
+// past the end of the trace, zero CoS2, single spikes, theta from 0.05 to 1,
+// grid and non-grid limits — must give the same bits, and a verdict must
+// cost one replay when the deadline does not bind and at most two when it
+// does.
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "common/grid.h"
+#include "common/rng.h"
+#include "obs/metrics.h"
+#include "sim/simulator.h"
+#include "slo/kernel.h"
+
+namespace ropus::sim {
+namespace {
+
+using trace::Calendar;
+
+std::uint64_t replays() {
+  return obs::counter("sim.evaluate.calls").value();
+}
+
+/// The required capacity by definition: the first candidate, in ascending
+/// order, that a replay accepts.
+RequiredCapacity linear_scan(const Aggregate& agg, double limit,
+                             const qos::CosCommitment& cos2,
+                             double tolerance) {
+  RequiredCapacity rc;
+  if (agg.empty()) {
+    rc.fits = true;
+    return rc;
+  }
+  if (agg.sum_peak_cos1 > limit + slo::kCapacityEps) return rc;
+  const double step = capacity_grid_step(tolerance);
+  const auto k_lo = static_cast<std::int64_t>(std::ceil(agg.peak_cos1 / step));
+  const auto k_hi = static_cast<std::int64_t>(std::floor(limit / step));
+  std::vector<double> candidates;
+  for (std::int64_t k = k_lo; k <= k_hi; ++k) {
+    candidates.push_back(static_cast<double>(k) * step);
+  }
+  if (k_lo > k_hi || limit > static_cast<double>(k_hi) * step) {
+    candidates.push_back(limit);
+  }
+  for (const double c : candidates) {
+    const Evaluation ev = evaluate(agg, c, cos2);
+    if (ev.satisfies(cos2)) {
+      rc.fits = true;
+      rc.capacity = c;
+      rc.at_capacity = ev;
+      return rc;
+    }
+  }
+  return rc;
+}
+
+enum class Shape { kBursty, kZeroCos2, kSingleSpike, kFlat };
+
+struct Case {
+  Aggregate agg;
+  double limit = 0.0;
+  double tolerance = 0.05;
+  qos::CosCommitment cos2;
+  std::string what;
+};
+
+Case random_case(Rng& rng) {
+  Case c;
+  const std::size_t weeks = rng.bernoulli(0.5) ? 1 : 3;
+  // 3, 9 and 288 slots per day; the long days are the rarer (and slower) draw.
+  const double pick = rng.uniform();
+  const std::size_t minutes = pick < 0.45 ? 480 : pick < 0.9 ? 160 : 5;
+  c.agg.calendar = Calendar(weeks, minutes);
+  const std::size_t n = c.agg.calendar.size();
+  const auto shape = static_cast<Shape>(rng.uniform_index(4));
+  const bool on_grid = rng.bernoulli(0.5);
+  const auto value = [&](double lo, double hi) {
+    const double v = rng.uniform(lo, hi);
+    return on_grid ? grid::snap(v) : v;
+  };
+
+  c.agg.cos1.assign(n, 0.0);
+  c.agg.cos2.assign(n, 0.0);
+  switch (shape) {
+    case Shape::kBursty:
+      for (std::size_t i = 0; i < n; ++i) {
+        c.agg.cos1[i] = value(0.0, 2.0);
+        c.agg.cos2[i] = value(0.0, 4.0);
+        if (rng.bernoulli(0.05)) c.agg.cos2[i] += value(0.0, 12.0);
+      }
+      break;
+    case Shape::kZeroCos2:
+      for (std::size_t i = 0; i < n; ++i) c.agg.cos1[i] = value(0.0, 6.0);
+      break;
+    case Shape::kSingleSpike: {
+      const double base = rng.bernoulli(0.5) ? value(0.0, 1.0) : 0.0;
+      for (std::size_t i = 0; i < n; ++i) c.agg.cos1[i] = base;
+      c.agg.cos2[rng.uniform_index(n)] = value(1.0, 20.0);
+      break;
+    }
+    case Shape::kFlat: {
+      const double c1 = value(0.0, 2.0);
+      const double c2 = value(0.0, 5.0);
+      for (std::size_t i = 0; i < n; ++i) {
+        c.agg.cos1[i] = c1;
+        c.agg.cos2[i] = c2;
+      }
+      break;
+    }
+  }
+  c.agg.workloads = 1;
+  for (std::size_t i = 0; i < n; ++i) {
+    c.agg.peak_cos1 = std::max(c.agg.peak_cos1, c.agg.cos1[i]);
+    c.agg.peak_total =
+        std::max(c.agg.peak_total, c.agg.cos1[i] + c.agg.cos2[i]);
+  }
+  c.agg.sum_peak_cos1 = c.agg.peak_cos1;
+
+  const double thetas[] = {0.05, 0.6, 0.95, 1.0};
+  const double theta = thetas[rng.uniform_index(4)];
+  const std::uint64_t d = rng.uniform_index(4);
+  const std::size_t deadline_slots =
+      d == 0 ? 0 : d == 1 ? 1 : d == 2 ? 1 + rng.uniform_index(12) : n + 1;
+  c.cos2 = qos::CosCommitment{
+      theta, static_cast<double>(deadline_slots * minutes)};
+  const double tolerances[] = {0.05, 0.05, 0.01, 1.0};
+  c.tolerance = tolerances[rng.uniform_index(4)];
+
+  // Limits below the CoS1 peak, inside the search range and above the
+  // total peak; half of them on the search grid.
+  double limit = rng.uniform(0.8 * c.agg.peak_cos1, c.agg.peak_total + 2.0);
+  if (rng.bernoulli(0.5)) {
+    const double step = capacity_grid_step(c.tolerance);
+    limit = std::floor(limit / step) * step;
+  }
+  c.limit = std::max(0.0, limit);
+  c.what = "weeks=" + std::to_string(weeks) +
+           " slots/day=" + std::to_string(c.agg.calendar.slots_per_day()) +
+           " shape=" + std::to_string(static_cast<int>(shape)) +
+           " on_grid=" + std::to_string(on_grid) +
+           " theta=" + std::to_string(theta) +
+           " deadline_slots=" + std::to_string(deadline_slots) +
+           " tolerance=" + std::to_string(c.tolerance) +
+           " limit=" + std::to_string(c.limit);
+  return c;
+}
+
+void expect_same_bits(const RequiredCapacity& a, const RequiredCapacity& b,
+                      const std::string& what) {
+  ASSERT_EQ(a.fits, b.fits) << what;
+  ASSERT_EQ(a.capacity, b.capacity) << what;  // bit compare, not NEAR
+  ASSERT_EQ(a.at_capacity.cos1_satisfied, b.at_capacity.cos1_satisfied)
+      << what;
+  ASSERT_EQ(a.at_capacity.theta, b.at_capacity.theta) << what;
+  ASSERT_EQ(a.at_capacity.deadline_met, b.at_capacity.deadline_met) << what;
+  ASSERT_EQ(a.at_capacity.max_backlog, b.at_capacity.max_backlog) << what;
+}
+
+TEST(CapacityFloor, RequiredCapacityMatchesLinearScanOracle) {
+  Rng rng(2006);
+  std::size_t deadline_bound = 0;
+  std::size_t theta_bound = 0;
+  for (int i = 0; i < 600; ++i) {
+    const Case c = random_case(rng);
+    const std::uint64_t before = replays();
+    const RequiredCapacity rc =
+        required_capacity(c.agg, c.limit, c.cos2, c.tolerance);
+    const std::uint64_t cost = replays() - before;
+    expect_same_bits(rc, linear_scan(c.agg, c.limit, c.cos2, c.tolerance),
+                     c.what);
+    if (HasFatalFailure()) return;
+
+    switch (rc.binding.kind) {
+      case Binding::Kind::kCos1Peak:
+      case Binding::Kind::kTheta:
+        theta_bound += rc.binding.kind == Binding::Kind::kTheta ? 1 : 0;
+        EXPECT_EQ(cost, 1u) << c.what;
+        break;
+      case Binding::Kind::kDeadline:
+        deadline_bound += 1;
+        EXPECT_LE(cost, 2u) << c.what;
+        break;
+      case Binding::Kind::kLimit:
+        EXPECT_LE(cost, 2u) << c.what;
+        break;
+      case Binding::Kind::kNone:
+        ADD_FAILURE() << "a non-empty aggregate named no binding: " << c.what;
+        break;
+    }
+  }
+  // The sweep exercises both floors, not just the CoS1 peak.
+  EXPECT_GT(deadline_bound, 20u);
+  EXPECT_GT(theta_bound, 20u);
+}
+
+TEST(CapacityFloor, ThetaFloorIsTheReplaysThetaPredicate) {
+  Rng rng(77);
+  for (int i = 0; i < 400; ++i) {
+    const Case c = random_case(rng);
+    const double step = capacity_grid_step(c.tolerance);
+    const auto k_lo =
+        static_cast<std::int64_t>(std::ceil(c.agg.peak_cos1 / step));
+    const auto k_hi = static_cast<std::int64_t>(std::floor(c.limit / step));
+    if (k_lo > k_hi) continue;
+    const slo::GridFloor floor =
+        slo::theta_floor(c.agg.cos1, c.agg.cos2,
+                         c.agg.calendar.slots_per_day(), c.cos2.theta, step,
+                         k_lo, k_hi);
+    const auto theta_holds = [&](std::int64_t k) {
+      const Evaluation ev =
+          evaluate(c.agg, static_cast<double>(k) * step, c.cos2);
+      EXPECT_TRUE(ev.cos1_satisfied) << c.what;
+      return ev.theta >= c.cos2.theta;
+    };
+    ASSERT_GE(floor.k, k_lo) << c.what;
+    ASSERT_LE(floor.k, k_hi + 1) << c.what;
+    EXPECT_EQ(floor.raised, floor.k > k_lo) << c.what;
+    if (floor.k <= k_hi) {
+      EXPECT_TRUE(theta_holds(floor.k)) << c.what;
+    }
+    if (floor.k > k_lo) {
+      EXPECT_FALSE(theta_holds(floor.k - 1)) << c.what;
+    }
+    if (HasFailure()) return;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// One case per binding constraint.
+
+Aggregate series(const Calendar& cal, std::vector<double> cos1,
+                 std::vector<double> cos2) {
+  Aggregate agg;
+  agg.calendar = cal;
+  cos1.resize(cal.size(), 0.0);
+  cos2.resize(cal.size(), 0.0);
+  agg.cos1 = std::move(cos1);
+  agg.cos2 = std::move(cos2);
+  agg.workloads = 1;
+  for (std::size_t i = 0; i < agg.cos1.size(); ++i) {
+    agg.peak_cos1 = std::max(agg.peak_cos1, agg.cos1[i]);
+    agg.peak_total = std::max(agg.peak_total, agg.cos1[i] + agg.cos2[i]);
+  }
+  agg.sum_peak_cos1 = agg.peak_cos1;
+  return agg;
+}
+
+TEST(CapacityFloor, BindingCos1Peak) {
+  // CoS2 fits beside CoS1 wherever CoS1 peaks, so the peak sets the answer.
+  std::vector<double> cos1(21, 1.0);
+  cos1[4] = 3.0;
+  std::vector<double> cos2(21, 1.0);
+  cos2[4] = 0.0;
+  const Aggregate agg = series(Calendar(1, 480), cos1, cos2);
+  const std::uint64_t before = replays();
+  const RequiredCapacity rc =
+      required_capacity(agg, 16.0, qos::CosCommitment{0.6, 0.0});
+  EXPECT_EQ(replays() - before, 1u);
+  ASSERT_TRUE(rc.fits);
+  EXPECT_EQ(rc.capacity, 3.0);
+  EXPECT_EQ(rc.binding.kind, Binding::Kind::kCos1Peak);
+  EXPECT_EQ(to_string(rc.binding), "cos1-peak");
+}
+
+TEST(CapacityFloor, BindingThetaNamesItsGroup) {
+  // 3 slots a day; slot 1 of every day asks 4 CPUs of CoS2 and nothing
+  // else is asked, so theta 0.5 needs 2 CPUs, set by group (week 0, slot 1).
+  std::vector<double> cos2(21, 0.0);
+  for (std::size_t day = 0; day < 7; ++day) cos2[day * 3 + 1] = 4.0;
+  const Aggregate agg = series(Calendar(1, 480), {}, cos2);
+  const qos::CosCommitment commitment{0.5, 7 * 24 * 60.0};
+  const std::uint64_t before = replays();
+  const RequiredCapacity rc = required_capacity(agg, 16.0, commitment);
+  EXPECT_EQ(replays() - before, 1u);
+  ASSERT_TRUE(rc.fits);
+  EXPECT_EQ(rc.capacity, 2.0);
+  EXPECT_EQ(rc.binding.kind, Binding::Kind::kTheta);
+  EXPECT_EQ(rc.binding.week, 0u);
+  EXPECT_EQ(rc.binding.slot, 1u);
+  EXPECT_EQ(to_string(rc.binding), "theta w0 s1");
+}
+
+TEST(CapacityFloor, BindingDeadlineNamesTheSlotAndItsBacklog) {
+  // One 6-CPU CoS2 spike at slot 10 with a one-slot deadline: whatever is
+  // deferred must drain in slot 11, so 6 - C <= C and C = 3 with 3 CPUs
+  // queued at slot 10. Theta 0.05 alone would need far less.
+  std::vector<double> cos2(2016, 0.0);
+  cos2[10] = 6.0;
+  const Aggregate agg = series(Calendar(1, 5), {}, cos2);
+  const qos::CosCommitment commitment{0.05, 5.0};
+  const std::uint64_t before = replays();
+  const RequiredCapacity rc = required_capacity(agg, 16.0, commitment);
+  EXPECT_EQ(replays() - before, 2u);  // the floor, then the step below it
+  ASSERT_TRUE(rc.fits);
+  EXPECT_EQ(rc.capacity, 3.0);
+  EXPECT_EQ(rc.binding.kind, Binding::Kind::kDeadline);
+  EXPECT_EQ(rc.binding.slot, 10u);
+  EXPECT_EQ(rc.binding.backlog, 3.0);
+  EXPECT_EQ(to_string(rc.binding), "deadline t10 b3.00");
+  EXPECT_FALSE(evaluate(agg, 3.0 - 0.03125, commitment).satisfies(commitment));
+}
+
+TEST(CapacityFloor, BindingLimitWhenNothingFitsOrTheLimitIsTheAnswer) {
+  // A 5-CPU spike with a one-slot deadline needs 2.5 CPUs: a 2-CPU server
+  // cannot host it...
+  std::vector<double> cos2(2016, 0.0);
+  cos2[10] = 5.0;
+  const Aggregate agg = series(Calendar(1, 5), {}, cos2);
+  const qos::CosCommitment commitment{0.05, 5.0};
+  const RequiredCapacity none = required_capacity(agg, 2.0, commitment);
+  EXPECT_FALSE(none.fits);
+  EXPECT_EQ(none.binding.kind, Binding::Kind::kLimit);
+  EXPECT_EQ(to_string(none.binding), "limit");
+
+  // ...and on a 1-CPU grid a 2.75-CPU server hosts it only at its full,
+  // off-grid limit.
+  const RequiredCapacity at_limit =
+      required_capacity(agg, 2.75, commitment, 1.0);
+  ASSERT_TRUE(at_limit.fits);
+  EXPECT_EQ(at_limit.capacity, 2.75);
+  EXPECT_EQ(at_limit.binding.kind, Binding::Kind::kLimit);
+
+  const RequiredCapacity empty =
+      required_capacity(Aggregate{}, 2.0, commitment);
+  EXPECT_EQ(empty.binding.kind, Binding::Kind::kNone);
+}
+
+}  // namespace
+}  // namespace ropus::sim

@@ -197,22 +197,6 @@ TEST(IncrementalEvaluator, OffGridWorkloadsFallBackAndStillMatchBatch) {
   EXPECT_GE(eng.stats().batch_fallbacks, 2u);
 }
 
-TEST(IncrementalEvaluator, WarmSeedNeverChangesTheSearchResult) {
-  const Fixture f;
-  std::vector<const qos::AllocationTrace*> ptrs;
-  for (std::size_t id = 0; id < 9; ++id) ptrs.push_back(&f.allocs[id]);
-  const Aggregate agg = aggregate_workloads(ptrs, f.calendar());
-  for (const double limit : {16.0, 24.0, 26.5, 40.0}) {
-    const RequiredCapacity cold = required_capacity(agg, limit, f.cos2);
-    for (const double warm : {0.0, 1.0, 15.9, 20.0, limit}) {
-      const RequiredCapacity seeded =
-          required_capacity(agg, limit, f.cos2, 0.05, warm);
-      expect_bitwise_equal(cold, seeded, "warm vs cold");
-      if (HasFatalFailure()) return;
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // The vectorized day path against a literal transcription of the sequential
 // replay semantics.

@@ -50,7 +50,8 @@ int cmd_consolidate(const Flags& flags, std::ostream& out,
   out << "placed " << traces.size() << " workloads on "
       << report.servers_used << " of " << servers << " " << cpus
       << "-way servers (theta=" << cos2.theta << ")\n\n";
-  TextTable table({"server", "workloads", "required CPU", "utilization"});
+  TextTable table(
+      {"server", "workloads", "required CPU", "utilization", "binding"});
   for (std::size_t s = 0; s < report.evaluation.servers.size(); ++s) {
     const auto& se = report.evaluation.servers[s];
     if (!se.used) continue;
@@ -61,7 +62,8 @@ int cmd_consolidate(const Flags& flags, std::ostream& out,
     }
     table.add_row({std::to_string(s), names,
                    TextTable::num(se.required_capacity, 1),
-                   TextTable::num(100.0 * se.utilization, 0) + "%"});
+                   TextTable::num(100.0 * se.utilization, 0) + "%",
+                   sim::to_string(se.binding)});
   }
   table.render(out);
   out << "\nC_requ = " << TextTable::num(report.total_required_capacity, 1)
