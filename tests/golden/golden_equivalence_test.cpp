@@ -6,13 +6,18 @@
 //  * grant_golden.txt — the two-priority grant rule as the pool loops apply
 //    it: per-slot grants of a multi-phase wlm event schedule and of a
 //    single-phase windowed-max(6) pool run, and the reply bytes of a serve
-//    arbiter stream, captured before the rule moved into the kernel.
+//    arbiter stream, captured before the rule moved into the kernel;
+//  * admission_golden.txt — a serve daemon's admission replies: the request
+//    script of the chaos drill's former delta-vs-batch admission campaign
+//    (seed 2006) with the default daemon's reply bytes and summary,
+//    captured while the stateless batch admission path still existed.
 // Every double is serialised with %.17g, which round-trips exactly, so a
 // string compare IS a bit compare.
 //
 // Regenerate (only when an intentional numeric change lands) with
 //   ROPUS_UPDATE_GOLDEN=1 ./tests/test_golden
-// and review the fixture diff like code.
+// and review the fixture diff like code. The admission fixture keeps its
+// request lines on regeneration; only replies and summary are rewritten.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -27,6 +32,7 @@
 #include "qos/allocation.h"
 #include "qos/requirements.h"
 #include "serve/arbiter.h"
+#include "serve/daemon.h"
 #include "sim/simulator.h"
 #include "trace/calendar.h"
 #include "trace/demand_trace.h"
@@ -523,12 +529,45 @@ void expect_matches_fixture(const std::string& name,
   }
 }
 
+/// Replays the admission fixture's request lines through a fresh
+/// DaemonCore configured like a default `ropus_cli serve` (13 x 16-CPU
+/// servers, theta 0.95, no persistence): ten admissions churned with
+/// departures, evictions, re-admissions into the freed headroom and ticks.
+std::vector<std::string> generate_admissions() {
+  const std::string path =
+      std::string(ROPUS_GOLDEN_DIR) + "/admission_golden.txt";
+  std::vector<std::string> requests;
+  std::ifstream file(path);
+  std::string line;
+  while (std::getline(file, line)) {
+    if (line.rfind("request=", 0) == 0) requests.push_back(line.substr(8));
+  }
+  EXPECT_FALSE(requests.empty()) << "no request lines in " << path;
+
+  serve::ServeConfig config;
+  config.failure.t_degr_minutes = 30.0;  // the daemon's default failure band
+  serve::DaemonCore core(config, serve::DaemonOptions{});
+  Lines out;
+  for (const std::string& request : requests) {
+    out.add("request", request);
+    for (const std::string& reply : core.process_line(request, false).replies) {
+      out.add("reply", reply);
+    }
+  }
+  out.add("summary", core.arbiter().summary());
+  return out.all();
+}
+
 TEST(GoldenEquivalence, SloArithmeticMatchesPreRefactorFixture) {
   expect_matches_fixture("slo_golden.txt", generate());
 }
 
 TEST(GoldenEquivalence, GrantRuleMatchesPreRefactorFixture) {
   expect_matches_fixture("grant_golden.txt", generate_grants());
+}
+
+TEST(GoldenEquivalence, AdmissionRepliesMatchPreRefactorFixture) {
+  expect_matches_fixture("admission_golden.txt", generate_admissions());
 }
 
 }  // namespace

@@ -395,26 +395,36 @@ TEST(ArbiterIdCache, SurvivesSaveLoad) {
   EXPECT_FALSE(changed);
 }
 
-// The delta/batch admission switch is a pure performance knob: an arbiter
-// admitting through the persistent delta-evaluation engine and one forced
-// onto the stateless per-admission path must emit byte-identical replies
-// across the whole repertoire — accepts, rejects, renegotiations,
-// departures that release exact capacity residues, re-admissions into the
-// freed headroom, ticks, and a checkpoint round-trip.
-TEST(ArbiterAdmissionPath, DeltaAndBatchPathsAreByteIdentical) {
-  ServeConfig delta_config = small_config();
-  delta_config.servers = 1;
-  delta_config.server_cpus = 8.0;
-  ServeConfig batch_config = delta_config;
-  batch_config.delta_admission = false;
-  Arbiter delta(delta_config);
-  Arbiter batch(batch_config);
+/// Drives `line` through `persistent` and, as the stateless reference,
+/// through a fresh arbiter restored from `persistent`'s state just before
+/// the line: load_state drops the admission engine, so the fresh arbiter
+/// rebuilds its per-server sums from the restored fleet, while the
+/// persistent one carries sums maintained across every earlier admission,
+/// departure and renegotiation. The replies must agree byte for byte.
+std::vector<std::string> drive_both(Arbiter& persistent,
+                                    const std::string& line) {
+  json::Writer w;
+  persistent.save_state(w);
+  Arbiter fresh(persistent.config());
+  fresh.load_state(json::parse(w.str()));
+  const std::vector<std::string> replies = drive(persistent, line);
+  EXPECT_EQ(replies, drive(fresh, line)) << line;
+  EXPECT_EQ(persistent.summary(), fresh.summary()) << line;
+  return replies;
+}
 
+// The persistent admission engine is a pure cache over the admitted fleet:
+// across the whole repertoire — accepts, rejects, departures that release
+// exact capacity residues, re-admissions into the freed headroom, ticks,
+// and a checkpoint round-trip — it answers exactly as an engine rebuilt
+// from scratch.
+TEST(ArbiterAdmissionPath, DeltaAndBatchPathsAreByteIdentical) {
+  ServeConfig config = small_config();
+  config.servers = 1;
+  config.server_cpus = 8.0;
+  Arbiter arbiter(config);
   const auto lockstep = [&](const std::string& line) {
-    const std::vector<std::string> a = drive(delta, line);
-    const std::vector<std::string> b = drive(batch, line);
-    EXPECT_EQ(a, b) << line;
-    return a;
+    return drive_both(arbiter, line);
   };
 
   // Fill the pool until an admission is refused, so accepted AND rejected
@@ -433,36 +443,30 @@ TEST(ArbiterAdmissionPath, DeltaAndBatchPathsAreByteIdentical) {
 
   lockstep(tick_line(0, R"({"app0":1.4,"app1":0.7})"));
   // Departure and eviction must release the same exact capacity residue in
-  // the persistent engine as a stateless rebuild observes.
+  // the persistent engine as a rebuild from the remaining fleet observes.
   lockstep(R"({"type":"depart","app":"app1"})");
   lockstep(R"({"type":"evict","app":"app0"})");
   lockstep(admit_line("late", profile));
   lockstep(tick_line(1, R"({"late":1.0,"app2":2.0})"));
 
-  EXPECT_EQ(delta.summary(), batch.summary());
-  json::Writer wd;
-  json::Writer wb;
-  delta.save_state(wd);
-  batch.save_state(wb);
-  // delta_admission is not checkpoint state, so the blobs must agree.
-  EXPECT_EQ(wd.str(), wb.str());
-
-  // load_state drops the delta arbiter's engine; the next admission
-  // rebuilds it from the restored fleet and must still match batch bytes.
-  Arbiter restored(delta_config);
-  restored.load_state(json::parse(wd.str()));
+  // A checkpoint round-trip mid-stream: the restored arbiter rebuilds its
+  // engine at the next admission and keeps answering identically.
+  json::Writer w;
+  arbiter.save_state(w);
+  Arbiter restored(config);
+  restored.load_state(json::parse(w.str()));
   const std::string readmit = admit_line("post-restore", profile);
-  EXPECT_EQ(drive(restored, readmit), drive(batch, readmit));
+  EXPECT_EQ(drive_both(restored, readmit), drive(arbiter, readmit));
   const std::string t2 = tick_line(2, R"({"late":1.2,"post-restore":0.9})");
-  EXPECT_EQ(drive(restored, t2), drive(batch, t2));
-  EXPECT_EQ(restored.summary(), batch.summary());
+  EXPECT_EQ(drive_both(restored, t2), drive(arbiter, t2));
+  EXPECT_EQ(restored.summary(), arbiter.summary());
 }
 
 TEST(ArbiterAdmissionPath, RenegotiationMatchesAcrossPaths) {
   // A renegotiated admission probes the engine twice (strict band, then
-  // weakened band) with a register/unregister between — the delta path must
-  // leave no residue from the failed strict probe. Calibration mirrors
-  // ArbiterAdmit.RenegotiatesToWeakerBandWhenStrictDoesNotFit.
+  // weakened band) with a register/unregister between — the persistent
+  // engine must keep no residue from the failed strict probe. Calibration
+  // mirrors ArbiterAdmit.RenegotiatesToWeakerBandWhenStrictDoesNotFit.
   ServeConfig config = small_config();
   config.servers = 1;
   config.server_cpus = 64.0;
@@ -492,20 +496,14 @@ TEST(ArbiterAdmissionPath, RenegotiationMatchesAcrossPaths) {
   config.server_cpus = (strict_need + weak_need) / 2.0;
   config.admission.renegotiate_m = 90.0;
   config.admission.renegotiate_tdegr = 120.0;
-  ServeConfig batch_config = config;
-  batch_config.delta_admission = false;
-  Arbiter delta(config);
-  Arbiter batch(batch_config);
-  const std::string line = admit_line("web", profile, R"("m":100)");
-  const std::vector<std::string> a = drive(delta, line);
-  const std::vector<std::string> b = drive(batch, line);
-  EXPECT_EQ(a, b);
+  Arbiter arbiter(config);
+  const std::vector<std::string> a =
+      drive_both(arbiter, admit_line("web", profile, R"("m":100)"));
   EXPECT_EQ(json::parse(a[0]).at("decision").as_string(), "renegotiated");
 
   // A follow-up admission exercises the engine state left behind by the
   // renegotiated accept (registered under the weakened band only).
-  const std::string next = admit_line("tail", profile, R"("m":90,"tdegr":120)");
-  EXPECT_EQ(drive(delta, next), drive(batch, next));
+  drive_both(arbiter, admit_line("tail", profile, R"("m":90,"tdegr":120)"));
 }
 
 TEST(ArbiterState, SaveLoadReproducesVerdictBytes) {
