@@ -24,6 +24,8 @@ class WorkloadAllocations {
 
   /// Attaches a non-CPU attribute demand trace (must share the CPU trace's
   /// calendar; `attribute` must not be kCpu; replaces any previous trace).
+  /// Values are snapped to the 2^-20 allocation grid, as AllocationTrace
+  /// snaps the CPU allocation.
   void set_attribute(trace::Attribute attribute, trace::DemandTrace demand);
 
   const std::string& name() const { return cpu_.name(); }
