@@ -2,12 +2,12 @@
 // CPU-only placement against placement that also honours memory, disk, and
 // network capacity. With roomy servers the attribute checks are free; as
 // server memory shrinks, placements spread out and the server count rises
-// even though CPU alone would still pack tight.
+// even though CPU alone would still pack tight. Exits 1 unless the 32 GiB
+// pool needs more servers than the CPU-only one.
 #include <iostream>
 
 #include "common/table.h"
 #include "placement/consolidator.h"
-#include "placement/multi_problem.h"
 #include "placement/problem.h"
 #include "qos/allocation.h"
 #include "support.h"
@@ -39,15 +39,16 @@ int main() {
                                      : "infeasible",
                  TextTable::num(cpu_report.total_required_capacity, 0), "-"});
 
+  std::size_t tightest_servers = 0;  // the last (32 GiB) row
   for (double memory_gb : {96.0, 64.0, 48.0, 32.0}) {
-    sim::MultiServerSpec archetype;
-    archetype.name = "srv";
-    archetype.cpus = 16;
-    archetype.memory_gb = memory_gb;
-    archetype.disk_mbps = 800.0;
-    archetype.network_mbps = 2000.0;
-    const placement::MultiPlacementProblem problem(
-        multi_workloads, sim::homogeneous_multi_pool(16, archetype), cos2);
+    std::vector<sim::ServerSpec> pool = sim::homogeneous_pool(16, 16, "srv");
+    for (sim::ServerSpec& server : pool) {
+      server.memory_gb = memory_gb;
+      server.disk_mbps = 800.0;
+      server.network_mbps = 2000.0;
+    }
+    const placement::PlacementProblem problem(multi_workloads, std::move(pool),
+                                              cos2);
     const placement::ConsolidationReport report = placement::consolidate(
         problem,
         bench::bench_consolidation(static_cast<std::uint64_t>(memory_gb)));
@@ -57,6 +58,7 @@ int main() {
                          : "infeasible",
          TextTable::num(report.total_required_capacity, 0),
          TextTable::num(memory_gb, 0)});
+    tightest_servers = report.feasible ? report.servers_used : 0;
   }
   table.render(std::cout);
 
@@ -64,5 +66,10 @@ int main() {
                "attribute becomes the binding constraint and the pool needs "
                "more servers than CPU-only analysis suggests — the risk the "
                "paper's future-work section warns about\n";
+  if (!cpu_report.feasible || tightest_servers <= cpu_report.servers_used) {
+    std::cerr << "ablation_attributes: FAIL — the 32 GiB pool should need "
+                 "more servers than the CPU-only pool\n";
+    return 1;
+  }
   return 0;
 }

@@ -8,7 +8,7 @@
 // heuristic: IEEE-754 doubles represent every multiple of 2^-20 up to 2^33
 // exactly, and sums/differences of exactly-representable values whose result
 // is again representable are computed exactly. So as long as per-slot sums
-// stay under kGridSumLimit (2^33 CPUs — eight orders of magnitude above any
+// stay under kSumLimit (2^33 CPUs — eight orders of magnitude above any
 // real server), plain double `+=` / `-=` over on-grid values is EXACT:
 //   - order-independent (batch sum in any order gives the same bits),
 //   - reversible (add then remove restores the previous bits), and
@@ -16,9 +16,11 @@
 // That is what lets sim::IncrementalEvaluator maintain per-server aggregates
 // under add/remove/move and still produce verdicts bit-identical to the
 // batch oracle (sim::aggregate_workloads + sim::required_capacity), at full
-// hardware speed and with no exotic arithmetic. Inputs that reach the engine
-// off-grid (hand-built test aggregates, external data) are detected and
-// served by the documented batch fallback instead (docs/algorithms.md §11).
+// hardware speed and with no exotic arithmetic. qos::WorkloadAllocations
+// snaps attribute traces (memory, disk, network) the same way. The engine
+// refuses to register off-grid or non-finite values, and any workload that
+// would lift the summed peaks of its registered workloads to kSumLimit
+// (docs/algorithms.md §11).
 //
 // Layering: common depends on nothing; slo, qos, and sim all share these
 // helpers.

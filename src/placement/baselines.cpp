@@ -61,8 +61,8 @@ std::vector<std::size_t> decreasing_peak_order(
   std::vector<std::size_t> order = identity_order(problem.workload_count());
   std::stable_sort(order.begin(), order.end(),
                    [&problem](std::size_t a, std::size_t b) {
-                     return problem.workloads()[a].peak_allocation() >
-                            problem.workloads()[b].peak_allocation();
+                     return problem.workload(a).peak_allocation() >
+                            problem.workload(b).peak_allocation();
                    });
   return order;
 }
@@ -123,7 +123,7 @@ std::optional<Assignment> correlation_aware_greedy(
   std::vector<trace::DemandTrace> totals;
   totals.reserve(n);
   for (std::size_t w = 0; w < n; ++w) {
-    const qos::AllocationTrace& a = problem.workloads()[w];
+    const qos::AllocationTrace& a = problem.workload(w);
     std::vector<double> v(a.size());
     for (std::size_t i = 0; i < v.size(); ++i) v[i] = a.total(i);
     totals.emplace_back(a.name(), a.calendar(), std::move(v));

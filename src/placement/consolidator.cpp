@@ -7,7 +7,7 @@
 namespace ropus::placement {
 
 namespace {
-ConsolidationReport report_from(const PlacementModel& model,
+ConsolidationReport report_from(const PlacementProblem& problem,
                                 const GeneticResult& gr) {
   ConsolidationReport report;
   report.feasible = gr.found_feasible;
@@ -15,13 +15,13 @@ ConsolidationReport report_from(const PlacementModel& model,
   report.evaluation = gr.evaluation;
   report.servers_used = gr.evaluation.servers_used;
   report.total_required_capacity = gr.evaluation.total_required_capacity;
-  report.total_peak_allocation = model.total_peak_allocation();
+  report.total_peak_allocation = problem.total_peak_allocation();
   report.generations = gr.generations;
   return report;
 }
 }  // namespace
 
-ConsolidationReport consolidate(const PlacementModel& model,
+ConsolidationReport consolidate(const PlacementProblem& problem,
                                 const Assignment& initial,
                                 const ConsolidationConfig& config) {
   static obs::Counter& calls = obs::counter("placement.consolidate.calls");
@@ -33,38 +33,38 @@ ConsolidationReport consolidate(const PlacementModel& model,
 
   std::vector<Assignment> seeds{initial};
   if (config.seed_with_ffd) {
-    if (auto greedy = model.greedy_seed()) {
+    if (auto greedy = problem.greedy_seed()) {
       seeds.push_back(std::move(*greedy));
     }
   }
-  const GeneticResult gr = genetic_search(model, seeds, config.genetic);
-  return report_from(model, gr);
+  const GeneticResult gr = genetic_search(problem, seeds, config.genetic);
+  return report_from(problem, gr);
 }
 
-ConsolidationReport consolidate(const PlacementModel& model,
+ConsolidationReport consolidate(const PlacementProblem& problem,
                                 const ConsolidationConfig& config) {
   Assignment initial;
   if (config.seed_with_ffd) {
-    if (auto greedy = model.greedy_seed()) {
+    if (auto greedy = problem.greedy_seed()) {
       initial = std::move(*greedy);
       ROPUS_LOG(kInfo) << "consolidation seeded from greedy packing ("
-                       << servers_used(initial, model.server_count())
+                       << servers_used(initial, problem.server_count())
                        << " servers)";
     }
   }
   if (initial.empty()) {
-    if (model.server_count() >= model.workload_count()) {
-      initial = one_per_server(model.workload_count(), model.server_count());
+    if (problem.server_count() >= problem.workload_count()) {
+      initial = one_per_server(problem.workload_count(), problem.server_count());
     } else {
       // Fall back to an arbitrary spread; the search will repair or report
       // infeasibility.
-      initial.resize(model.workload_count());
+      initial.resize(problem.workload_count());
       for (std::size_t w = 0; w < initial.size(); ++w) {
-        initial[w] = w % model.server_count();
+        initial[w] = w % problem.server_count();
       }
     }
   }
-  return consolidate(model, initial, config);
+  return consolidate(problem, initial, config);
 }
 
 }  // namespace ropus::placement

@@ -1,16 +1,16 @@
 // The consolidation exercise (Section VI-B): search for an assignment that
-// satisfies the resource access commitments on as few servers as possible.
-// Works over any PlacementModel (CPU-only or multi-attribute).
+// satisfies the resource access commitments on as few servers as possible,
+// over a CPU-only or a multi-attribute PlacementProblem.
 #pragma once
 
 #include "placement/genetic.h"
-#include "placement/model.h"
+#include "placement/problem.h"
 
 namespace ropus::placement {
 
 struct ConsolidationConfig {
   GeneticConfig genetic;
-  /// Seed the genetic population from the model's greedy packing when it
+  /// Seed the genetic population from the problem's greedy packing when it
   /// succeeds (a good starting configuration shortens the search);
   /// otherwise start from one-workload-per-server.
   bool seed_with_ffd = true;
@@ -26,17 +26,17 @@ struct ConsolidationReport {
   std::size_t generations = 0;
 };
 
-/// Runs the consolidation exercise on `model`. The pool must be large
+/// Runs the consolidation exercise on `problem`. The pool must be large
 /// enough for a feasible placement to exist (e.g. one server per workload);
 /// `report.feasible` is false otherwise.
-ConsolidationReport consolidate(const PlacementModel& model,
+ConsolidationReport consolidate(const PlacementProblem& problem,
                                 const ConsolidationConfig& config);
 
 /// Convenience overload starting from an explicit initial configuration
 /// (used by the failure planner, which re-consolidates survivors). When
-/// `config.seed_with_ffd` holds and the model's greedy packing succeeds,
+/// `config.seed_with_ffd` holds and the problem's greedy packing succeeds,
 /// that packing joins the initial population as a second seed.
-ConsolidationReport consolidate(const PlacementModel& model,
+ConsolidationReport consolidate(const PlacementProblem& problem,
                                 const Assignment& initial,
                                 const ConsolidationConfig& config);
 

@@ -12,6 +12,13 @@ namespace ropus::placement {
 
 namespace {
 
+/// Servers with equal CPU counts and attribute capacities are
+/// interchangeable when empty.
+bool same_shape(const sim::ServerSpec& a, const sim::ServerSpec& b) {
+  return a.cpus == b.cpus && a.memory_gb == b.memory_gb &&
+         a.disk_mbps == b.disk_mbps && a.network_mbps == b.network_mbps;
+}
+
 struct SearchState {
   const PlacementProblem& problem;
   // Fit checks ride the delta engine: the DFS probes a candidate server in
@@ -40,11 +47,11 @@ struct SearchState {
     std::iota(order.begin(), order.end(), std::size_t{0});
     std::stable_sort(order.begin(), order.end(),
                      [&p](std::size_t a, std::size_t b) {
-                       return p.workloads()[a].peak_allocation() >
-                              p.workloads()[b].peak_allocation();
+                       return p.workload(a).peak_allocation() >
+                              p.workload(b).peak_allocation();
                      });
     for (const sim::ServerSpec& s : p.servers()) {
-      if (s.cpus != p.servers().front().cpus) homogeneous = false;
+      if (!same_shape(s, p.servers().front())) homogeneous = false;
     }
   }
 
@@ -73,18 +80,18 @@ struct SearchState {
       if (empty) {
         // Symmetry breaking: identical empty servers are interchangeable,
         // so only try the first one (exact for homogeneous pools; for
-        // heterogeneous pools, try the first empty server of each size).
+        // heterogeneous pools, try the first empty server of each shape).
         if (opened_empty && homogeneous) continue;
         if (!homogeneous) {
-          bool seen_same_size = false;
+          bool seen_same_shape = false;
           for (std::size_t t = 0; t < s; ++t) {
             if (hosted[t].empty() &&
-                problem.servers()[t].cpus == problem.servers()[s].cpus) {
-              seen_same_size = true;
+                same_shape(problem.servers()[t], problem.servers()[s])) {
+              seen_same_shape = true;
               break;
             }
           }
-          if (seen_same_size) continue;
+          if (seen_same_shape) continue;
         }
       }
       if (ctx->probe(s, w).fits) {

@@ -39,29 +39,29 @@ struct Individual {
   double fitness = 0.0;  // eval.score minus any migration penalty
 };
 
-/// Checks an evaluation context out of the model's pool for one task,
+/// Checks a delta context out of the problem's pool for one task,
 /// returning it on scope exit (including when the task throws).
 /// parallel::for_each_index does not expose a worker id, so workers lease a
 /// context per task; a worker usually gets a context back-to-back, which is
-/// what keeps the delta engine's state warm. Pooling lives on the model
-/// (PlacementModel::acquire_context), so contexts also persist across
+/// what keeps the delta engine's state warm. Pooling lives on the problem
+/// (PlacementProblem::acquire_context), so contexts also persist across
 /// searches over the same problem. Correctness never depends on WHICH
 /// context a task gets — contexts return bit-identical evaluations
 /// regardless of history — so the handout order being nondeterministic
 /// under contention does not break the --threads determinism contract.
 class ContextLease {
  public:
-  explicit ContextLease(const PlacementModel& model)
-      : model_(model), ctx_(model.acquire_context()) {}
-  ~ContextLease() { model_.release_context(std::move(ctx_)); }
+  explicit ContextLease(const PlacementProblem& problem)
+      : problem_(problem), ctx_(problem.acquire_context()) {}
+  ~ContextLease() { problem_.release_context(std::move(ctx_)); }
   ContextLease(const ContextLease&) = delete;
   ContextLease& operator=(const ContextLease&) = delete;
 
-  PlacementContext& operator*() { return *ctx_; }
+  DeltaPlacementContext& operator*() { return *ctx_; }
 
  private:
-  const PlacementModel& model_;
-  std::unique_ptr<PlacementContext> ctx_;
+  const PlacementProblem& problem_;
+  std::unique_ptr<DeltaPlacementContext> ctx_;
 };
 
 /// Fitness = objective score minus the churn penalty against the reference
@@ -85,7 +85,7 @@ double fitness_of(const Assignment& genes, const PlacementEvaluation& eval,
 /// probability proportional to 1 - f(U) (low-scoring servers are evicted
 /// first, per the paper), and respreads its workloads over other used
 /// servers; tends to reduce the used-server count by one.
-void vacate_mutation(const PlacementModel& problem, Assignment& genes,
+void vacate_mutation(const PlacementProblem& problem, Assignment& genes,
                      const PlacementEvaluation& eval, Rng& rng) {
   std::vector<std::size_t> used;
   std::vector<double> weights;
@@ -126,7 +126,7 @@ void vacate_mutation(const PlacementModel& problem, Assignment& genes,
 /// server onto a uniformly random other server. Applied instead of the
 /// vacate step when the child is infeasible, so the search can climb back
 /// from a bad configuration instead of only packing tighter.
-void relief_mutation(const PlacementModel& problem, Assignment& genes,
+void relief_mutation(const PlacementProblem& problem, Assignment& genes,
                      const PlacementEvaluation& eval, Rng& rng) {
   if (problem.server_count() < 2) return;
   for (std::size_t s = 0; s < eval.servers.size(); ++s) {
@@ -140,7 +140,7 @@ void relief_mutation(const PlacementModel& problem, Assignment& genes,
   }
 }
 
-void gene_mutation(const PlacementModel& problem, Assignment& genes,
+void gene_mutation(const PlacementProblem& problem, Assignment& genes,
                    double rate, Rng& rng) {
   for (std::size_t w = 0; w < genes.size(); ++w) {
     if (rng.bernoulli(rate)) {
@@ -169,14 +169,14 @@ const Individual& tournament_select(const std::vector<Individual>& pop,
 
 }  // namespace
 
-GeneticResult genetic_search(const PlacementModel& problem,
+GeneticResult genetic_search(const PlacementProblem& problem,
                              const Assignment& initial,
                              const GeneticConfig& config) {
   const std::vector<Assignment> seeds{initial};
   return genetic_search(problem, seeds, config);
 }
 
-GeneticResult genetic_search(const PlacementModel& problem,
+GeneticResult genetic_search(const PlacementProblem& problem,
                              std::span<const Assignment> seeds,
                              const GeneticConfig& config) {
   // Solver-effort metrics: how many generations and candidate evaluations
@@ -215,12 +215,12 @@ GeneticResult genetic_search(const PlacementModel& problem,
                                   ? 1
                                   : parallel::thread_count();
 
-  // Evaluations run through per-worker contexts (the delta-evaluation
-  // engine for PlacementProblem): a context re-verdicts only the servers an
-  // assignment changed relative to the last one it saw, and all contexts
-  // share the problem's required-capacity memo.
+  // Evaluations run through per-worker delta contexts: a context
+  // re-verdicts only the servers an assignment changed relative to the last
+  // one it saw, and all contexts share the problem's required-capacity
+  // memo.
   std::size_t evals = 0;  // batched into the evaluations counter on return
-  auto finish = [&config](PlacementContext& ctx, Assignment genes) {
+  auto finish = [&config](DeltaPlacementContext& ctx, Assignment genes) {
     Individual ind;
     ind.genes = std::move(genes);
     ind.eval = ctx.evaluate(ind.genes);

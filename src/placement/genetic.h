@@ -23,7 +23,7 @@
 #include <optional>
 #include <span>
 
-#include "placement/model.h"
+#include "placement/problem.h"
 
 namespace ropus::placement {
 
@@ -62,13 +62,13 @@ struct GeneticResult {
 /// Runs the search from `initial` (the consolidation exercise starts from
 /// the current configuration; Section VI-B). The initial assignment is
 /// always part of the first population.
-GeneticResult genetic_search(const PlacementModel& problem,
+GeneticResult genetic_search(const PlacementProblem& problem,
                              const Assignment& initial,
                              const GeneticConfig& config);
 
 /// Multi-seed variant: every seed joins the first population (useful to mix
 /// the current configuration with a greedy packing). Requires >= 1 seed.
-GeneticResult genetic_search(const PlacementModel& problem,
+GeneticResult genetic_search(const PlacementProblem& problem,
                              std::span<const Assignment> seeds,
                              const GeneticConfig& config);
 

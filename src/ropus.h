@@ -39,7 +39,6 @@
 #include "qos/translation.h"           // IWYU pragma: export
 #include "qos/workload_allocations.h"  // IWYU pragma: export
 
-#include "sim/multi.h"      // IWYU pragma: export
 #include "sim/server.h"     // IWYU pragma: export
 #include "sim/simulator.h"  // IWYU pragma: export
 
@@ -47,7 +46,6 @@
 #include "placement/consolidator.h"   // IWYU pragma: export
 #include "placement/exact.h"          // IWYU pragma: export
 #include "placement/genetic.h"        // IWYU pragma: export
-#include "placement/multi_problem.h"  // IWYU pragma: export
 #include "placement/problem.h"        // IWYU pragma: export
 
 #include "failover/economics.h"  // IWYU pragma: export

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.h"
-#include "sim/incremental.h"
 
 namespace ropus::serve {
 
@@ -34,7 +33,7 @@ AdmissionOutcome place_candidate(sim::IncrementalEvaluator& engine,
   AdmissionOutcome best;
   bool any_fit = false;
   for (std::size_t s = 0; s < engine.server_count(); ++s) {
-    const sim::RequiredCapacity rc = engine.probe(s, candidate_id);
+    const sim::RequiredCapacity rc = engine.probe(s, candidate_id).cpu;
     if (!rc.fits) continue;
     const double cpus = engine.server_cpus(s);
     const double headroom = cpus > 0.0 ? (cpus - rc.capacity) / cpus : 0.0;
@@ -63,27 +62,6 @@ AdmissionOutcome place_candidate(sim::IncrementalEvaluator& engine,
   }
   best.decision = AdmissionDecision::kAccepted;
   return best;
-}
-
-AdmissionOutcome place_candidate(const qos::AllocationTrace& candidate,
-                                 double revenue_weight,
-                                 std::span<const HostedWorkload> hosted,
-                                 std::span<const double> server_cpus,
-                                 const qos::CosCommitment& cos2,
-                                 const AdmissionPolicy& policy) {
-  sim::IncrementalEvaluator engine(
-      candidate.calendar(), cos2,
-      std::vector<double>(server_cpus.begin(), server_cpus.end()));
-  for (std::size_t i = 0; i < hosted.size(); ++i) {
-    const HostedWorkload& w = hosted[i];
-    ROPUS_REQUIRE(w.alloc != nullptr, "null hosted workload");
-    engine.register_workload(i, w.alloc->cos1(), w.alloc->cos2());
-    engine.add(i, w.host);
-  }
-  const std::size_t candidate_id = hosted.size();
-  engine.register_workload(candidate_id, candidate.cos1(), candidate.cos2());
-  return place_candidate(engine, candidate_id, candidate.peak_allocation(),
-                         revenue_weight, policy);
 }
 
 }  // namespace ropus::serve

@@ -6,21 +6,15 @@
 // rejected by comparing the expected revenue of hosting it against the
 // penalty exposure of the headroom it would leave.
 //
-// Both entry points drive the same engine probes and the same scoring
-// arithmetic: the persistent-engine overload reuses the arbiter's
-// long-lived engine (per-server sums survive across admissions), while the
-// span-based overload builds a throwaway engine per call — the stateless
-// "batch" path the chaos drill A/Bs against. Their verdict bytes are
-// identical by the engine's bit-equality contract.
+// The arbiter passes its long-lived engine, whose per-server sums survive
+// across admissions; by the engine's bit-equality contract its verdict
+// bytes are those of an engine rebuilt from the fleet for every admission
+// (tests/golden/admission_golden.txt pins them).
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <string>
-#include <vector>
 
-#include "qos/allocation.h"
-#include "qos/requirements.h"
 #include "sim/incremental.h"
 
 namespace ropus::serve {
@@ -55,12 +49,6 @@ struct AdmissionOutcome {
   std::string reason;        // set on rejection
 };
 
-/// One hosted (or candidate) workload as the delta-placement sees it.
-struct HostedWorkload {
-  const qos::AllocationTrace* alloc = nullptr;
-  std::size_t host = 0;
-};
-
 /// Scores the registered, unhosted workload `candidate_id` (weighting
 /// `revenue_weight`, peaking at `candidate_peak` CPUs) against every server
 /// of `engine`: each server is probed with the candidate temporarily added;
@@ -70,18 +58,6 @@ struct HostedWorkload {
 AdmissionOutcome place_candidate(sim::IncrementalEvaluator& engine,
                                  std::size_t candidate_id,
                                  double candidate_peak, double revenue_weight,
-                                 const AdmissionPolicy& policy);
-
-/// The stateless form: builds a fresh engine over `hosted` plus `candidate`
-/// and scores through the overload above. `server_cpus` gives each server's
-/// capacity. Slower (per-server sums are rebuilt every call) but
-/// byte-identical — the serve daemon's batch-admission fallback and the
-/// chaos drill's reference path.
-AdmissionOutcome place_candidate(const qos::AllocationTrace& candidate,
-                                 double revenue_weight,
-                                 std::span<const HostedWorkload> hosted,
-                                 std::span<const double> server_cpus,
-                                 const qos::CosCommitment& cos2,
                                  const AdmissionPolicy& policy);
 
 }  // namespace ropus::serve

@@ -205,23 +205,23 @@ std::string Arbiter::admit(const AdmitMessage& msg, bool* state_changed) {
             std::to_string(apps_.front().profile.size()) + " slots)");
   }
 
-  // Both paths probe the delta-evaluation engine; they differ only in
-  // whether the engine persists across admissions. The candidate is
-  // registered for the probes and unregistered before this lambda returns,
-  // so a rejection (or the renegotiation retry with a different allocation
-  // under the same id) leaves no trace in the persistent engine.
+  // The candidate is registered for the probes and unregistered before
+  // this lambda returns, so a rejection (or the renegotiation retry with a
+  // different allocation under the same id) leaves no trace in the
+  // persistent engine. The engine refuses an allocation outside its exact
+  // range (non-finite, or summed peaks reaching 2^33 CPUs) without
+  // registering it; that is the client's input being out of domain, like a
+  // translation failure.
   const auto place = [&](const App& app) {
-    if (!config_.delta_admission) {
-      std::vector<HostedWorkload> hosted;
-      hosted.reserve(apps_.size());
-      for (const App& existing : apps_) {
-        hosted.push_back(HostedWorkload{&existing.alloc, existing.host});
-      }
-      return place_candidate(app.alloc, msg.revenue, hosted, server_cpus_,
-                             config_.cos2, config_.admission);
-    }
     sim::IncrementalEvaluator& engine = engine_for(app.alloc.calendar());
-    engine.register_workload(app.id, app.alloc.cos1(), app.alloc.cos2());
+    try {
+      engine.register_workload(app.id, app.alloc.cos1(), app.alloc.cos2());
+    } catch (const InvalidArgument&) {
+      throw ProtocolViolation(
+          ProtocolError::kBadValue,
+          "profile out of range: allocations must be finite and the fleet's "
+          "summed peaks below 2^33 CPUs");
+    }
     const AdmissionOutcome out =
         place_candidate(engine, app.id, app.alloc.peak_allocation(),
                         msg.revenue, config_.admission);
@@ -279,10 +279,10 @@ std::string Arbiter::admit(const AdmitMessage& msg, bool* state_changed) {
   }
   w.end_object();
   apps_.push_back(std::move(candidate));
-  if (config_.delta_admission && engine_ != nullptr) {
-    // Mirror the admission into the persistent engine. Registering the
-    // *stored* app's spans (not the moved-from local's) keeps the borrow
-    // tied to the allocation that now lives in apps_.
+  {
+    // Mirror the admission into the persistent engine place() built.
+    // Registering the *stored* app's spans (not the moved-from local's)
+    // keeps the borrow tied to the allocation that now lives in apps_.
     const App& stored = apps_.back();
     engine_->register_workload(stored.id, stored.alloc.cos1(),
                                stored.alloc.cos2());

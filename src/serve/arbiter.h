@@ -51,15 +51,6 @@ struct ServeConfig {
   /// Largest forward slot gap filled as missing telemetry; a larger jump is
   /// rejected as kSlotGapTooLarge.
   std::size_t max_slot_gap = 288;
-  /// Admission placement path: true routes place_candidate through the
-  /// arbiter's persistent delta-evaluation engine (per-server sums survive
-  /// across admissions); false rebuilds a throwaway engine per admission
-  /// (the stateless reference path). Verdict bytes are identical either way
-  /// — the chaos drill asserts it — so this is a performance/diagnostics
-  /// switch, not a semantic one, and it is deliberately NOT part of the
-  /// checkpoint state.
-  bool delta_admission = true;
-
   /// Throws InvalidArgument on nonsensical settings.
   void validate() const;
 };
@@ -100,8 +91,8 @@ class Arbiter {
   static constexpr std::size_t kIdCacheCapacity = 256;
 
   /// The persistent admission engine, or nullptr before the first
-  /// delta-path admission (and after load_state, which drops it — the next
-  /// admission rebuilds it from the restored apps). For /stats.json.
+  /// admission (and after load_state, which drops it — the next admission
+  /// rebuilds it from the restored apps). For /stats.json.
   const sim::IncrementalEvaluator* admission_engine() const {
     return engine_.get();
   }
@@ -131,7 +122,7 @@ class Arbiter {
   std::string depart(const DepartMessage& msg, bool* state_changed);
   std::string advance_slot(const TickMessage& msg, bool filler);
   App build_app(const AdmitMessage& msg, const qos::Requirement& req) const;
-  /// The persistent delta-admission engine for `calendar`, built (or
+  /// The persistent admission engine for `calendar`, built (or
   /// rebuilt, when the fleet emptied and the calendar changed) to mirror
   /// apps_ exactly: every admitted app registered and hosted. The engine
   /// borrows spans from App::alloc — the heap buffers are stable across
@@ -143,9 +134,9 @@ class Arbiter {
   ServeConfig config_;
   std::vector<App> apps_;  // admission order (ids are stable, never reused)
   std::vector<double> server_cpus_;
-  /// Long-lived delta-evaluation engine mirroring apps_ (delta_admission
-  /// path only; rebuilt lazily after load_state). Not checkpointed: it is a
-  /// pure cache over apps_ and never influences verdict bytes.
+  /// Long-lived delta-evaluation engine mirroring apps_ (rebuilt lazily
+  /// after load_state). Not checkpointed: it is a pure cache over apps_ and
+  /// never influences verdict bytes.
   std::unique_ptr<sim::IncrementalEvaluator> engine_;
   std::vector<slo::DeferralQueue> backlogs_;  // per server
   obs::Watchdog watchdog_;

@@ -556,24 +556,20 @@ std::string DaemonCore::stats_reply() const {
       static_cast<std::int64_t>(obs::counter("serve.admission.rejected").value()));
   w.key("renegotiated").value(static_cast<std::int64_t>(
       obs::counter("serve.admission.renegotiated").value()));
-  // Delta-evaluation engine health: which placement path admissions took
-  // and how the persistent engine's verdicts split between the delta path
-  // and the batch fallback. All-zero until the first delta-path admission
-  // (or after a restore, before the engine is rebuilt).
+  // Delta-evaluation engine health: how the persistent admission engine's
+  // work split between probes, verdicts over maintained sums and sum
+  // rebuilds. All-zero until the first admission (or after a restore,
+  // before the engine is rebuilt).
   w.key("admission_engine").begin_object();
-  w.key("mode").value(arbiter_.config().delta_admission ? "delta" : "batch");
   {
     const sim::IncrementalEvaluator* engine = arbiter_.admission_engine();
     const sim::IncrementalEvaluator::Stats stats =
         engine != nullptr ? engine->stats()
                           : sim::IncrementalEvaluator::Stats{};
     w.key("delta_probes").value(static_cast<std::int64_t>(stats.delta_probes));
-    w.key("batch_probes").value(static_cast<std::int64_t>(stats.batch_probes));
     w.key("delta_verdicts").value(
         static_cast<std::int64_t>(stats.delta_verdicts));
     w.key("sum_rebuilds").value(static_cast<std::int64_t>(stats.sum_rebuilds));
-    w.key("batch_fallbacks").value(
-        static_cast<std::int64_t>(stats.batch_fallbacks));
   }
   w.end_object();
   const obs::HistogramSnapshot ticks =

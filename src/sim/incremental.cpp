@@ -1,6 +1,7 @@
 #include "sim/incremental.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/error.h"
 #include "common/grid.h"
@@ -9,10 +10,6 @@
 namespace ropus::sim {
 
 namespace {
-obs::Counter& cache_hits_counter() {
-  static obs::Counter& c = obs::counter("sim.incremental.verdict_cache_hits");
-  return c;
-}
 obs::Counter& delta_verdicts_counter() {
   static obs::Counter& c = obs::counter("sim.incremental.delta_verdicts");
   return c;
@@ -21,28 +18,22 @@ obs::Counter& rebuilds_counter() {
   static obs::Counter& c = obs::counter("sim.incremental.sum_rebuilds");
   return c;
 }
-obs::Counter& fallbacks_counter() {
-  static obs::Counter& c = obs::counter("sim.incremental.batch_fallbacks");
-  return c;
-}
 obs::Counter& delta_probes_counter() {
   static obs::Counter& c = obs::counter("sim.incremental.delta_probes");
   return c;
 }
-obs::Counter& batch_probes_counter() {
-  static obs::Counter& c = obs::counter("sim.incremental.batch_probes");
-  return c;
-}
+
+/// The exactness contract for one value: finite and on the 2^-20 grid.
+bool exact_value(double v) { return std::isfinite(v) && grid::on_grid(v); }
+
+constexpr std::size_t kCpuIndex = trace::attribute_index(trace::Attribute::kCpu);
 }  // namespace
 
 IncrementalEvaluator::IncrementalEvaluator(const trace::Calendar& calendar,
                                            const qos::CosCommitment& cos2,
                                            std::vector<double> server_cpus,
                                            double tolerance)
-    : calendar_(calendar),
-      cos2_(cos2),
-      tolerance_(tolerance),
-      exact_limit_(grid::kSumLimit) {
+    : calendar_(calendar), cos2_(cos2), tolerance_(tolerance) {
   cos2_.validate();
   ROPUS_REQUIRE(tolerance > 0.0, "tolerance must be > 0");
   servers_.resize(server_cpus.size());
@@ -51,37 +42,90 @@ IncrementalEvaluator::IncrementalEvaluator(const trace::Calendar& calendar,
     servers_[s].cpus = server_cpus[s];
     servers_[s].sum1.assign(calendar_.size(), 0.0);
     servers_[s].sum2.assign(calendar_.size(), 0.0);
-    servers_[s].sums_valid = true;  // an empty server's sums are zero
   }
 }
 
 void IncrementalEvaluator::register_workload(std::size_t id,
                                              std::span<const double> cos1,
-                                             std::span<const double> cos2) {
-  ROPUS_REQUIRE(cos1.size() == calendar_.size() &&
-                    cos2.size() == calendar_.size(),
+                                             std::span<const double> cos2,
+                                             const AttributeSeries& attributes) {
+  const std::size_t n = calendar_.size();
+  ROPUS_REQUIRE(cos1.size() == n && cos2.size() == n,
                 "workload series must match the engine calendar");
-  if (id >= workloads_.size()) workloads_.resize(id + 1);
-  Workload& w = workloads_[id];
-  ROPUS_REQUIRE(w.host == npos, "cannot re-register a hosted workload");
+  ROPUS_REQUIRE(attributes[kCpuIndex].empty(),
+                "CPU is registered as cos1/cos2, not as an attribute");
+  const bool replacing = registered(id);
+  ROPUS_REQUIRE(!replacing || workloads_[id].host == npos,
+                "cannot re-register a hosted workload");
+
+  // Validate everything before touching engine state, so a refusal leaves
+  // the engine exactly as it was.
+  Workload w;
   w.cos1 = cos1;
   w.cos2 = cos2;
-  w.peak_cos1 = 0.0;
-  w.peak_total = 0.0;
-  w.on_grid = true;
-  for (std::size_t i = 0; i < cos1.size(); ++i) {
+  w.attributes = attributes;
+  for (std::size_t i = 0; i < n; ++i) {
+    ROPUS_REQUIRE(exact_value(cos1[i]) && exact_value(cos2[i]),
+                  "allocation values must be finite multiples of 2^-20");
     w.peak_cos1 = std::max(w.peak_cos1, cos1[i]);
-    w.peak_total = std::max(w.peak_total, cos1[i] + cos2[i]);
-    if (!grid::on_grid(cos1[i]) || !grid::on_grid(cos2[i])) w.on_grid = false;
+    w.magnitude[kCpuIndex] = std::max(w.magnitude[kCpuIndex],
+                                      std::abs(cos1[i]) + std::abs(cos2[i]));
   }
+  for (const trace::Attribute a : trace::kAllAttributes) {
+    const std::size_t k = trace::attribute_index(a);
+    if (attributes[k].empty()) continue;
+    ROPUS_REQUIRE(attributes[k].size() == n,
+                  "attribute series must match the engine calendar");
+    for (const double v : attributes[k]) {
+      ROPUS_REQUIRE(exact_value(v),
+                    "attribute values must be finite multiples of 2^-20");
+      w.magnitude[k] = std::max(w.magnitude[k], std::abs(v));
+    }
+  }
+  // The summed peaks of every registered workload bound every per-slot sum
+  // a server (or a probe) can reach; keeping them below kSumLimit keeps all
+  // engine arithmetic exact. The budget sums are exact below the limit, and
+  // a sum that reaches it rounds to at least the limit, so the check is too.
+  AttributePeaks total = registered_;
+  for (std::size_t k = 0; k < total.size(); ++k) {
+    if (replacing) total[k] -= workloads_[id].magnitude[k];
+    total[k] += w.magnitude[k];
+    ROPUS_REQUIRE(total[k] < grid::kSumLimit,
+                  "registered workloads' summed peaks must stay below "
+                  "grid::kSumLimit (2^33)");
+  }
+
+  // A queued op still references the old series; apply it first.
+  if (replacing) flush_pending_of(id);
+  for (const trace::Attribute a : trace::kAllAttributes) {
+    const std::size_t k = trace::attribute_index(a);
+    if (attributes[k].empty() ||
+        std::ranges::find(columns_, a) != columns_.end()) {
+      continue;
+    }
+    // No hosted workload carries `a` yet, so zeros are its exact sums.
+    columns_.insert(std::ranges::upper_bound(columns_, a), a);
+    for (Server& s : servers_) s.columns[k].assign(n, 0.0);
+  }
+  if (id >= workloads_.size()) workloads_.resize(id + 1);
   w.active = true;
+  workloads_[id] = w;
+  registered_ = total;
 }
 
 void IncrementalEvaluator::unregister_workload(std::size_t id) {
   const Workload& w = workload_checked(id);
   ROPUS_REQUIRE(w.host == npos, "cannot unregister a hosted workload");
-  // A queued remove may still reference the workload's series; flush any
-  // server holding one before the spans go away.
+  // A queued remove may still reference the workload's series; flush it
+  // before the spans go away.
+  flush_pending_of(id);
+  for (std::size_t k = 0; k < registered_.size(); ++k) {
+    registered_[k] -= w.magnitude[k];
+  }
+  workloads_[id] = Workload{};
+}
+
+void IncrementalEvaluator::flush_pending_of(std::size_t id) {
   for (Server& s : servers_) {
     for (const PendingOp& op : s.pending) {
       if (op.id == id) {
@@ -90,7 +134,6 @@ void IncrementalEvaluator::unregister_workload(std::size_t id) {
       }
     }
   }
-  workloads_[id] = Workload{};
 }
 
 const IncrementalEvaluator::Workload& IncrementalEvaluator::workload_checked(
@@ -125,6 +168,19 @@ void IncrementalEvaluator::apply_series(Server& s, const Workload& w,
     }
   }
   s.peak_cos1 = peak;
+  // The columns w carries, the same way; the others keep their peaks.
+  for (const trace::Attribute a : columns_) {
+    const std::size_t k = trace::attribute_index(a);
+    const std::span<const double> series = w.attributes[k];
+    if (series.empty()) continue;
+    double* const col = s.columns[k].data();
+    double col_peak = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      col[i] += sign * series[i];
+      col_peak = std::max(col_peak, col[i]);
+    }
+    s.peaks[k] = col_peak;
+  }
 }
 
 void IncrementalEvaluator::queue_pending(Server& s, std::size_t id,
@@ -147,16 +203,7 @@ void IncrementalEvaluator::add(std::size_t id, std::size_t server) {
   ROPUS_REQUIRE(server < servers_.size(), "server index out of range");
   Server& s = servers_[server];
   s.ids.insert(std::ranges::lower_bound(s.ids, id), id);
-  if (s.sums_valid && w.on_grid && s.off_grid == 0 &&
-      s.sum_peak_total + w.peak_total <= exact_limit_) {
-    queue_pending(s, id, +1.0);
-  } else {
-    s.sums_valid = false;
-    s.pending.clear();
-  }
-  if (!w.on_grid) s.off_grid += 1;
-  s.sum_peak_total += w.peak_total;
-  s.verdict_valid = false;
+  queue_pending(s, id, +1.0);
   w.host = server;
 }
 
@@ -168,14 +215,7 @@ void IncrementalEvaluator::remove(std::size_t id) {
   const auto it = std::ranges::lower_bound(s.ids, id);
   ROPUS_REQUIRE(it != s.ids.end() && *it == id, "engine id set corrupted");
   s.ids.erase(it);
-  if (s.sums_valid) {
-    // sums_valid implies every hosted workload (including this one) is
-    // on-grid and in budget, so the queued subtraction is an exact inverse.
-    queue_pending(s, id, -1.0);
-  }
-  if (!w.on_grid) s.off_grid -= 1;
-  s.sum_peak_total -= w.peak_total;
-  s.verdict_valid = false;
+  queue_pending(s, id, -1.0);
   w.host = npos;
 }
 
@@ -199,21 +239,25 @@ AggregateView IncrementalEvaluator::view_of(const Server& s) const {
 void IncrementalEvaluator::rebuild_sums(Server& s) {
   std::fill(s.sum1.begin(), s.sum1.end(), 0.0);
   std::fill(s.sum2.begin(), s.sum2.end(), 0.0);
+  for (const trace::Attribute a : columns_) {
+    std::vector<double>& col = s.columns[trace::attribute_index(a)];
+    std::fill(col.begin(), col.end(), 0.0);
+  }
   s.sum_peak_cos1 = 0.0;
   s.peak_cos1 = 0.0;
+  s.peaks = {};
   for (const std::size_t id : s.ids) {
     const Workload& w = workloads_[id];
     apply_series(s, w, +1.0);
     s.sum_peak_cos1 += w.peak_cos1;
   }
   s.pending.clear();
-  s.sums_valid = true;
 }
 
 bool IncrementalEvaluator::ensure_sums(Server& s) {
-  if (!s.sums_valid || s.pending.size() >= s.ids.size()) {
-    // Sums are gone, or replaying the queue costs as much as starting
-    // over — rebuild in one pass.
+  if (s.pending.size() >= s.ids.size()) {
+    // Replaying the queue costs as much as starting over — rebuild in one
+    // pass.
     rebuild_sums(s);
     return true;
   }
@@ -226,104 +270,44 @@ bool IncrementalEvaluator::ensure_sums(Server& s) {
   return false;
 }
 
-RequiredCapacity IncrementalEvaluator::batch_verdict(const Server& s,
-                                                     const Workload* extra) {
-  // Full re-aggregation in ascending-id order — exactly what the batch
-  // oracle does for this hosted set — into scratch buffers, leaving the
-  // server's own (stale) sums untouched.
-  const std::size_t n = calendar_.size();
-  scratch1_.assign(n, 0.0);
-  scratch2_.assign(n, 0.0);
-  double sum_peak_cos1 = 0.0;
-  const std::size_t extra_id =
-      extra != nullptr ? static_cast<std::size_t>(extra - workloads_.data())
-                       : npos;
-  bool extra_done = extra == nullptr;
-  const auto accumulate = [&](const Workload& w) {
-    const double* const c1 = w.cos1.data();
-    const double* const c2 = w.cos2.data();
-    for (std::size_t i = 0; i < n; ++i) {
-      scratch1_[i] += c1[i];
-      scratch2_[i] += c2[i];
-    }
-    sum_peak_cos1 += w.peak_cos1;
-  };
-  for (const std::size_t id : s.ids) {
-    if (!extra_done && extra_id < id) {
-      accumulate(*extra);
-      extra_done = true;
-    }
-    accumulate(workloads_[id]);
-  }
-  if (!extra_done) accumulate(*extra);
-  double peak = 0.0;
-  for (std::size_t i = 0; i < n; ++i) peak = std::max(peak, scratch1_[i]);
-
-  AggregateView v;
-  v.calendar = &calendar_;
-  v.cos1 = scratch1_;
-  v.cos2 = scratch2_;
-  v.sum_peak_cos1 = sum_peak_cos1;
-  v.peak_cos1 = peak;
-  v.workloads = s.ids.size() + (extra != nullptr ? 1 : 0);
-  return required_capacity(v, s.cpus, cos2_, tolerance_);
-}
-
-const RequiredCapacity& IncrementalEvaluator::verdict(std::size_t server) {
+IncrementalEvaluator::Verdict IncrementalEvaluator::verdict(
+    std::size_t server) {
   ROPUS_REQUIRE(server < servers_.size(), "server index out of range");
   Server& s = servers_[server];
-  if (s.verdict_valid) {
-    stats_.verdict_cache_hits += 1;
-    cache_hits_counter().add(1);
-    return s.verdict;
-  }
-  if (delta_eligible(s)) {
-    if (ensure_sums(s)) {
-      stats_.sum_rebuilds += 1;
-      rebuilds_counter().add(1);
-    } else {
-      stats_.delta_verdicts += 1;
-      delta_verdicts_counter().add(1);
-    }
-    s.verdict = required_capacity(view_of(s), s.cpus, cos2_, tolerance_);
+  if (ensure_sums(s)) {
+    stats_.sum_rebuilds += 1;
+    rebuilds_counter().add(1);
   } else {
-    stats_.batch_fallbacks += 1;
-    fallbacks_counter().add(1);
-    s.verdict = batch_verdict(s, nullptr);
+    stats_.delta_verdicts += 1;
+    delta_verdicts_counter().add(1);
   }
-  s.verdict_valid = true;
-  return s.verdict;
+  return Verdict{required_capacity(view_of(s), s.cpus, cos2_, tolerance_),
+                 s.peaks};
 }
 
-RequiredCapacity IncrementalEvaluator::probe(std::size_t server,
-                                             std::size_t id) {
+IncrementalEvaluator::Verdict IncrementalEvaluator::probe(std::size_t server,
+                                                          std::size_t id) {
   ROPUS_REQUIRE(server < servers_.size(), "server index out of range");
   const Workload& w = workload_checked(id);
   ROPUS_REQUIRE(w.host == npos, "probe requires an unhosted workload");
   Server& s = servers_[server];
-  if (w.on_grid && delta_eligible(s) &&
-      s.sum_peak_total + w.peak_total <= exact_limit_) {
-    if (ensure_sums(s)) {
-      stats_.sum_rebuilds += 1;
-      rebuilds_counter().add(1);
-    }
-    stats_.delta_probes += 1;
-    delta_probes_counter().add(1);
-    const double saved_sum_peak = s.sum_peak_cos1;
-    apply_series(s, w, +1.0);
-    s.sum_peak_cos1 += w.peak_cos1;
-    AggregateView v = view_of(s);
-    v.workloads = s.ids.size() + 1;
-    const RequiredCapacity out = required_capacity(v, s.cpus, cos2_, tolerance_);
-    // Exact restore: the subtraction returns every slot (and hence the
-    // recomputed peak) to its previous bits.
-    apply_series(s, w, -1.0);
-    s.sum_peak_cos1 = saved_sum_peak;
-    return out;
+  if (ensure_sums(s)) {
+    stats_.sum_rebuilds += 1;
+    rebuilds_counter().add(1);
   }
-  stats_.batch_probes += 1;
-  batch_probes_counter().add(1);
-  return batch_verdict(s, &w);
+  stats_.delta_probes += 1;
+  delta_probes_counter().add(1);
+  const double saved_sum_peak = s.sum_peak_cos1;
+  apply_series(s, w, +1.0);
+  s.sum_peak_cos1 += w.peak_cos1;
+  AggregateView v = view_of(s);
+  v.workloads = s.ids.size() + 1;
+  const Verdict out{required_capacity(v, s.cpus, cos2_, tolerance_), s.peaks};
+  // Exact restore: the subtraction returns every slot (and hence every
+  // recomputed peak) to its previous bits.
+  apply_series(s, w, -1.0);
+  s.sum_peak_cos1 = saved_sum_peak;
+  return out;
 }
 
 }  // namespace ropus::sim

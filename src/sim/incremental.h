@@ -14,19 +14,24 @@
 // so a move re-verdicts in about one evaluate() pass over maintained sums
 // instead of a search over a rebuilt aggregate.
 //
-// Inputs that break the exactness contract — workloads with off-grid values
-// (hand-built test data, external feeds) or servers whose peak sums exceed
-// grid::kSumLimit — are detected and served by the batch fallback: the
-// aggregate is rebuilt from scratch in ascending-id order for every verdict,
-// which is slower but still agrees with the oracle bit for bit. The
-// `stats()` tallies (also exported as `sim.incremental.*` obs counters)
-// report how often each path ran.
+// The exactness contract is a checked precondition: register_workload
+// refuses non-finite or off-grid values, and any registration that would
+// lift the summed peaks of all registered workloads to grid::kSumLimit.
+// That total bounds every per-slot sum a server or a probe can reach, so
+// add/move/probe need no check of their own.
+//
+// The Section IX attributes (memory, disk, network) are guaranteed demand:
+// their verdict is the peak of the aggregate per-slot demand. The engine
+// keeps one exact per-slot sum column per non-CPU attribute that some
+// registered workload carries — resource-major, so a CPU-only pool
+// allocates none — and every verdict and probe reports each column's peak.
 //
 // The engine does not own trace data: register_workload borrows spans that
 // must outlive the registration (placement borrows from its workload list,
 // serve from the admitted App's allocation trace).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -34,20 +39,36 @@
 
 #include "qos/requirements.h"
 #include "sim/simulator.h"
+#include "trace/attribute.h"
 #include "trace/calendar.h"
 
 namespace ropus::sim {
 
+/// One value per capacity attribute, indexed by trace::attribute_index.
+/// Where it holds non-CPU peaks the kCpu entry is unused (0).
+using AttributePeaks = std::array<double, trace::kAttributeCount>;
+
+/// A workload's per-slot non-CPU attribute series, indexed like
+/// AttributePeaks. The kCpu entry must be empty; an empty entry is an
+/// attribute the workload does not carry (it consumes nothing).
+using AttributeSeries =
+    std::array<std::span<const double>, trace::kAttributeCount>;
+
 class IncrementalEvaluator {
  public:
-  /// Counters for the delta-vs-batch split, mirrored into the obs registry.
+  /// Counters for how verdicts were served, mirrored into the obs registry.
   struct Stats {
-    std::uint64_t verdict_cache_hits = 0;  // hosted set unchanged
-    std::uint64_t delta_verdicts = 0;      // search over maintained sums
-    std::uint64_t sum_rebuilds = 0;        // sums rebuilt before a verdict
-    std::uint64_t batch_fallbacks = 0;     // off-grid / overflow verdicts
-    std::uint64_t delta_probes = 0;        // probe() on the delta path
-    std::uint64_t batch_probes = 0;        // probe() on the fallback path
+    std::uint64_t delta_verdicts = 0;  // search over maintained sums
+    std::uint64_t sum_rebuilds = 0;    // sums rebuilt before a verdict
+    std::uint64_t delta_probes = 0;    // probe() calls
+  };
+
+  /// A server's verdict: the CPU search and, per attribute column, the
+  /// peak of the aggregate per-slot demand (0 where no hosted workload
+  /// carries the attribute).
+  struct Verdict {
+    RequiredCapacity cpu;
+    AttributePeaks peaks{};
   };
 
   /// One engine evaluates one pool: `server_cpus[s]` is server s's capacity
@@ -63,10 +84,14 @@ class IncrementalEvaluator {
 
   /// Registers (or re-registers) workload data under `id`. The spans must
   /// match the calendar length and stay valid until unregistration; the
-  /// engine scans them once for peaks and the on-grid check. A hosted id
-  /// cannot be re-registered.
+  /// engine scans them once for peaks and the exactness contract. Throws
+  /// InvalidArgument, leaving the engine unchanged, when a value is
+  /// non-finite or off the 2^-20 grid, or when the summed peaks of all
+  /// registered workloads would reach grid::kSumLimit on CPU (CoS1 + CoS2)
+  /// or on any attribute. A hosted id cannot be re-registered.
   void register_workload(std::size_t id, std::span<const double> cos1,
-                         std::span<const double> cos2);
+                         std::span<const double> cos2,
+                         const AttributeSeries& attributes = {});
 
   /// Forgets `id` (must not be hosted).
   void unregister_workload(std::size_t id);
@@ -81,9 +106,8 @@ class IncrementalEvaluator {
     return id < workloads_.size() ? workloads_[id].host : npos;
   }
 
-  /// Hosts `id` on `server` / removes it / moves it. O(slots) when the
-  /// server's sums are maintained (the usual case), O(1) bookkeeping when
-  /// they will be rebuilt anyway.
+  /// Hosts `id` on `server` / removes it / moves it. O(1) bookkeeping; the
+  /// O(slots) series pass is deferred until a verdict or probe needs it.
   void add(std::size_t id, std::size_t server);
   void remove(std::size_t id);
   void move(std::size_t id, std::size_t server);
@@ -95,14 +119,15 @@ class IncrementalEvaluator {
     return servers_[server].ids;
   }
 
-  /// The server's verdict for its current hosted set, computed lazily and
-  /// cached until the set changes. Bit-identical to
-  /// `required_capacity(aggregate_workloads(traces ascending by id), cpus)`.
-  const RequiredCapacity& verdict(std::size_t server);
+  /// The server's verdict for its current hosted set. `cpu` is
+  /// bit-identical to `required_capacity(aggregate_workloads(traces
+  /// ascending by id), cpus)`, and each peak to the peak of the attribute's
+  /// per-slot sum in the same order.
+  Verdict verdict(std::size_t server);
 
   /// The verdict `server` would have with `id` (unhosted) temporarily
   /// added; every bit of engine state is restored before returning.
-  RequiredCapacity probe(std::size_t server, std::size_t id);
+  Verdict probe(std::size_t server, std::size_t id);
 
   const Stats& stats() const { return stats_; }
 
@@ -110,9 +135,11 @@ class IncrementalEvaluator {
   struct Workload {
     std::span<const double> cos1;
     std::span<const double> cos2;
+    AttributeSeries attributes;
     double peak_cos1 = 0.0;
-    double peak_total = 0.0;
-    bool on_grid = false;
+    /// Per-slot magnitude peaks: kCpu holds max |cos1| + |cos2|, the other
+    /// entries max |value| of the attribute — the registration budget.
+    AttributePeaks magnitude{};
     bool active = false;
     std::size_t host = npos;
   };
@@ -131,50 +158,46 @@ class IncrementalEvaluator {
     double cpus = 0.0;
     std::vector<std::size_t> ids;  // ascending
     // Exact per-slot sums; together with `pending` they reproduce the
-    // hosted set exactly while sums_valid.
+    // hosted set exactly.
     std::vector<double> sum1;
     std::vector<double> sum2;
+    // One exact per-slot sum per attribute in `columns_`, indexed by
+    // trace::attribute_index (entries for other attributes stay empty).
+    std::array<std::vector<double>, trace::kAttributeCount> columns;
     std::vector<PendingOp> pending;  // queued add/remove series passes
     double sum_peak_cos1 = 0.0;
     double peak_cos1 = 0.0;
-    // Conservative magnitude bookkeeping for the exactness bound; small
-    // drift is irrelevant (it only feeds a threshold eight orders of
-    // magnitude above real pools).
-    double sum_peak_total = 0.0;
-    std::size_t off_grid = 0;  // hosted workloads with off-grid values
-    bool sums_valid = false;
-    bool verdict_valid = false;
-    RequiredCapacity verdict;
+    AttributePeaks peaks{};  // per-column peak of the maintained sums
   };
 
-  bool delta_eligible(const Server& s) const {
-    return s.off_grid == 0 && s.sum_peak_total <= exact_limit_;
-  }
   const Workload& workload_checked(std::size_t id) const;
+  /// Applies every queued op referencing `id` on every server, so the
+  /// workload's series can be replaced or forgotten.
+  void flush_pending_of(std::size_t id);
   /// Adds (sign +1) or removes (sign -1) w's series into s's sums,
-  /// recomputing the aggregate CoS1 peak in the same pass.
+  /// recomputing the aggregate CoS1 peak and the peak of every column w
+  /// carries in the same pass.
   void apply_series(Server& s, const Workload& w, double sign);
   /// Queues one series pass, cancelling against an opposite queued op for
   /// the same id (add-then-remove nets to nothing, exactly).
   static void queue_pending(Server& s, std::size_t id, double sign);
   /// Brings sums up to date with the hosted set: applies the pending queue
-  /// (O(slots) per op) or rebuilds from scratch when that is cheaper or the
-  /// sums are gone. Returns true when it rebuilt. Precondition:
-  /// delta_eligible(s).
+  /// (O(slots) per op) or rebuilds from scratch when that is cheaper.
+  /// Returns true when it rebuilt.
   bool ensure_sums(Server& s);
   void rebuild_sums(Server& s);
   AggregateView view_of(const Server& s) const;
-  RequiredCapacity batch_verdict(const Server& s, const Workload* extra);
 
   trace::Calendar calendar_;
   qos::CosCommitment cos2_;
   double tolerance_;
-  double exact_limit_;
   std::vector<Workload> workloads_;  // indexed by id
   std::vector<Server> servers_;
-  // Fallback scratch (batch rebuilds), reused across calls.
-  std::vector<double> scratch1_;
-  std::vector<double> scratch2_;
+  /// Attributes with a sum column on every server, ascending.
+  std::vector<trace::Attribute> columns_;
+  /// Summed magnitude peaks of all registered workloads, per column; each
+  /// stays below grid::kSumLimit, which keeps every per-slot sum exact.
+  AttributePeaks registered_{};
   Stats stats_;
 };
 

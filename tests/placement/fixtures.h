@@ -9,6 +9,7 @@
 
 #include "placement/problem.h"
 #include "qos/allocation.h"
+#include "qos/workload_allocations.h"
 #include "sim/server.h"
 #include "trace/demand_trace.h"
 
@@ -53,6 +54,51 @@ inline Fixture flat_problem(const std::vector<double>& demand_cpus,
   }
   f.problem = std::make_unique<PlacementProblem>(
       f.allocations, sim::homogeneous_pool(server_count, cpus), f.cos2);
+  return f;
+}
+
+/// Holds the storage a multi-attribute PlacementProblem needs.
+struct AttributedFixture {
+  std::vector<qos::WorkloadAllocations> workloads;
+  qos::CosCommitment cos2{1.0, 10080.0};
+  std::unique_ptr<PlacementProblem> problem;
+};
+
+/// `server_count` servers named srv-NN with `cpus` CPUs and `memory_gb` of
+/// memory each.
+inline std::vector<sim::ServerSpec> memory_pool(std::size_t server_count,
+                                                std::size_t cpus,
+                                                double memory_gb) {
+  std::vector<sim::ServerSpec> pool =
+      sim::homogeneous_pool(server_count, cpus, "srv");
+  for (sim::ServerSpec& s : pool) s.memory_gb = memory_gb;
+  return pool;
+}
+
+/// Workload i has flat CPU demand demand_cpus[i] (allocation 2x under the
+/// flat requirement) and, when memory_gb[i] > 0, flat memory demand of
+/// memory_gb[i] GiB.
+inline AttributedFixture flat_attributed_problem(
+    const std::vector<double>& demand_cpus,
+    const std::vector<double>& memory_gb, std::vector<sim::ServerSpec> pool) {
+  AttributedFixture f;
+  const trace::Calendar cal = tiny_calendar();
+  for (std::size_t i = 0; i < demand_cpus.size(); ++i) {
+    const std::string name = "w" + std::to_string(i);
+    const trace::DemandTrace cpu(
+        name, cal, std::vector<double>(cal.size(), demand_cpus[i]));
+    qos::WorkloadAllocations w(qos::AllocationTrace(
+        cpu, qos::translate(cpu, flat_requirement(), f.cos2)));
+    if (memory_gb[i] > 0.0) {
+      w.set_attribute(trace::Attribute::kMemoryGb,
+                      trace::DemandTrace(name + "/mem", cal,
+                                         std::vector<double>(cal.size(),
+                                                             memory_gb[i])));
+    }
+    f.workloads.push_back(std::move(w));
+  }
+  f.problem =
+      std::make_unique<PlacementProblem>(f.workloads, std::move(pool), f.cos2);
   return f;
 }
 

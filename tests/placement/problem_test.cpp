@@ -90,7 +90,11 @@ TEST(Problem, TotalPeakAllocationSumsWorkloads) {
 
 TEST(Problem, RejectsEmptyInputs) {
   auto f = flat_problem({1.0}, 1);
-  EXPECT_THROW(PlacementProblem({}, sim::homogeneous_pool(1, 16), f.cos2),
+  EXPECT_THROW(PlacementProblem(std::span<const qos::AllocationTrace>{},
+                                sim::homogeneous_pool(1, 16), f.cos2),
+               InvalidArgument);
+  EXPECT_THROW(PlacementProblem(std::span<const qos::WorkloadAllocations>{},
+                                sim::homogeneous_pool(1, 16), f.cos2),
                InvalidArgument);
   EXPECT_THROW(PlacementProblem(f.allocations, {}, f.cos2), InvalidArgument);
 }

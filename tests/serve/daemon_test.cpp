@@ -389,6 +389,48 @@ TEST_F(DaemonTest, StatsVerbIsFramedAndNeverJournaled) {
   EXPECT_TRUE(stats.at("alerts").as_array().empty());
 }
 
+// An allocation the admission engine cannot sum exactly — its peaks past
+// 2^33 CPUs — is the client's input out of domain: a typed bad_value reply
+// that registers nothing, journals nothing, and leaves every later reply
+// as it would have been.
+TEST_F(DaemonTest, OutOfRangeAdmissionGetsBadValueAndLeavesNoTrace) {
+  std::string flat = R"({"type":"admit","app":"flat","profile":[1e12)";
+  for (std::size_t s = 1; s < kWeekSlots; ++s) flat += ",1e12";
+  flat += "]}";
+  // At M = 100% nothing is capped: the 5e9 spike allocates 1e10 CPUs.
+  std::string spike = R"({"type":"admit","app":"spike","m":100,"profile":[1)";
+  for (std::size_t s = 1; s < kWeekSlots; ++s) spike += s == 40 ? ",5e9" : ",1";
+  spike += "]}";
+
+  DaemonOptions options;
+  options.journal_path = dir_ / "range.journal";
+  DaemonCore core(small_config(), options);
+  DaemonCore reference(small_config(), DaemonOptions{});
+  const auto both = [&](const std::string& line) {
+    EXPECT_EQ(core.process_line(line, false).replies,
+              reference.process_line(line, false).replies)
+        << line;
+  };
+  both(admit_line("web"));
+  both(tick_line(0, R"({"web":1.0})"));
+  const std::uint64_t journaled = core.journal_entries();
+
+  for (const std::string& line : {flat, spike}) {
+    const DaemonCore::Result r = core.process_line(line, false);
+    ASSERT_EQ(r.replies.size(), 1u);
+    const json::Value v = json::parse(r.replies[0]);
+    EXPECT_EQ(v.at("type").as_string(), "error");
+    EXPECT_EQ(v.at("code").as_string(), "bad_value");
+    EXPECT_EQ(core.journal_entries(), journaled);
+  }
+
+  both(admit_line("db"));
+  both(tick_line(1, R"({"web":1.0,"db":1.2})"));
+  EXPECT_EQ(core.journal_entries(), journaled + 2);
+  EXPECT_EQ(core.arbiter().app_count(), 2u);
+  EXPECT_EQ(core.arbiter().summary(), reference.arbiter().summary());
+}
+
 TEST_F(DaemonTest, AdmissionRejectStormFiresBurnAlert) {
   DaemonCore core(small_config(), DaemonOptions{});
   const DaemonCore::Result ok = core.process_line(admit_line("web"), false);

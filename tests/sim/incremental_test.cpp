@@ -1,31 +1,42 @@
 // The reversible delta-evaluation engine: randomized add/remove/move/probe
 // sequences cross-checked BIT FOR BIT against the batch oracle
-// (aggregate_workloads + required_capacity), plus a slot-by-slot reference
-// replay pinning the simulator's vectorized day path to the sequential
-// semantics. These are the equivalence guarantees the placement delta path
-// and serve admission rely on (docs/algorithms.md §11).
+// (aggregate_workloads + required_capacity, plus each attribute's peak),
+// the registration refusals that make exactness a precondition, and a
+// slot-by-slot reference replay pinning the simulator's vectorized day path
+// to the sequential semantics. These are the equivalence guarantees the
+// placement delta path and serve admission rely on (docs/algorithms.md
+// §11).
 #include "sim/incremental.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
+#include "common/error.h"
 #include "common/grid.h"
 #include "common/rng.h"
 #include "qos/allocation.h"
+#include "qos/workload_allocations.h"
 #include "sim/simulator.h"
 #include "slo/kernel.h"
 #include "workload/fleet.h"
+#include "workload/generator.h"
 
 namespace ropus::sim {
 namespace {
 
+using trace::Attribute;
 using trace::Calendar;
+using Verdict = IncrementalEvaluator::Verdict;
 
+/// The case-study fleet; even ids also carry memory and ids divisible by 3
+/// disk, so carriers and non-carriers share servers and no workload carries
+/// network.
 struct Fixture {
   std::vector<trace::DemandTrace> demands;
-  std::vector<qos::AllocationTrace> allocs;
+  std::vector<qos::WorkloadAllocations> workloads;
   qos::CosCommitment cos2{0.6, 60.0};
 
   explicit Fixture(std::size_t weeks = 1) {
@@ -35,32 +46,83 @@ struct Fixture {
     req.u_degr = 0.9;
     req.m_percent = 97.0;
     demands = workload::case_study_traces(Calendar::standard(weeks), 2006);
-    allocs = qos::build_allocations(demands, req, cos2);
+    const std::vector<workload::Profile> profiles =
+        workload::case_study_profiles();
+    for (std::size_t id = 0; id < demands.size(); ++id) {
+      qos::WorkloadAllocations w(qos::AllocationTrace(
+          demands[id], qos::translate(demands[id], req, cos2)));
+      workload::AttributeTraces attrs =
+          workload::generate_attributes(profiles[id], demands[id], 2006);
+      if (id % 2 == 0) {
+        w.set_attribute(Attribute::kMemoryGb, std::move(attrs.memory));
+      }
+      if (id % 3 == 0) {
+        w.set_attribute(Attribute::kDiskMbps, std::move(attrs.disk));
+      }
+      workloads.push_back(std::move(w));
+    }
   }
 
   const Calendar& calendar() const { return demands[0].calendar(); }
+  std::size_t size() const { return workloads.size(); }
+  const qos::AllocationTrace& alloc(std::size_t id) const {
+    return workloads[id].cpu();
+  }
+  AttributeSeries series(std::size_t id) const {
+    AttributeSeries out{};
+    for (const Attribute a : trace::kAllAttributes) {
+      if (a == Attribute::kCpu) continue;
+      if (const trace::DemandTrace* t = workloads[id].attribute(a)) {
+        out[trace::attribute_index(a)] = t->values();
+      }
+    }
+    return out;
+  }
+  void register_all(IncrementalEvaluator& eng) const {
+    for (std::size_t id = 0; id < size(); ++id) {
+      eng.register_workload(id, alloc(id).cos1(), alloc(id).cos2(),
+                            series(id));
+    }
+  }
 };
 
 /// The batch oracle for one hosted set: aggregate in ascending-id order,
-/// then the cold search — exactly what the pre-delta code paths did.
-RequiredCapacity oracle(const Fixture& f, std::vector<std::size_t> ids,
-                        double cpus) {
+/// then the cold search — exactly what the pre-delta code paths did — and
+/// each attribute's per-slot sum in the same order, then its peak.
+Verdict oracle(const Fixture& f, std::vector<std::size_t> ids, double cpus) {
   std::sort(ids.begin(), ids.end());
   std::vector<const qos::AllocationTrace*> ptrs;
-  for (const std::size_t id : ids) ptrs.push_back(&f.allocs[id]);
+  for (const std::size_t id : ids) ptrs.push_back(&f.alloc(id));
   const Aggregate agg = aggregate_workloads(ptrs, f.calendar());
-  return required_capacity(agg, cpus, f.cos2);
+  Verdict out{required_capacity(agg, cpus, f.cos2), {}};
+  for (const Attribute a : trace::kAllAttributes) {
+    if (a == Attribute::kCpu) continue;
+    std::vector<double> total(f.calendar().size(), 0.0);
+    for (const std::size_t id : ids) {
+      const trace::DemandTrace* t = f.workloads[id].attribute(a);
+      if (t == nullptr) continue;
+      for (std::size_t i = 0; i < total.size(); ++i) total[i] += (*t)[i];
+    }
+    double& peak = out.peaks[trace::attribute_index(a)];
+    for (const double x : total) peak = std::max(peak, x);
+  }
+  return out;
 }
 
-void expect_bitwise_equal(const RequiredCapacity& a, const RequiredCapacity& b,
+void expect_bitwise_equal(const Verdict& a, const Verdict& b,
                           const char* what) {
-  ASSERT_EQ(a.fits, b.fits) << what;
-  ASSERT_EQ(a.capacity, b.capacity) << what;  // bit compare, not NEAR
-  ASSERT_EQ(a.at_capacity.cos1_satisfied, b.at_capacity.cos1_satisfied)
+  ASSERT_EQ(a.cpu.fits, b.cpu.fits) << what;
+  ASSERT_EQ(a.cpu.capacity, b.cpu.capacity) << what;  // bit compare
+  ASSERT_EQ(a.cpu.at_capacity.cos1_satisfied, b.cpu.at_capacity.cos1_satisfied)
       << what;
-  ASSERT_EQ(a.at_capacity.theta, b.at_capacity.theta) << what;
-  ASSERT_EQ(a.at_capacity.deadline_met, b.at_capacity.deadline_met) << what;
-  ASSERT_EQ(a.at_capacity.max_backlog, b.at_capacity.max_backlog) << what;
+  ASSERT_EQ(a.cpu.at_capacity.theta, b.cpu.at_capacity.theta) << what;
+  ASSERT_EQ(a.cpu.at_capacity.deadline_met, b.cpu.at_capacity.deadline_met)
+      << what;
+  ASSERT_EQ(a.cpu.at_capacity.max_backlog, b.cpu.at_capacity.max_backlog)
+      << what;
+  for (std::size_t k = 0; k < a.peaks.size(); ++k) {
+    ASSERT_EQ(a.peaks[k], b.peaks[k]) << what << " attribute " << k;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -73,14 +135,13 @@ TEST(IncrementalEvaluator, RandomizedMovesMatchBatchOracleBitForBit) {
   // the deferral deadline bind, and one roomy server.
   const std::vector<double> cpus = {6.0, 16.0, 16.0, 24.0, 40.0, 96.0};
   IncrementalEvaluator eng(f.calendar(), f.cos2, cpus);
-  for (std::size_t id = 0; id < f.allocs.size(); ++id) {
-    eng.register_workload(id, f.allocs[id].cos1(), f.allocs[id].cos2());
-  }
+  f.register_all(eng);
 
   std::vector<std::vector<std::size_t>> hosted(cpus.size());
   Rng rng(0xDE17A);
+  bool saw_memory = false;
   for (std::size_t step = 0; step < 400; ++step) {
-    const std::size_t id = rng.uniform_index(f.allocs.size());
+    const std::size_t id = rng.uniform_index(f.size());
     const std::size_t target = rng.uniform_index(cpus.size());
     const std::size_t host = eng.host_of(id);
     if (host == IncrementalEvaluator::npos) {
@@ -97,27 +158,28 @@ TEST(IncrementalEvaluator, RandomizedMovesMatchBatchOracleBitForBit) {
     }
 
     // Every server's verdict matches the batch oracle bit for bit after
-    // every mutation (only a couple of servers changed; the rest exercise
-    // the verdict cache).
+    // every mutation (only a couple of servers changed; the rest re-verdict
+    // unchanged sums).
     for (std::size_t s = 0; s < cpus.size(); ++s) {
-      expect_bitwise_equal(eng.verdict(s), oracle(f, hosted[s], cpus[s]),
+      const Verdict v = eng.verdict(s);
+      expect_bitwise_equal(v, oracle(f, hosted[s], cpus[s]),
                            "verdict vs oracle");
       if (HasFatalFailure()) return;
+      saw_memory = saw_memory ||
+                   v.peaks[trace::attribute_index(Attribute::kMemoryGb)] > 0.0;
     }
   }
   const IncrementalEvaluator::Stats& st = eng.stats();
-  EXPECT_GT(st.delta_verdicts + st.sum_rebuilds, 0u);
-  EXPECT_EQ(st.batch_fallbacks, 0u);  // real traces are on-grid
-  EXPECT_GT(st.verdict_cache_hits, 0u);
+  EXPECT_GT(st.delta_verdicts, 0u);
+  EXPECT_GT(st.sum_rebuilds, 0u);
+  EXPECT_TRUE(saw_memory);  // the attribute columns carried real demand
 }
 
 TEST(IncrementalEvaluator, ProbeMatchesOracleAndRestoresStateExactly) {
   const Fixture f;
   const std::vector<double> cpus = {16.0, 24.0, 10.0};
   IncrementalEvaluator eng(f.calendar(), f.cos2, cpus);
-  for (std::size_t id = 0; id < f.allocs.size(); ++id) {
-    eng.register_workload(id, f.allocs[id].cos1(), f.allocs[id].cos2());
-  }
+  f.register_all(eng);
   // Host a baseline set; keep the rest as probe candidates.
   std::vector<std::vector<std::size_t>> hosted(cpus.size());
   for (std::size_t id = 0; id < 12; ++id) {
@@ -128,7 +190,7 @@ TEST(IncrementalEvaluator, ProbeMatchesOracleAndRestoresStateExactly) {
 
   Rng rng(0xBEEF);
   for (std::size_t step = 0; step < 60; ++step) {
-    const std::size_t id = 12 + rng.uniform_index(f.allocs.size() - 12);
+    const std::size_t id = 12 + rng.uniform_index(f.size() - 12);
     const std::size_t s = rng.uniform_index(cpus.size());
     std::vector<std::size_t> with = hosted[s];
     with.push_back(id);
@@ -143,58 +205,84 @@ TEST(IncrementalEvaluator, ProbeMatchesOracleAndRestoresStateExactly) {
   }
 }
 
-TEST(IncrementalEvaluator, OffGridWorkloadsFallBackAndStillMatchBatch) {
-  const Calendar cal(1, 60);  // 1 week of hourly slots
-  const std::size_t n = cal.size();
-  // Off-grid by construction: thirds are not representable on any binary
-  // grid.
-  std::vector<std::vector<double>> c1(3), c2(3);
-  for (std::size_t w = 0; w < 3; ++w) {
-    c1[w].resize(n);
-    c2[w].resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      c1[w][i] = (1.0 + static_cast<double>((i + w) % 5)) / 3.0;
-      c2[w][i] = (static_cast<double>((i * 7 + w) % 4)) / 3.0;
+TEST(IncrementalEvaluator, RefusesRegistrationsOutsideTheExactRange) {
+  const Fixture f;
+  const std::vector<double> cpus = {16.0, 16.0};
+  IncrementalEvaluator eng(f.calendar(), f.cos2, cpus);
+  // A standing pool: six workloads hosted, a seventh registered for probes.
+  std::vector<std::vector<std::size_t>> hosted(cpus.size());
+  for (std::size_t id = 0; id < 7; ++id) {
+    eng.register_workload(id, f.alloc(id).cos1(), f.alloc(id).cos2(),
+                          f.series(id));
+    if (id < 6) {
+      eng.add(id, id % 2);
+      hosted[id % 2].push_back(id);
     }
   }
-  const qos::CosCommitment cos2{0.9, 120.0};
-  IncrementalEvaluator eng(cal, cos2, {8.0, 8.0});
-  for (std::size_t w = 0; w < 3; ++w) eng.register_workload(w, c1[w], c2[w]);
-  eng.add(0, 0);
-  eng.add(2, 0);
-  eng.add(1, 0);
+  const Verdict before0 = eng.verdict(0);
+  const Verdict before1 = eng.verdict(1);
+  const Verdict probe_before = eng.probe(0, 6);
 
-  // The oracle, by hand: ascending-id aggregation of the raw series.
-  Aggregate agg;
-  agg.calendar = cal;
-  agg.cos1.assign(n, 0.0);
-  agg.cos2.assign(n, 0.0);
-  for (const std::size_t w : {std::size_t{0}, std::size_t{1}, std::size_t{2}}) {
-    for (std::size_t i = 0; i < n; ++i) {
-      agg.cos1[i] += c1[w][i];
-      agg.cos2[i] += c2[w][i];
-    }
-    double peak = 0.0;
-    for (std::size_t i = 0; i < n; ++i) peak = std::max(peak, c1[w][i]);
-    agg.sum_peak_cos1 += peak;
-    agg.workloads += 1;
+  const std::size_t n = f.calendar().size();
+  const std::vector<double> zeros(n, 0.0);
+  const std::vector<double> third(n, 1.0 / 3.0);  // off every binary grid
+  std::vector<double> nan(n, 0.5);
+  nan[17] = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> inf(n, 0.5);
+  inf[3] = std::numeric_limits<double>::infinity();
+  // On the grid, one step below the limit: alone it fits, but on top of
+  // the standing pool's peaks the total reaches kSumLimit.
+  std::vector<double> huge(n, 0.0);
+  huge[5] = grid::kSumLimit - grid::kStep;
+  const auto memory = [](const std::vector<double>& v) {
+    AttributeSeries a{};
+    a[trace::attribute_index(Attribute::kMemoryGb)] = v;
+    return a;
+  };
+
+  const auto refused = [&](std::span<const double> c1,
+                           std::span<const double> c2,
+                           const AttributeSeries& attrs, const char* what) {
+    EXPECT_THROW(eng.register_workload(7, c1, c2, attrs), InvalidArgument)
+        << what;
+    EXPECT_FALSE(eng.registered(7)) << what;
+  };
+  refused(third, zeros, {}, "off-grid CoS1");
+  refused(zeros, third, {}, "off-grid CoS2");
+  refused(nan, zeros, {}, "NaN");
+  refused(zeros, inf, {}, "inf");
+  refused(zeros, zeros, memory(third), "off-grid attribute");
+  refused(zeros, zeros, memory(nan), "NaN attribute");
+  refused(huge, zeros, {}, "CPU peaks past kSumLimit");
+  refused(zeros, zeros, memory(huge), "memory peaks past kSumLimit");
+  // A refused re-registration keeps the old registration.
+  EXPECT_THROW(eng.register_workload(6, huge, zeros), InvalidArgument);
+  EXPECT_TRUE(eng.registered(6));
+
+  // Engine state is unchanged: standing verdicts, the probe, and the
+  // verdicts after further mutations all match as before.
+  expect_bitwise_equal(eng.verdict(0), before0, "verdict 0 after refusals");
+  expect_bitwise_equal(eng.verdict(1), before1, "verdict 1 after refusals");
+  expect_bitwise_equal(eng.probe(0, 6), probe_before, "probe after refusals");
+  eng.add(6, 1);
+  hosted[1].push_back(6);
+  eng.move(0, 1);
+  std::erase(hosted[0], std::size_t{0});
+  hosted[1].push_back(0);
+  for (std::size_t s = 0; s < cpus.size(); ++s) {
+    expect_bitwise_equal(eng.verdict(s), oracle(f, hosted[s], cpus[s]),
+                         "verdict after refusals vs oracle");
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    agg.peak_cos1 = std::max(agg.peak_cos1, agg.cos1[i]);
-  }
 
-  expect_bitwise_equal(eng.verdict(0), required_capacity(agg, 8.0, cos2),
-                       "off-grid verdict");
-  EXPECT_GT(eng.stats().batch_fallbacks, 0u);
-  EXPECT_EQ(eng.stats().delta_verdicts, 0u);
-
-  // Removing the off-grid workloads re-arms the delta path (sums rebuilt).
-  eng.remove(1);
-  eng.remove(2);
-  eng.remove(0);
-  eng.add(0, 1);  // still off-grid: server 1 falls back too
-  (void)eng.verdict(1);
-  EXPECT_GE(eng.stats().batch_fallbacks, 2u);
+  // The budget is exact: a lone workload peaking one grid step below
+  // kSumLimit registers, a step more does not, and unregistering frees the
+  // budget.
+  IncrementalEvaluator solo(f.calendar(), f.cos2, {16.0});
+  EXPECT_NO_THROW(solo.register_workload(0, huge, zeros));
+  const std::vector<double> step(n, grid::kStep);
+  EXPECT_THROW(solo.register_workload(1, step, zeros), InvalidArgument);
+  solo.unregister_workload(0);
+  EXPECT_NO_THROW(solo.register_workload(1, step, zeros));
 }
 
 // ---------------------------------------------------------------------------
@@ -234,7 +322,7 @@ Evaluation reference_evaluate(const Aggregate& agg, double capacity,
 TEST(Evaluate, DayChunkedPathMatchesSequentialReplayBitForBit) {
   const Fixture f;
   std::vector<const qos::AllocationTrace*> ptrs;
-  for (std::size_t id = 0; id < 12; ++id) ptrs.push_back(&f.allocs[id]);
+  for (std::size_t id = 0; id < 12; ++id) ptrs.push_back(&f.alloc(id));
   const Aggregate agg = aggregate_workloads(ptrs, f.calendar());
   // Sweep capacities across the whole interesting range: CoS1 violations at
   // the bottom, multi-day deferral carry-over in the middle (backlog alive

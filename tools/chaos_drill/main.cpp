@@ -307,97 +307,6 @@ struct DrillStats {
 };
 
 // ---------------------------------------------------------------------------
-// Admission-path A/B campaign
-// ---------------------------------------------------------------------------
-
-/// The delta-vs-batch placement contract: a daemon admitting through the
-/// persistent delta-evaluation engine (the default) and one forced onto the
-/// stateless batch path (--batch-admission) must produce byte-identical
-/// reply streams — admissions, departures (exact-residue capacity release),
-/// re-admissions into the freed headroom, verdicts and the final summary.
-int run_admission_ab_campaign(const std::string& cli, std::uint64_t seed) {
-  SplitMix64 rng(seed ^ 0x5851f42d4c957f2dULL);
-  const auto uniform = [&rng](double lo, double hi) {
-    const double u =
-        static_cast<double>(rng.next() >> 11) / 9007199254740992.0;
-    return lo + (hi - lo) * u;
-  };
-  const std::size_t week_slots = 2016;
-  const auto admit_for = [&](const std::string& name) {
-    const double base = uniform(1.0, 3.0);
-    std::string line = "{\"type\":\"admit\",\"app\":\"" + name +
-                       "\",\"revenue\":" + double_str(uniform(0.5, 2.0)) +
-                       ",\"profile\":[";
-    for (std::size_t s = 0; s < week_slots; ++s) {
-      if (s != 0) line += ',';
-      line += double_str(base + uniform(0.0, 1.5));
-    }
-    line += "]}";
-    return line;
-  };
-
-  // Admissions churned with departures: removal must release the departed
-  // app's exact capacity residue in the persistent engine, or a later
-  // admission lands on a different host than the stateless recompute.
-  constexpr std::size_t kApps = 10;
-  std::vector<std::string> script;
-  std::vector<std::string> names;
-  for (std::size_t a = 0; a < kApps; ++a) {
-    names.push_back("ab-app-" + std::to_string(a));
-    script.push_back(admit_for(names.back()));
-  }
-  for (std::size_t round = 0; round < 3; ++round) {
-    const std::size_t victim = rng.next() % names.size();
-    script.push_back(std::string("{\"type\":\"") +
-                     (rng.next() % 2 == 0 ? "evict" : "depart") +
-                     "\",\"app\":\"" + names[victim] + "\"}");
-    names.erase(names.begin() + static_cast<std::ptrdiff_t>(victim));
-    names.push_back("ab-extra-" + std::to_string(round));
-    script.push_back(admit_for(names.back()));
-    std::string tick = "{\"type\":\"tick\",\"slot\":" + std::to_string(round) +
-                       ",\"demand\":{";
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      if (i != 0) tick += ',';
-      tick += '"' + names[i] + "\":" + double_str(1.0 + uniform(0.0, 4.0));
-    }
-    tick += "}}";
-    script.push_back(std::move(tick));
-  }
-
-  const auto replay = [&](const std::vector<std::string>& args) {
-    Daemon daemon(cli, args);
-    if (type_of(daemon.recv()) != "ready") fail("A/B daemon not ready");
-    std::vector<std::string> replies;
-    for (const std::string& line : script) {
-      daemon.send(line);
-      replies.push_back(daemon.recv());
-    }
-    daemon.send("{\"type\":\"shutdown\"}");
-    replies.push_back(daemon.recv());
-    daemon.close_stdin();
-    daemon.reap();
-    return replies;
-  };
-
-  const std::vector<std::string> delta = replay({"serve", "--queue=1024"});
-  const std::vector<std::string> batch =
-      replay({"serve", "--queue=1024", "--batch-admission=true"});
-  if (delta.size() != batch.size()) fail("A/B reply counts diverged");
-  for (std::size_t i = 0; i < delta.size(); ++i) {
-    if (delta[i] != batch[i]) {
-      fail("delta/batch admission paths diverged at line " +
-           std::to_string(i) + ":\n  delta: " + delta[i] +
-           "\n  batch: " + batch[i]);
-    }
-  }
-  std::cout << "chaos_drill: admission A/B PASS — " << script.size()
-            << " requests (admits, departures, re-admissions, ticks) "
-               "byte-identical between the persistent delta engine and the "
-               "stateless batch path\n";
-  return 0;
-}
-
-// ---------------------------------------------------------------------------
 // HTTP scrape plane
 // ---------------------------------------------------------------------------
 
@@ -1484,11 +1393,6 @@ int main(int argc, char** argv) {
 
   {
     const int rc = run_introspection_campaign(cli, dir);
-    if (rc != 0) return rc;
-  }
-
-  {
-    const int rc = run_admission_ab_campaign(cli, seed);
     if (rc != 0) return rc;
   }
 

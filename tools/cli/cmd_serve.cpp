@@ -34,7 +34,7 @@ int cmd_serve(const Flags& flags, std::ostream& out, std::ostream& err) {
       "socket",         "host",            "port",
       "max-connections", "read-timeout",   "write-timeout",
       "max-output-bytes", "http-port",     "drain-grace",
-      "slow-request-ms", "batch-admission"};
+      "slow-request-ms"};
   append_telemetry_flag_names(allowed);
   if (!check_flags(flags, allowed, err)) return 1;
 
@@ -71,10 +71,6 @@ int cmd_serve(const Flags& flags, std::ostream& out, std::ostream& err) {
   config.history_window = flags.get_size("window", 3);
   config.degraded = degraded_from_flags(flags);
   config.max_slot_gap = flags.get_size("max-slot-gap", 288);
-  // Diagnostics escape hatch: route admissions through the stateless batch
-  // placement path instead of the persistent delta engine. Verdict bytes
-  // are identical; only the cost per admission changes.
-  config.delta_admission = !flags.get_bool("batch-admission", false);
 
   const std::string policy_name = flags.get_string("policy", "reactive");
   if (policy_name == "reactive") {
