@@ -1,6 +1,8 @@
 #include "serve/arbiter.h"
 
+#include <cmath>
 #include <map>
+#include <string_view>
 
 #include "common/error.h"
 #include "obs/metrics.h"
@@ -712,12 +714,24 @@ void Arbiter::load_state(const json::Value& v) {
     app.host = host;
     app.renegotiated = item.at("renegotiated").as_bool();
 
+    // The controller turns history and last_basis back into requests on
+    // the next tick, which refuse a negative demand: a restored state
+    // must already be a demand the controller could have measured.
+    const auto read_demand = [&msg](const json::Value& value,
+                                    std::string_view what) {
+      const double demand = value.as_number();
+      if (!(std::isfinite(demand) && demand >= 0.0)) {
+        throw IoError("checkpoint app '" + msg.app + "' has controller " +
+                      std::string(what) + " that is not a demand");
+      }
+      return demand;
+    };
     const json::Value& ctl = item.at("controller");
     wlm::Controller::Snapshot snap;
     for (const json::Value& h : ctl.at("history").as_array()) {
-      snap.history.push_back(h.as_number());
+      snap.history.push_back(read_demand(h, "history"));
     }
-    snap.last_basis = ctl.at("last_basis").as_number();
+    snap.last_basis = read_demand(ctl.at("last_basis"), "last_basis");
     snap.consecutive_degraded = read_size(ctl, "consecutive_degraded");
     const json::Value& health = ctl.at("health");
     snap.health.intervals = read_size(health, "intervals");

@@ -312,6 +312,11 @@ TEST_F(CheckpointTest, CraftedAppIdentityIsRefused) {
            [](std::string& p) { set_field(p, "departed", "-1"); }},
           {"next id beyond the id space",
            [](std::string& p) { set_field(p, "next_app_id", "65535"); }},
+          // Both would load and then throw out of the next tick.
+          {"negative controller history",
+           [](std::string& p) { set_app_field(p, "web", "history", "[-1]"); }},
+          {"negative controller basis",
+           [](std::string& p) { set_app_field(p, "db", "last_basis", "-1"); }},
       };
   for (const auto& [what, edit] : faults) {
     write_checkpoint(path, original, 4);
