@@ -81,6 +81,39 @@ PlacementDecision place_apps(const std::vector<double>& peaks,
   return decision;
 }
 
+namespace {
+
+/// Judges app `a`'s grants against each mode's band in one pass over the
+/// phase list: a phase's slots feed the accumulator of the mode it ran, and
+/// end the other mode's degraded run (end_run is idempotent, so once per
+/// phase equals once per slot). Degradations on fallback slots are charged
+/// to telemetry.
+void judge_modes(std::span<const double> demand,
+                 const wlm::ScheduleAppOutcome& replay,
+                 std::span<const wlm::SchedulePhase> phases, std::size_t a,
+                 const slo::Band& normal_band, const slo::Band& failure_band,
+                 double minutes_per_sample, TrialAppOutcome& app) {
+  slo::BandAccumulator normal_acc(minutes_per_sample);
+  slo::BandAccumulator failure_acc(minutes_per_sample);
+  const std::vector<bool>& fallback = replay.fallback_slots;
+  for (std::size_t p = 0; p < phases.size(); ++p) {
+    const bool failure_mode = phases[p].failure_mode[a];
+    slo::BandAccumulator& acc = failure_mode ? failure_acc : normal_acc;
+    const slo::Band& band = failure_mode ? failure_band : normal_band;
+    (failure_mode ? normal_acc : failure_acc).end_run();
+    const std::size_t end =
+        p + 1 < phases.size() ? phases[p + 1].start_slot : demand.size();
+    for (std::size_t i = phases[p].start_slot; i < end; ++i) {
+      acc.observe(demand[i], replay.granted[i], band,
+                  !fallback.empty() && fallback[i]);
+    }
+  }
+  static_cast<slo::BandCounts&>(app.normal_mode) = normal_acc.counts();
+  static_cast<slo::BandCounts&>(app.failure_mode) = failure_acc.counts();
+}
+
+}  // namespace
+
 TrialOutcome replay_trial(std::span<const trace::DemandTrace> demands,
                           std::span<const qos::Translation> normal,
                           std::span<const qos::Translation> failure,
@@ -195,7 +228,8 @@ TrialOutcome replay_trial(std::span<const trace::DemandTrace> demands,
     }
 
     const bool fleet_degraded =
-        std::any_of(down.begin(), down.begin() + pool.size(),
+        std::any_of(down.begin(),
+                    down.begin() + static_cast<std::ptrdiff_t>(pool.size()),
                     [](bool d) { return d; });
     // Active-mode peak per app: under the fleet-wide degrade policy every
     // app plans with its failure-mode footprint while any server is down;
@@ -244,38 +278,34 @@ TrialOutcome replay_trial(std::span<const trace::DemandTrace> demands,
     phases.push_back(std::move(phase));
   }
 
-  // Telemetry fault streams: one channel per app, seeded from the timeline's
+  // Telemetry faults: one channel per app, seeded from the timeline's
   // telemetry seed so a trial is a joint node+telemetry scenario from one
-  // campaign seed. Streams are sampled over the surge-scaled demand — faults
-  // corrupt what the controller *would have measured*.
-  std::vector<std::vector<wlm::Observation>> observations;
+  // campaign seed. The schedule pulls every app's readings in slot order
+  // over the surge-scaled demand — faults corrupt what the controller
+  // *would have measured*.
+  std::vector<wlm::TelemetryChannel> channels;
+  wlm::ScheduleTelemetry schedule_telemetry;
+  schedule_telemetry.degraded = config.degraded;
   if (config.telemetry.enabled()) {
     SplitMix64 streams(timeline.telemetry_seed);
-    observations.resize(n);
+    channels.reserve(n);
     for (std::size_t a = 0; a < n; ++a) {
-      wlm::TelemetryChannel channel(config.telemetry, streams.next());
-      observations[a].reserve(cal.size());
-      for (const double d : active[a].values()) {
-        observations[a].push_back(channel.observe(d));
-      }
+      channels.emplace_back(config.telemetry, streams.next());
     }
+    schedule_telemetry.observe = [&channels](std::size_t app, std::size_t,
+                                             double true_demand) {
+      return channels[app].observe(true_demand);
+    };
   }
-  wlm::ScheduleTelemetry schedule_telemetry;
-  schedule_telemetry.observations = observations;
-  schedule_telemetry.degraded = config.degraded;
 
   const wlm::ScheduleResult replay =
       wlm::run_event_schedule(active, normal, failure, fleet, phases, outages,
                               config.policy, wlm::kDefaultHistoryWindow,
                               schedule_telemetry);
 
-  // Per-slot accounting and per-mode compliance masks.
+  // Per-phase accounting.
   const double slot_hours =
       static_cast<double>(cal.minutes_per_sample()) / 60.0;
-  std::vector<std::vector<bool>> normal_mask(
-      n, std::vector<bool>(cal.size(), false));
-  std::vector<std::vector<bool>> failure_mask(
-      n, std::vector<bool>(cal.size(), false));
   for (std::size_t p = 0; p < phases.size(); ++p) {
     const wlm::SchedulePhase& phase = phases[p];
     const std::size_t end =
@@ -290,14 +320,14 @@ TrialOutcome replay_trial(std::span<const trace::DemandTrace> demands,
       } else if (phase.hosts[a] != normal_assignment[a]) {
         displaced += 1;
       }
-      auto& mask = phase.failure_mode[a] ? failure_mask[a] : normal_mask[a];
-      for (std::size_t i = phase.start_slot; i < end; ++i) mask[i] = true;
     }
     if (any_unhosted) outcome.unsupported_hours += span_hours;
     outcome.degraded_app_hours +=
         static_cast<double>(displaced) * span_hours;
     const bool fleet_degraded =
-        std::any_of(phase.down.begin(), phase.down.begin() + pool.size(),
+        std::any_of(phase.down.begin(),
+                    phase.down.begin() +
+                        static_cast<std::ptrdiff_t>(pool.size()),
                     [](bool d) { return d; });
     if (fleet_degraded) outcome.failure_mode_hours += span_hours;
   }
@@ -310,12 +340,9 @@ TrialOutcome replay_trial(std::span<const trace::DemandTrace> demands,
     app.outage_unserved = replay.apps[a].outage_unserved;
     app.unhosted_slots = replay.apps[a].unhosted_slots;
     app.migrations = app_migrations[a];
-    app.normal_mode = wlm::check_compliance_attributed(
-        active[a].values(), replay.apps[a].granted, normal_mask[a],
-        replay.apps[a].fallback_slots, normal[a].requirement, minutes);
-    app.failure_mode = wlm::check_compliance_attributed(
-        active[a].values(), replay.apps[a].granted, failure_mask[a],
-        replay.apps[a].fallback_slots, failure[a].requirement, minutes);
+    judge_modes(active[a].values(), replay.apps[a], phases, a,
+                wlm::band_of(normal[a].requirement),
+                wlm::band_of(failure[a].requirement), minutes, app);
     app.telemetry = replay.apps[a].telemetry;
     app.longest_degraded_minutes =
         std::max(app.normal_mode.longest_degraded_minutes,

@@ -16,6 +16,7 @@
 //    wrapper that builds a two-phase schedule.
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "placement/assignment.h"
@@ -26,6 +27,9 @@
 #include "wlm/controller.h"
 
 namespace ropus::wlm {
+
+/// Slots per block of run_event_schedule's replay.
+inline constexpr std::size_t kScheduleBlockSlots = 128;
 
 /// Sentinel host index: the application has no live server during a phase
 /// (an infeasible re-placement); its demand goes entirely unserved.
@@ -72,11 +76,22 @@ struct ScheduleResult {
   double outage_unserved = 0.0;
 };
 
-/// Telemetry faults for a scheduled run: one observation per app per slot
-/// (pre-sampled by a TelemetryChannel), plus the degraded-mode policy the
-/// controllers apply. An empty observation span means perfect telemetry.
+/// Telemetry faults for a scheduled run: where each controller's readings
+/// come from, plus the degraded-mode policy the controllers apply.
+///
+/// The pull contract: the schedule calls `observe(app, slot, true_demand)`
+/// exactly once per (app, slot), in ascending slot order per app, silent
+/// slots (outage, unhosted) included; `true_demand` is the app's trace value
+/// at `slot`. A stateful source such as one TelemetryChannel per app
+/// therefore consumes each trace whole and in order, exactly as a stream
+/// sampled up front would — which keeps the channels' common random
+/// numbers intact. Calls for different apps interleave (block by block), so
+/// a source must keep each app's state apart. An empty `observe` means
+/// perfect telemetry.
 struct ScheduleTelemetry {
-  std::span<const std::vector<Observation>> observations;
+  std::function<Observation(std::size_t app, std::size_t slot,
+                            double true_demand)>
+      observe;
   DegradedModeConfig degraded;
 };
 
@@ -88,9 +103,9 @@ struct ScheduleTelemetry {
 ///  * `phases`: the fleet configuration over time (validated);
 ///  * `outages`: migration blackouts (demand inside counts as unserved);
 ///  * `policy` / `history_window`: how every controller observes demand;
-///  * `telemetry`: when its observation span is non-empty, controllers
-///    observe those readings instead of the true demand (grants and
-///    unserved demand still run against the true traces).
+///  * `telemetry`: when `observe` is set, controllers step on the readings
+///    it returns instead of the true demand (grants and unserved demand
+///    still run against the true traces).
 /// Each slot grants every server through slo::grant_scales. Controllers
 /// carry per-mode history; a controller is reset whenever its
 /// application's host or mode changes at a phase boundary (the container
@@ -98,6 +113,14 @@ struct ScheduleTelemetry {
 /// here — callers window the granted series however their analysis needs
 /// (see check_compliance_masked). A single phase over a placed pool is a
 /// plain shared-server run.
+///
+/// The calendar is replayed in blocks of kScheduleBlockSlots slots. Within
+/// a block each app, in ascending order, steps its controller through the
+/// block and adds its requests into per-(server, slot) sums; then every
+/// (server, slot) is granted; then each app takes its grants. Each sum
+/// still adds the apps in ascending order from zero, so the result is bit
+/// for bit the slot-by-slot replay's, while one app's trace, telemetry and
+/// grants stay in cache for a whole block.
 ScheduleResult run_event_schedule(
     std::span<const trace::DemandTrace> demands,
     std::span<const qos::Translation> normal,

@@ -26,7 +26,8 @@ TelemetryChannel::TelemetryChannel(const TelemetryFaultModel& model,
 }
 
 void TelemetryChannel::reset() {
-  recent_.clear();
+  // The ring keeps its slots: a repeat reaches back at most `interval_`
+  // values, all written since this reset.
   interval_ = 0;
   blackout_left_ = 0;
 }
@@ -34,9 +35,12 @@ void TelemetryChannel::reset() {
 Observation TelemetryChannel::observe(double true_demand) {
   const std::size_t t = interval_;
   interval_ += 1;
-  recent_.push_back(true_demand);
-  if (recent_.size() > model_.max_staleness + 1) {
-    recent_.erase(recent_.begin());
+  if (ring_.size() <= model_.max_staleness) {
+    ring_.push_back(true_demand);
+    head_ = ring_.size() - 1;
+  } else {
+    head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
+    ring_[head_] = true_demand;
   }
 
   // Fault processes fire in a fixed order; each rate only consumes random
@@ -65,8 +69,8 @@ Observation TelemetryChannel::observe(double true_demand) {
     // No reading exists before the trace began: the repeat degenerates to a
     // dropped interval.
     if (k > t) return Observation::missing();
-    return Observation{recent_[recent_.size() - 1 - k],
-                       ObservationClass::kStale, k};
+    const std::size_t at = head_ >= k ? head_ - k : head_ + ring_.size() - k;
+    return Observation{ring_[at], ObservationClass::kStale, k};
   }
 
   if (model_.corrupt_rate > 0.0 && rng_.bernoulli(model_.corrupt_rate)) {

@@ -79,7 +79,9 @@ struct TelemetryFaultModel {
 
 /// Deterministic per-application fault injector: feeds true demand values in
 /// trace order and emits the observations the controller would see. A pure
-/// function of (model, seed, input sequence).
+/// function of (model, seed, input sequence). Stale repeats read a ring of
+/// the last `max_staleness + 1` true values, grown on first use and then
+/// overwritten in place.
 class TelemetryChannel {
  public:
   TelemetryChannel(const TelemetryFaultModel& model, std::uint64_t seed);
@@ -95,7 +97,8 @@ class TelemetryChannel {
  private:
   TelemetryFaultModel model_;
   Rng rng_;
-  std::vector<double> recent_;  // true values, newest last, for stale repeats
+  std::vector<double> ring_;  // recent true values; ring_[head_] is newest
+  std::size_t head_ = 0;
   std::size_t interval_ = 0;
   std::size_t blackout_left_ = 0;
 };
