@@ -258,6 +258,37 @@ void report(const BenchRun& run, bench::BenchReporter& reporter) {
                           : 0.0);
 }
 
+/// One fault-injection trial in the end-to-end benchmark's shape: the 26
+/// apps over four weeks, first-fit-decreasing onto 13 x 16-way servers,
+/// 0.5 surges per week and 2% telemetry drops; every iteration replays the
+/// same sampled timeline (event schedule with pulled telemetry, then the
+/// trial's compliance pass).
+[[gnu::noinline]] void bench_faultsim_trial(bench::BenchReporter& reporter) {
+  const std::vector<trace::DemandTrace> fleet = bench::case_study(4);
+  std::vector<qos::ApplicationQos> app_qos;
+  for (const trace::DemandTrace& t : fleet) {
+    qos::ApplicationQos q;
+    q.app_name = t.name();
+    q.normal = bench::paper_requirement(100.0, std::nullopt);
+    q.failure = bench::paper_requirement(97.0, 30.0);
+    app_qos.push_back(std::move(q));
+  }
+  const qos::PoolCommitments commitments;
+  const auto pool = sim::homogeneous_pool(13, 16);
+  const faultsim::Campaign campaign(
+      fleet, app_qos, commitments, pool,
+      faultsim::Campaign::plan_normal_assignment(fleet, app_qos, commitments,
+                                                 pool));
+  faultsim::CampaignConfig cfg;
+  cfg.surge.arrivals_per_week = 0.5;
+  cfg.replay.telemetry.drop_rate = 0.02;
+  report(run_bench("faultsim/trial", fleet.front().size() * fleet.size(),
+                   [&] {
+                     do_not_optimize(campaign.run_trial(bench::kSeed, cfg));
+                   }),
+         reporter);
+}
+
 /// Event-schedule replay, bare vs with the flight recorder at stride 1 —
 /// the overhead gate for the recorder's hot-path design (the recording is
 /// ring-bounded and never finish()ed, so no I/O is timed). Kept out of
@@ -677,6 +708,7 @@ int main() {
   bench_socket_roundtrip(reporter);
 #endif
   bench_campaign_threads(reporter);
+  bench_faultsim_trial(reporter);
   bench_recorder_overhead(reporter);
   bench_profiler_overhead(reporter);
 
