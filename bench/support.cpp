@@ -74,8 +74,9 @@ std::string BenchReporter::to_json() const {
   w.begin_object();
   w.key("bench").value(name_);
   w.key("git_describe").value(obs::build_git_describe());
-  w.key("weeks").value(weeks_from_env());
+  w.key("weeks").value(weeks_.value_or(weeks_from_env()));
   w.key("fast").value(fast != nullptr && fast[0] == '1');
+  if (repetitions_.has_value()) w.key("repetitions").value(*repetitions_);
   w.key("wall_seconds").value(obs::monotonic_seconds() - start_seconds_);
   w.key("peak_rss_kb").value(static_cast<std::int64_t>(obs::peak_rss_kb()));
   w.key("phases").begin_array();

@@ -72,6 +72,12 @@ class BenchReporter {
   /// Extra scalar results ("servers_used", "p95_violation_hours", ...).
   void set_metric(const std::string& name, double value);
 
+  /// The calendar the bench replays, for a bench whose traces do not follow
+  /// ROPUS_BENCH_WEEKS.
+  void set_weeks(std::size_t weeks) { weeks_ = weeks; }
+  /// Timed repetitions per phase, written as "repetitions" when set.
+  void set_repetitions(std::size_t repetitions) { repetitions_ = repetitions; }
+
   std::string to_json() const;
 
   /// Writes BENCH_<name>.json atomically; returns the path written.
@@ -82,6 +88,8 @@ class BenchReporter {
   double start_seconds_ = 0.0;
   std::vector<BenchPhase> phases_;
   std::map<std::string, double> metrics_;
+  std::optional<std::size_t> weeks_;
+  std::optional<std::size_t> repetitions_;
 };
 
 /// Times `fn()` and records it as a phase on `reporter`, passing the

@@ -190,6 +190,14 @@ const Value& Value::at(std::string_view key) const {
   return *found;
 }
 
+std::size_t read_count(const Value& obj, std::string_view key) {
+  const double value = obj.at(key).as_number();
+  if (!(value >= 0.0 && value <= 0x1p53)) {
+    throw IoError("field '" + std::string(key) + "' is not a count");
+  }
+  return static_cast<std::size_t>(value);
+}
+
 Value Value::null() { return Value{}; }
 
 Value Value::boolean(bool b) {

@@ -99,6 +99,11 @@ class Value {
   std::vector<std::pair<std::string, Value>> object_;
 };
 
+/// Member `key` of object `obj` as a count: a number in [0, 2^53],
+/// truncated. Throws IoError naming the key when it is absent, not a
+/// number, negative or NaN — the one reader for counts in saved state.
+std::size_t read_count(const Value& obj, std::string_view key);
+
 /// Parses one JSON document (trailing whitespace allowed, trailing content
 /// is an error). Throws IoError with a byte offset on malformed input.
 Value parse(std::string_view text);

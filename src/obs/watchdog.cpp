@@ -277,7 +277,7 @@ void Watchdog::observe(const SlotRecord& r) {
   ModeState& current = app.mode[failure ? 1 : 0];
   ModeState& other = app.mode[failure ? 0 : 1];
   // For the other mode this slot is masked out, which ends any run — the
-  // same rule wlm::check_compliance_masked applies.
+  // same rule wlm::check_compliance_attributed's mask applies.
   end_run(other);
   const SloBand& band = failure ? config_.failure : config_.normal;
   classify(current, r, band);
@@ -301,6 +301,23 @@ void Watchdog::finish() {
 
 namespace {
 
+using json::read_count;
+
+/// An open run's alert: -1 (none, or its alert was dropped) or an index
+/// into the `alerts` already restored — later ticks rewrite that alert.
+std::ptrdiff_t read_open_alert(const json::Value& v, std::string_view key,
+                               std::size_t alerts) {
+  if (v.at(key).as_number() == -1.0) return -1;
+  const std::size_t index = read_count(v, key);
+  if (index >= alerts) {
+    throw IoError("watchdog state: '" + std::string(key) + "' is alert " +
+                  std::to_string(index) + " of " + std::to_string(alerts));
+  }
+  return static_cast<std::ptrdiff_t>(index);
+}
+
+}  // namespace
+
 void write_band_state(json::Writer& w, const slo::BandAccumulator& acc) {
   const slo::BandAccumulator::State s = acc.state();
   w.begin_object();
@@ -317,25 +334,23 @@ void write_band_state(json::Writer& w, const slo::BandAccumulator& acc) {
   w.end_object();
 }
 
-std::size_t read_size(const json::Value& v, std::string_view key) {
-  return static_cast<std::size_t>(v.at(key).as_number());
-}
-
 void read_band_state(const json::Value& v, slo::BandAccumulator& acc) {
   slo::BandAccumulator::State s;
-  s.counts.intervals = read_size(v, "intervals");
-  s.counts.idle = read_size(v, "idle");
-  s.counts.acceptable = read_size(v, "acceptable");
-  s.counts.degraded = read_size(v, "degraded");
-  s.counts.violating = read_size(v, "violating");
-  s.counts.degraded_telemetry = read_size(v, "degraded_telemetry");
-  s.counts.violating_telemetry = read_size(v, "violating_telemetry");
+  s.counts.intervals = read_count(v, "intervals");
+  s.counts.idle = read_count(v, "idle");
+  s.counts.acceptable = read_count(v, "acceptable");
+  s.counts.degraded = read_count(v, "degraded");
+  s.counts.violating = read_count(v, "violating");
+  s.counts.degraded_telemetry = read_count(v, "degraded_telemetry");
+  s.counts.violating_telemetry = read_count(v, "violating_telemetry");
   s.counts.longest_degraded_minutes =
       v.at("longest_degraded_minutes").as_number();
-  s.run = read_size(v, "run");
-  s.longest = read_size(v, "longest");
+  s.run = read_count(v, "run");
+  s.longest = read_count(v, "longest");
   acc.restore(s);
 }
+
+namespace {
 
 void write_theta_sections(
     json::Writer& w,
@@ -359,7 +374,8 @@ void read_theta_sections(const json::Value& v, std::size_t slots_per_day,
                          std::map<std::uint16_t, slo::ThetaAccumulator>& out) {
   out.clear();
   for (const json::Value& item : v.as_array()) {
-    const auto section = static_cast<std::uint16_t>(read_size(item, "section"));
+    const auto section =
+        static_cast<std::uint16_t>(read_count(item, "section"));
     std::vector<double> requested;
     std::vector<double> satisfied;
     for (const json::Value& r : item.at("requested").as_array()) {
@@ -429,34 +445,34 @@ void Watchdog::save_state(json::Writer& w) const {
 
 void Watchdog::load_state(const json::Value& v) {
   finished_ = v.at("finished").as_bool();
-  alerts_dropped_ = static_cast<std::uint64_t>(read_size(v, "alerts_dropped"));
+  alerts_dropped_ = static_cast<std::uint64_t>(read_count(v, "alerts_dropped"));
   alerts_.clear();
   for (const json::Value& item : v.at("alerts").as_array()) {
     Alert a;
-    a.kind = static_cast<AlertKind>(read_size(item, "kind"));
-    a.severity = static_cast<AlertSeverity>(read_size(item, "severity"));
-    a.app = static_cast<std::uint16_t>(read_size(item, "app"));
-    a.section = static_cast<std::uint16_t>(read_size(item, "section"));
+    a.kind = static_cast<AlertKind>(read_count(item, "kind"));
+    a.severity = static_cast<AlertSeverity>(read_count(item, "severity"));
+    a.app = static_cast<std::uint16_t>(read_count(item, "app"));
+    a.section = static_cast<std::uint16_t>(read_count(item, "section"));
     a.failure_mode = item.at("failure_mode").as_bool();
-    a.first_slot = static_cast<std::uint32_t>(read_size(item, "first_slot"));
+    a.first_slot = static_cast<std::uint32_t>(read_count(item, "first_slot"));
     a.duration_slots =
-        static_cast<std::uint32_t>(read_size(item, "duration_slots"));
+        static_cast<std::uint32_t>(read_count(item, "duration_slots"));
     a.value = item.at("value").as_number();
     a.threshold = item.at("threshold").as_number();
     alerts_.push_back(a);
   }
   apps_.clear();
   for (const json::Value& item : v.at("apps").as_array()) {
-    const auto id = static_cast<std::uint16_t>(read_size(item, "id"));
+    const auto id = static_cast<std::uint16_t>(read_count(item, "id"));
     AppState& app =
         apps_.try_emplace(id, config_.minutes_per_sample).first->second;
     app.seen = item.at("seen").as_bool();
-    app.section = static_cast<std::uint16_t>(read_size(item, "section"));
+    app.section = static_cast<std::uint16_t>(read_count(item, "section"));
     app.overcommit_active = item.at("overcommit_active").as_bool();
     app.open_overcommit =
-        static_cast<std::ptrdiff_t>(item.at("open_overcommit").as_number());
+        read_open_alert(item, "open_overcommit", alerts_.size());
     app.last_overcommit_slot =
-        static_cast<std::uint32_t>(read_size(item, "last_overcommit_slot"));
+        static_cast<std::uint32_t>(read_count(item, "last_overcommit_slot"));
     const auto& modes = item.at("modes").as_array();
     if (modes.size() != 2) throw IoError("watchdog state: expected 2 modes");
     for (std::size_t m = 0; m < 2; ++m) {
@@ -464,7 +480,7 @@ void Watchdog::load_state(const json::Value& v) {
       read_band_state(mv.at("acc"), app.mode[m].acc);
       app.mode[m].tdegr_active = mv.at("tdegr_active").as_bool();
       app.mode[m].open_tdegr =
-          static_cast<std::ptrdiff_t>(mv.at("open_tdegr").as_number());
+          read_open_alert(mv, "open_tdegr", alerts_.size());
       app.mode[m].band_alerted = mv.at("band_alerted").as_bool();
     }
   }

@@ -83,6 +83,13 @@ std::string describe(const Alert& alert);
 /// directly comparable. `satisfies(band)` is the zero-slack verdict.
 using BandReport = slo::BandCounts;
 
+/// The checkpoint codec of a band accumulator's state, shared by the
+/// watchdog's and the serve arbiter's checkpoints: one JSON object of its
+/// counts and run lengths. read_band_state() refuses a count that is not
+/// one (json::read_count) with IoError.
+void write_band_state(json::Writer& w, const slo::BandAccumulator& acc);
+void read_band_state(const json::Value& v, slo::BandAccumulator& acc);
+
 class Watchdog {
  public:
   explicit Watchdog(WatchdogConfig config);
@@ -137,7 +144,8 @@ class Watchdog {
   void save_state(json::Writer& w) const;
 
   /// Restores state saved by save_state() into a freshly-constructed
-  /// watchdog. Throws IoError on a malformed document.
+  /// watchdog. Throws IoError on a malformed document, on a count that is
+  /// not one, and on an open alert that is not among the restored alerts.
   void load_state(const json::Value& v);
 
  private:

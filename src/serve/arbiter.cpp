@@ -601,20 +601,8 @@ void Arbiter::save_state(json::Writer& w) const {
     w.key("longest_blackout").value(snap.health.longest_blackout);
     w.end_object();
     w.end_object();
-    const slo::BandAccumulator::State bands = app.bands.state();
-    w.key("bands").begin_object();
-    w.key("intervals").value(bands.counts.intervals);
-    w.key("idle").value(bands.counts.idle);
-    w.key("acceptable").value(bands.counts.acceptable);
-    w.key("degraded").value(bands.counts.degraded);
-    w.key("violating").value(bands.counts.violating);
-    w.key("degraded_telemetry").value(bands.counts.degraded_telemetry);
-    w.key("violating_telemetry").value(bands.counts.violating_telemetry);
-    w.key("longest_degraded_minutes")
-        .value(bands.counts.longest_degraded_minutes);
-    w.key("run").value(bands.run);
-    w.key("longest").value(bands.longest);
-    w.end_object();
+    w.key("bands");
+    obs::write_band_state(w, app.bands);
     w.end_object();
   }
   w.end_array();
@@ -639,23 +627,16 @@ void Arbiter::save_state(json::Writer& w) const {
 }
 
 void Arbiter::load_state(const json::Value& v) {
-  const auto read_size = [](const json::Value& obj, std::string_view key) {
-    const double value = obj.at(key).as_number();
-    if (!(value >= 0.0 && value <= 0x1p53)) {
-      throw IoError("checkpoint field '" + std::string(key) +
-                    "' is not a count");
-    }
-    return static_cast<std::size_t>(value);
-  };
-  next_slot_ = read_size(v, "next_slot");
+  using json::read_count;
+  next_slot_ = read_count(v, "next_slot");
   any_tick_ = v.at("any_tick").as_bool();
-  last_tick_slot_ = read_size(v, "last_tick_slot");
-  reported_alerts_ = read_size(v, "reported_alerts");
-  next_app_id_ = read_size(v, "next_app_id");
+  last_tick_slot_ = read_count(v, "last_tick_slot");
+  reported_alerts_ = read_count(v, "reported_alerts");
+  next_app_id_ = read_count(v, "next_app_id");
   if (next_app_id_ > kMaxLifetimeApps) {
     throw IoError("checkpoint next_app_id exceeds the app id space");
   }
-  departed_ = read_size(v, "departed");
+  departed_ = read_count(v, "departed");
   last_tick_replies_.clear();
   for (const json::Value& r : v.at("last_tick_replies").as_array()) {
     last_tick_replies_.push_back(r.as_string());
@@ -680,8 +661,8 @@ void Arbiter::load_state(const json::Value& v) {
     // that was handed out.
     AdmitMessage msg;
     msg.app = item.at("name").as_string();
-    const std::size_t id = read_size(item, "id");
-    const std::size_t host = read_size(item, "host");
+    const std::size_t id = read_count(item, "id");
+    const std::size_t host = read_count(item, "host");
     if (host >= config_.servers) {
       throw IoError("checkpoint app '" + msg.app + "' is on server " +
                     std::to_string(host) + " outside the pool");
@@ -732,33 +713,20 @@ void Arbiter::load_state(const json::Value& v) {
       snap.history.push_back(read_demand(h, "history"));
     }
     snap.last_basis = read_demand(ctl.at("last_basis"), "last_basis");
-    snap.consecutive_degraded = read_size(ctl, "consecutive_degraded");
+    snap.consecutive_degraded = read_count(ctl, "consecutive_degraded");
     const json::Value& health = ctl.at("health");
-    snap.health.intervals = read_size(health, "intervals");
-    snap.health.ok = read_size(health, "ok");
-    snap.health.stale = read_size(health, "stale");
-    snap.health.missing = read_size(health, "missing");
-    snap.health.corrupt = read_size(health, "corrupt");
-    snap.health.fallback_intervals = read_size(health, "fallback_intervals");
+    snap.health.intervals = read_count(health, "intervals");
+    snap.health.ok = read_count(health, "ok");
+    snap.health.stale = read_count(health, "stale");
+    snap.health.missing = read_count(health, "missing");
+    snap.health.corrupt = read_count(health, "corrupt");
+    snap.health.fallback_intervals = read_count(health, "fallback_intervals");
     snap.health.fallback_activations =
-        read_size(health, "fallback_activations");
-    snap.health.longest_blackout = read_size(health, "longest_blackout");
+        read_count(health, "fallback_activations");
+    snap.health.longest_blackout = read_count(health, "longest_blackout");
     app.controller.restore(snap);
 
-    const json::Value& bands = item.at("bands");
-    slo::BandAccumulator::State bs;
-    bs.counts.intervals = read_size(bands, "intervals");
-    bs.counts.idle = read_size(bands, "idle");
-    bs.counts.acceptable = read_size(bands, "acceptable");
-    bs.counts.degraded = read_size(bands, "degraded");
-    bs.counts.violating = read_size(bands, "violating");
-    bs.counts.degraded_telemetry = read_size(bands, "degraded_telemetry");
-    bs.counts.violating_telemetry = read_size(bands, "violating_telemetry");
-    bs.counts.longest_degraded_minutes =
-        bands.at("longest_degraded_minutes").as_number();
-    bs.run = read_size(bands, "run");
-    bs.longest = read_size(bands, "longest");
-    app.bands.restore(bs);
+    obs::read_band_state(item.at("bands"), app.bands);
 
     apps_.push_back(std::move(app));
   }
@@ -771,7 +739,7 @@ void Arbiter::load_state(const json::Value& v) {
     std::vector<slo::DeferralQueue::Entry> entries;
     for (const json::Value& e : backlogs[s].at("entries").as_array()) {
       entries.push_back(slo::DeferralQueue::Entry{
-          read_size(e, "created"), e.at("remaining").as_number()});
+          read_count(e, "created"), e.at("remaining").as_number()});
     }
     backlogs_[s].restore(entries, backlogs[s].at("total").as_number());
   }

@@ -10,9 +10,9 @@
 // aggregate holds the same bits the batch `sim::aggregate_workloads` would
 // produce, and removing a workload restores the previous bits. Verdicts run
 // through the same `sim::required_capacity` search as the batch path — a
-// pure function of the aggregate that starts at its exact capacity floor —
-// so a move re-verdicts in about one evaluate() pass over maintained sums
-// instead of a search over a rebuilt aggregate.
+// pure function of the aggregate whose answer is its exact capacity floor —
+// so a move re-verdicts in one pass of the floors over maintained sums,
+// with no replay and no rebuilt aggregate.
 //
 // The exactness contract is a checked precondition: register_workload
 // refuses non-finite or off-grid values, and any registration that would

@@ -5,10 +5,11 @@
 //   theta = min over weeks w and time-of-day slots t of
 //           (sum over days x of satisfied CoS2) / (sum over days x of
 //            requested CoS2),
-// tracks a FIFO backlog of deferred CoS2 allocation that must drain within
-// the commitment's deadline, and finds the smallest capacity (the *required
-// capacity*) for which both parts of the commitment hold: an analytic floor
-// from the CoS1 peak, theta and the deadline, confirmed by a replay.
+// and tracks a FIFO backlog of deferred CoS2 allocation that must drain
+// within the commitment's deadline. The smallest capacity at which a replay
+// meets both parts of the commitment is the server's *required capacity*;
+// the search computes it as an exact analytic floor from the CoS1 peak,
+// theta and the deadline, without replaying (docs/algorithms.md §5).
 #pragma once
 
 #include <cstdint>
@@ -42,10 +43,9 @@ Aggregate aggregate_workloads(
     const trace::Calendar& calendar);
 
 /// Non-owning view of an aggregate's per-slot series — the shape the replay
-/// actually consumes. `Aggregate` converts implicitly; the incremental
+/// and the search consume. `Aggregate` converts implicitly; the incremental
 /// engine (sim/incremental.h) builds views over its own per-server buffers,
-/// so delta and batch verdicts run through literally the same replay and
-/// search code.
+/// so delta and batch verdicts run through literally the same search code.
 struct AggregateView {
   const trace::Calendar* calendar = nullptr;
   std::span<const double> cos1;
@@ -78,12 +78,11 @@ struct Evaluation {
   }
 };
 
-/// Replays the aggregate at `capacity` under `cos2` (the deadline is taken
-/// from the commitment; theta in the commitment is *not* used here — compare
-/// via Evaluation::satisfies). Days whose slots neither violate CoS1 nor
-/// leave a deficit (while the backlog is empty) take a vectorized path that
-/// performs the exact per-slot arithmetic without the FIFO bookkeeping —
-/// the result is bit-identical to the sequential replay by construction.
+/// Replays the aggregate at `capacity` under `cos2`, slot by slot (the
+/// deadline is taken from the commitment; theta in the commitment is *not*
+/// used here — compare via Evaluation::satisfies). This is the definition
+/// of the required capacity: the floor the search computes is proven, and
+/// tested, against it.
 Evaluation evaluate(const AggregateView& agg, double capacity,
                     const qos::CosCommitment& cos2);
 
@@ -104,8 +103,8 @@ struct ThetaBreakdown {
 /// first when unsure).
 ThetaBreakdown theta_breakdown(const Aggregate& agg, double capacity);
 
-/// Which constraint set a server's required capacity, as the capacity
-/// floor found it (docs/algorithms.md §5).
+/// Which constraint set a server's required capacity (docs/algorithms.md
+/// §5).
 struct Binding {
   enum class Kind : std::uint8_t {
     kNone,      // nothing hosted: the capacity is 0
@@ -132,7 +131,6 @@ const char* kind_name(Binding::Kind kind);
 struct RequiredCapacity {
   bool fits = false;        // commitments satisfiable within `limit`
   double capacity = 0.0;    // smallest satisfying capacity when fits
-  Evaluation at_capacity;   // evaluation at the reported capacity
   Binding binding;          // the constraint that set `capacity`
 };
 
@@ -144,27 +142,6 @@ struct RequiredCapacity {
 /// bits (docs/algorithms.md §11).
 double capacity_grid_step(double tolerance);
 
-/// The floor of the required-capacity search on the grid { k * step }
-/// (docs/algorithms.md §5): the largest of the CoS1-peak index
-/// ceil(peak / step), the theta floor and the deadline floor.
-struct CapacityFloor {
-  double step = 0.0;
-  /// The CoS1-peak and theta floors together. Exact: every grid point
-  /// below it cuts CoS1 or misses theta in a replay.
-  std::int64_t theta_k = 0;
-  Binding theta_binding;  // what set theta_k: kCos1Peak or kTheta
-  /// theta_k raised by the deadline floor, which is exact in real
-  /// arithmetic; a replay confirms it. floor(limit / step) + 1 when no
-  /// grid point up to the limit meets both.
-  std::int64_t k = 0;
-  Binding binding;  // what set k: theta_binding, or kDeadline above theta_k
-};
-
-/// The floor for a non-empty aggregate whose CoS1 peak fits under `limit`.
-CapacityFloor capacity_floor(const AggregateView& agg, double limit,
-                             const qos::CosCommitment& cos2,
-                             double tolerance = 0.05);
-
 /// Section VI-A's search: first the peak-demand precheck (sum of per-
 /// workload CoS1 peaks must not exceed `limit`), then the smallest
 /// satisfying capacity among the grid candidates
@@ -172,12 +149,15 @@ CapacityFloor capacity_floor(const AggregateView& agg, double limit,
 /// with `limit` itself as the last-resort candidate. An empty aggregate
 /// trivially fits with required capacity 0.
 ///
-/// The search replays once at capacity_floor(). When only the CoS1 peak or
-/// theta set the floor, that replay is the verdict. When the deadline set
-/// it, one more replay a step lower confirms the step below fails. Only if
-/// the floor's replay fails does the search gallop up and bisect. The
-/// result is the minimum of the candidate set under the replay's predicate
-/// whichever path finds it.
+/// The answer is the largest of the CoS1-peak grid index, the theta floor
+/// and the deadline floor (slo::theta_floor, slo::deadline_floor). On the
+/// allocation grid (common/grid.h) each floor equals evaluate()'s predicate
+/// bit for bit, so a grid answer costs no replay; only a `limit` off the
+/// grid, tried when no grid point qualifies, is replayed. Off the grid the
+/// floor is the exact-arithmetic answer, which can sit a step above what
+/// the replay's kCapacityEps slack accepts. Requires `limit` times the
+/// calendar length to stay below grid::kSumLimit, which keeps every sum of
+/// the deadline floor exact.
 RequiredCapacity required_capacity(const AggregateView& agg, double limit,
                                    const qos::CosCommitment& cos2,
                                    double tolerance = 0.05);

@@ -36,12 +36,10 @@ BandClass BandAccumulator::observe(double demand, double granted,
     case BandClass::kIdle:
       counts_.idle += 1;
       run_ = 0;
-      unbroken_ = false;
       return cls;
     case BandClass::kAcceptable:
       counts_.acceptable += 1;
       run_ = 0;
-      unbroken_ = false;
       return cls;
     case BandClass::kDegraded:
       counts_.degraded += 1;
@@ -53,37 +51,10 @@ BandClass BandAccumulator::observe(double demand, double granted,
       break;
   }
   run_ += 1;
-  if (unbroken_) lead_ = run_;
   longest_ = std::max(longest_, run_);
   counts_.longest_degraded_minutes =
       static_cast<double>(longest_) * minutes_per_sample_;
   return cls;
-}
-
-void BandAccumulator::merge(const BandAccumulator& later) {
-  ROPUS_REQUIRE(minutes_per_sample_ == later.minutes_per_sample_,
-                "merge requires matching sample intervals");
-  counts_.intervals += later.counts_.intervals;
-  counts_.idle += later.counts_.idle;
-  counts_.acceptable += later.counts_.acceptable;
-  counts_.degraded += later.counts_.degraded;
-  counts_.violating += later.counts_.violating;
-  counts_.degraded_telemetry += later.counts_.degraded_telemetry;
-  counts_.violating_telemetry += later.counts_.violating_telemetry;
-  // Run stitching: this accumulator's trailing run continues into `later`'s
-  // leading run exactly as the single concatenated stream would extend it.
-  longest_ = std::max({longest_, later.longest_, run_ + later.lead_});
-  if (later.unbroken_) {
-    // `later` never broke a run: its whole degraded content rides on the
-    // trailing run (later.run_ == later.lead_ == its degraded count).
-    run_ += later.run_;
-  } else {
-    run_ = later.run_;
-  }
-  if (unbroken_) lead_ += later.lead_;
-  unbroken_ = unbroken_ && later.unbroken_;
-  counts_.longest_degraded_minutes =
-      static_cast<double>(longest_) * minutes_per_sample_;
 }
 
 BandCounts accumulate_bands(std::span<const double> demand,
@@ -131,52 +102,6 @@ void ThetaAccumulator::add(std::size_t slot, double requested,
   }
   requested_[group] += requested;
   satisfied_[group] += satisfied;
-}
-
-void ThetaAccumulator::add_run(std::size_t slot,
-                               std::span<const double> requested,
-                               std::span<const double> satisfied) {
-  ROPUS_REQUIRE(requested.size() == satisfied.size(),
-                "theta run spans must align");
-  if (requested.empty()) return;
-  const std::size_t n = requested.size();
-  ROPUS_REQUIRE(slot % slots_per_day_ + n <= slots_per_day_,
-                "theta run must not cross a day boundary");
-  const std::size_t g0 = group_of(slot);
-  if (g0 + n > requested_.size()) {
-    requested_.resize(g0 + n, 0.0);
-    satisfied_.resize(g0 + n, 0.0);
-  }
-  double* const req = requested_.data() + g0;
-  double* const sat = satisfied_.data() + g0;
-  for (std::size_t j = 0; j < n; ++j) {
-    req[j] += requested[j];
-    sat[j] += satisfied[j];
-  }
-}
-
-void ThetaAccumulator::remove(std::size_t slot, double requested,
-                              double satisfied) {
-  const std::size_t group = group_of(slot);
-  if (group >= requested_.size()) {
-    requested_.resize(group + 1, 0.0);
-    satisfied_.resize(group + 1, 0.0);
-  }
-  requested_[group] -= requested;
-  satisfied_[group] -= satisfied;
-}
-
-void ThetaAccumulator::merge(const ThetaAccumulator& other) {
-  ROPUS_REQUIRE(slots_per_day_ == other.slots_per_day_,
-                "merge requires matching slots_per_day");
-  if (other.requested_.size() > requested_.size()) {
-    requested_.resize(other.requested_.size(), 0.0);
-    satisfied_.resize(other.satisfied_.size(), 0.0);
-  }
-  for (std::size_t g = 0; g < other.requested_.size(); ++g) {
-    requested_[g] += other.requested_[g];
-    satisfied_[g] += other.satisfied_[g];
-  }
 }
 
 double ThetaAccumulator::theta() const {
@@ -276,17 +201,6 @@ void DeferralQueue::defer(std::size_t slot, double deficit) {
     entries_.push_back(Entry{slot, deficit});
     total_ += deficit;
   }
-}
-
-void DeferralQueue::merge(const DeferralQueue& later) {
-  ROPUS_REQUIRE(deadline_slots_ == later.deadline_slots_,
-                "merge requires matching deadlines");
-  ROPUS_REQUIRE(entries_.empty() || later.entries_.empty() ||
-                    entries_.back().created <= later.entries_.front().created,
-                "merge requires consecutive slot ranges");
-  entries_.insert(entries_.end(), later.entries_.begin(),
-                  later.entries_.end());
-  total_ += later.total_;
 }
 
 void DeferralQueue::restore(std::span<const Entry> entries, double total) {

@@ -106,19 +106,7 @@ class BandAccumulator {
 
   /// Ends the current degraded run (masked-out slot, section change, or
   /// end of stream). Counts are unaffected.
-  void end_run() {
-    unbroken_ = false;
-    run_ = 0;
-  }
-
-  /// Concatenates `later`'s stream onto this one, as if every observation
-  /// fed to `later` had been fed to this accumulator after this one's
-  /// last observation. Counts add; the degraded-run bookkeeping is stitched
-  /// across the boundary (this accumulator's trailing run joined with
-  /// `later`'s leading run), so the merged longest run is exactly what the
-  /// single-stream replay would have measured. Requires matching
-  /// minutes_per_sample. Integer algebra throughout — bit-exact.
-  void merge(const BandAccumulator& later);
+  void end_run() { run_ = 0; }
 
   const BandCounts& counts() const { return counts_; }
 
@@ -130,25 +118,17 @@ class BandAccumulator {
 
   /// The complete mutable state, for checkpointing: restore() on a
   /// fresh accumulator (same minutes_per_sample) resumes the stream with
-  /// subsequent observations classified identically. `lead` / `unbroken`
-  /// only matter to merge(); a restore without them (an old checkpoint)
-  /// still replays verdict streams byte-identically.
+  /// subsequent observations classified identically.
   struct State {
     BandCounts counts;
     std::size_t run = 0;
     std::size_t longest = 0;
-    std::size_t lead = 0;
-    bool unbroken = true;
   };
-  State state() const {
-    return State{counts_, run_, longest_, lead_, unbroken_};
-  }
+  State state() const { return State{counts_, run_, longest_}; }
   void restore(const State& s) {
     counts_ = s.counts;
     run_ = s.run;
     longest_ = s.longest;
-    lead_ = s.lead;
-    unbroken_ = s.unbroken;
   }
 
  private:
@@ -156,13 +136,6 @@ class BandAccumulator {
   double minutes_per_sample_;
   std::size_t run_ = 0;
   std::size_t longest_ = 0;
-  /// Length of the degraded run at the very start of the stream, frozen at
-  /// the first run-ending event — what merge() joins a predecessor's
-  /// trailing run onto.
-  std::size_t lead_ = 0;
-  /// True while the stream has never ended a degraded run (every slot so
-  /// far degraded-or-worse, or no slot yet).
-  bool unbroken_ = true;
 };
 
 /// Batch classification of a whole (or masked) series. `mask`, when
@@ -211,26 +184,6 @@ class ThetaAccumulator {
 
   /// Adds one observation's CoS2 request/satisfaction to its group.
   void add(std::size_t slot, double requested, double satisfied);
-
-  /// Adds a contiguous run of observations starting at `slot`, all within
-  /// one calendar day (slot-of-day(slot) + n must not cross the day
-  /// boundary), so the touched groups are consecutive. Performs exactly the
-  /// adds `add()` would, in the same order, without the per-slot group
-  /// arithmetic — the simulator's vectorizable fast path.
-  void add_run(std::size_t slot, std::span<const double> requested,
-               std::span<const double> satisfied);
-
-  /// Subtracts one observation's contribution. For values on the allocation
-  /// grid (common/grid.h) with in-range sums this is the exact inverse of
-  /// add(): the group sums return to their previous bits, which is what
-  /// makes per-app partials removable.
-  void remove(std::size_t slot, double requested, double satisfied);
-
-  /// Adds `other`'s group sums into this accumulator (groups grow to
-  /// cover both). Exact — hence order-independent — for on-grid sums, so
-  /// partial aggregates built separately merge to the batch result's bits.
-  /// Requires matching slots_per_day.
-  void merge(const ThetaAccumulator& other);
 
   /// satisfied/requested for a group; 1.0 when nothing was requested there
   /// (or the group has not been touched).
@@ -362,17 +315,6 @@ class DeferralQueue {
   /// Outstanding deferred CoS2 (CPUs).
   double total() const { return total_; }
 
-  /// Appends `later`'s queue onto this one: the two must be partial
-  /// replays of disjoint, consecutive slot ranges with no spare capacity
-  /// crossing the boundary (this queue's entries were never drainable by
-  /// `later`'s slots). Entries concatenate oldest-first; totals add —
-  /// exact for on-grid deficits. Deadlines must match. Note the deferral
-  /// timeline is otherwise inherently sequential (later spare drains
-  /// earlier entries), which is why the incremental engine re-replays the
-  /// deferral FIFO from exact per-slot sums instead of merging queue
-  /// states — see docs/algorithms.md §11.
-  void merge(const DeferralQueue& later);
-
   bool empty() const { return entries_.empty(); }
 
   std::size_t deadline_slots() const { return deadline_slots_; }
@@ -411,9 +353,11 @@ class DeferralQueue {
 /// k at which its busy period's backlog would fit, and the backlog is
 /// re-run from the busy period's start at the new capacity. Every lift is
 /// a lower bound on the answer and every checked slot stays satisfied as k
-/// rises, so the pass ends on the exact real-arithmetic floor. A replay
-/// differs only by its kCapacityEps residuals, so the caller confirms it
-/// with one. `where` and `backlog` name the slot that set k.
+/// rises, so the pass ends on the exact real-arithmetic floor. On the
+/// 2^-20 allocation grid, with per-slot values and k_max * step times the
+/// series length below grid::kSumLimit, every sum is exact and the floor is
+/// the replay's deadline predicate bit for bit (docs/algorithms.md §5).
+/// `where` and `backlog` name the slot that set k.
 GridFloor deadline_floor(std::span<const double> cos1,
                          std::span<const double> cos2,
                          std::size_t deadline_slots, double step,

@@ -46,26 +46,14 @@ ComplianceReport check_compliance_range(std::span<const double> demand,
                           minutes_per_sample);
 }
 
-ComplianceReport check_compliance_masked(std::span<const double> demand,
-                                         std::span<const double> granted,
-                                         const std::vector<bool>& mask,
-                                         const qos::Requirement& req,
-                                         double minutes_per_sample) {
-  return check_range_impl(demand, granted, &mask, nullptr, req,
-                          minutes_per_sample);
-}
-
 ComplianceReport check_compliance_attributed(std::span<const double> demand,
                                              std::span<const double> granted,
                                              const std::vector<bool>& mask,
                                              const std::vector<bool>& fallback,
                                              const qos::Requirement& req,
                                              double minutes_per_sample) {
-  if (fallback.empty()) {
-    return check_range_impl(demand, granted, &mask, nullptr, req,
-                            minutes_per_sample);
-  }
-  return check_range_impl(demand, granted, &mask, &fallback, req,
+  return check_range_impl(demand, granted, &mask,
+                          fallback.empty() ? nullptr : &fallback, req,
                           minutes_per_sample);
 }
 

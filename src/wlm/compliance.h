@@ -34,24 +34,17 @@ ComplianceReport check_compliance_range(std::span<const double> demand,
                                         const qos::Requirement& req,
                                         double minutes_per_sample);
 
-/// Masked variant: judges only slots where `mask[i]` is true. Used by the
-/// fault-injection campaigns, where an application alternates between its
-/// normal and failure-mode requirements as servers fail and are repaired —
-/// each mode's slots form a non-contiguous subset. A masked-out slot ends
-/// any degraded run (the other mode's report picks it up from scratch).
-ComplianceReport check_compliance_masked(std::span<const double> demand,
-                                         std::span<const double> granted,
-                                         const std::vector<bool>& mask,
-                                         const qos::Requirement& req,
-                                         double minutes_per_sample);
-
-/// Attributed variant: like the masked check, but additionally splits the
-/// degraded/violating intervals by cause. `fallback[i]` marks slots where
-/// the controller served its telemetry fallback (Controller::in_fallback);
-/// degradations on those slots are charged to the measurement pipeline via
+/// Masked, attributed variant: judges only slots where `mask[i]` is true,
+/// and splits the degraded/violating intervals by cause. The mask serves
+/// the failure drills, where an application alternates between its normal
+/// and failure-mode requirements as servers fail and are repaired — each
+/// mode's slots form a non-contiguous subset. A masked-out slot ends any
+/// degraded run (the other mode's report picks it up from scratch).
+/// `fallback[i]` marks slots where the controller served its telemetry
+/// fallback (Controller::in_fallback); degradations on those slots are
+/// charged to the measurement pipeline via
 /// ComplianceReport::degraded_telemetry / violating_telemetry. An empty
-/// `fallback` vector means perfect telemetry (identical to the masked
-/// check).
+/// `fallback` vector means perfect telemetry.
 ComplianceReport check_compliance_attributed(std::span<const double> demand,
                                              std::span<const double> granted,
                                              const std::vector<bool>& mask,

@@ -111,7 +111,7 @@ struct ScheduleTelemetry {
 /// application's host or mode changes at a phase boundary (the container
 /// was just re-placed, so its history is gone). Compliance is not judged
 /// here — callers window the granted series however their analysis needs
-/// (see check_compliance_masked). A single phase over a placed pool is a
+/// (see check_compliance_attributed). A single phase over a placed pool is a
 /// plain shared-server run.
 ///
 /// The calendar is replayed in blocks of kScheduleBlockSlots slots. Within

@@ -37,11 +37,13 @@ class BenchDiffTest : public ::testing::Test {
 
   /// A minimal BENCH_<name>.json: one gated latency metric, one gated
   /// throughput phase, and one non-timing metric that must never be gated.
+  /// `shape` holds extra top-level members ("\"weeks\":1,").
   std::string write_bench(const std::string& filename, double eval_us,
-                          double ops_per_sec, double peak_rss = 1000.0) {
+                          double ops_per_sec, double peak_rss = 1000.0,
+                          const std::string& shape = "") {
     const fs::path path = dir_ / filename;
     std::ofstream out(path);
-    out << "{\"bench\":\"micro\",\"wall_seconds\":1.0,"
+    out << "{\"bench\":\"micro\"," << shape << "\"wall_seconds\":1.0,"
         << "\"phases\":[{\"name\":\"replay\",\"seconds\":0.5,"
         << "\"ops_per_sec\":" << ops_per_sec << "}],"
         << "\"metrics\":{\"evaluate.min_us\":" << eval_us
@@ -175,6 +177,33 @@ TEST_F(BenchDiffTest, JsonOutHoldsEveryComparison) {
   ASSERT_EQ(entries.size(), 2u);  // the latency metric and the phase
   EXPECT_TRUE(entries[0].at("regressed").as_bool());
   EXPECT_NEAR(entries[0].at("slowdown").as_number(), 0.5, 1e-12);
+}
+
+TEST_F(BenchDiffTest, MismatchedRunShapeIsRefused) {
+  const std::string shape = "\"weeks\":1,\"fast\":true,\"repetitions\":3,";
+  const std::string base =
+      write_bench("BENCH_a.json", 100.0, 5000.0, 1000.0, shape);
+  EXPECT_EQ(run_diff(args({"--baseline=" + base, "--current=" +
+                           write_bench("BENCH_b.json", 100.0, 5000.0, 1000.0,
+                                       shape)})),
+            0)
+      << err_.str();
+
+  const std::vector<std::pair<std::string, std::string>> mismatches = {
+      {"\"weeks\":4,\"fast\":true,\"repetitions\":3,", "'weeks': baseline 1"},
+      {"\"weeks\":1,\"fast\":false,\"repetitions\":3,",
+       "'fast': baseline true"},
+      {"\"weeks\":1,\"fast\":true,\"repetitions\":7,",
+       "'repetitions': baseline 3"},
+      {"\"weeks\":1,\"fast\":true,", "current absent"},
+  };
+  for (const auto& [cur_shape, message] : mismatches) {
+    const std::string cur =
+        write_bench("BENCH_b.json", 100.0, 5000.0, 1000.0, cur_shape);
+    EXPECT_EQ(run_diff(args({"--baseline=" + base, "--current=" + cur})), 1)
+        << cur_shape;
+    EXPECT_NE(err_.str().find(message), std::string::npos) << err_.str();
+  }
 }
 
 TEST_F(BenchDiffTest, MissingFileIsIoError) {

@@ -161,8 +161,8 @@ void compliance_lines(Lines& out) {
     std::vector<bool> mask(t.size());
     for (std::size_t i = 0; i < t.size(); ++i) mask[i] = (i % 40) >= 13;
     add_report(out, app + ".masked",
-               wlm::check_compliance_masked(demand, squeezed, mask, s.req,
-                                            kMinutesPerSample),
+               wlm::check_compliance_attributed(demand, squeezed, mask, {},
+                                                s.req, kMinutesPerSample),
                s.req);
     std::vector<bool> fallback(t.size());
     for (std::size_t i = 0; i < t.size(); ++i) fallback[i] = i % 7 == 0;
@@ -215,7 +215,8 @@ void theta_lines(Lines& out) {
         sim::required_capacity(agg, combo.capacity * 2.0, s.cos2);
     out.add(key + ".rc.fits", rc.fits);
     out.add(key + ".rc.capacity", rc.capacity);
-    out.add(key + ".rc.theta", rc.at_capacity.theta);
+    out.add(key + ".rc.theta",
+            sim::evaluate(agg, rc.capacity, s.cos2).theta);
   }
 }
 

@@ -3,6 +3,7 @@
 // workload-manager execution simulation.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <vector>
 
 #include "placement/baselines.h"
@@ -89,12 +90,27 @@ TEST(EndToEnd, PlacedServersSatisfyCommitmentsOnReplay) {
 }
 
 TEST(EndToEnd, ClairvoyantWlmRunHonoursQosOnEveryServer) {
-  Harness s = make_setup(6, 0.9);
+  // At theta 0.2 every app carries CoS1, and the placement puts one server
+  // at its aggregate CoS1 peak: a grid step less cuts CoS1 there.
+  Harness s = make_setup(6, 0.2);
   const placement::PlacementProblem problem(
       s.allocations, sim::homogeneous_pool(6, 16), s.cos2);
   const placement::ConsolidationReport report =
       placement::consolidate(problem, fast_consolidation());
   ASSERT_TRUE(report.feasible);
+  for (const qos::AllocationTrace& a : s.allocations) {
+    ASSERT_GT(a.peak_cos1(), 0.0);
+  }
+  bool cos1_bound = false;
+  for (std::size_t srv = 0; srv < problem.server_count(); ++srv) {
+    const placement::ServerEvaluation& e = report.evaluation.servers[srv];
+    if (!e.used) continue;
+    std::printf("server %zu: %zu apps, %.5f CPUs, binding %s\n", srv,
+                e.workloads.size(), e.required_capacity,
+                sim::to_string(e.binding).c_str());
+    cos1_bound = cos1_bound || e.binding.kind == sim::Binding::Kind::kCos1Peak;
+  }
+  ASSERT_TRUE(cos1_bound);
 
   // Each server runs at exactly the capacity the placement says it
   // requires. Every app's clairvoyant controller steps beside the others,

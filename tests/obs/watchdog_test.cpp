@@ -145,12 +145,12 @@ TEST(Watchdog, StreamingMatchesBatchMaskedByMode) {
   const BandReport* failure = wd.report(0, true);
   ASSERT_NE(normal, nullptr);
   ASSERT_NE(failure, nullptr);
-  expect_reports_equal(*normal, wlm::check_compliance_masked(
-                                    s.demand, s.granted, normal_mask, req,
-                                    5.0));
-  expect_reports_equal(*failure, wlm::check_compliance_masked(
-                                     s.demand, s.granted, failure_mask, req,
-                                     5.0));
+  expect_reports_equal(*normal, wlm::check_compliance_attributed(
+                                    s.demand, s.granted, normal_mask, {},
+                                    req, 5.0));
+  expect_reports_equal(*failure, wlm::check_compliance_attributed(
+                                     s.demand, s.granted, failure_mask, {},
+                                     req, 5.0));
 }
 
 TEST(Watchdog, StreamingMatchesBatchTelemetryAttribution) {

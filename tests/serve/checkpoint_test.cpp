@@ -317,6 +317,20 @@ TEST_F(CheckpointTest, CraftedAppIdentityIsRefused) {
            [](std::string& p) { set_app_field(p, "web", "history", "[-1]"); }},
           {"negative controller basis",
            [](std::string& p) { set_app_field(p, "db", "last_basis", "-1"); }},
+          // A later tick would index the watchdog's alerts with these.
+          {"dangling open overcommit alert",
+           [](std::string& p) {
+             set_field(p, "open_overcommit", "40000000",
+                       p.find("\"watchdog\":"));
+           }},
+          {"dangling open T_degr alert",
+           [](std::string& p) {
+             set_field(p, "open_tdegr", "7", p.find("\"watchdog\":"));
+           }},
+          {"negative watchdog count",
+           [](std::string& p) {
+             set_field(p, "run", "-1", p.find("\"watchdog\":"));
+           }},
       };
   for (const auto& [what, edit] : faults) {
     write_checkpoint(path, original, 4);

@@ -2,8 +2,8 @@
 // sequences cross-checked BIT FOR BIT against the batch oracle
 // (aggregate_workloads + required_capacity, plus each attribute's peak),
 // the registration refusals that make exactness a precondition, and a
-// slot-by-slot reference replay pinning the simulator's vectorized day path
-// to the sequential semantics. These are the equivalence guarantees the
+// literal transcription of the sequential replay semantics that evaluate()
+// must match bit for bit. These are the equivalence guarantees the
 // placement delta path and serve admission rely on (docs/algorithms.md
 // §11).
 #include "sim/incremental.h"
@@ -113,13 +113,12 @@ void expect_bitwise_equal(const Verdict& a, const Verdict& b,
                           const char* what) {
   ASSERT_EQ(a.cpu.fits, b.cpu.fits) << what;
   ASSERT_EQ(a.cpu.capacity, b.cpu.capacity) << what;  // bit compare
-  ASSERT_EQ(a.cpu.at_capacity.cos1_satisfied, b.cpu.at_capacity.cos1_satisfied)
-      << what;
-  ASSERT_EQ(a.cpu.at_capacity.theta, b.cpu.at_capacity.theta) << what;
-  ASSERT_EQ(a.cpu.at_capacity.deadline_met, b.cpu.at_capacity.deadline_met)
-      << what;
-  ASSERT_EQ(a.cpu.at_capacity.max_backlog, b.cpu.at_capacity.max_backlog)
-      << what;
+  // The binding's slot and backlog come from the floors' pass over the
+  // per-slot sums, so they pin the sums, not just the answer.
+  ASSERT_EQ(a.cpu.binding.kind, b.cpu.binding.kind) << what;
+  ASSERT_EQ(a.cpu.binding.week, b.cpu.binding.week) << what;
+  ASSERT_EQ(a.cpu.binding.slot, b.cpu.binding.slot) << what;
+  ASSERT_EQ(a.cpu.binding.backlog, b.cpu.binding.backlog) << what;
   for (std::size_t k = 0; k < a.peaks.size(); ++k) {
     ASSERT_EQ(a.peaks[k], b.peaks[k]) << what << " attribute " << k;
   }
@@ -286,8 +285,9 @@ TEST(IncrementalEvaluator, RefusesRegistrationsOutsideTheExactRange) {
 }
 
 // ---------------------------------------------------------------------------
-// The vectorized day path against a literal transcription of the sequential
-// replay semantics.
+// evaluate() against a literal transcription of the sequential replay
+// semantics: the definition the capacity floor is proven against, so no
+// faster replay may drift from it.
 
 Evaluation reference_evaluate(const Aggregate& agg, double capacity,
                               const qos::CosCommitment& cos2) {

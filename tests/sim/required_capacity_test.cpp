@@ -55,7 +55,8 @@ TEST(RequiredCapacity, GuaranteedOnlyWorkloadNeedsItsAggregatePeak) {
       required_capacity(agg, 16.0, qos::CosCommitment{0.9, 720.0});
   ASSERT_TRUE(rc.fits);
   EXPECT_NEAR(rc.capacity, 3.0, 1e-9);
-  EXPECT_TRUE(rc.at_capacity.satisfies(qos::CosCommitment{0.9, 720.0}));
+  EXPECT_TRUE(evaluate(agg, rc.capacity, qos::CosCommitment{0.9, 720.0})
+                  .satisfies(qos::CosCommitment{0.9, 720.0}));
 }
 
 TEST(RequiredCapacity, ThetaConstraintSizesCos2) {

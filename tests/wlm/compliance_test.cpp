@@ -115,8 +115,8 @@ TEST(Compliance, AttributedWithEmptyFallbackEqualsMasked) {
   grants[2] = 1.0;
   std::vector<bool> mask(tiny().size(), true);
   mask[4] = false;
-  const ComplianceReport masked =
-      check_compliance_masked(demand, grants, mask, req(), 720.0);
+  const slo::BandCounts masked =
+      slo::accumulate_bands(demand, grants, band_of(req()), 720.0, &mask);
   const ComplianceReport attributed = check_compliance_attributed(
       demand, grants, mask, {}, req(), 720.0);
   EXPECT_EQ(attributed.intervals, masked.intervals);

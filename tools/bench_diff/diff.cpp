@@ -17,9 +17,14 @@ namespace ropus::benchdiff {
 
 namespace {
 
+/// The run-shape fields two documents must agree on to be comparable.
+constexpr const char* kShapeFields[] = {"weeks", "fast", "repetitions"};
+
 struct BenchDoc {
   std::string path;
   std::string bench;
+  /// Each shape field's JSON text, "absent" when the document lacks it.
+  std::map<std::string, std::string> shape;
   /// Gated timing entries: metric name (or "phase:<name>.ops_per_sec") to
   /// value, plus whether larger is better (throughput) or worse (latency).
   std::map<std::string, double> timings;
@@ -42,6 +47,20 @@ BenchDoc read_bench(const std::filesystem::path& path) {
   BenchDoc bench;
   bench.path = path.string();
   bench.bench = doc.at("bench").as_string();
+  for (const char* field : kShapeFields) {
+    const json::Value* v = doc.find(field);
+    std::string text = "absent";
+    if (v != nullptr && v->is_bool()) {
+      text = v->as_bool() ? "true" : "false";
+    } else if (v != nullptr && v->is_number()) {
+      std::ostringstream number;
+      number << v->as_number();
+      text = number.str();
+    } else if (v != nullptr) {
+      throw IoError(bench.path + ": '" + field + "' is not a number or bool");
+    }
+    bench.shape[field] = text;
+  }
   for (const auto& [name, value] : doc.at("metrics").as_object()) {
     if (is_timing_metric(name)) bench.timings[name] = value.as_number();
   }
@@ -147,6 +166,18 @@ int run(std::span<const std::string> args, std::ostream& out,
     }
     for (const std::string& name : pairing.only_current) {
       err << "warning: " << name << " has no committed baseline\n";
+    }
+
+    // Runs of different shapes time different work: refuse to compare.
+    for (const auto& [base, cur] : pairing.pairs) {
+      for (const auto& [field, base_value] : base.shape) {
+        const std::string& cur_value = cur.shape.at(field);
+        if (base_value == cur_value) continue;
+        err << "error: " << base.bench << " runs differ in '" << field
+            << "': baseline " << base_value << " (" << base.path
+            << "), current " << cur_value << " (" << cur.path << ")\n";
+        return 1;
+      }
     }
 
     std::vector<Comparison> comparisons;

@@ -20,8 +20,10 @@ namespace ropus::benchdiff {
 ///              [--threshold=0.15] [--warn-only] [--json-out=<path>]
 ///
 /// Directories are paired by BENCH_<name>.json filename. Returns 0 when no
-/// gated entry slowed down more than the threshold, 1 on usage errors, and
-/// 2 on a regression (0 with --warn-only, for runners without isolation).
+/// gated entry slowed down more than the threshold, 1 on usage errors and
+/// on a pair of runs whose shape differs (`weeks`, `fast` or
+/// `repetitions`; a field one document lacks counts as differing), and 2
+/// on a regression (0 with --warn-only, for runners without isolation).
 /// Baseline entries missing from the current run (or vice versa) warn but
 /// do not fail — benches evolve.
 int run(std::span<const std::string> args, std::ostream& out,
