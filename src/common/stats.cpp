@@ -57,16 +57,19 @@ double percentile(std::span<const double> values, double pct) {
 double quantile_upper(std::span<const double> values, double q) {
   ROPUS_REQUIRE(!values.empty(), "quantile of empty sample");
   ROPUS_REQUIRE(q >= 0.0 && q <= 1.0, "quantile q must be in [0,1]");
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double n = static_cast<double>(sorted.size());
+  std::vector<double> sample(values.begin(), values.end());
+  const double n = static_cast<double>(sample.size());
   // Smallest 0-based index k with (k + 1) / n >= q.
   const double target = q * n - 1.0;
   std::size_t k = target <= 0.0
                       ? 0
                       : static_cast<std::size_t>(std::ceil(target - 1e-9));
-  k = std::min(k, sorted.size() - 1);
-  return sorted[k];
+  k = std::min(k, sample.size() - 1);
+  // Selection puts the k-th order statistic in place without sorting the
+  // rest; it equals sorted[k] (up to the sign of a zero, see stats.h).
+  const auto kth = sample.begin() + static_cast<std::ptrdiff_t>(k);
+  std::nth_element(sample.begin(), kth, sample.end());
+  return *kth;
 }
 
 double percentile_upper(std::span<const double> values, double pct) {

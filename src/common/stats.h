@@ -32,7 +32,10 @@ double percentile(std::span<const double> values, double pct);
 /// The smallest sample value x such that at least a fraction q of the
 /// sample is <= x (an exact order statistic, no interpolation). Guarantees
 /// #{v > x} <= (1 - q) * n, which the QoS translation needs to honour the
-/// "at least M% of measurements acceptable" requirement exactly.
+/// "at least M% of measurements acceptable" requirement exactly. Found by
+/// selection in O(n). When x is a zero and the sample holds both -0.0 and
+/// +0.0, which of the two is returned is unspecified (trace::DemandTrace
+/// stores no -0.0).
 double quantile_upper(std::span<const double> values, double q);
 
 /// quantile_upper on the percentile scale.

@@ -44,7 +44,7 @@ std::vector<qos::AllocationTrace> FailurePlanner::build_allocations(
 placement::ConsolidationReport FailurePlanner::consolidate_survivors(
     const placement::ConsolidationReport& normal,
     std::span<const qos::AllocationTrace> normal_allocs,
-    std::span<const qos::AllocationTrace> failure_allocs,
+    const placement::PlacementProblem& failure_problem,
     const std::vector<std::size_t>& active,
     const std::vector<std::size_t>& failed, const PlannerConfig& config,
     std::vector<std::size_t>* surviving_servers) const {
@@ -55,27 +55,30 @@ placement::ConsolidationReport FailurePlanner::consolidate_survivors(
     }
   }
   ROPUS_ASSERT(!surviving_servers->empty(), "no survivors to consolidate on");
+  std::vector<sim::ServerSpec> survivors;
+  survivors.reserve(surviving_servers->size());
+  for (std::size_t s : *surviving_servers) survivors.push_back(pool_[s]);
 
   // Affected apps always run at failure-mode QoS; the rest degrade too when
   // the pool operates the whole fleet under failure constraints until the
-  // repair completes (the case-study policy).
-  std::span<const qos::AllocationTrace> allocs = failure_allocs;
+  // repair completes (the case-study policy). Then every scenario places
+  // the same allocations, so its problem derives from `failure_problem` and
+  // shares its verdict memo; otherwise each scenario places its own mix.
   std::vector<qos::AllocationTrace> mixed;
   if (!config.degrade_all_apps) {
     mixed.reserve(demands_.size());
     for (std::size_t a = 0; a < demands_.size(); ++a) {
       const bool affected = std::binary_search(failed.begin(), failed.end(),
                                                normal.assignment[a]);
-      mixed.push_back(affected ? failure_allocs[a] : normal_allocs[a]);
+      mixed.push_back(affected ? failure_problem.workload(a)
+                               : normal_allocs[a]);
     }
-    allocs = mixed;
   }
-
-  std::vector<sim::ServerSpec> survivors;
-  survivors.reserve(surviving_servers->size());
-  for (std::size_t s : *surviving_servers) survivors.push_back(pool_[s]);
-  const placement::PlacementProblem problem(allocs, survivors,
-                                            commitments_.cos2);
+  const placement::PlacementProblem problem =
+      config.degrade_all_apps
+          ? placement::PlacementProblem(failure_problem, std::move(survivors))
+          : placement::PlacementProblem(mixed, std::move(survivors),
+                                        commitments_.cos2);
 
   // Start from the normal placement restricted to the survivors; displaced
   // applications are spread round-robin and the search repairs from there.
@@ -89,7 +92,7 @@ placement::ConsolidationReport FailurePlanner::consolidate_survivors(
       initial[a] =
           static_cast<std::size_t>(it - surviving_servers->begin());
     } else {
-      initial[a] = spread++ % survivors.size();
+      initial[a] = spread++ % surviving_servers->size();
     }
   }
   return placement::consolidate(problem, initial, config.failure);
@@ -134,13 +137,15 @@ FailoverReport FailurePlanner::plan(const PlannerConfig& config) const {
 
   const std::vector<qos::AllocationTrace> failure_allocs =
       build_allocations(true);
+  const placement::PlacementProblem failure_problem(failure_allocs, pool_,
+                                                    commitments_.cos2);
   for (std::size_t failed : report.active_servers) {
     FailureOutcome outcome;
     outcome.failed_server = failed;
     outcome.affected_apps = report.normal.evaluation.servers[failed].workloads;
 
     const placement::ConsolidationReport cr = consolidate_survivors(
-        report.normal, normal_allocs, failure_allocs, report.active_servers,
+        report.normal, normal_allocs, failure_problem, report.active_servers,
         {failed}, config, &outcome.surviving_servers);
     outcome.supported = cr.feasible;
     outcome.servers_used = cr.servers_used;
@@ -171,6 +176,8 @@ MultiFailoverReport FailurePlanner::plan_concurrent(
   }
   const std::vector<qos::AllocationTrace> failure_allocs =
       build_allocations(true);
+  const placement::PlacementProblem failure_problem(failure_allocs, pool_,
+                                                    commitments_.cos2);
   for (std::size_t s = 0; s < pool_.size(); ++s) {
     if (!report.normal.evaluation.servers[s].workloads.empty()) {
       report.active_servers.push_back(s);
@@ -197,7 +204,7 @@ MultiFailoverReport FailurePlanner::plan_concurrent(
     }
     std::vector<std::size_t> survivors;
     const placement::ConsolidationReport cr = consolidate_survivors(
-        report.normal, normal_allocs, failure_allocs, report.active_servers,
+        report.normal, normal_allocs, failure_problem, report.active_servers,
         outcome.failed_servers, config, &survivors);
     outcome.supported = cr.feasible;
     outcome.servers_used = cr.servers_used;

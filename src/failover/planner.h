@@ -99,11 +99,12 @@ class FailurePlanner {
 
   /// Re-consolidates after the servers in `failed` (pool indices, sorted)
   /// go down simultaneously, from the allocations each app has in either
-  /// mode. Shared by the single- and multi-failure sweeps.
+  /// mode; `failure_problem` places every app's failure-mode allocation on
+  /// the whole pool. Shared by the single- and multi-failure sweeps.
   placement::ConsolidationReport consolidate_survivors(
       const placement::ConsolidationReport& normal,
       std::span<const qos::AllocationTrace> normal_allocs,
-      std::span<const qos::AllocationTrace> failure_allocs,
+      const placement::PlacementProblem& failure_problem,
       const std::vector<std::size_t>& active,
       const std::vector<std::size_t>& failed, const PlannerConfig& config,
       std::vector<std::size_t>* surviving_servers) const;

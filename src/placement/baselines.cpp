@@ -1,7 +1,6 @@
 #include "placement/baselines.h"
 
 #include <algorithm>
-#include <memory>
 #include <numeric>
 
 #include "common/rng.h"
@@ -17,14 +16,16 @@ namespace {
 /// delta-evaluation engine: each candidate is a probe() against the
 /// server's maintained exact sums (memoized through the problem's shared
 /// verdict memo), and the chosen server absorbs the workload in O(slots)
-/// instead of re-aggregating its whole hosted set.
+/// instead of re-aggregating its whole hosted set. The context is leased
+/// from the problem's pool, so a search that follows on the same problem
+/// (consolidate's genetic search) reuses it.
 template <typename Picker>
 std::optional<Assignment> greedy_place(const PlacementProblem& problem,
                                        std::span<const std::size_t> order,
                                        Picker pick) {
   const std::size_t servers = problem.server_count();
-  const std::unique_ptr<DeltaPlacementContext> ctx =
-      problem.make_delta_context();
+  ContextLease ctx(problem);
+  ctx->clear();
   std::vector<std::vector<std::size_t>> hosted(servers);
   Assignment result(problem.workload_count());
 
@@ -131,8 +132,8 @@ std::optional<Assignment> correlation_aware_greedy(
   const auto corr = trace::correlation_matrix(totals);
 
   const auto order = decreasing_peak_order(problem);
-  const std::unique_ptr<DeltaPlacementContext> ctx =
-      problem.make_delta_context();
+  ContextLease ctx(problem);
+  ctx->clear();
   std::vector<std::vector<std::size_t>> hosted(problem.server_count());
   Assignment result(n);
   for (std::size_t w : order) {
@@ -173,8 +174,7 @@ std::optional<Assignment> random_search(const PlacementProblem& problem,
                                         std::uint64_t seed) {
   ROPUS_REQUIRE(restarts >= 1, "need at least one restart");
   Rng rng(seed);
-  const std::unique_ptr<DeltaPlacementContext> ctx =
-      problem.make_delta_context();
+  ContextLease ctx(problem);
   std::optional<Assignment> best;
   double best_score = 0.0;
   for (std::size_t r = 0; r < restarts; ++r) {

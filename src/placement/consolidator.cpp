@@ -1,5 +1,7 @@
 #include "placement/consolidator.h"
 
+#include <optional>
+
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -19,11 +21,15 @@ ConsolidationReport report_from(const PlacementProblem& problem,
   report.generations = gr.generations;
   return report;
 }
-}  // namespace
 
-ConsolidationReport consolidate(const PlacementProblem& problem,
-                                const Assignment& initial,
-                                const ConsolidationConfig& config) {
+/// Both overloads: `initial` starts the search, or when null the greedy
+/// packing does, falling back to a spread when the packing fails. The
+/// packing is computed once; when `config.seed_with_ffd` holds and it
+/// succeeds it also joins the population as the second seed, so the
+/// search draws as it would from two packings.
+ConsolidationReport consolidate_from(const PlacementProblem& problem,
+                                     const Assignment* initial,
+                                     const ConsolidationConfig& config) {
   static obs::Counter& calls = obs::counter("placement.consolidate.calls");
   static obs::Histogram& seconds =
       obs::histogram("placement.consolidate.seconds");
@@ -31,40 +37,43 @@ ConsolidationReport consolidate(const PlacementProblem& problem,
   obs::ScopedSpan span("placement.consolidate");
   obs::ScopedTimer timer(seconds);
 
-  std::vector<Assignment> seeds{initial};
-  if (config.seed_with_ffd) {
-    if (auto greedy = problem.greedy_seed()) {
-      seeds.push_back(std::move(*greedy));
+  std::optional<Assignment> greedy;
+  if (config.seed_with_ffd) greedy = problem.greedy_seed();
+  std::vector<Assignment> seeds;
+  if (initial != nullptr) {
+    seeds.push_back(*initial);
+  } else if (greedy) {
+    ROPUS_LOG(kInfo) << "consolidation seeded from greedy packing ("
+                     << servers_used(*greedy, problem.server_count())
+                     << " servers)";
+    seeds.push_back(*greedy);
+  } else if (problem.server_count() >= problem.workload_count()) {
+    seeds.push_back(
+        one_per_server(problem.workload_count(), problem.server_count()));
+  } else {
+    // Fall back to an arbitrary spread; the search will repair or report
+    // infeasibility.
+    Assignment spread(problem.workload_count());
+    for (std::size_t w = 0; w < spread.size(); ++w) {
+      spread[w] = w % problem.server_count();
     }
+    seeds.push_back(std::move(spread));
   }
+  if (greedy) seeds.push_back(std::move(*greedy));
   const GeneticResult gr = genetic_search(problem, seeds, config.genetic);
   return report_from(problem, gr);
+}
+}  // namespace
+
+ConsolidationReport consolidate(const PlacementProblem& problem,
+                                const Assignment& initial,
+                                const ConsolidationConfig& config) {
+  return consolidate_from(problem, &initial, config);
 }
 
 ConsolidationReport consolidate(const PlacementProblem& problem,
                                 const ConsolidationConfig& config) {
-  Assignment initial;
-  if (config.seed_with_ffd) {
-    if (auto greedy = problem.greedy_seed()) {
-      initial = std::move(*greedy);
-      ROPUS_LOG(kInfo) << "consolidation seeded from greedy packing ("
-                       << servers_used(initial, problem.server_count())
-                       << " servers)";
-    }
-  }
-  if (initial.empty()) {
-    if (problem.server_count() >= problem.workload_count()) {
-      initial = one_per_server(problem.workload_count(), problem.server_count());
-    } else {
-      // Fall back to an arbitrary spread; the search will repair or report
-      // infeasibility.
-      initial.resize(problem.workload_count());
-      for (std::size_t w = 0; w < initial.size(); ++w) {
-        initial[w] = w % problem.server_count();
-      }
-    }
-  }
-  return consolidate(problem, initial, config);
+  return consolidate_from(problem, nullptr, config);
 }
 
 }  // namespace ropus::placement

@@ -28,7 +28,9 @@ struct ConsolidationReport {
 
 /// Runs the consolidation exercise on `problem`. The pool must be large
 /// enough for a feasible placement to exist (e.g. one server per workload);
-/// `report.feasible` is false otherwise.
+/// `report.feasible` is false otherwise. When `config.seed_with_ffd` holds
+/// and the greedy packing succeeds, equal to the overload below started
+/// from that packing: it is computed once and seeds the population twice.
 ConsolidationReport consolidate(const PlacementProblem& problem,
                                 const ConsolidationConfig& config);
 

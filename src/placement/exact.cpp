@@ -1,7 +1,6 @@
 #include "placement/exact.h"
 
 #include <algorithm>
-#include <memory>
 #include <numeric>
 
 #include "common/error.h"
@@ -25,7 +24,7 @@ struct SearchState {
   // O(slots), commits with add() on descent and undoes with remove() on
   // backtrack (exact-residue removal restores the server's sums bit for
   // bit), instead of re-aggregating the hosted set at every node.
-  std::unique_ptr<DeltaPlacementContext> ctx;
+  ContextLease ctx;
   std::vector<std::size_t> order;  // workloads, decreasing peak allocation
   std::vector<std::vector<std::size_t>> hosted;  // per server
   Assignment current;
@@ -39,10 +38,11 @@ struct SearchState {
 
   explicit SearchState(const PlacementProblem& p, std::size_t limit)
       : problem(p),
-        ctx(p.make_delta_context()),
+        ctx(p),
         hosted(p.server_count()),
         current(p.workload_count(), 0),
         node_limit(limit) {
+    ctx->clear();
     order.resize(p.workload_count());
     std::iota(order.begin(), order.end(), std::size_t{0});
     std::stable_sort(order.begin(), order.end(),

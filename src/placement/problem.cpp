@@ -5,6 +5,7 @@
 #include <mutex>
 
 #include "common/error.h"
+#include "obs/metrics.h"
 #include "placement/baselines.h"
 #include "slo/kernel.h"
 
@@ -33,27 +34,33 @@ PlacementProblem::PlacementProblem(
     std::vector<sim::ServerSpec> servers, qos::CosCommitment cos2,
     double capacity_tolerance)
     : PlacementProblem(cpu_of(workloads), {}, std::move(servers), cos2,
-                       capacity_tolerance) {}
+                       capacity_tolerance, std::make_shared<Memo>()) {}
 
 PlacementProblem::PlacementProblem(
     std::span<const qos::WorkloadAllocations> workloads,
     std::vector<sim::ServerSpec> servers, qos::CosCommitment cos2,
     double capacity_tolerance)
     : PlacementProblem(cpu_of(workloads), workloads, std::move(servers), cos2,
-                       capacity_tolerance) {}
+                       capacity_tolerance, std::make_shared<Memo>()) {}
+
+PlacementProblem::PlacementProblem(const PlacementProblem& base,
+                                   std::vector<sim::ServerSpec> servers)
+    : PlacementProblem(base.cpu_, base.attributed_, std::move(servers),
+                       base.cos2_, base.tolerance_, base.memo_) {}
 
 PlacementProblem::PlacementProblem(
     std::vector<const qos::AllocationTrace*> cpu,
     std::span<const qos::WorkloadAllocations> attributed,
     std::vector<sim::ServerSpec> servers, qos::CosCommitment cos2,
-    double capacity_tolerance)
+    double capacity_tolerance, std::shared_ptr<Memo> memo)
     : cpu_(std::move(cpu)),
       attributed_(attributed),
       servers_(std::move(servers)),
       cos2_(cos2),
       tolerance_(capacity_tolerance),
       calendar_(cpu_.empty() ? trace::Calendar(1, 5)
-                             : cpu_.front()->calendar()) {
+                             : cpu_.front()->calendar()),
+      memo_(std::move(memo)) {
   ROPUS_REQUIRE(!cpu_.empty(), "placement needs at least one workload");
   ROPUS_REQUIRE(!servers_.empty(), "placement needs at least one server");
   ROPUS_REQUIRE(tolerance_ > 0.0, "capacity tolerance must be > 0");
@@ -126,9 +133,9 @@ bool PlacementProblem::MemoEq::operator()(
 
 bool PlacementProblem::memo_find(std::span<const std::size_t> sorted_ids,
                                  std::size_t cpus, ServerVerdict& out) const {
-  const std::shared_lock<std::shared_mutex> lock(cache_mutex_);
-  const auto it = cache_.find(std::pair(sorted_ids, cpus));
-  if (it == cache_.end()) return false;
+  const std::shared_lock<std::shared_mutex> lock(memo_->mutex);
+  const auto it = memo_->map.find(std::pair(sorted_ids, cpus));
+  if (it == memo_->map.end()) return false;
   out = it->second;
   return true;
 }
@@ -136,8 +143,8 @@ bool PlacementProblem::memo_find(std::span<const std::size_t> sorted_ids,
 void PlacementProblem::memo_store(std::span<const std::size_t> sorted_ids,
                                   std::size_t cpus, ServerVerdict v) const {
   MemoKey key{{sorted_ids.begin(), sorted_ids.end()}, cpus};
-  const std::unique_lock<std::shared_mutex> lock(cache_mutex_);
-  cache_.emplace(std::move(key), v);
+  const std::unique_lock<std::shared_mutex> lock(memo_->mutex);
+  memo_->map.emplace(std::move(key), v);
 }
 
 ServerVerdict PlacementProblem::server_required_capacity(
@@ -250,11 +257,6 @@ PlacementEvaluation PlacementProblem::evaluate(const Assignment& a) const {
 // --------------------------------------------------------------------------
 // The delta context.
 
-std::unique_ptr<DeltaPlacementContext> PlacementProblem::make_delta_context()
-    const {
-  return std::make_unique<DeltaPlacementContext>(*this);
-}
-
 std::unique_ptr<DeltaPlacementContext> PlacementProblem::acquire_context()
     const {
   {
@@ -266,7 +268,8 @@ std::unique_ptr<DeltaPlacementContext> PlacementProblem::acquire_context()
       return ctx;
     }
   }
-  return make_delta_context();
+  return std::unique_ptr<DeltaPlacementContext>(
+      new DeltaPlacementContext(*this));
 }
 
 void PlacementProblem::release_context(
@@ -294,6 +297,8 @@ DeltaPlacementContext::DeltaPlacementContext(const PlacementProblem& problem)
     : problem_(problem),
       engine_(problem.calendar_, problem.cos2_, capacities_of(problem.servers_),
               problem.tolerance_) {
+  static obs::Counter& builds = obs::counter("placement.delta_context.builds");
+  builds.add(1);
   for (std::size_t id = 0; id < problem.cpu_.size(); ++id) {
     const qos::AllocationTrace& w = *problem.cpu_[id];
     engine_.register_workload(id, w.cos1(), w.cos2(),
@@ -363,6 +368,14 @@ void DeltaPlacementContext::add(std::size_t workload, std::size_t server) {
 
 void DeltaPlacementContext::remove(std::size_t workload) {
   engine_.remove(workload);
+}
+
+void DeltaPlacementContext::clear() {
+  for (std::size_t w = 0; w < problem_.cpu_.size(); ++w) {
+    if (engine_.host_of(w) != sim::IncrementalEvaluator::npos) {
+      engine_.remove(w);
+    }
+  }
 }
 
 }  // namespace ropus::placement

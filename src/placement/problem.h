@@ -18,7 +18,10 @@
 // most subsets repeat across genetic generations. The memo stores the CPU
 // verdict and the attribute peaks, neither of which depends on the
 // server's other capacities; the attribute check against a particular
-// server happens when the verdict is scored. Memo misses are served by the
+// server happens when the verdict is scored. A problem derived on another
+// pool (the failure sweep's survivors) shares its base's memo: the two
+// share workloads, commitment and tolerance, and the key holds the rest of
+// what a verdict depends on. Memo misses are served by the
 // reversible delta-evaluation engine (sim/incremental.h) through
 // DeltaPlacementContext: a searcher's context mutates per-server exact sums
 // in O(slots) per moved workload and re-verdicts only the servers an
@@ -63,6 +66,12 @@ class PlacementProblem {
                    std::vector<sim::ServerSpec> servers,
                    qos::CosCommitment cos2, double capacity_tolerance = 0.05);
 
+  /// `base`'s workloads, commitment and tolerance on another pool, sharing
+  /// `base`'s verdict memo (each problem keeps its own context pool). The
+  /// base's workloads must outlive this problem; the base itself need not.
+  PlacementProblem(const PlacementProblem& base,
+                   std::vector<sim::ServerSpec> servers);
+
   std::size_t workload_count() const { return cpu_.size(); }
   std::size_t server_count() const { return servers_.size(); }
   const std::vector<sim::ServerSpec>& servers() const { return servers_; }
@@ -85,14 +94,13 @@ class PlacementProblem {
   /// when some workload fits nowhere.
   std::optional<Assignment> greedy_seed() const;
 
-  /// A fresh delta context. The problem must outlive it.
-  std::unique_ptr<DeltaPlacementContext> make_delta_context() const;
-
-  /// Pooled checkout for one worker's exclusive use; pair with
-  /// release_context. Released contexts are kept and handed out again, so
-  /// back-to-back searches skip engine construction and workload
-  /// registration. Engine state carried between checkouts never changes
-  /// results, only how much work a verdict costs.
+  /// Pooled checkout of a delta context for one worker's exclusive use;
+  /// pair with release_context, or hold a ContextLease. Released contexts
+  /// are kept and handed out again, so back-to-back searches skip engine
+  /// construction and workload registration; a new one is built only when
+  /// the pool is empty. Engine state carried between checkouts never
+  /// changes results, only how much work a verdict costs. The problem must
+  /// outlive every context it hands out.
   std::unique_ptr<DeltaPlacementContext> acquire_context() const;
   void release_context(std::unique_ptr<DeltaPlacementContext> ctx) const;
 
@@ -104,18 +112,21 @@ class PlacementProblem {
   /// f(U) = U^(2 Z) — exposed for tests and the mutation heuristic.
   static double utilization_score(double utilization, std::size_t cpus);
 
+  /// Entries in the verdict memo, which derived problems share.
   std::size_t cache_entries() const {
-    const std::shared_lock<std::shared_mutex> lock(cache_mutex_);
-    return cache_.size();
+    const std::shared_lock<std::shared_mutex> lock(memo_->mutex);
+    return memo_->map.size();
   }
 
  private:
   friend class DeltaPlacementContext;
+  struct Memo;
 
   PlacementProblem(std::vector<const qos::AllocationTrace*> cpu,
                    std::span<const qos::WorkloadAllocations> attributed,
                    std::vector<sim::ServerSpec> servers,
-                   qos::CosCommitment cos2, double capacity_tolerance);
+                   qos::CosCommitment cos2, double capacity_tolerance,
+                   std::shared_ptr<Memo> memo);
 
   /// Workload `id`'s attribute series (all empty for CPU-only problems).
   sim::AttributeSeries attribute_series(std::size_t id) const;
@@ -166,12 +177,15 @@ class PlacementProblem {
         const MemoKey& a,
         const std::pair<std::span<const std::size_t>, std::size_t>& b) const;
   };
-  // Mutable: the memo is a performance detail invisible to callers. The
-  // lock makes evaluate() safe from concurrent threads (the genetic search
-  // evaluates a generation's offspring in parallel); lookups share it,
-  // inserts take it exclusively.
-  mutable std::shared_mutex cache_mutex_;
-  mutable std::unordered_map<MemoKey, ServerVerdict, MemoHash, MemoEq> cache_;
+  // The memo is a performance detail invisible to callers. The lock makes
+  // evaluate() safe from concurrent threads (the genetic search evaluates a
+  // generation's offspring in parallel); lookups share it, inserts take it
+  // exclusively.
+  struct Memo {
+    std::shared_mutex mutex;
+    std::unordered_map<MemoKey, ServerVerdict, MemoHash, MemoEq> map;
+  };
+  std::shared_ptr<Memo> memo_;  // shared with derived problems
 
   // Idle contexts for acquire_context()/release_context().
   mutable std::mutex context_pool_mutex_;
@@ -184,12 +198,10 @@ class PlacementProblem {
 /// memo before re-verdicting a server — unchanged servers never reach the
 /// engine. probe()/add() expose the greedy placers' shape: "what would this
 /// server's verdict be with workload w added" without copying hosted sets
-/// around. NOT thread-safe; one context per worker (genetic.cpp leases
-/// them from the problem's pool).
+/// around. NOT thread-safe; one context per worker, leased from the
+/// problem's pool (PlacementProblem::acquire_context, ContextLease).
 class DeltaPlacementContext {
  public:
-  explicit DeltaPlacementContext(const PlacementProblem& problem);
-
   /// Bit-identical to problem.evaluate(a), incrementally, whatever the
   /// context evaluated before.
   PlacementEvaluation evaluate(const Assignment& a);
@@ -200,19 +212,47 @@ class DeltaPlacementContext {
   ServerVerdict probe(std::size_t server, std::size_t workload);
 
   /// Hosts `workload` on `server` (it must be unhosted — evaluate() hosts
-  /// everything, so probe/add interleave only on fresh contexts).
+  /// everything, so probe/add start from a clear()ed context).
   void add(std::size_t workload, std::size_t server);
 
   /// Removes `workload` from its server (exact-residue: the server's sums
   /// return to their previous bits).
   void remove(std::size_t workload);
 
+  /// Unhosts every workload. Each removal is O(1) bookkeeping, and one
+  /// still queued cancels the queued add it undoes.
+  void clear();
+
   const sim::IncrementalEvaluator& engine() const { return engine_; }
 
  private:
+  friend class PlacementProblem;  // builds contexts for its pool
+  explicit DeltaPlacementContext(const PlacementProblem& problem);
+
   const PlacementProblem& problem_;
   sim::IncrementalEvaluator engine_;
   std::vector<std::size_t> probe_key_;  // scratch for probe() memo lookups
+};
+
+/// Checks a delta context out of a problem's pool for one scope, returning
+/// it on exit (including when the scope throws). Which pooled context a
+/// lease gets never changes results — contexts return bit-identical
+/// evaluations whatever their history — so a handout order that varies
+/// under contention keeps searches deterministic at any thread count.
+class ContextLease {
+ public:
+  explicit ContextLease(const PlacementProblem& problem)
+      : problem_(problem), ctx_(problem.acquire_context()) {}
+  ~ContextLease() { problem_.release_context(std::move(ctx_)); }
+  ContextLease(const ContextLease&) = delete;
+  ContextLease& operator=(const ContextLease&) = delete;
+
+  DeltaPlacementContext& operator*() { return *ctx_; }
+  DeltaPlacementContext* operator->() { return ctx_.get(); }
+
+ private:
+  const PlacementProblem& problem_;
+  std::unique_ptr<DeltaPlacementContext> ctx_;
 };
 
 }  // namespace ropus::placement

@@ -14,10 +14,11 @@ DemandTrace::DemandTrace(std::string name, Calendar calendar,
       values_(std::move(values)) {
   ROPUS_REQUIRE(values_.size() == calendar_.size(),
                 "trace length must match calendar (" + name_ + ")");
-  for (double v : values_) {
+  for (double& v : values_) {
     ROPUS_REQUIRE(std::isfinite(v) && v >= 0.0,
                   "demand observations must be finite and >= 0 (" + name_ +
                       ")");
+    v += 0.0;  // -0.0 + 0.0 is +0.0; every other value is unchanged
   }
 }
 
@@ -49,7 +50,7 @@ void DemandTrace::assign_scaled(const DemandTrace& source,
   calendar_ = source.calendar_;
   values_.resize(source.values_.size());
   for (std::size_t i = 0; i < values_.size(); ++i) {
-    values_[i] = source.values_[i] * factors[i];
+    values_[i] = source.values_[i] * factors[i] + 0.0;
   }
 }
 

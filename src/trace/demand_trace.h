@@ -15,7 +15,9 @@ namespace ropus::trace {
 class DemandTrace {
  public:
   /// Takes ownership of `values`; size must equal `calendar.size()` and all
-  /// entries must be finite and non-negative.
+  /// entries must be finite and non-negative. A -0.0 entry is stored as
+  /// +0.0, so no trace holds a negative zero and an order statistic of its
+  /// values has one sign whatever algorithm finds it.
   DemandTrace(std::string name, Calendar calendar, std::vector<double> values);
 
   /// A zero-demand trace on the given calendar (useful as an accumulator).
@@ -38,7 +40,8 @@ class DemandTrace {
   DemandTrace& operator+=(const DemandTrace& other);
 
   /// Overwrites this trace with `source` scaled element-wise by `factors`
-  /// (finite, >= 0, aligned with the source). Reuses this trace's storage —
+  /// (finite, >= 0, aligned with the source; a -0.0 product is stored as
+  /// +0.0, as the constructor does). Reuses this trace's storage —
   /// the allocation-free form faultsim's per-trial surge scaling needs; no
   /// allocation at all once the buffer has the source's size.
   void assign_scaled(const DemandTrace& source,

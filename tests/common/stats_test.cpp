@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include <vector>
 
 #include "common/error.h"
+#include "common/rng.h"
 
 namespace ropus::stats {
 namespace {
@@ -72,6 +74,65 @@ TEST(Quantiles, BatchMatchesSingle) {
   for (std::size_t i = 0; i < qs.size(); ++i) {
     EXPECT_DOUBLE_EQ(batch[i], quantile(v, qs[i])) << "q=" << qs[i];
   }
+}
+
+/// quantile_upper by a full sort: the smallest 0-based index k with
+/// (k + 1) / n >= q, with the same 1e-9 guard against q * n landing a hair
+/// above an integer.
+double quantile_upper_by_sort(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const double target = q * static_cast<double>(v.size()) - 1.0;
+  const std::size_t k =
+      target <= 0.0 ? 0 : static_cast<std::size_t>(std::ceil(target - 1e-9));
+  return v[std::min(k, v.size() - 1)];
+}
+
+TEST(QuantileUpper, MatchesFullSortOracleOnTiedSamples) {
+  const double qs[] = {0.0, 1e-12, 0.03, 0.5, 0.97, 1.0};
+  Rng rng(2006);
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 64; ++n) sizes.push_back(n);
+  sizes.push_back(8064);  // four weeks of 5-minute samples
+  for (const std::size_t n : sizes) {
+    for (int round = 0; round < 4; ++round) {
+      // Heavy ties: values from a handful of levels, zero among them.
+      const std::size_t levels = 1 + rng.uniform_index(round == 0 ? 3 : 9);
+      std::vector<double> v(n);
+      for (double& x : v) {
+        x = 0.25 * static_cast<double>(rng.uniform_index(levels));
+      }
+      for (const double q : qs) {
+        const double x = quantile_upper(v, q);
+        EXPECT_EQ(x, quantile_upper_by_sort(v, q))
+            << "n=" << n << " round=" << round << " q=" << q;
+        // The documented guarantee: #{v > x} <= (1 - q) * n.
+        const auto above = std::count_if(
+            v.begin(), v.end(), [x](double y) { return y > x; });
+        EXPECT_LE(static_cast<double>(above),
+                  (1.0 - q) * static_cast<double>(n) + 1e-9)
+            << "n=" << n << " q=" << q;
+      }
+    }
+  }
+}
+
+TEST(QuantileUpper, SignedZerosCompareEqualToTheSortedAnswer) {
+  // With -0.0 and +0.0 both present the order statistic is a zero whose
+  // sign is unspecified; its value is the sort's. trace::DemandTrace stores
+  // no -0.0, so translations never meet the ambiguity (its test pins that).
+  const std::vector<double> v{0.0, -0.0, 3.0, -0.0, 0.0, 1.0, -0.0, 0.0};
+  for (const double q : {0.0, 0.25, 0.5, 0.75}) {
+    EXPECT_EQ(quantile_upper(v, q), 0.0) << q;
+    EXPECT_EQ(quantile_upper(v, q), quantile_upper_by_sort(v, q)) << q;
+  }
+  EXPECT_EQ(quantile_upper(v, 1.0), 3.0);
+}
+
+TEST(QuantileUpper, RejectsEmptyAndOutOfRange) {
+  EXPECT_THROW(quantile_upper({}, 0.5), InvalidArgument);
+  const std::vector<double> v{1.0};
+  EXPECT_THROW(quantile_upper(v, -0.1), InvalidArgument);
+  EXPECT_THROW(quantile_upper(v, 1.1), InvalidArgument);
 }
 
 TEST(Runs, FindsMaximalRuns) {

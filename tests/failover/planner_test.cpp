@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/parallel.h"
 #include "obs/metrics.h"
 
 namespace ropus::failover {
@@ -167,6 +168,47 @@ TEST(FailurePlanner, TranslatesEachAppOncePerQosMode) {
     const MultiFailoverReport multi = planner.plan_concurrent(cfg, 1);
     ASSERT_EQ(multi.outcomes.size(), 2u);
     EXPECT_EQ(translations.value() - before, 2 * s.demands.size())
+        << "degrade_all_apps=" << degrade_all;
+  }
+}
+
+TEST(FailurePlanner, LaterScenariosPackFromTheSharedMemo) {
+  // Under degrade_all_apps every scenario places the same failure-mode
+  // allocations on identical 16-way survivors, so its problem shares the
+  // sweep's memo and every scenario after the first repeats the first
+  // one's greedy packing from memo hits alone: the whole sweep probes the
+  // engine exactly as often as a sweep of its first scenario.
+  Scenario s = make_scenario(band(0.8, 0.9, 0.95));
+  FailurePlanner planner(s.demands, s.qos, s.commitments,
+                         sim::homogeneous_pool(3, 16));
+  const obs::Counter& probes = obs::counter("sim.incremental.delta_probes");
+  std::uint64_t before = probes.value();
+  const FailoverReport report = planner.plan(fast_config());
+  const std::uint64_t sweep = probes.value() - before;
+  ASSERT_EQ(report.outcomes.size(), 2u);
+
+  before = probes.value();
+  const MultiFailoverReport first =
+      planner.plan_concurrent(fast_config(), 1, /*max_subsets=*/1);
+  ASSERT_EQ(first.outcomes.size(), 1u);
+  EXPECT_EQ(sweep, probes.value() - before);
+}
+
+TEST(FailurePlanner, BuildsOneDeltaContextPerScenarioPlusNormal) {
+  struct ThreadCountGuard {
+    ~ThreadCountGuard() { parallel::set_thread_count(0); }
+  } guard;
+  parallel::set_thread_count(1);
+  Scenario s = make_scenario(band(0.8, 0.9, 0.95));
+  FailurePlanner planner(s.demands, s.qos, s.commitments,
+                         sim::homogeneous_pool(3, 16));
+  const obs::Counter& builds = obs::counter("placement.delta_context.builds");
+  for (const bool degrade_all : {true, false}) {
+    PlannerConfig cfg = fast_config();
+    cfg.degrade_all_apps = degrade_all;
+    const std::uint64_t before = builds.value();
+    const FailoverReport report = planner.plan(cfg);
+    EXPECT_EQ(builds.value() - before, 1 + report.outcomes.size())
         << "degrade_all_apps=" << degrade_all;
   }
 }

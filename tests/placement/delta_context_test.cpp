@@ -23,25 +23,8 @@
 namespace ropus::placement {
 namespace {
 
+using testing::expect_same_evaluation;
 using trace::Attribute;
-
-void expect_same_evaluation(const PlacementEvaluation& a,
-                            const PlacementEvaluation& b) {
-  ASSERT_EQ(a.score, b.score);  // bit compare, not NEAR
-  ASSERT_EQ(a.feasible, b.feasible);
-  ASSERT_EQ(a.servers_used, b.servers_used);
-  ASSERT_EQ(a.total_required_capacity, b.total_required_capacity);
-  ASSERT_EQ(a.servers.size(), b.servers.size());
-  for (std::size_t s = 0; s < a.servers.size(); ++s) {
-    ASSERT_EQ(a.servers[s].workloads, b.servers[s].workloads) << s;
-    ASSERT_EQ(a.servers[s].used, b.servers[s].used) << s;
-    ASSERT_EQ(a.servers[s].fits, b.servers[s].fits) << s;
-    ASSERT_EQ(a.servers[s].required_capacity, b.servers[s].required_capacity)
-        << s;
-    ASSERT_EQ(a.servers[s].utilization, b.servers[s].utilization) << s;
-    ASSERT_EQ(a.servers[s].score, b.servers[s].score) << s;
-  }
-}
 
 /// The ascending-id oracle for one server: aggregate_workloads +
 /// required_capacity for CPU, each attribute's per-slot sum and peak, then
@@ -161,7 +144,7 @@ TEST(DeltaContext, RandomAssignmentSequenceMatchesBatchBitForBit) {
   for (const PlacementProblem* problem :
        {flat.problem.get(), attributed.problem.get()}) {
     const std::unique_ptr<DeltaPlacementContext> ctx =
-        problem->make_delta_context();
+        problem->acquire_context();
     Rng rng(42);
     Assignment a(problem->workload_count(), 0);
     for (std::size_t step = 0; step < 200; ++step) {
@@ -198,7 +181,7 @@ TEST(DeltaContext, CaseStudyWorkloadsMatchBatchWhereCommitmentsBind) {
   const auto f = attributed_case_study(std::move(pool));
 
   const std::unique_ptr<DeltaPlacementContext> ctx =
-      f.problem->make_delta_context();
+      f.problem->acquire_context();
   Rng rng(7);
   Assignment a(f.problem->workload_count());
   for (std::size_t& g : a) g = rng.uniform_index(f.problem->server_count());
@@ -237,7 +220,7 @@ TEST(DeltaContext, ProbeAgreesWithCommittedEvaluation) {
   for (const PlacementProblem* problem :
        {flat.problem.get(), attributed.problem.get()}) {
     const std::unique_ptr<DeltaPlacementContext> ctx =
-        problem->make_delta_context();
+        problem->acquire_context();
     // Place greedily via probes, holding the last workload back; after each
     // commit, the probed verdict must equal what a batch evaluation reports
     // for that server.

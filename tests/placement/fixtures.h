@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include <gtest/gtest.h>
+
 #include "placement/problem.h"
 #include "qos/allocation.h"
 #include "qos/workload_allocations.h"
@@ -24,6 +26,26 @@ inline qos::Requirement flat_requirement() {
   r.u_degr = 0.9;
   r.m_percent = 100.0;
   return r;
+}
+
+/// Bit comparison of two evaluations (scores with ==, not NEAR); use
+/// through ASSERT_NO_FATAL_FAILURE or check HasFatalFailure().
+inline void expect_same_evaluation(const PlacementEvaluation& a,
+                                   const PlacementEvaluation& b) {
+  ASSERT_EQ(a.score, b.score);
+  ASSERT_EQ(a.feasible, b.feasible);
+  ASSERT_EQ(a.servers_used, b.servers_used);
+  ASSERT_EQ(a.total_required_capacity, b.total_required_capacity);
+  ASSERT_EQ(a.servers.size(), b.servers.size());
+  for (std::size_t s = 0; s < a.servers.size(); ++s) {
+    ASSERT_EQ(a.servers[s].workloads, b.servers[s].workloads) << s;
+    ASSERT_EQ(a.servers[s].used, b.servers[s].used) << s;
+    ASSERT_EQ(a.servers[s].fits, b.servers[s].fits) << s;
+    ASSERT_EQ(a.servers[s].required_capacity, b.servers[s].required_capacity)
+        << s;
+    ASSERT_EQ(a.servers[s].utilization, b.servers[s].utilization) << s;
+    ASSERT_EQ(a.servers[s].score, b.servers[s].score) << s;
+  }
 }
 
 /// Holds the storage a PlacementProblem needs (it keeps spans).

@@ -165,11 +165,11 @@ TEST(MultiProblem, EqualCpuServersWithDifferentMemoryAreJudgedApart) {
   }
   // The probe path shares the memo: the same pair probed on each server.
   const std::unique_ptr<DeltaPlacementContext> on_large =
-      f.problem->make_delta_context();
+      f.problem->acquire_context();
   on_large->add(0, 0);
   EXPECT_TRUE(on_large->probe(0, 1).fits);
   const std::unique_ptr<DeltaPlacementContext> on_small =
-      f.problem->make_delta_context();
+      f.problem->acquire_context();
   on_small->add(0, 1);
   EXPECT_FALSE(on_small->probe(1, 1).fits);
 }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/stats.h"
 
 namespace ropus::trace {
 namespace {
@@ -31,6 +32,32 @@ TEST(DemandTrace, ConstructionRejectsNegativeAndNonFinite) {
   EXPECT_THROW(DemandTrace("x", tiny(), v), InvalidArgument);
   v[3] = std::numeric_limits<double>::infinity();
   EXPECT_THROW(DemandTrace("x", tiny(), v), InvalidArgument);
+}
+
+TEST(DemandTrace, NegativeZeroIsStoredAsPositiveZero) {
+  // The sign-of-zero decision behind selecting D_M% instead of sorting:
+  // with no -0.0 stored, every zero order statistic of a trace is +0.0.
+  std::vector<double> v(tiny().size(), 0.0);
+  for (std::size_t i = 0; i < v.size(); i += 2) v[i] = -0.0;
+  v[5] = 2.0;
+  const DemandTrace t("t", tiny(), v);
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    EXPECT_FALSE(std::signbit(t[i])) << i;
+  }
+  EXPECT_EQ(t[5], 2.0);
+  for (const double q : {0.0, 0.5, 0.9}) {
+    const double x = stats::quantile_upper(t.values(), q);
+    EXPECT_EQ(x, 0.0) << q;
+    EXPECT_FALSE(std::signbit(x)) << q;
+  }
+
+  // assign_scaled keeps it: a -0.0 factor stores +0.0.
+  DemandTrace scaled = DemandTrace::zeros("s", tiny());
+  std::vector<double> factors(tiny().size(), 1.0);
+  factors[5] = -0.0;
+  scaled.assign_scaled(t, factors);
+  EXPECT_EQ(scaled[5], 0.0);
+  EXPECT_FALSE(std::signbit(scaled[5]));
 }
 
 TEST(DemandTrace, ZerosAndPeak) {
