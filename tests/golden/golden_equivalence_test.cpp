@@ -15,7 +15,11 @@
 //    small campaigns covering every telemetry fault kind and fallback,
 //    every controller policy, surges, delayed spares and the local degrade
 //    policy, plus one trial's per-app outcome each, captured while the
-//    workload manager still replayed a schedule slot by slot.
+//    workload manager still replayed a schedule slot by slot;
+//  * checkpoint_golden.txt — serve checkpoint files: the length and FNV-1a
+//    digest of the checkpoint written after every state-changing request of
+//    a seeded serve script, captured while save_state still printed each
+//    admitted app's profile afresh.
 // Every double is serialised with %.17g, which round-trips exactly, so a
 // string compare IS a bit compare.
 //
@@ -25,19 +29,27 @@
 // request lines on regeneration; only replies and summary are rewritten.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/rng.h"
 #include "faultsim/campaign.h"
 #include "obs/watchdog.h"
 #include "placement/assignment.h"
 #include "qos/allocation.h"
 #include "qos/requirements.h"
 #include "serve/arbiter.h"
+#include "serve/checkpoint.h"
 #include "serve/daemon.h"
 #include "sim/simulator.h"
 #include "trace/calendar.h"
@@ -726,6 +738,152 @@ std::vector<std::string> generate_admissions() {
   return out.all();
 }
 
+/// FNV-1a, 64-bit: the checkpoint fixture's digest, independent of the
+/// CRC-32 that frames the file it digests.
+std::uint64_t fnv1a64(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+std::string hex16(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+/// A seeded serve script on a 4 x 8-CPU hourly pool, checkpointed after
+/// every state-changing request: admissions with and without T_degr (one
+/// identified, one with `-0` readings in its profile, one renegotiated,
+/// one rejected), a CoS2 surge that backlogs deferred work and raises
+/// watchdog alerts, a 3-slot gap, a departure, an eviction and a late
+/// admission. Each line is the checkpoint file's length and digest.
+std::vector<std::string> generate_checkpoints() {
+  serve::ServeConfig config;
+  config.cos2 = qos::CosCommitment{0.6, 120.0};
+  config.minutes_per_sample = 60.0;
+  config.slots_per_day = 24;
+  config.servers = 4;
+  config.server_cpus = 8.0;
+  config.max_slot_gap = 24;
+  config.admission.renegotiate_tdegr = 120.0;
+  serve::Arbiter arbiter(config);
+  constexpr std::size_t kSlots = 7 * 24;
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("ropus_golden_checkpoint_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::filesystem::path path = dir / "serve.ckpt";
+
+  Rng rng(2006);
+  Lines out;
+  std::uint64_t journaled = 0;
+  std::vector<std::string> replies;
+  bool saw_renegotiated = false, saw_tdegr_null = false, saw_id_cache = false;
+  bool saw_backlog = false, saw_alert = false, saw_departure = false;
+  const auto drive = [&](const std::string& line) {
+    bool changed = false;
+    for (std::string& reply :
+         arbiter.handle(serve::parse_message(line), &changed)) {
+      saw_renegotiated = saw_renegotiated ||
+                         reply.find(R"("decision":"renegotiated")") !=
+                             std::string::npos;
+      saw_alert = saw_alert || reply.find(R"("alerts":[)") != std::string::npos;
+      saw_departure = saw_departure || reply.find(R"("type":"departure")") !=
+                                           std::string::npos;
+      replies.push_back(std::move(reply));
+    }
+    if (!changed) return;
+    journaled += 1;
+    serve::write_checkpoint(path, arbiter, journaled);
+    std::ifstream file(path, std::ios::binary);
+    const std::string bytes{std::istreambuf_iterator<char>(file), {}};
+    saw_tdegr_null =
+        saw_tdegr_null || bytes.find(R"("tdegr":null)") != std::string::npos;
+    saw_id_cache = saw_id_cache ||
+                   bytes.find(R"("id_cache":[{)") != std::string::npos;
+    saw_backlog = saw_backlog || arbiter.backlog_total() > 0.0;
+    out.add("checkpoint" + std::to_string(journaled),
+            std::to_string(bytes.size()) + "," + hex16(fnv1a64(bytes)));
+  };
+
+  // Profiles: a level per app with seeded full-precision noise, or a flat
+  // one with isolated peaks; `zeros` writes every fifth slot as `-0`.
+  std::map<std::string, std::vector<double>> profiles;
+  std::vector<std::string> hosted;
+  const auto noisy = [&rng](double level) {
+    std::vector<double> values;
+    for (std::size_t i = 0; i < kSlots; ++i) {
+      values.push_back(level * rng.uniform(0.6, 1.4));
+    }
+    return values;
+  };
+  const auto admit = [&](const std::string& app, std::vector<double> values,
+                         const std::string& extra, bool zeros = false) {
+    std::string profile;
+    for (std::size_t i = 0; i < kSlots; ++i) {
+      const bool zero = zeros && i % 5 == 0;
+      if (zero) values[i] = 0.0;
+      if (i > 0) profile += ',';
+      profile += zero ? "-0" : fmt(values[i]);
+    }
+    profiles[app] = std::move(values);
+    drive(R"({"type":"admit","app":")" + app + R"(","profile":[)" + profile +
+          "]" + extra + "}");
+    if (replies.back().find(R"("decision":"rejected")") == std::string::npos) {
+      hosted.push_back(app);
+    }
+  };
+  std::vector<double> peaky(kSlots, 1.0);
+  for (std::size_t i = 30; i < kSlots; i += 23) peaky[i] = 5.5;
+  admit("web", noisy(1.5), R"(,"tdegr":120)");
+  admit("db", noisy(2.0), R"(,"id":"admit-db","revenue":1.75)");
+  admit("peaky", peaky, R"(,"m":100)");  // renegotiated to M=90
+  admit("batch", noisy(1.0), R"(,"m":95,"tdegr":240)", true);
+  admit("cache", noisy(1.6), "");
+  admit("api", noisy(1.2), R"(,"m":99,"tdegr":60)");
+  admit("huge", noisy(40.0), "");  // fits no server: rejected, not journaled
+
+  std::size_t slot = 0;
+  for (std::size_t tick = 0; tick < 30; ++tick, ++slot) {
+    if (tick == 9) {
+      drive(R"({"type":"depart","app":"web","id":"bye-web"})");
+      std::erase(hosted, "web");
+    }
+    if (tick == 14) slot += 3;  // slots 14-16 arrive as filler verdicts
+    if (tick == 20) {
+      drive(R"({"type":"evict","app":"cache"})");
+      std::erase(hosted, "cache");
+    }
+    if (tick == 24) admit("late", noisy(1.2), R"(,"tdegr":180)");
+    const double surge = tick >= 6 && tick < 18 ? 2.2 : 1.0;
+    std::string demand = "{";
+    for (const std::string& app : hosted) {
+      if (demand.size() > 1) demand += ',';
+      demand += '"' + app + "\":";
+      demand += tick == 5 && app == "db"
+                    ? "null"
+                    : fmt(surge * profiles[app][slot % kSlots]);
+    }
+    demand += '}';
+    drive(R"({"type":"tick","slot":)" + std::to_string(slot) +
+          R"(,"demand":)" + demand + "}");
+  }
+  std::filesystem::remove_all(dir);
+
+  EXPECT_TRUE(saw_renegotiated) << "no renegotiated admission";
+  EXPECT_TRUE(saw_tdegr_null) << "no app without T_degr";
+  EXPECT_TRUE(saw_id_cache) << "no identified request";
+  EXPECT_TRUE(saw_backlog) << "no CoS2 backlog";
+  EXPECT_TRUE(saw_alert) << "no watchdog alert";
+  EXPECT_TRUE(saw_departure) << "no departure";
+  return out.all();
+}
+
 TEST(GoldenEquivalence, SloArithmeticMatchesPreRefactorFixture) {
   expect_matches_fixture("slo_golden.txt", generate());
 }
@@ -740,6 +898,10 @@ TEST(GoldenEquivalence, AdmissionRepliesMatchPreRefactorFixture) {
 
 TEST(GoldenEquivalence, FaultsimReportsMatchPreRefactorFixture) {
   expect_matches_fixture("faultsim_golden.txt", generate_campaigns());
+}
+
+TEST(GoldenEquivalence, CheckpointBytesMatchPreRefactorFixture) {
+  expect_matches_fixture("checkpoint_golden.txt", generate_checkpoints());
 }
 
 }  // namespace
