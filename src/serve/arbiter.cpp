@@ -41,6 +41,16 @@ const char* telemetry_name(wlm::ObservationClass cls) {
 constexpr std::size_t kMaxApps = 1024;
 constexpr std::size_t kMaxLifetimeApps = 0xFFFE;
 
+/// `demand`'s values as a JSON array, printed by the writer every other
+/// checkpoint field goes through.
+std::string profile_json(const trace::DemandTrace& demand) {
+  json::Writer w;
+  w.begin_array();
+  for (const double d : demand.values()) w.value(d);
+  w.end_array();
+  return w.str();
+}
+
 }  // namespace
 
 void ServeConfig::validate() const {
@@ -59,14 +69,14 @@ void ServeConfig::validate() const {
 }
 
 Arbiter::App::App(std::string name_, std::uint16_t id_, qos::Requirement req,
-                  trace::DemandTrace profile_, const qos::CosCommitment& cos2,
-                  const ServeConfig& cfg)
+                  const trace::DemandTrace& demand,
+                  const qos::CosCommitment& cos2, const ServeConfig& cfg)
     : name(std::move(name_)),
       id(id_),
       requirement(req),
-      profile(std::move(profile_)),
-      translation(qos::translate(profile, req, cos2)),
-      alloc(profile, translation),
+      profile(profile_json(demand)),
+      translation(qos::translate(demand, req, cos2)),
+      alloc(demand, translation),
       controller(translation, cfg.policy, cfg.history_window, cfg.degraded),
       band(wlm::band_of(req)),
       bands(cfg.minutes_per_sample) {}
@@ -174,9 +184,9 @@ Arbiter::App Arbiter::build_app(const AdmitMessage& msg,
   trace::Calendar calendar(weeks,
                            static_cast<std::size_t>(config_.minutes_per_sample));
   try {
-    trace::DemandTrace profile(msg.app, calendar, msg.profile);
-    App app(msg.app, static_cast<std::uint16_t>(next_app_id_), req,
-            std::move(profile), config_.cos2, config_);
+    const trace::DemandTrace profile(msg.app, calendar, msg.profile);
+    App app(msg.app, static_cast<std::uint16_t>(next_app_id_), req, profile,
+            config_.cos2, config_);
     app.revenue = msg.revenue;
     return app;
   } catch (const ProtocolViolation&) {
@@ -199,12 +209,11 @@ std::string Arbiter::admit(const AdmitMessage& msg, bool* state_changed) {
     throw ProtocolViolation(ProtocolError::kBadValue,
                             "application limit reached");
   }
-  if (!apps_.empty() &&
-      apps_.front().profile.size() != msg.profile.size()) {
+  if (!apps_.empty() && apps_.front().alloc.size() != msg.profile.size()) {
     throw ProtocolViolation(
         ProtocolError::kBadValue,
         "profile length must match the fleet (" +
-            std::to_string(apps_.front().profile.size()) + " slots)");
+            std::to_string(apps_.front().alloc.size()) + " slots)");
   }
 
   // The candidate is registered for the probes and unregistered before
@@ -580,9 +589,7 @@ void Arbiter::save_state(json::Writer& w) const {
     } else {
       w.key("tdegr").null();
     }
-    w.key("profile").begin_array();
-    for (const double d : app.profile.values()) w.value(d);
-    w.end_array();
+    w.key("profile").raw(app.profile);
     const wlm::Controller::Snapshot snap = app.controller.snapshot();
     w.key("controller").begin_object();
     w.key("history").begin_array();

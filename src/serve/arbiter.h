@@ -105,7 +105,9 @@ class Arbiter {
     bool renegotiated = false;
     double revenue = 1.0;
     std::size_t host = 0;
-    trace::DemandTrace profile;
+    /// The demand profile as the JSON array a checkpoint writes: profiles
+    /// never change after admission, so it is printed once, here.
+    std::string profile;
     qos::Translation translation;
     qos::AllocationTrace alloc;
     wlm::Controller controller;
@@ -113,7 +115,7 @@ class Arbiter {
     slo::BandAccumulator bands;    // per-app attainment for summary()
 
     App(std::string name_, std::uint16_t id_, qos::Requirement req,
-        trace::DemandTrace profile_, const qos::CosCommitment& cos2,
+        const trace::DemandTrace& demand, const qos::CosCommitment& cos2,
         const ServeConfig& cfg);
   };
 
