@@ -145,8 +145,7 @@ CheckpointLoad load_checkpoint(const std::filesystem::path& path,
   }
   try {
     const json::Value v = json::parse(payload);
-    result.journal_entries =
-        static_cast<std::uint64_t>(v.at("journal_entries").as_number());
+    result.journal_entries = json::read_count(v, "journal_entries");
     arbiter.load_state(v.at("arbiter"));
   } catch (const Error& e) {
     result.error = std::string("checkpoint payload is invalid: ") + e.what();

@@ -310,6 +310,14 @@ TEST_F(CheckpointTest, CraftedAppIdentityIsRefused) {
            [](std::string& p) { set_app_field(p, "db", "name", "\"web\""); }},
           {"negative count",
            [](std::string& p) { set_field(p, "departed", "-1"); }},
+          // Each would load, with a journal entry count that wrapped,
+          // truncated or overflowed its cast.
+          {"negative journal entries",
+           [](std::string& p) { set_field(p, "journal_entries", "-1"); }},
+          {"fractional journal entries",
+           [](std::string& p) { set_field(p, "journal_entries", "2.5"); }},
+          {"journal entries beyond a count",
+           [](std::string& p) { set_field(p, "journal_entries", "1e300"); }},
           {"next id beyond the id space",
            [](std::string& p) { set_field(p, "next_app_id", "65535"); }},
           // Both would load and then throw out of the next tick.
