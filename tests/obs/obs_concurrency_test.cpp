@@ -23,14 +23,16 @@ TEST(ObsConcurrencyTest, RegistryMutationDuringExportAndSampling) {
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> writes{0};
 
+  // Pre-bound references exercise the steady-state path; the named lookups
+  // in the writers exercise registration racing the exporters. Binding them
+  // before any thread starts means no reader sees an empty registry.
+  Counter& hot = registry.counter("stress.hot");
+  Gauge& level = registry.gauge("stress.level");
+  Histogram& lat = registry.histogram("stress.latency_seconds");
+
   std::vector<std::thread> writers;
   for (int t = 0; t < 4; ++t) {
-    writers.emplace_back([&registry, &stop, &writes, t] {
-      // Pre-bound references exercise the steady-state path; the named
-      // lookups below exercise registration racing the exporters.
-      Counter& hot = registry.counter("stress.hot");
-      Gauge& level = registry.gauge("stress.level");
-      Histogram& lat = registry.histogram("stress.latency_seconds");
+    writers.emplace_back([&registry, &stop, &writes, &hot, &level, &lat, t] {
       std::uint64_t n = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         hot.add(1);
@@ -81,12 +83,12 @@ TEST(ObsConcurrencyTest, RegistryMutationDuringExportAndSampling) {
   EXPECT_GT(writes.load(), 0u);
   EXPECT_GT(exports.load(), 0u);
   const Snapshot final_snap = registry.snapshot();
-  std::uint64_t hot = 0;
+  std::uint64_t hot_total = 0;
   for (const auto& [name, value] : final_snap.counters) {
-    if (name == "stress.hot") hot = value;
+    if (name == "stress.hot") hot_total = value;
   }
   // Relaxed counters never lose increments once threads are joined.
-  EXPECT_EQ(hot, writes.load());
+  EXPECT_EQ(hot_total, writes.load());
   EXPECT_GT(series.samples(), 0u);
 }
 
