@@ -21,7 +21,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/parallel.h"
+#include "common/rng.h"
 #include "faultsim/campaign.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -445,6 +447,17 @@ void report(const BenchRun& run, bench::BenchReporter& reporter) {
          reporter);
 }
 
+/// CRC-32 over 1 MiB of seeded bytes (items are bytes): the per-byte cost
+/// every checkpoint payload and journal frame pays for its framing.
+[[gnu::noinline]] void bench_crc32(bench::BenchReporter& reporter) {
+  Rng rng(2006);
+  std::string bytes(std::size_t{1} << 20, '\0');
+  for (char& b : bytes) b = static_cast<char>(rng.uniform_index(256));
+  report(run_bench("crc32", bytes.size(),
+                   [&] { do_not_optimize(crc::crc32(bytes)); }),
+         reporter);
+}
+
 /// The durable side of the serve daemon: one full compaction cycle —
 /// append a checkpoint interval's worth of journal frames, snapshot the
 /// arbiter (atomic write, fsync of file and parent directory), then
@@ -702,6 +715,7 @@ int main() {
 
   bench_slo_kernel(reporter);
   bench_serve_tick(reporter);
+  bench_crc32(reporter);
   bench_serve_compact(reporter);
   bench_observability(reporter);
 #if defined(__unix__) || defined(__APPLE__)
