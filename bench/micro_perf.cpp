@@ -19,6 +19,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/crc32.h"
@@ -81,9 +82,16 @@ struct BenchRun {
   std::uint64_t items = 0;      // work items per iteration (0 = none)
 };
 
+/// The untimed step of a phase that has none.
+struct NoReset {
+  void operator()() const {}
+};
+
 /// Runs `fn` until it has consumed ~`budget` seconds of warmup, then times
 /// `reps` repetitions of a batch sized so one repetition takes at least
-/// `batch_seconds`.
+/// `batch_seconds`. A phase whose state drifts passes `reset`, an untimed
+/// step run before every iteration (warmup included): the clock then stops
+/// around it, so only `fn` is timed.
 ///
 /// Two floors keep noisy hosts from writing outliers into the baseline
 /// JSON: every repetition runs at least kMinBatch iterations (a single
@@ -92,9 +100,10 @@ struct BenchRun {
 /// phase runs extra rounds of repetitions (bounded at kMaxRounds) and
 /// reports over the pooled samples — a transiently-perturbed run converges
 /// toward the steady state instead of recording the perturbation.
-template <typename Fn>
+template <typename Fn, typename Reset = NoReset>
 BenchRun run_bench(const std::string& name, std::uint64_t items_per_iter,
-                   Fn&& fn) {
+                   Fn&& fn, Reset&& reset = {}) {
+  constexpr bool kHasReset = !std::is_same_v<std::decay_t<Reset>, NoReset>;
   const std::size_t reps = reps_from_env();
   const double warmup_budget = fast_mode() ? 0.01 : 0.05;
   const double batch_seconds = fast_mode() ? 0.02 : 0.1;
@@ -107,6 +116,7 @@ BenchRun run_bench(const std::string& name, std::uint64_t items_per_iter,
   const double warm_start = obs::monotonic_seconds();
   double elapsed = 0.0;
   do {
+    reset();
     fn();
     warm_iters += 1;
     elapsed = obs::monotonic_seconds() - warm_start;
@@ -121,10 +131,20 @@ BenchRun run_bench(const std::string& name, std::uint64_t items_per_iter,
   per_iter.reserve(reps * kMaxRounds);
   for (std::size_t round = 0; round < kMaxRounds; ++round) {
     for (std::size_t r = 0; r < reps; ++r) {
-      const double start = obs::monotonic_seconds();
-      for (std::size_t i = 0; i < batch; ++i) fn();
-      per_iter.push_back((obs::monotonic_seconds() - start) /
-                         static_cast<double>(batch));
+      double timed = 0.0;
+      if constexpr (kHasReset) {
+        for (std::size_t i = 0; i < batch; ++i) {
+          reset();
+          const double start = obs::monotonic_seconds();
+          fn();
+          timed += obs::monotonic_seconds() - start;
+        }
+      } else {
+        const double start = obs::monotonic_seconds();
+        for (std::size_t i = 0; i < batch; ++i) fn();
+        timed = obs::monotonic_seconds() - start;
+      }
+      per_iter.push_back(timed / static_cast<double>(batch));
     }
     std::sort(per_iter.begin(), per_iter.end());
     const double median = per_iter[per_iter.size() / 2];
@@ -385,8 +405,9 @@ void report(const BenchRun& run, bench::BenchReporter& reporter) {
 /// The serve daemon's steady-state tick: parse one NDJSON line and judge
 /// the slot for 8 apps (grant rule, watchdog, verdict rendering), plus the
 /// cost of serializing a full checkpoint payload. The arbiter's per-group
-/// theta bookkeeping grows with elapsed weeks, so the loop re-seeds a fresh
-/// arbiter each simulated week to keep the phase stationary.
+/// theta bookkeeping grows with elapsed weeks, so an untimed reset step
+/// re-seeds a fresh arbiter (8 admissions) each simulated week to keep the
+/// phase stationary without timing admissions as ticks.
 [[gnu::noinline]] void bench_serve_tick(bench::BenchReporter& reporter) {
   const std::size_t n = 8;
   const trace::Calendar cal = demands()[0].calendar();
@@ -425,17 +446,17 @@ void report(const BenchRun& run, bench::BenchReporter& reporter) {
   }
   suffix += "}}";
 
-  report(run_bench("serve/tick", n,
-                   [&] {
-                     if (arbiter.next_slot() >= week_slots) {
-                       arbiter = seed_arbiter();
-                     }
-                     const std::string line =
-                         "{\"type\":\"tick\",\"slot\":" +
-                         std::to_string(arbiter.next_slot()) + suffix;
-                     do_not_optimize(
-                         arbiter.handle(serve::parse_message(line)));
-                   }),
+  report(run_bench(
+             "serve/tick", n,
+             [&] {
+               const std::string line = "{\"type\":\"tick\",\"slot\":" +
+                                        std::to_string(arbiter.next_slot()) +
+                                        suffix;
+               do_not_optimize(arbiter.handle(serve::parse_message(line)));
+             },
+             [&] {
+               if (arbiter.next_slot() >= week_slots) arbiter = seed_arbiter();
+             }),
          reporter);
 
   report(run_bench("serve/checkpoint_save", 0,

@@ -1,6 +1,7 @@
 #include "faultsim/replay.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <set>
@@ -95,7 +96,9 @@ void judge_modes(std::span<const double> demand,
                  double minutes_per_sample, TrialAppOutcome& app) {
   slo::BandAccumulator normal_acc(minutes_per_sample);
   slo::BandAccumulator failure_acc(minutes_per_sample);
-  const std::vector<bool>& fallback = replay.fallback_slots;
+  const std::uint8_t* const fallback = replay.fallback_slots.empty()
+                                           ? nullptr
+                                           : replay.fallback_slots.data();
   for (std::size_t p = 0; p < phases.size(); ++p) {
     const bool failure_mode = phases[p].failure_mode[a];
     slo::BandAccumulator& acc = failure_mode ? failure_acc : normal_acc;
@@ -105,7 +108,7 @@ void judge_modes(std::span<const double> demand,
         p + 1 < phases.size() ? phases[p + 1].start_slot : demand.size();
     for (std::size_t i = phases[p].start_slot; i < end; ++i) {
       acc.observe(demand[i], replay.granted[i], band,
-                  !fallback.empty() && fallback[i]);
+                  fallback != nullptr && fallback[i] != 0);
     }
   }
   static_cast<slo::BandCounts&>(app.normal_mode) = normal_acc.counts();
@@ -292,10 +295,12 @@ TrialOutcome replay_trial(std::span<const trace::DemandTrace> demands,
     for (std::size_t a = 0; a < n; ++a) {
       channels.emplace_back(config.telemetry, streams.next());
     }
-    schedule_telemetry.observe = [&channels](std::size_t app, std::size_t,
-                                             double true_demand) {
-      return channels[app].observe(true_demand);
-    };
+    schedule_telemetry.observe =
+        [&channels](std::size_t app, std::size_t,
+                    std::span<const double> true_demand,
+                    std::span<wlm::Observation> out) {
+          channels[app].observe_block(true_demand, out);
+        };
   }
 
   const wlm::ScheduleResult replay =

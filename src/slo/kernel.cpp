@@ -1,7 +1,6 @@
 #include "slo/kernel.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/error.h"
 
@@ -17,44 +16,6 @@ bool BandCounts::satisfies(const Band& band, double slack_percent) const {
     return false;
   }
   return true;
-}
-
-BandClass classify_band(double demand, double granted, const Band& band) {
-  if (demand <= 0.0) return BandClass::kIdle;
-  const double u = granted > 0.0 ? demand / granted
-                                 : std::numeric_limits<double>::infinity();
-  if (u <= band.u_high * (1.0 + kRelEps)) return BandClass::kAcceptable;
-  if (u <= band.u_degr * (1.0 + kRelEps)) return BandClass::kDegraded;
-  return BandClass::kViolating;
-}
-
-BandClass BandAccumulator::observe(double demand, double granted,
-                                   const Band& band, bool on_fallback) {
-  counts_.intervals += 1;
-  const BandClass cls = classify_band(demand, granted, band);
-  switch (cls) {
-    case BandClass::kIdle:
-      counts_.idle += 1;
-      run_ = 0;
-      return cls;
-    case BandClass::kAcceptable:
-      counts_.acceptable += 1;
-      run_ = 0;
-      return cls;
-    case BandClass::kDegraded:
-      counts_.degraded += 1;
-      if (on_fallback) counts_.degraded_telemetry += 1;
-      break;
-    case BandClass::kViolating:
-      counts_.violating += 1;
-      if (on_fallback) counts_.violating_telemetry += 1;
-      break;
-  }
-  run_ += 1;
-  longest_ = std::max(longest_, run_);
-  counts_.longest_degraded_minutes =
-      static_cast<double>(longest_) * minutes_per_sample_;
-  return cls;
 }
 
 BandCounts accumulate_bands(std::span<const double> demand,
@@ -280,24 +241,6 @@ GridFloor deadline_floor(std::span<const double> cos1,
     }
   }
   return floor;
-}
-
-GrantScales grant_scales(double capacity, double cos1_requested,
-                         double cos2_requested) {
-  ROPUS_REQUIRE(capacity >= 0.0 && cos1_requested >= 0.0 &&
-                    cos2_requested >= 0.0,
-                "grant inputs must be >= 0");
-  GrantScales scales;
-  if (cos1_requested > capacity) {
-    scales.cos1 = capacity > 0.0 ? capacity / cos1_requested : 0.0;
-  }
-  scales.cos1_granted = std::min(cos1_requested, capacity);
-  if (cos2_requested > 0.0) {
-    scales.cos2 =
-        std::min(1.0, (capacity - scales.cos1_granted) / cos2_requested);
-  }
-  scales.cos2_granted = cos2_requested * scales.cos2;
-  return scales;
 }
 
 bool DeferralQueue::overdue_at_end(std::size_t trace_size) const {

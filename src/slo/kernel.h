@@ -5,7 +5,10 @@
 // (obs), faultsim's per-trial scoring, and the placement objective (via the
 // simulator) — routes through the types in this header, so the band
 // classification, M%/T_degr budgets, per-(week, slot-of-day) theta, and
-// CoS1-overcommit rules exist in exactly one translation unit.
+// CoS1-overcommit rules are stated exactly once: here, or in kernel.cpp.
+// The per-slot rules (grant_scales, classify_band, BandAccumulator::
+// observe) are defined inline in this header, so per-slot loops step
+// through them without a call.
 //
 // Both shapes are exposed: batch functions over `std::span<const double>`
 // for offline whole-trace checks, and incremental accumulators for online
@@ -21,8 +24,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <span>
 #include <vector>
+
+#include "common/error.h"
 
 namespace ropus::slo {
 
@@ -87,8 +93,18 @@ struct BandCounts {
 /// Classification of a single observation against a Band — the stateless
 /// core of BandAccumulator::observe, exposed so one-shot consumers (the
 /// serve arbiter's per-tick verdicts) share the exact comparison arithmetic
-/// without carrying accumulator state.
-BandClass classify_band(double demand, double granted, const Band& band);
+/// without carrying accumulator state. Inline, like observe() and
+/// grant_scales(), because the per-slot loops of the fault-trial replay
+/// call it once per (app, slot).
+inline BandClass classify_band(double demand, double granted,
+                               const Band& band) {
+  if (demand <= 0.0) return BandClass::kIdle;
+  const double u = granted > 0.0 ? demand / granted
+                                 : std::numeric_limits<double>::infinity();
+  if (u <= band.u_high * (1.0 + kRelEps)) return BandClass::kAcceptable;
+  if (u <= band.u_degr * (1.0 + kRelEps)) return BandClass::kDegraded;
+  return BandClass::kViolating;
+}
 
 /// Streaming band classifier: one observation at a time, with the idle /
 /// run-reset rules and the T_degr run bookkeeping. A masked-out slot (the
@@ -102,7 +118,33 @@ class BandAccumulator {
   /// Classifies and counts one observation. `on_fallback` attributes a
   /// degraded/violating slot to the telemetry pipeline.
   BandClass observe(double demand, double granted, const Band& band,
-                    bool on_fallback = false);
+                    bool on_fallback = false) {
+    counts_.intervals += 1;
+    const BandClass cls = classify_band(demand, granted, band);
+    switch (cls) {
+      case BandClass::kIdle:
+        counts_.idle += 1;
+        run_ = 0;
+        return cls;
+      case BandClass::kAcceptable:
+        counts_.acceptable += 1;
+        run_ = 0;
+        return cls;
+      case BandClass::kDegraded:
+        counts_.degraded += 1;
+        if (on_fallback) counts_.degraded_telemetry += 1;
+        break;
+      case BandClass::kViolating:
+        counts_.violating += 1;
+        if (on_fallback) counts_.violating_telemetry += 1;
+        break;
+    }
+    run_ += 1;
+    longest_ = std::max(longest_, run_);
+    counts_.longest_degraded_minutes =
+        static_cast<double>(longest_) * minutes_per_sample_;
+    return cls;
+  }
 
   /// Ends the current degraded run (masked-out slot, section change, or
   /// end of stream). Counts are unaffected.
@@ -386,8 +428,23 @@ struct GrantScales {
 /// The grant for a server of `capacity` CPUs facing aggregate requests
 /// `cos1_requested` / `cos2_requested`. Throws InvalidArgument unless all
 /// three are >= 0.
-GrantScales grant_scales(double capacity, double cos1_requested,
-                         double cos2_requested);
+inline GrantScales grant_scales(double capacity, double cos1_requested,
+                                double cos2_requested) {
+  ROPUS_REQUIRE(capacity >= 0.0 && cos1_requested >= 0.0 &&
+                    cos2_requested >= 0.0,
+                "grant inputs must be >= 0");
+  GrantScales scales;
+  if (cos1_requested > capacity) {
+    scales.cos1 = capacity > 0.0 ? capacity / cos1_requested : 0.0;
+  }
+  scales.cos1_granted = std::min(cos1_requested, capacity);
+  if (cos2_requested > 0.0) {
+    scales.cos2 =
+        std::min(1.0, (capacity - scales.cos1_granted) / cos2_requested);
+  }
+  scales.cos2_granted = cos2_requested * scales.cos2;
+  return scales;
+}
 
 /// True when a grant scales back the guaranteed class itself: CoS1 is
 /// served first, so `granted < cos1` (beyond rounding slack) means the

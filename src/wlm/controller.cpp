@@ -20,6 +20,17 @@ log::Every& fallback_warn_limiter() {
   static log::Every limiter(5, 10000);
   return limiter;
 }
+
+struct ControllerCounters {
+  obs::Counter& corrupt = obs::counter("wlm.controller.corrupt_observations");
+  obs::Counter& fallback = obs::counter("wlm.controller.fallback_activations");
+};
+// Registered when the first controller is built, so both counters export
+// (at 0) from any run that builds one.
+ControllerCounters& counters() {
+  static ControllerCounters c;
+  return c;
+}
 }  // namespace
 
 void DegradedModeConfig::validate() const {
@@ -39,9 +50,17 @@ Controller::Controller(const qos::Translation& tr, Policy policy,
   tr.requirement.validate();
   degraded_.validate();
   ROPUS_REQUIRE(history_window_ >= 1, "history window must be >= 1");
+  // The ring holds the window a reactive policy reads; kClairvoyant keeps
+  // no history.
+  const std::size_t window = policy_ == Policy::kReactive ? 1
+                             : policy_ == Policy::kWindowedMax
+                                 ? history_window_
+                                 : 0;
+  history_.assign(window, 0.0);
+  (void)counters();
 }
 
-AllocationRequest Controller::request_for(double demand) const {
+inline AllocationRequest Controller::request_for(double demand) const {
   ROPUS_REQUIRE(demand >= 0.0, "demand must be >= 0");
   const double capped = std::min(demand, translation_.d_new_max);
   const double d1 = std::min(capped, translation_.cos1_demand_cap());
@@ -50,24 +69,7 @@ AllocationRequest Controller::request_for(double demand) const {
   return AllocationRequest{d1 / u_low, d2 / u_low};
 }
 
-ObservationClass Controller::classify(const Observation& obs) const {
-  if (obs.kind == ObservationClass::kMissing) return ObservationClass::kMissing;
-  if (obs.kind == ObservationClass::kStale) return ObservationClass::kStale;
-  // kOk and kCorrupt observations are judged by the value itself: a
-  // corrupted reading that still looks plausible is indistinguishable from
-  // a real one, and a nominally-ok reading carrying garbage must not reach
-  // the allocation path.
-  if (!std::isfinite(obs.value) || obs.value < 0.0) {
-    return ObservationClass::kCorrupt;
-  }
-  if (degraded_.spike_threshold_factor > 0.0 &&
-      obs.value > degraded_.spike_threshold_factor * translation_.d_new_max) {
-    return ObservationClass::kCorrupt;
-  }
-  return ObservationClass::kOk;
-}
-
-AllocationRequest Controller::step_measurement(double demand) {
+inline AllocationRequest Controller::step_measurement(double demand) {
   if (policy_ == Policy::kClairvoyant) {
     last_basis_ = demand;
     return request_for(demand);
@@ -75,29 +77,33 @@ AllocationRequest Controller::step_measurement(double demand) {
 
   // Reactive policies: request from history; the first interval has no
   // history and conservatively requests the maximum.
-  AllocationRequest request;
-  if (history_.empty()) {
+  const std::size_t size = history_.size();
+  if (history_count_ == 0) {
     last_basis_ = translation_.d_new_max;
-    request = request_for(translation_.d_new_max);
   } else if (policy_ == Policy::kReactive) {
-    last_basis_ = history_.back();
-    request = request_for(last_basis_);
-  } else {  // kWindowedMax
-    last_basis_ = *std::max_element(history_.begin(), history_.end());
-    request = request_for(last_basis_);
+    last_basis_ = history_[history_next_ == 0 ? size - 1 : history_next_ - 1];
+  } else {  // kWindowedMax: the first maximum, oldest to newest
+    std::size_t at = history_next_ >= history_count_
+                         ? history_next_ - history_count_
+                         : history_next_ + size - history_count_;
+    double best = history_[at];
+    for (std::size_t k = 1; k < history_count_; ++k) {
+      at = at + 1 == size ? 0 : at + 1;
+      if (best < history_[at]) best = history_[at];
+    }
+    last_basis_ = best;
   }
+  const AllocationRequest request = request_for(last_basis_);
 
   const std::size_t window =
       policy_ == Policy::kReactive ? 1 : history_window_;
-  history_.push_back(demand);
-  if (history_.size() > window) {
-    history_.erase(history_.begin(),
-                   history_.end() - static_cast<std::ptrdiff_t>(window));
-  }
+  history_[history_next_] = demand;
+  history_next_ = history_next_ + 1 == size ? 0 : history_next_ + 1;
+  history_count_ = std::min(history_count_ + 1, window);
   return request;
 }
 
-AllocationRequest Controller::fallback_request() const {
+inline AllocationRequest Controller::fallback_request() const {
   switch (degraded_.fallback) {
     case FallbackPolicy::kHoldLast:
       return request_for(last_basis_);
@@ -114,12 +120,26 @@ AllocationRequest Controller::fallback_request() const {
   return request_for(translation_.d_new_max);  // unreachable
 }
 
-AllocationRequest Controller::observe(const Observation& obs) {
-  // Fully qualified: the `obs` parameter shadows the ropus::obs namespace.
-  static ropus::obs::Counter& corrupt_total =
-      ropus::obs::counter("wlm.controller.corrupt_observations");
-  static ropus::obs::Counter& fallback_total =
-      ropus::obs::counter("wlm.controller.fallback_activations");
+void Controller::note_corrupt(double value) {
+  counters().corrupt.add(1);
+  if (corrupt_warn_limiter().allow()) {
+    ROPUS_LOG(kWarn) << "controller rejected corrupt telemetry (value "
+                     << value << ", suppressed "
+                     << corrupt_warn_limiter().suppressed()
+                     << " similar warnings)";
+  }
+}
+
+void Controller::note_fallback_entry() {
+  counters().fallback.add(1);
+  if (fallback_warn_limiter().allow()) {
+    ROPUS_LOG(kWarn) << "controller entered telemetry fallback (suppressed "
+                     << fallback_warn_limiter().suppressed()
+                     << " similar warnings)";
+  }
+}
+
+inline AllocationRequest Controller::observe_one(const Observation& obs) {
   const ObservationClass cls = classify(obs);
   health_.intervals += 1;
   bool usable = false;
@@ -138,13 +158,7 @@ AllocationRequest Controller::observe(const Observation& obs) {
       break;
     case ObservationClass::kCorrupt:
       health_.corrupt += 1;
-      corrupt_total.add(1);
-      if (corrupt_warn_limiter().allow()) {
-        ROPUS_LOG(kWarn) << "controller rejected corrupt telemetry (value "
-                         << obs.value << ", suppressed "
-                         << corrupt_warn_limiter().suppressed()
-                         << " similar warnings)";
-      }
+      note_corrupt(obs.value);
       break;
   }
 
@@ -155,12 +169,7 @@ AllocationRequest Controller::observe(const Observation& obs) {
 
   if (consecutive_degraded_ == 0) {
     health_.fallback_activations += 1;
-    fallback_total.add(1);
-    if (fallback_warn_limiter().allow()) {
-      ROPUS_LOG(kWarn) << "controller entered telemetry fallback (suppressed "
-                       << fallback_warn_limiter().suppressed()
-                       << " similar warnings)";
-    }
+    note_fallback_entry();
   }
   consecutive_degraded_ += 1;
   health_.fallback_intervals += 1;
@@ -169,14 +178,69 @@ AllocationRequest Controller::observe(const Observation& obs) {
   return fallback_request();
 }
 
+AllocationRequest Controller::observe(const Observation& obs) {
+  return observe_one(obs);
+}
+
 AllocationRequest Controller::step(double measured_demand) {
-  return observe(Observation::ok(measured_demand));
+  return observe_one(Observation::ok(measured_demand));
+}
+
+void Controller::observe_run(std::span<const Observation> readings,
+                             std::span<AllocationRequest> out,
+                             std::span<std::uint8_t> fallback) {
+  ROPUS_REQUIRE(out.size() == readings.size() &&
+                    fallback.size() == readings.size(),
+                "a run's readings, requests and flags must align");
+  for (std::size_t k = 0; k < readings.size(); ++k) {
+    out[k] = observe_one(readings[k]);
+    fallback[k] = consecutive_degraded_ > 0 ? 1 : 0;
+  }
+}
+
+void Controller::step_run(std::span<const double> demand,
+                          std::span<AllocationRequest> out) {
+  ROPUS_REQUIRE(out.size() == demand.size(),
+                "a run's demands and requests must align");
+  for (std::size_t k = 0; k < demand.size(); ++k) {
+    out[k] = observe_one(Observation::ok(demand[k]));
+  }
 }
 
 void Controller::reset() {
-  history_.clear();
+  history_count_ = 0;
+  history_next_ = 0;
   last_basis_ = translation_.d_new_max;
   consecutive_degraded_ = 0;
+}
+
+Controller::Snapshot Controller::snapshot() const {
+  Snapshot s{{}, last_basis_, consecutive_degraded_, health_};
+  s.history.reserve(history_count_);
+  const std::size_t size = history_.size();
+  std::size_t at = history_next_ >= history_count_
+                       ? history_next_ - history_count_
+                       : history_next_ + size - history_count_;
+  for (std::size_t k = 0; k < history_count_; ++k) {
+    s.history.push_back(history_[at]);
+    at = at + 1 == size ? 0 : at + 1;
+  }
+  return s;
+}
+
+void Controller::restore(const Snapshot& s) {
+  // A restored history longer than the window is read whole by the next
+  // step (as the vector it was saved from would be), so the ring grows to
+  // hold it; the step after trims the count back to the window.
+  if (s.history.size() > history_.size()) {
+    history_.resize(s.history.size());
+  }
+  std::copy(s.history.begin(), s.history.end(), history_.begin());
+  history_count_ = s.history.size();
+  history_next_ = history_.empty() ? 0 : history_count_ % history_.size();
+  last_basis_ = s.last_basis;
+  consecutive_degraded_ = s.consecutive_degraded;
+  health_ = s.health;
 }
 
 }  // namespace ropus::wlm

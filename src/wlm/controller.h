@@ -11,6 +11,11 @@
 // pipeline did over the run.
 #pragma once
 
+#include <cmath>
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "qos/translation.h"
 #include "wlm/telemetry.h"
 
@@ -98,8 +103,38 @@ class Controller {
   /// ok observation this is bit-identical to step(obs.value).
   AllocationRequest observe(const Observation& obs);
 
+  /// observe() over a run of consecutive readings: `out[k]` is what
+  /// observe(readings[k]) returns and `fallback[k]` is in_fallback() right
+  /// after it (1 or 0). The per-reading body is observe()'s own, inlined,
+  /// so a run costs one call. The three spans must have equal length.
+  void observe_run(std::span<const Observation> readings,
+                   std::span<AllocationRequest> out,
+                   std::span<std::uint8_t> fallback);
+
+  /// step() over a run of consecutive measured demands: `out[k]` is what
+  /// step(demand[k]) returns. The spans must have equal length.
+  void step_run(std::span<const double> demand,
+                std::span<AllocationRequest> out);
+
   /// Classification `observe` would apply, without stepping.
-  ObservationClass classify(const Observation& obs) const;
+  ObservationClass classify(const Observation& obs) const {
+    if (obs.kind == ObservationClass::kMissing) {
+      return ObservationClass::kMissing;
+    }
+    if (obs.kind == ObservationClass::kStale) return ObservationClass::kStale;
+    // kOk and kCorrupt observations are judged by the value itself: a
+    // corrupted reading that still looks plausible is indistinguishable
+    // from a real one, and a nominally-ok reading carrying garbage must not
+    // reach the allocation path.
+    if (!std::isfinite(obs.value) || obs.value < 0.0) {
+      return ObservationClass::kCorrupt;
+    }
+    if (degraded_.spike_threshold_factor > 0.0 &&
+        obs.value > degraded_.spike_threshold_factor * translation_.d_new_max) {
+      return ObservationClass::kCorrupt;
+    }
+    return ObservationClass::kOk;
+  }
 
   /// Resets the demand history and fallback state (e.g. after migrating
   /// the container). The health report persists — it describes the
@@ -127,26 +162,34 @@ class Controller {
     std::size_t consecutive_degraded = 0;
     HealthReport health;
   };
-  Snapshot snapshot() const {
-    return Snapshot{history_, last_basis_, consecutive_degraded_, health_};
-  }
-  void restore(const Snapshot& s) {
-    history_ = s.history;
-    last_basis_ = s.last_basis;
-    consecutive_degraded_ = s.consecutive_degraded;
-    health_ = s.health;
-  }
+  Snapshot snapshot() const;
+  void restore(const Snapshot& s);
 
  private:
-  AllocationRequest request_for(double demand) const;
-  AllocationRequest step_measurement(double demand);
-  AllocationRequest fallback_request() const;
+  // The per-reading body of observe(), step(), observe_run() and
+  // step_run(), and the steps it takes. Defined in controller.cpp (the
+  // only caller), forced inline so a run takes no call per reading.
+  [[gnu::always_inline]] inline AllocationRequest observe_one(
+      const Observation& obs);
+  [[gnu::always_inline]] inline AllocationRequest request_for(
+      double demand) const;
+  [[gnu::always_inline]] inline AllocationRequest step_measurement(
+      double demand);
+  [[gnu::always_inline]] inline AllocationRequest fallback_request() const;
+  // The cold part of observe_one: metrics and rate-limited warnings.
+  void note_corrupt(double value);
+  void note_fallback_entry();
 
   qos::Translation translation_;
   Policy policy_;
   std::size_t history_window_;
   DegradedModeConfig degraded_;
-  std::vector<double> history_;  // ring of recent measurements (newest last)
+  /// Recent measurements as a ring: the newest `history_count_` of them
+  /// end just before `history_next_` (mod the ring's size). A step
+  /// overwrites the oldest slot in place instead of shifting a vector.
+  std::vector<double> history_;
+  std::size_t history_count_ = 0;
+  std::size_t history_next_ = 0;
   /// Demand the last measurement-driven request was computed from, or the
   /// conservative maximum before any measurement arrived.
   double last_basis_;

@@ -98,7 +98,7 @@ ScheduleResult run_event_schedule(
   for (std::size_t a = 0; a < n; ++a) {
     result.apps[a].name = demands[a].name();
     result.apps[a].granted.assign(cal.size(), 0.0);
-    if (faulted) result.apps[a].fallback_slots.assign(cal.size(), false);
+    if (faulted) result.apps[a].fallback_slots.assign(cal.size(), 0);
   }
 
   // Flight-recorder hookup: resolve app ids once (app_id takes a mutex),
@@ -116,7 +116,8 @@ ScheduleResult run_event_schedule(
 
   // Per-block buffers, indexed [app or server][slot - block start]: each
   // app's requests, each server's summed requests and grant, and (for the
-  // recorder) the class of each reading.
+  // recorder) the class of each reading; plus the readings of the app
+  // being stepped.
   constexpr std::size_t kBlock = kScheduleBlockSlots;
   const std::size_t servers = pool.size();
   std::vector<AllocationRequest> requests(n * kBlock);
@@ -124,6 +125,7 @@ ScheduleResult run_event_schedule(
   std::vector<slo::GrantScales> scales(servers * kBlock);
   std::vector<ObservationClass> kinds(rec != nullptr && faulted ? n * kBlock
                                                                 : 0);
+  std::vector<Observation> readings(faulted ? kBlock : 0);
 
   // The phases a block crosses: [begin, end) runs phases[phase].
   struct Segment {
@@ -149,15 +151,26 @@ ScheduleResult run_event_schedule(
       i = next;
     }
 
-    // Pass 1: each app steps its controller through the block, then adds
-    // its requests into its host's per-slot sums.
+    // Pass 1: each app pulls the block's readings, steps its controller
+    // through the block, then adds its requests into its host's per-slot
+    // sums.
     std::fill(requested.begin(), requested.end(), AllocationRequest{});
+    const std::size_t block_len = b1 - b0;
     for (std::size_t a = 0; a < n; ++a) {
       const double* const demand = demands[a].values().data();
       const char* const outage = in_outage[a].data();
       AllocationRequest* const req = requests.data() + a * kBlock;
-      ObservationClass* const kind =
-          kinds.empty() ? nullptr : kinds.data() + a * kBlock;
+      std::uint8_t* const fallback =
+          faulted ? result.apps[a].fallback_slots.data() : nullptr;
+      if (faulted) {
+        telemetry.observe(a, b0, std::span(demand + b0, block_len),
+                          std::span(readings.data(), block_len));
+        if (!kinds.empty()) {
+          for (std::size_t j = 0; j < block_len; ++j) {
+            kinds[a * kBlock + j] = readings[j].kind;
+          }
+        }
+      }
       for (const Segment& seg : segments) {
         const SchedulePhase& phase = phases[seg.phase];
         const bool failure_mode = phase.failure_mode[a];
@@ -169,22 +182,31 @@ ScheduleResult run_event_schedule(
             ctl.reset();
           }
         }
-        const bool unhosted = phase.hosts[a] == kUnhosted;
-        for (std::size_t i = seg.begin; i < seg.end; ++i) {
+        if (phase.hosts[a] == kUnhosted) {
+          std::fill(req + (seg.begin - b0), req + (seg.end - b0),
+                    AllocationRequest{});
+          continue;
+        }
+        // Outage slots request nothing; the controller steps through each
+        // run of slots between them in one call.
+        for (std::size_t i = seg.begin; i < seg.end;) {
+          if (outage[i] != 0) {
+            req[i - b0] = AllocationRequest{};
+            ++i;
+            continue;
+          }
+          std::size_t end = i + 1;
+          while (end < seg.end && outage[end] == 0) ++end;
           const std::size_t j = i - b0;
-          Observation reading;
+          const std::size_t len = end - i;
           if (faulted) {
-            reading = telemetry.observe(a, i, demand[i]);
-            if (kind != nullptr) kind[j] = reading.kind;
-          }
-          if (unhosted || outage[i] != 0) {
-            req[j] = AllocationRequest{};
-          } else if (faulted) {
-            req[j] = ctl.observe(reading);
-            result.apps[a].fallback_slots[i] = ctl.in_fallback();
+            ctl.observe_run(std::span(readings.data() + j, len),
+                            std::span(req + j, len),
+                            std::span(fallback + i, len));
           } else {
-            req[j] = ctl.step(demand[i]);
+            ctl.step_run(std::span(demand + i, len), std::span(req + j, len));
           }
+          i = end;
         }
       }
       // The sums, in a loop of their own: interleaved with the controller
@@ -205,7 +227,7 @@ ScheduleResult run_event_schedule(
     // Pass 2: one grant per (server, slot).
     for (std::size_t s = 0; s < servers; ++s) {
       const double capacity = pool[s].capacity();
-      for (std::size_t j = 0; j < b1 - b0; ++j) {
+      for (std::size_t j = 0; j < block_len; ++j) {
         const AllocationRequest& sum = requested[s * kBlock + j];
         scales[s * kBlock + j] =
             slo::grant_scales(capacity, sum.cos1, sum.cos2);

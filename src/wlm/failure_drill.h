@@ -16,7 +16,9 @@
 //    wrapper that builds a two-phase schedule.
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "placement/assignment.h"
@@ -65,9 +67,10 @@ struct ScheduleAppOutcome {
   /// Aggregated over the app's two per-mode controllers; all-zero when the
   /// run had perfect telemetry.
   HealthReport telemetry;
-  /// Per-slot: the active controller served this slot from its fallback
-  /// policy. Empty when the run had perfect telemetry.
-  std::vector<bool> fallback_slots;
+  /// Per-slot, one byte each: 1 when the active controller served this
+  /// slot from its fallback policy, else 0. Empty when the run had perfect
+  /// telemetry.
+  std::vector<std::uint8_t> fallback_slots;
 };
 
 struct ScheduleResult {
@@ -79,18 +82,23 @@ struct ScheduleResult {
 /// Telemetry faults for a scheduled run: where each controller's readings
 /// come from, plus the degraded-mode policy the controllers apply.
 ///
-/// The pull contract: the schedule calls `observe(app, slot, true_demand)`
-/// exactly once per (app, slot), in ascending slot order per app, silent
-/// slots (outage, unhosted) included; `true_demand` is the app's trace value
-/// at `slot`. A stateful source such as one TelemetryChannel per app
+/// The pull contract: the schedule calls
+/// `observe(app, first_slot, true_demand, out)` once per (app, block), and
+/// the source fills `out[k]` with the reading of slot `first_slot + k`;
+/// `true_demand[k]` is the app's trace value there, and both spans cover
+/// the block's slots. Per app the blocks arrive in ascending order and
+/// tile the calendar, so every (app, slot) is pulled exactly once, in slot
+/// order, silent slots (outage, unhosted) included. A stateful source such
+/// as one TelemetryChannel per app (TelemetryChannel::observe_block)
 /// therefore consumes each trace whole and in order, exactly as a stream
 /// sampled up front would — which keeps the channels' common random
 /// numbers intact. Calls for different apps interleave (block by block), so
 /// a source must keep each app's state apart. An empty `observe` means
 /// perfect telemetry.
 struct ScheduleTelemetry {
-  std::function<Observation(std::size_t app, std::size_t slot,
-                            double true_demand)>
+  std::function<void(std::size_t app, std::size_t first_slot,
+                     std::span<const double> true_demand,
+                     std::span<Observation> out)>
       observe;
   DegradedModeConfig degraded;
 };
@@ -115,12 +123,14 @@ struct ScheduleTelemetry {
 /// plain shared-server run.
 ///
 /// The calendar is replayed in blocks of kScheduleBlockSlots slots. Within
-/// a block each app, in ascending order, steps its controller through the
-/// block and adds its requests into per-(server, slot) sums; then every
-/// (server, slot) is granted; then each app takes its grants. Each sum
-/// still adds the apps in ascending order from zero, so the result is bit
-/// for bit the slot-by-slot replay's, while one app's trace, telemetry and
-/// grants stay in cache for a whole block.
+/// a block each app, in ascending order, pulls the block's readings in one
+/// call, steps its controller through each run of hosted, non-outage
+/// slots in one call (Controller::observe_run / step_run) and adds its
+/// requests into per-(server, slot) sums; then every (server, slot) is
+/// granted; then each app takes its grants. Each sum still adds the apps in
+/// ascending order from zero, so the result is bit for bit the
+/// slot-by-slot replay's, while one app's trace, telemetry and grants stay
+/// in cache for a whole block.
 ScheduleResult run_event_schedule(
     std::span<const trace::DemandTrace> demands,
     std::span<const qos::Translation> normal,

@@ -32,7 +32,7 @@ void TelemetryChannel::reset() {
   blackout_left_ = 0;
 }
 
-Observation TelemetryChannel::observe(double true_demand) {
+inline Observation TelemetryChannel::observe_one(double true_demand) {
   const std::size_t t = interval_;
   interval_ += 1;
   if (ring_.size() <= model_.max_staleness) {
@@ -97,6 +97,19 @@ Observation TelemetryChannel::observe(double true_demand) {
     value = std::max(0.0, value + rng_.normal(0.0, model_.noise_stddev));
   }
   return Observation::ok(value);
+}
+
+Observation TelemetryChannel::observe(double true_demand) {
+  return observe_one(true_demand);
+}
+
+void TelemetryChannel::observe_block(std::span<const double> true_demand,
+                                     std::span<Observation> out) {
+  ROPUS_REQUIRE(out.size() == true_demand.size(),
+                "a block's demands and observations must align");
+  for (std::size_t k = 0; k < true_demand.size(); ++k) {
+    out[k] = observe_one(true_demand[k]);
+  }
 }
 
 void HealthReport::merge(const HealthReport& other) {

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -90,11 +91,22 @@ class TelemetryChannel {
   /// faulted observation.
   Observation observe(double true_demand);
 
+  /// observe() over consecutive intervals: `out[k]` is the observation of
+  /// `true_demand[k]`, exactly as that many observe() calls in order would
+  /// return. One call per block, the per-interval body inlined. The spans
+  /// must have equal length.
+  void observe_block(std::span<const double> true_demand,
+                     std::span<Observation> out);
+
   /// Forgets history and restarts the fault processes (new trace/trial);
   /// the random stream continues, it is not re-seeded.
   void reset();
 
  private:
+  // The per-interval body of observe() and observe_block(), defined in
+  // telemetry.cpp (the only caller) and forced inline there.
+  [[gnu::always_inline]] inline Observation observe_one(double true_demand);
+
   TelemetryFaultModel model_;
   Rng rng_;
   std::vector<double> ring_;  // recent true values; ring_[head_] is newest

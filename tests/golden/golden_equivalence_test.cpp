@@ -401,9 +401,12 @@ void schedule_lines(Lines& out) {
     }
   }
   wlm::ScheduleTelemetry telemetry;
-  telemetry.observe = [&observations](std::size_t app, std::size_t slot,
-                                      double) {
-    return observations[app][slot];
+  telemetry.observe = [&observations](std::size_t app, std::size_t first_slot,
+                                      std::span<const double>,
+                                      std::span<wlm::Observation> pulled) {
+    for (std::size_t k = 0; k < pulled.size(); ++k) {
+      pulled[k] = observations[app][first_slot + k];
+    }
   };
 
   const wlm::ScheduleResult r = wlm::run_event_schedule(

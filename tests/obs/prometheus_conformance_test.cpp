@@ -123,7 +123,9 @@ TEST(PrometheusConformanceTest, FullRegistryExportParses) {
         histogram_series || type_of.count(family) != 0u ? family : s.name;
     ASSERT_EQ(type_of.count(keyed), 1u) << "no TYPE for " << s.name;
     EXPECT_EQ(helped.count(keyed), 1u) << "no HELP for " << s.name;
-    if (histogram_series) EXPECT_EQ(type_of[keyed], "histogram") << s.name;
+    if (histogram_series) {
+      EXPECT_EQ(type_of[keyed], "histogram") << s.name;
+    }
   }
 
   // Counters carry the _total suffix (not doubled for already_total).

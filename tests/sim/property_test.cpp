@@ -2,6 +2,7 @@
 // must hold on any input, checked across seeded random aggregates.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/rng.h"
@@ -106,6 +107,51 @@ TEST_P(SimulatorProperty, RequiredCapacityMonotoneInDeadline) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SimulatorProperty,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u,
                                            34u));
+
+// Required capacity is not monotone in the workload set. Theta is a ratio
+// per (week, slot-of-day) group, so a workload whose CoS2 the server can
+// satisfy raises its group's ratio and can lower the capacity it needs.
+// Workload A alone is bound by theta in group w0 s0; adding workload B's
+// CoS2 to the same group (slot 24 of an hourly calendar is slot-of-day 0
+// again) leaves only the CoS1 peak binding.
+TEST(RequiredCapacityWorkloadSet, AddingAWorkloadCanLowerIt) {
+  const Calendar cal(1, 60);
+  const auto aggregate_of = [&cal](std::size_t workloads, double b_cos2) {
+    Aggregate agg;
+    agg.calendar = cal;
+    agg.cos1.assign(cal.size(), 0.0);
+    agg.cos2.assign(cal.size(), 0.0);
+    agg.cos1[0] = 10.0;  // A
+    agg.cos2[0] = 1.0;   // A
+    agg.cos2[24] = b_cos2;  // B
+    agg.workloads = workloads;
+    agg.sum_peak_cos1 = 10.0;
+    agg.peak_cos1 = 10.0;
+    agg.peak_total = std::max(11.0, b_cos2);
+    return agg;
+  };
+  const Aggregate a = aggregate_of(1, 0.0);
+  const Aggregate a_and_b = aggregate_of(2, 9.0);
+  const qos::CosCommitment cos2{0.9, 60.0};
+
+  const RequiredCapacity alone = required_capacity(a, 16.0, cos2);
+  ASSERT_TRUE(alone.fits);
+  EXPECT_EQ(alone.capacity, 10.90625);
+  EXPECT_EQ(to_string(alone.binding), "theta w0 s0");
+
+  const RequiredCapacity both = required_capacity(a_and_b, 16.0, cos2);
+  ASSERT_TRUE(both.fits);
+  EXPECT_EQ(both.capacity, 10.0);
+  EXPECT_EQ(to_string(both.binding), "cos1-peak");
+
+  // The replay agrees: at 10 CPUs A alone fails theta, A with B passes.
+  const Evaluation a_at_10 = evaluate(a, 10.0, cos2);
+  EXPECT_EQ(a_at_10.theta, 0.0);
+  EXPECT_FALSE(a_at_10.satisfies(cos2));
+  const Evaluation both_at_10 = evaluate(a_and_b, 10.0, cos2);
+  EXPECT_EQ(both_at_10.theta, 0.9);
+  EXPECT_TRUE(both_at_10.satisfies(cos2));
+}
 
 }  // namespace
 }  // namespace ropus::sim

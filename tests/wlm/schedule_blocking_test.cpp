@@ -466,12 +466,17 @@ TEST_F(ScheduleBlocking, RandomSchedulesMatchTheSlotMajorReplayBitForBit) {
     telemetry.degraded = s.degraded;
     if (s.source == Source::kChannels) {
       telemetry.observe = [&channels](std::size_t app, std::size_t,
-                                      double true_demand) {
-        return channels[app].observe(true_demand);
+                                      std::span<const double> true_demand,
+                                      std::span<Observation> out) {
+        channels[app].observe_block(true_demand, out);
       };
     } else if (s.source == Source::kStreams) {
-      telemetry.observe = [&s](std::size_t app, std::size_t slot, double) {
-        return s.streams[app][slot];
+      telemetry.observe = [&s](std::size_t app, std::size_t first_slot,
+                               std::span<const double>,
+                               std::span<Observation> out) {
+        for (std::size_t k = 0; k < out.size(); ++k) {
+          out[k] = s.streams[app][first_slot + k];
+        }
       };
     }
     const auto [got, got_rec] = replay(s, dir_ / "got.bin", [&] {
@@ -537,11 +542,16 @@ TEST(ScheduleTelemetry, EveryAppIsAskedForEverySlotOnceInSlotOrder) {
 
   std::vector<std::vector<std::size_t>> asked(n);
   ScheduleTelemetry telemetry;
-  telemetry.observe = [&](std::size_t app, std::size_t slot,
-                          double true_demand) {
-    asked.at(app).push_back(slot);
-    EXPECT_EQ(bits(true_demand), bits(demands[app][slot]));
-    return Observation::ok(true_demand);
+  telemetry.observe = [&](std::size_t app, std::size_t first_slot,
+                          std::span<const double> true_demand,
+                          std::span<Observation> out) {
+    ASSERT_EQ(out.size(), true_demand.size());
+    for (std::size_t k = 0; k < true_demand.size(); ++k) {
+      const std::size_t slot = first_slot + k;
+      asked.at(app).push_back(slot);
+      EXPECT_EQ(bits(true_demand[k]), bits(demands[app][slot]));
+      out[k] = Observation::ok(true_demand[k]);
+    }
   };
   (void)run_event_schedule(demands, translations, translations, pool, phases,
                            outages, Policy::kReactive, kDefaultHistoryWindow,
