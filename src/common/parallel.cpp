@@ -182,11 +182,6 @@ void for_each_index(std::size_t n, std::size_t threads,
   if (job.error) std::rethrow_exception(job.error);
 }
 
-void for_each_index(std::size_t n,
-                    const std::function<void(std::size_t)>& fn) {
-  for_each_index(n, thread_count(), fn);
-}
-
 void set_thread_start_hook(void (*hook)()) {
   g_thread_start_hook.store(hook, std::memory_order_release);
 }

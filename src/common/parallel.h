@@ -39,9 +39,6 @@ void set_thread_count(std::size_t n);
 void for_each_index(std::size_t n, std::size_t threads,
                     const std::function<void(std::size_t)>& fn);
 
-/// Same, with the process-wide thread_count().
-void for_each_index(std::size_t n, const std::function<void(std::size_t)>& fn);
-
 /// Registers a callback invoked once at the start of every pool worker
 /// thread created after this call. This is the seam the sampling profiler
 /// (src/obs/profiler.h) uses to register worker threads for per-thread CPU

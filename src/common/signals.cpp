@@ -43,10 +43,6 @@ bool termination_requested() {
   return g_signal.load(std::memory_order_relaxed) != 0;
 }
 
-int termination_signal() {
-  return g_signal.load(std::memory_order_relaxed);
-}
-
 void request_termination(int signo) {
   g_signal.store(signo, std::memory_order_relaxed);
 }
@@ -60,8 +56,6 @@ void install_flush_handler() {
 bool consume_flush_request() {
   return g_flush.exchange(false, std::memory_order_relaxed);
 }
-
-void request_flush() { g_flush.store(true, std::memory_order_relaxed); }
 
 void install_profile_handler(void (*handler)(int, siginfo_t*, void*)) {
   struct sigaction action;

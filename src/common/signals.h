@@ -26,12 +26,8 @@ void install_termination_handlers();
 /// was called). Cheap enough to poll per trial / per slot.
 bool termination_requested();
 
-/// The signal number that triggered termination, or 0. Used to derive the
-/// conventional 128+signo exit code.
-int termination_signal();
-
-/// Sets the flag programmatically — the serve daemon's drain path and
-/// tests use this in place of a real signal.
+/// Sets the flag programmatically — tests use this in place of a real
+/// signal.
 void request_termination(int signo);
 
 /// Installs a SIGUSR1 handler that sets the flush flag: a request to
@@ -40,12 +36,8 @@ void request_termination(int signo);
 void install_flush_handler();
 
 /// Consumes one pending flush request: true exactly once per delivered
-/// SIGUSR1 (or request_flush call).
+/// SIGUSR1.
 bool consume_flush_request();
-
-/// Sets the flush flag programmatically — tests use this in place of a
-/// real SIGUSR1.
-void request_flush();
 
 /// Installs `handler` as the process SIGPROF action (SA_SIGINFO |
 /// SA_RESTART). Owned here, next to the termination and flush handlers,

@@ -91,54 +91,9 @@ std::vector<double> quantiles(std::span<const double> values,
   return out;
 }
 
-std::vector<Run> find_runs(const std::vector<bool>& flags) {
-  std::vector<Run> runs;
-  std::size_t i = 0;
-  const std::size_t n = flags.size();
-  while (i < n) {
-    if (!flags[i]) {
-      ++i;
-      continue;
-    }
-    std::size_t begin = i;
-    while (i < n && flags[i]) ++i;
-    runs.push_back(Run{begin, i - begin});
-  }
-  return runs;
-}
-
-std::size_t longest_run(const std::vector<bool>& flags) {
-  std::size_t best = 0;
-  std::size_t cur = 0;
-  for (bool f : flags) {
-    cur = f ? cur + 1 : 0;
-    best = std::max(best, cur);
-  }
-  return best;
-}
-
-double fraction_true(const std::vector<bool>& flags) {
-  if (flags.empty()) return 0.0;
-  std::size_t count = 0;
-  for (bool f : flags) count += f ? 1 : 0;
-  return static_cast<double>(count) / static_cast<double>(flags.size());
-}
-
 double max_value(std::span<const double> values) {
   ROPUS_REQUIRE(!values.empty(), "max of empty sample");
   return *std::max_element(values.begin(), values.end());
-}
-
-double sum(std::span<const double> values) {
-  double total = 0.0;
-  double comp = 0.0;  // Kahan compensation term.
-  for (double v : values) {
-    const double y = v - comp;
-    const double t = total + y;
-    comp = (t - total) - y;
-    total = t;
-  }
-  return total;
 }
 
 }  // namespace ropus::stats

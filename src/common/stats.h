@@ -1,6 +1,5 @@
 // Descriptive-statistics kit used throughout R-Opus: percentiles and quantile
-// curves (Figure 6), run-length analysis (the T_degr trace analysis of
-// Section V), and simple summary statistics.
+// curves (Figure 6) and simple summary statistics.
 #pragma once
 
 #include <cstddef>
@@ -46,29 +45,7 @@ double percentile_upper(std::span<const double> values, double pct);
 std::vector<double> quantiles(std::span<const double> values,
                               std::span<const double> qs);
 
-/// A maximal run of consecutive indices whose values satisfy a predicate:
-/// [begin, begin + length) all matched.
-struct Run {
-  std::size_t begin = 0;
-  std::size_t length = 0;
-};
-
-/// Returns all maximal runs of consecutive `true` entries. (Takes a
-/// std::vector<bool> by reference: its packed representation cannot form a
-/// std::span.)
-std::vector<Run> find_runs(const std::vector<bool>& flags);
-
-/// Returns the length of the longest run of `true` entries (0 if none).
-std::size_t longest_run(const std::vector<bool>& flags);
-
-/// Fraction of entries that are `true`; 0 for an empty input.
-double fraction_true(const std::vector<bool>& flags);
-
 /// Exact maximum of a non-empty sample. Throws InvalidArgument when empty.
 double max_value(std::span<const double> values);
-
-/// Sum of the sample (0 when empty), accumulated with Kahan compensation so
-/// that week-long 5-minute traces don't lose low bits.
-double sum(std::span<const double> values);
 
 }  // namespace ropus::stats

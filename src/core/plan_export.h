@@ -6,12 +6,8 @@
 #include <string>
 
 #include "core/capacity_planner.h"
-#include "core/pool.h"
 
 namespace ropus {
-
-/// Serializes a CapacityPlan (applications, placement, failure sweep).
-std::string to_json(const CapacityPlan& plan);
 
 /// Serializes a long-term capacity projection.
 std::string to_json(const CapacityPlanningReport& report);

@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "common/error.h"
-#include "common/json.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 
@@ -112,10 +111,6 @@ double BurnRate::burn_over_slots(std::uint64_t slots) const {
   return frac / config_.budget;
 }
 
-double BurnRate::burn(double window_minutes) const {
-  return burn_over_slots(window_slots(window_minutes));
-}
-
 void BurnRate::record_transition(const BurnRateRule& rule,
                                  const RuleState& state, bool firing) {
   BurnAlert alert;
@@ -192,13 +187,6 @@ void BurnRate::observe(std::uint64_t slot, std::uint64_t total,
   }
 }
 
-bool BurnRate::rule_active(std::string_view rule) const {
-  for (std::size_t i = 0; i < config_.rules.size(); ++i) {
-    if (config_.rules[i].name == rule) return states_[i].active;
-  }
-  return false;
-}
-
 std::size_t BurnRate::active_count() const {
   std::size_t n = 0;
   for (const RuleState& state : states_) {
@@ -224,24 +212,6 @@ std::vector<BurnAlert> BurnRate::active_alerts() const {
     out.push_back(std::move(alert));
   }
   return out;
-}
-
-std::string BurnRate::active_json() const {
-  json::Writer w;
-  w.begin_array();
-  for (const BurnAlert& alert : active_alerts()) {
-    w.begin_object();
-    w.key("stream").value(alert.stream);
-    w.key("rule").value(alert.rule);
-    w.key("severity").value(burn_severity_name(alert.severity));
-    w.key("since_slot").value(static_cast<std::int64_t>(alert.slot));
-    w.key("burn_short").value(alert.burn_short);
-    w.key("burn_long").value(alert.burn_long);
-    w.key("threshold").value(alert.threshold);
-    w.end_object();
-  }
-  w.end_array();
-  return w.str();
 }
 
 }  // namespace ropus::obs

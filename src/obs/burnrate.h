@@ -95,11 +95,6 @@ class BurnRate {
   /// slots accumulate. Emits metrics/spans/logs on rule transitions.
   void observe(std::uint64_t slot, std::uint64_t total, std::uint64_t bad);
 
-  /// Burn multiple over the trailing `window_minutes` (ending at the
-  /// latest observed slot); 0 before any observation.
-  double burn(double window_minutes) const;
-
-  bool rule_active(std::string_view rule) const;
   std::size_t active_count() const;
 
   /// Currently-firing rules as alert records (slot = firing edge).
@@ -112,11 +107,6 @@ class BurnRate {
   const std::string& stream() const { return stream_; }
   const BurnRateConfig& config() const { return config_; }
   std::uint64_t last_slot() const { return last_slot_; }
-
-  /// Active rules as a JSON array ("[]" when quiet) for the stats verb
-  /// and /stats.json: [{"stream":..,"rule":..,"severity":..,
-  /// "since_slot":..,"burn_short":..,"burn_long":..,"threshold":..}].
-  std::string active_json() const;
 
  private:
   struct Point {  // cumulative totals as of `slot`

@@ -52,8 +52,6 @@ double monotonic_seconds() {
       .count();
 }
 
-Histogram::Histogram() : Histogram(Options{}) {}
-
 Histogram::Histogram(const Options& options) : options_(options) {
   ROPUS_REQUIRE(options_.buckets >= 2, "histogram needs at least two buckets");
   ROPUS_REQUIRE(options_.min > 0.0 && options_.max > options_.min,

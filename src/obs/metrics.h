@@ -96,8 +96,6 @@ class Histogram {
     std::size_t buckets = 256;
   };
 
-  Histogram();  // default Options (declared separately: GCC rejects a
-                // default argument of a nested type inside its own class)
   explicit Histogram(const Options& options);
 
   void record(double value);

@@ -570,11 +570,6 @@ Profile Profiler::stop() {
   return profile;
 }
 
-bool Profiler::active() const {
-  const std::lock_guard<std::mutex> control(g_control);
-  return g_active;
-}
-
 ProfilerState Profiler::state() const {
   const std::lock_guard<std::mutex> control(g_control);
   ProfilerState s;
@@ -612,11 +607,25 @@ Profile Profiler::stop() {
   throw InvalidArgument("no profile capture is active");
 }
 
-bool Profiler::active() const { return false; }
-
 ProfilerState Profiler::state() const { return ProfilerState{}; }
 
 #endif  // __linux__
+
+std::string state_json() {
+  const ProfilerState state = Profiler::global().state();
+  json::Writer w;
+  w.begin_object();
+  w.key("supported").value(Profiler::supported());
+  w.key("active").value(state.active);
+  w.key("hz").value(static_cast<std::int64_t>(state.hz));
+  w.key("seconds").value(state.seconds);
+  w.key("samples").value(static_cast<std::int64_t>(state.samples));
+  w.key("dropped").value(static_cast<std::int64_t>(state.dropped));
+  w.key("threads").value(static_cast<std::int64_t>(state.threads));
+  w.key("captures").value(static_cast<std::int64_t>(state.captures));
+  w.end_object();
+  return w.str();
+}
 
 // --- Folded-profile toolkit --------------------------------------------
 

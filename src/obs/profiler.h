@@ -108,12 +108,17 @@ class Profiler {
   /// active.
   Profile stop();
 
-  bool active() const;
   ProfilerState state() const;
 
  private:
   Profiler() = default;
 };
+
+/// The global profiler's state as one JSON object — the `profiler` block of
+/// the serve `stats` verb and of /stats.json: {"supported":..,"active":..,
+/// "hz":..,"seconds":..,"samples":..,"dropped":..,"threads":..,
+/// "captures":..}.
+std::string state_json();
 
 /// Registers the calling thread for sampling (idempotent, cheap after the
 /// first call). ropus_cli installs this as parallel::set_thread_start_hook

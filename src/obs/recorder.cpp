@@ -310,22 +310,6 @@ bool Recorder::refill(TlsSlot& slot) {
   return true;
 }
 
-std::size_t Recorder::retained() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (finished_.load(std::memory_order_relaxed)) return final_retained_;
-  std::size_t n = 0;
-  for (const std::shared_ptr<Chunk>& c : chunks_) n += c->records.size();
-  return n;
-}
-
-std::uint64_t Recorder::appended() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (finished_.load(std::memory_order_relaxed)) return final_appended_;
-  std::uint64_t n = dropped_;
-  for (const std::shared_ptr<Chunk>& c : chunks_) n += c->records.size();
-  return n;
-}
-
 void Recorder::finish() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (finished_.load(std::memory_order_relaxed)) return;
@@ -333,8 +317,6 @@ void Recorder::finish() {
   std::size_t count = 0;
   for (const std::shared_ptr<Chunk>& c : chunks_) count += c->records.size();
   const std::uint64_t dropped = dropped_;
-  final_retained_ = count;
-  final_appended_ = dropped + count;
   // Publish before freeing the chunks: the recording thread's next append
   // sees the flag (program order) and discards instead of chasing a
   // dangling cursor. Cross-thread appends must already have stopped.

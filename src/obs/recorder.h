@@ -159,12 +159,6 @@ class Recorder {
     slot.records->push_back(record);
   }
 
-  /// Records currently retained (post-eviction) / appended in total. Like
-  /// finish(), only valid once recording threads are done (or from the
-  /// recording thread itself).
-  std::size_t retained() const;
-  std::uint64_t appended() const;
-
   /// Serializes the retained records and writes the file atomically.
   /// Idempotent; appends after finish() are discarded. Call only after
   /// recording threads are done (join happens-before finish). Throws
@@ -207,8 +201,6 @@ class Recorder {
   std::deque<std::shared_ptr<Chunk>> chunks_;
   std::vector<std::string> apps_;
   std::uint64_t dropped_ = 0;         // ring evictions (guarded by mutex_)
-  std::uint64_t final_appended_ = 0;  // counters snapshot at finish()
-  std::size_t final_retained_ = 0;
   double minutes_per_sample_ = 0.0;  // 0 = never declared
   std::size_t slots_per_day_ = 0;
 };

@@ -46,11 +46,6 @@ void Tracer::set_enabled(bool enabled) {
   enabled_.store(enabled, std::memory_order_relaxed);
 }
 
-void Tracer::set_capacity(std::size_t capacity) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  capacity_ = capacity;
-}
-
 std::vector<SpanRecord> Tracer::records() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<SpanRecord> copy = records_;
@@ -64,23 +59,14 @@ std::vector<SpanRecord> Tracer::records() const {
   return copy;
 }
 
-std::uint64_t Tracer::dropped() const {
-  return dropped_.load(std::memory_order_relaxed);
-}
-
 void Tracer::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   records_.clear();
-  dropped_.store(0, std::memory_order_relaxed);
 }
 
 void Tracer::append(SpanRecord record) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (records_.size() >= capacity_) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  records_.push_back(std::move(record));
+  if (records_.size() < kCapacity) records_.push_back(std::move(record));
 }
 
 ScopedSpan::ScopedSpan(std::string_view name) : ScopedSpan(name, {}) {}
@@ -170,10 +156,6 @@ void set_tracking_enabled(bool enabled) {
   g_span_tracking.store(enabled, std::memory_order_relaxed);
 }
 
-bool tracking_enabled() {
-  return g_span_tracking.load(std::memory_order_relaxed);
-}
-
 std::size_t snapshot_active_spans(ActiveSpan* out, std::size_t max) noexcept {
   std::uint32_t d = t_tracked_depth.load(std::memory_order_relaxed);
   std::atomic_signal_fence(std::memory_order_acquire);
@@ -183,8 +165,6 @@ std::size_t snapshot_active_spans(ActiveSpan* out, std::size_t max) noexcept {
   for (std::size_t i = 0; i < n; ++i) out[i] = t_span_stack[i];
   return n;
 }
-
-std::int64_t current_span_id() noexcept { return t_current_span; }
 
 }  // namespace spanprof
 

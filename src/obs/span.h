@@ -47,13 +47,9 @@ class Tracer {
   bool enabled() const;
   void set_enabled(bool enabled);
 
-  /// Maximum records retained; further spans are counted as dropped.
-  void set_capacity(std::size_t capacity);
-
   std::vector<SpanRecord> records() const;
-  std::uint64_t dropped() const;
 
-  /// Discards all collected records and the dropped count.
+  /// Discards all collected records.
   void clear();
 
   // Implementation interface for ScopedSpan.
@@ -61,11 +57,11 @@ class Tracer {
 
  private:
   mutable std::mutex mutex_;
+  /// Records retained; later spans are discarded.
+  static constexpr std::size_t kCapacity = 1 << 18;
   std::vector<SpanRecord> records_;
-  std::size_t capacity_ = 1 << 18;
   std::atomic<bool> enabled_{false};
   std::atomic<std::uint64_t> next_id_{0};
-  std::atomic<std::uint64_t> dropped_{0};
 
   friend class ScopedSpan;
 };
@@ -117,17 +113,12 @@ inline constexpr std::size_t kTrackedDepth = 32;
 /// Turns per-thread active-span bookkeeping on/off independently of the
 /// tracer; the profiler enables it for the duration of a capture.
 void set_tracking_enabled(bool enabled);
-bool tracking_enabled();
 
 /// Copies the calling thread's open spans into `out` (outermost first,
 /// at most `max`) and returns the count. Async-signal-safe: plain
 /// thread-local reads paired with signal fences, no locks, no
 /// allocation.
 std::size_t snapshot_active_spans(ActiveSpan* out, std::size_t max) noexcept;
-
-/// Id of the innermost open span on the calling thread, -1 when none.
-/// Async-signal-safe for the same reason.
-std::int64_t current_span_id() noexcept;
 
 }  // namespace spanprof
 

@@ -71,95 +71,6 @@ std::size_t TimeSeries::samples() const {
   return samples_;
 }
 
-double TimeSeries::last_sample_seconds() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return last_sample_;
-}
-
-std::vector<CounterWindow> TimeSeries::counter_series_locked(
-    std::string_view name) const {
-  std::vector<CounterWindow> out;
-  auto it = counters_.find(name);
-  if (it == counters_.end()) return out;
-  out.reserve(it->second.count);
-  for (std::size_t i = 0; i < it->second.count; ++i) {
-    out.push_back(it->second.at(i));
-  }
-  return out;
-}
-
-std::vector<CounterWindow> TimeSeries::counter_series(
-    std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return counter_series_locked(name);
-}
-
-std::vector<GaugeWindow> TimeSeries::gauge_series(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<GaugeWindow> out;
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) return out;
-  out.reserve(it->second.count);
-  for (std::size_t i = 0; i < it->second.count; ++i) {
-    out.push_back(it->second.at(i));
-  }
-  return out;
-}
-
-std::vector<HistogramWindow> TimeSeries::histogram_series(
-    std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<HistogramWindow> out;
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) return out;
-  out.reserve(it->second.count);
-  for (std::size_t i = 0; i < it->second.count; ++i) {
-    out.push_back(it->second.at(i));
-  }
-  return out;
-}
-
-std::uint64_t TimeSeries::counter_delta(std::string_view name,
-                                        double window_seconds) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = counters_.find(name);
-  if (it == counters_.end() || it->second.count == 0) return 0;
-  const auto& ring = it->second;
-  const double cutoff =
-      ring.at(ring.count - 1).start_seconds +
-      ring.at(ring.count - 1).duration_seconds - window_seconds;
-  std::uint64_t sum = 0;
-  // Walk newest-first and stop at the first window closing before the
-  // cutoff: O(windows in range), the mergeability the header promises.
-  for (std::size_t i = ring.count; i-- > 0;) {
-    const CounterWindow& w = ring.at(i);
-    if (w.start_seconds + w.duration_seconds <= cutoff) break;
-    sum += w.delta;
-  }
-  return sum;
-}
-
-double TimeSeries::counter_rate(std::string_view name,
-                                double window_seconds) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = counters_.find(name);
-  if (it == counters_.end() || it->second.count == 0) return 0.0;
-  const auto& ring = it->second;
-  const double end = ring.at(ring.count - 1).start_seconds +
-                     ring.at(ring.count - 1).duration_seconds;
-  const double cutoff = end - window_seconds;
-  std::uint64_t sum = 0;
-  double covered_start = end;
-  for (std::size_t i = ring.count; i-- > 0;) {
-    const CounterWindow& w = ring.at(i);
-    if (w.start_seconds + w.duration_seconds <= cutoff) break;
-    sum += w.delta;
-    covered_start = std::max(w.start_seconds, cutoff);
-  }
-  const double covered = end - covered_start;
-  return covered > 0.0 ? static_cast<double>(sum) / covered : 0.0;
-}
-
 std::string TimeSeries::to_json() const {
   std::lock_guard<std::mutex> lock(mutex_);
   json::Writer w;

@@ -12,8 +12,7 @@
 //    oldest overwritten first — a week-long daemon holds the same bytes as
 //    a minute-old one;
 //  * window aggregates are mergeable: counter windows carry deltas (merge
-//    = sum), so trailing-window sums — the burn-rate math in burnrate.h —
-//    cost O(windows in range), never a rescan of raw samples.
+//    = sum), so a reader sums a trailing range without raw samples.
 #pragma once
 
 #include <cstddef>
@@ -36,13 +35,6 @@ struct CounterWindow {
   double duration_seconds = 0.0;
   std::uint64_t delta = 0;
   std::uint64_t total = 0;
-
-  /// Events per second over the window (0 for an empty window).
-  double rate() const {
-    return duration_seconds > 0.0
-               ? static_cast<double>(delta) / duration_seconds
-               : 0.0;
-  }
 };
 
 /// One sampled gauge value.
@@ -86,21 +78,7 @@ class TimeSeries {
   bool maybe_sample(const Registry& registry, double now);
 
   std::size_t samples() const;
-  double last_sample_seconds() const;
   const Options& options() const { return options_; }
-
-  /// Series for one metric, oldest first; empty when the name was never
-  /// sampled.
-  std::vector<CounterWindow> counter_series(std::string_view name) const;
-  std::vector<GaugeWindow> gauge_series(std::string_view name) const;
-  std::vector<HistogramWindow> histogram_series(std::string_view name) const;
-
-  /// Merged counter increase over the trailing `window_seconds` (windows
-  /// whose close lies within the trailing range). O(windows in range).
-  std::uint64_t counter_delta(std::string_view name,
-                              double window_seconds) const;
-  /// counter_delta over the actually-covered duration, per second.
-  double counter_rate(std::string_view name, double window_seconds) const;
 
   /// The whole store as one JSON document for GET /stats.json and
   /// `ropus_cli top`: {"cadence_seconds":..,"samples":..,"counters":{name:
@@ -132,8 +110,6 @@ class TimeSeries {
       return slots[(base + i) % slots.size()];
     }
   };
-
-  std::vector<CounterWindow> counter_series_locked(std::string_view name) const;
 
   Options options_;
   mutable std::mutex mutex_;

@@ -24,9 +24,8 @@ ConsolidationReport report_from(const PlacementProblem& problem,
 
 /// Both overloads: `initial` starts the search, or when null the greedy
 /// packing does, falling back to a spread when the packing fails. The
-/// packing is computed once; when `config.seed_with_ffd` holds and it
-/// succeeds it also joins the population as the second seed, so the
-/// search draws as it would from two packings.
+/// packing is computed once; when it succeeds it also joins the population
+/// as the second seed, so the search draws as it would from two packings.
 ConsolidationReport consolidate_from(const PlacementProblem& problem,
                                      const Assignment* initial,
                                      const ConsolidationConfig& config) {
@@ -37,8 +36,7 @@ ConsolidationReport consolidate_from(const PlacementProblem& problem,
   obs::ScopedSpan span("placement.consolidate");
   obs::ScopedTimer timer(seconds);
 
-  std::optional<Assignment> greedy;
-  if (config.seed_with_ffd) greedy = problem.greedy_seed();
+  std::optional<Assignment> greedy = problem.greedy_seed();
   std::vector<Assignment> seeds;
   if (initial != nullptr) {
     seeds.push_back(*initial);

@@ -10,10 +10,6 @@ namespace ropus::placement {
 
 struct ConsolidationConfig {
   GeneticConfig genetic;
-  /// Seed the genetic population from the problem's greedy packing when it
-  /// succeeds (a good starting configuration shortens the search);
-  /// otherwise start from one-workload-per-server.
-  bool seed_with_ffd = true;
 };
 
 struct ConsolidationReport {
@@ -26,18 +22,21 @@ struct ConsolidationReport {
   std::size_t generations = 0;
 };
 
-/// Runs the consolidation exercise on `problem`. The pool must be large
-/// enough for a feasible placement to exist (e.g. one server per workload);
-/// `report.feasible` is false otherwise. When `config.seed_with_ffd` holds
-/// and the greedy packing succeeds, equal to the overload below started
-/// from that packing: it is computed once and seeds the population twice.
+/// Runs the consolidation exercise on `problem`, seeding the genetic
+/// population from the problem's greedy packing (a good starting
+/// configuration shortens the search), or from one workload per server when
+/// the packing fails. The pool must be large enough for a feasible
+/// placement to exist (e.g. one server per workload); `report.feasible` is
+/// false otherwise. When the greedy packing succeeds, equal to the overload
+/// below started from that packing: it is computed once and seeds the
+/// population twice.
 ConsolidationReport consolidate(const PlacementProblem& problem,
                                 const ConsolidationConfig& config);
 
 /// Convenience overload starting from an explicit initial configuration
-/// (used by the failure planner, which re-consolidates survivors). When
-/// `config.seed_with_ffd` holds and the problem's greedy packing succeeds,
-/// that packing joins the initial population as a second seed.
+/// (used by the failure planner, which re-consolidates survivors). When the
+/// problem's greedy packing succeeds, that packing joins the initial
+/// population as a second seed.
 ConsolidationReport consolidate(const PlacementProblem& problem,
                                 const Assignment& initial,
                                 const ConsolidationConfig& config);

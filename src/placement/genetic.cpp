@@ -14,20 +14,23 @@
 #include "obs/span.h"
 
 namespace ropus::placement {
+namespace {
+
+// The operators' fixed settings; kVacateRate is the chance that a feasible
+// child's mutation tries to empty a server.
+constexpr std::size_t kTournament = 3;
+constexpr std::size_t kElite = 2;
+constexpr double kCrossoverRate = 0.9;
+constexpr double kGeneMutationRate = 0.02;
+constexpr double kVacateRate = 0.6;
+
+}  // namespace
 
 void GeneticConfig::validate() const {
-  ROPUS_REQUIRE(population >= 2, "population must be >= 2");
+  ROPUS_REQUIRE(population >= kTournament && population > kElite,
+                "population must be >= 3");
   ROPUS_REQUIRE(max_generations >= 1, "need at least one generation");
   ROPUS_REQUIRE(stagnation_limit >= 1, "stagnation limit must be >= 1");
-  ROPUS_REQUIRE(tournament >= 1 && tournament <= population,
-                "tournament size must be in [1, population]");
-  ROPUS_REQUIRE(elite < population, "elite must leave room for offspring");
-  ROPUS_REQUIRE(crossover_rate >= 0.0 && crossover_rate <= 1.0,
-                "crossover_rate must be in [0, 1]");
-  ROPUS_REQUIRE(gene_mutation_rate >= 0.0 && gene_mutation_rate <= 1.0,
-                "gene_mutation_rate must be in [0, 1]");
-  ROPUS_REQUIRE(vacate_rate >= 0.0 && vacate_rate <= 1.0,
-                "vacate_rate must be in [0, 1]");
 }
 
 namespace {
@@ -256,7 +259,7 @@ GeneticResult genetic_search(const PlacementProblem& problem,
               });
     std::vector<Individual> next;
     next.reserve(config.population);
-    for (std::size_t e = 0; e < config.elite; ++e) next.push_back(population[e]);
+    for (std::size_t e = 0; e < kElite; ++e) next.push_back(population[e]);
 
     // Selection and crossover draw from the master rng sequentially (they
     // depend only on the parent generation's fitness); each child then gets
@@ -267,15 +270,15 @@ GeneticResult genetic_search(const PlacementProblem& problem,
     std::vector<Assignment> child_genes(offspring);
     std::vector<std::uint64_t> child_seeds(offspring);
     for (std::size_t c = 0; c < offspring; ++c) {
-      if (rng.bernoulli(config.crossover_rate)) {
+      if (rng.bernoulli(kCrossoverRate)) {
         const Individual& pa =
-            tournament_select(population, config.tournament, rng);
+            tournament_select(population, kTournament, rng);
         const Individual& pb =
-            tournament_select(population, config.tournament, rng);
+            tournament_select(population, kTournament, rng);
         child_genes[c] = crossover(pa.genes, pb.genes, rng);
       } else {
         child_genes[c] =
-            tournament_select(population, config.tournament, rng).genes;
+            tournament_select(population, kTournament, rng).genes;
       }
       child_seeds[c] = rng.derive_seed();
     }
@@ -291,10 +294,10 @@ GeneticResult genetic_search(const PlacementProblem& problem,
       const PlacementEvaluation pre = ctx->evaluate(genes);
       if (!pre.feasible) {
         relief_mutation(problem, genes, pre, child_rng);
-      } else if (child_rng.bernoulli(config.vacate_rate)) {
+      } else if (child_rng.bernoulli(kVacateRate)) {
         vacate_mutation(problem, genes, pre, child_rng);
       }
-      gene_mutation(problem, genes, config.gene_mutation_rate, child_rng);
+      gene_mutation(problem, genes, kGeneMutationRate, child_rng);
       children[c] = finish(*ctx, std::move(genes));
     });
     evals += 2 * offspring;

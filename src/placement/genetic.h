@@ -27,15 +27,14 @@
 
 namespace ropus::placement {
 
+/// The search's size and seed. The operator rates are fixed in genetic.cpp:
+/// tournaments of 3, 2 elites, crossover rate 0.9, per-gene mutation rate
+/// 0.02, and a 0.6 chance that a feasible child's mutation tries to empty a
+/// server.
 struct GeneticConfig {
-  std::size_t population = 32;
+  std::size_t population = 32;  // >= 3: two elites plus offspring
   std::size_t max_generations = 300;
   std::size_t stagnation_limit = 30;  // stop after this many flat generations
-  std::size_t tournament = 3;
-  std::size_t elite = 2;
-  double crossover_rate = 0.9;
-  double gene_mutation_rate = 0.02;
-  double vacate_rate = 0.6;  // chance a mutation attempts to empty a server
   std::uint64_t seed = 1;
 
   /// Migration-aware search: every workload placed on a different server

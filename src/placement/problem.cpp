@@ -31,39 +31,35 @@ std::vector<const qos::AllocationTrace*> cpu_of(
 
 PlacementProblem::PlacementProblem(
     std::span<const qos::AllocationTrace> workloads,
-    std::vector<sim::ServerSpec> servers, qos::CosCommitment cos2,
-    double capacity_tolerance)
+    std::vector<sim::ServerSpec> servers, qos::CosCommitment cos2)
     : PlacementProblem(cpu_of(workloads), {}, std::move(servers), cos2,
-                       capacity_tolerance, std::make_shared<Memo>()) {}
+                       std::make_shared<Memo>()) {}
 
 PlacementProblem::PlacementProblem(
     std::span<const qos::WorkloadAllocations> workloads,
-    std::vector<sim::ServerSpec> servers, qos::CosCommitment cos2,
-    double capacity_tolerance)
+    std::vector<sim::ServerSpec> servers, qos::CosCommitment cos2)
     : PlacementProblem(cpu_of(workloads), workloads, std::move(servers), cos2,
-                       capacity_tolerance, std::make_shared<Memo>()) {}
+                       std::make_shared<Memo>()) {}
 
 PlacementProblem::PlacementProblem(const PlacementProblem& base,
                                    std::vector<sim::ServerSpec> servers)
     : PlacementProblem(base.cpu_, base.attributed_, std::move(servers),
-                       base.cos2_, base.tolerance_, base.memo_) {}
+                       base.cos2_, base.memo_) {}
 
 PlacementProblem::PlacementProblem(
     std::vector<const qos::AllocationTrace*> cpu,
     std::span<const qos::WorkloadAllocations> attributed,
     std::vector<sim::ServerSpec> servers, qos::CosCommitment cos2,
-    double capacity_tolerance, std::shared_ptr<Memo> memo)
+    std::shared_ptr<Memo> memo)
     : cpu_(std::move(cpu)),
       attributed_(attributed),
       servers_(std::move(servers)),
       cos2_(cos2),
-      tolerance_(capacity_tolerance),
       calendar_(cpu_.empty() ? trace::Calendar(1, 5)
                              : cpu_.front()->calendar()),
       memo_(std::move(memo)) {
   ROPUS_REQUIRE(!cpu_.empty(), "placement needs at least one workload");
   ROPUS_REQUIRE(!servers_.empty(), "placement needs at least one server");
-  ROPUS_REQUIRE(tolerance_ > 0.0, "capacity tolerance must be > 0");
   cos2_.validate();
   for (const sim::ServerSpec& s : servers_) s.validate();
   for (const qos::AllocationTrace* w : cpu_) {
@@ -125,11 +121,6 @@ bool PlacementProblem::MemoEq::operator()(
     const MemoKey& b) const {
   return a.second == b.cpus && std::ranges::equal(a.first, b.ids);
 }
-bool PlacementProblem::MemoEq::operator()(
-    const MemoKey& a,
-    const std::pair<std::span<const std::size_t>, std::size_t>& b) const {
-  return operator()(b, a);
-}
 
 bool PlacementProblem::memo_find(std::span<const std::size_t> sorted_ids,
                                  std::size_t cpus, ServerVerdict& out) const {
@@ -161,7 +152,7 @@ ServerVerdict PlacementProblem::server_required_capacity(
   }
   const sim::Aggregate agg = sim::aggregate_workloads(hosted, calendar_);
   const sim::RequiredCapacity rc =
-      sim::required_capacity(agg, server.capacity(), cos2_, tolerance_);
+      sim::required_capacity(agg, server.capacity(), cos2_);
   v = ServerVerdict{rc.fits, rc.capacity, rc.binding, {}};
   // Attribute peaks: the per-slot sum in ascending-id order, as the engine
   // keeps it.
@@ -295,8 +286,8 @@ ServerVerdict memo_value(const sim::IncrementalEvaluator::Verdict& v) {
 
 DeltaPlacementContext::DeltaPlacementContext(const PlacementProblem& problem)
     : problem_(problem),
-      engine_(problem.calendar_, problem.cos2_, capacities_of(problem.servers_),
-              problem.tolerance_) {
+      engine_(problem.calendar_, problem.cos2_,
+              capacities_of(problem.servers_)) {
   static obs::Counter& builds = obs::counter("placement.delta_context.builds");
   builds.add(1);
   for (std::size_t id = 0; id < problem.cpu_.size(); ++id) {

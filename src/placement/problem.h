@@ -20,7 +20,7 @@
 // server's other capacities; the attribute check against a particular
 // server happens when the verdict is scored. A problem derived on another
 // pool (the failure sweep's survivors) shares its base's memo: the two
-// share workloads, commitment and tolerance, and the key holds the rest of
+// share workloads and commitment, and the key holds the rest of
 // what a verdict depends on. Memo misses are served by the
 // reversible delta-evaluation engine (sim/incremental.h) through
 // DeltaPlacementContext: a searcher's context mutates per-server exact sums
@@ -57,16 +57,16 @@ class PlacementProblem {
   /// InvalidArgument on an empty pool or mismatched calendars.
   PlacementProblem(std::span<const qos::AllocationTrace> workloads,
                    std::vector<sim::ServerSpec> servers,
-                   qos::CosCommitment cos2, double capacity_tolerance = 0.05);
+                   qos::CosCommitment cos2);
 
   /// Multi-attribute placement (Section IX): each workload's CPU allocation
   /// plus the attribute demand it carries, checked against each server's
   /// attribute capacities. Same lifetime and calendar rules.
   PlacementProblem(std::span<const qos::WorkloadAllocations> workloads,
                    std::vector<sim::ServerSpec> servers,
-                   qos::CosCommitment cos2, double capacity_tolerance = 0.05);
+                   qos::CosCommitment cos2);
 
-  /// `base`'s workloads, commitment and tolerance on another pool, sharing
+  /// `base`'s workloads and commitment on another pool, sharing
   /// `base`'s verdict memo (each problem keeps its own context pool). The
   /// base's workloads must outlive this problem; the base itself need not.
   PlacementProblem(const PlacementProblem& base,
@@ -76,7 +76,6 @@ class PlacementProblem {
   std::size_t server_count() const { return servers_.size(); }
   const std::vector<sim::ServerSpec>& servers() const { return servers_; }
   const qos::CosCommitment& cos2() const { return cos2_; }
-  double tolerance() const { return tolerance_; }
 
   /// Workload `id`'s CPU allocation trace.
   const qos::AllocationTrace& workload(std::size_t id) const {
@@ -125,8 +124,7 @@ class PlacementProblem {
   PlacementProblem(std::vector<const qos::AllocationTrace*> cpu,
                    std::span<const qos::WorkloadAllocations> attributed,
                    std::vector<sim::ServerSpec> servers,
-                   qos::CosCommitment cos2, double capacity_tolerance,
-                   std::shared_ptr<Memo> memo);
+                   qos::CosCommitment cos2, std::shared_ptr<Memo> memo);
 
   /// Workload `id`'s attribute series (all empty for CPU-only problems).
   sim::AttributeSeries attribute_series(std::size_t id) const;
@@ -154,7 +152,6 @@ class PlacementProblem {
   std::span<const qos::WorkloadAllocations> attributed_;  // empty: CPU only
   std::vector<sim::ServerSpec> servers_;
   qos::CosCommitment cos2_;
-  double tolerance_;
   trace::Calendar calendar_;
 
   struct MemoKey {
@@ -173,9 +170,6 @@ class PlacementProblem {
     bool operator()(
         const std::pair<std::span<const std::size_t>, std::size_t>& a,
         const MemoKey& b) const;
-    bool operator()(
-        const MemoKey& a,
-        const std::pair<std::span<const std::size_t>, std::size_t>& b) const;
   };
   // The memo is a performance detail invisible to callers. The lock makes
   // evaluate() safe from concurrent threads (the genetic search evaluates a

@@ -31,25 +31,8 @@ double breakpoint(double u_low, double u_high, double theta) {
   return (ratio - theta) / (1.0 - theta);
 }
 
-double Translation::received_allocation(double demand) const {
-  ROPUS_REQUIRE(demand >= 0.0, "demand must be >= 0");
-  const double capped = std::min(demand, d_new_max);
-  const double cos1 = std::min(capped, cos1_demand_cap());
-  const double cos2 = capped - cos1;
-  return (cos1 + theta * cos2) / requirement.u_low;
-}
-
-double Translation::utilization_of_allocation(double demand) const {
-  if (demand <= 0.0) return 0.0;
-  const double received = received_allocation(demand);
-  if (received <= 0.0) return std::numeric_limits<double>::infinity();
-  return demand / received;
-}
-
-namespace {
-Translation translate_impl(const trace::DemandTrace& demand,
-                           const Requirement& req, const CosCommitment& cos2,
-                           bool apply_time_limit) {
+Translation translate(const trace::DemandTrace& demand, const Requirement& req,
+                      const CosCommitment& cos2) {
   static obs::Counter& calls = obs::counter("qos.translate.calls");
   static obs::Histogram& seconds = obs::histogram("qos.translate.seconds");
   calls.add(1);
@@ -86,7 +69,7 @@ Translation translate_impl(const trace::DemandTrace& demand,
   }
 
   // Step 3 (formulas 6-11): break degraded runs longer than T_degr.
-  if (apply_time_limit && req.t_degr_minutes.has_value()) {
+  if (req.t_degr_minutes.has_value()) {
     const trace::Calendar& cal = demand.calendar();
     // R observations span T_degr minutes; a run needs > R observations to
     // violate, and the paper breaks it inside its first R+1 observations.
@@ -140,7 +123,7 @@ Translation translate_impl(const trace::DemandTrace& demand,
   // set shrinks pointwise as the threshold rises, so runs never grow and the
   // step-3 guarantee is preserved. Each elimination strictly increases
   // D_new_max, so the loop terminates.
-  if (apply_time_limit && req.max_degraded_epochs_per_day.has_value() &&
+  if (req.max_degraded_epochs_per_day.has_value() &&
       tr.d_new_max < tr.d_max) {
     const trace::Calendar& cal = demand.calendar();
     const std::span<const double> values = demand.values();
@@ -205,68 +188,6 @@ Translation translate_impl(const trace::DemandTrace& demand,
                "D_new_max may never exceed the raw peak");
   tr.d_new_max = std::min(tr.d_new_max, tr.d_max);
   return tr;
-}
-}  // namespace
-
-Translation translate(const trace::DemandTrace& demand, const Requirement& req,
-                      const CosCommitment& cos2) {
-  return translate_impl(demand, req, cos2, /*apply_time_limit=*/true);
-}
-
-Translation translate_without_time_limit(const trace::DemandTrace& demand,
-                                         const Requirement& req,
-                                         const CosCommitment& cos2) {
-  return translate_impl(demand, req, cos2, /*apply_time_limit=*/false);
-}
-
-AchievableQos achievable_qos(const trace::DemandTrace& demand,
-                             const Requirement& req,
-                             const CosCommitment& cos2,
-                             double max_peak_allocation) {
-  req.validate();
-  cos2.validate();
-  ROPUS_REQUIRE(max_peak_allocation > 0.0, "budget must be positive");
-
-  // A budget of A CPUs at burst factor 1/U_low caps demand at A * U_low.
-  Translation tr;
-  tr.requirement = req;
-  tr.theta = cos2.theta;
-  tr.breakpoint_p = breakpoint(req.u_low, req.u_high, cos2.theta);
-  tr.d_max = demand.peak();
-  tr.d_new_max = std::min(tr.d_max, max_peak_allocation * req.u_low);
-
-  AchievableQos result;
-  result.d_new_max = tr.d_new_max;
-  if (tr.d_max <= 0.0) return result;
-
-  const double degr_threshold = tr.degraded_demand_threshold();
-  // Demand above this violates even the degraded bound.
-  const double violate_threshold =
-      degr_threshold * req.u_degr / req.u_high;
-  std::size_t degraded = 0;
-  std::size_t violating = 0;
-  std::size_t run = 0;
-  std::size_t longest = 0;
-  for (double d : demand.values()) {
-    if (d > violate_threshold * (1.0 + kRelEps)) {
-      ++violating;
-      longest = std::max(longest, ++run);
-    } else if (is_degraded(d, degr_threshold)) {
-      ++degraded;
-      longest = std::max(longest, ++run);
-    } else {
-      run = 0;
-    }
-  }
-  const double n = static_cast<double>(demand.size());
-  result.degraded_fraction = static_cast<double>(degraded) / n;
-  result.violating_fraction = static_cast<double>(violating) / n;
-  result.m_percent =
-      100.0 * (1.0 - result.degraded_fraction - result.violating_fraction);
-  result.longest_degraded_minutes =
-      static_cast<double>(longest) *
-      static_cast<double>(demand.calendar().minutes_per_sample());
-  return result;
 }
 
 double degraded_fraction(const trace::DemandTrace& demand,

@@ -65,13 +65,6 @@ struct Translation {
     return cos1_demand_cap() / requirement.u_low;
   }
 
-  /// Worst-case received allocation for a given observation demand.
-  double received_allocation(double demand) const;
-
-  /// Utilization of (received) allocation for a given demand; 0 when the
-  /// demand is 0.
-  double utilization_of_allocation(double demand) const;
-
   /// Demand threshold above which an observation is degraded
   /// (U_alloc > U_high under worst-case received allocation).
   double degraded_demand_threshold() const {
@@ -91,12 +84,6 @@ struct Translation {
 Translation translate(const trace::DemandTrace& demand, const Requirement& req,
                       const CosCommitment& cos2);
 
-/// Step-2-only variant (no T_degr analysis) — used by property tests and the
-/// Figure 7 "no contiguous limit" series.
-Translation translate_without_time_limit(const trace::DemandTrace& demand,
-                                         const Requirement& req,
-                                         const CosCommitment& cos2);
-
 /// Fraction of observations in `demand` that are degraded under `tr`
 /// (worst-case received allocation). Figure 8 plots this per application.
 double degraded_fraction(const trace::DemandTrace& demand,
@@ -110,34 +97,5 @@ double longest_degraded_minutes(const trace::DemandTrace& demand,
 /// day under `tr` (footnote 2 of Section III).
 std::size_t max_degraded_epochs_per_day(const trace::DemandTrace& demand,
                                         const Translation& tr);
-
-/// Inverse translation: what QoS can a capped budget deliver?
-///
-/// Given the utilization band of `req` and a hard cap on the peak
-/// allocation (CPUs), reports the quality the application owner could
-/// honestly be promised: the achievable M (share of observations in the
-/// acceptable band under worst-case received allocation), the realized
-/// degraded/violating shares, and the longest degraded stretch. The answer
-/// to "what can you give me for 10 CPUs?".
-struct AchievableQos {
-  double d_new_max = 0.0;         // demand cap implied by the budget
-  double m_percent = 100.0;       // share of observations acceptable
-  double degraded_fraction = 0.0; // U_high < U_alloc <= U_degr
-  double violating_fraction = 0.0;  // U_alloc > U_degr — budget too small
-  double longest_degraded_minutes = 0.0;
-  bool meets(const Requirement& target) const {
-    return violating_fraction <= 0.0 &&
-           m_percent + 1e-9 >= target.m_percent &&
-           (!target.t_degr_minutes.has_value() ||
-            longest_degraded_minutes <= *target.t_degr_minutes + 1e-9);
-  }
-};
-
-/// Evaluates the band of `req` (U_low/U_high/U_degr; M and T_degr ignored)
-/// against `max_peak_allocation` CPUs. Requires a positive budget.
-AchievableQos achievable_qos(const trace::DemandTrace& demand,
-                             const Requirement& req,
-                             const CosCommitment& cos2,
-                             double max_peak_allocation);
 
 }  // namespace ropus::qos

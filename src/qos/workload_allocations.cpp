@@ -28,10 +28,4 @@ const trace::DemandTrace* WorkloadAllocations::attribute(
   return slot.has_value() ? &*slot : nullptr;
 }
 
-double WorkloadAllocations::attribute_peak(trace::Attribute attribute) const {
-  const trace::DemandTrace* t = this->attribute(attribute);
-  if (t == nullptr) return 0.0;
-  return t->peak();
-}
-
 }  // namespace ropus::qos

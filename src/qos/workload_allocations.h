@@ -36,9 +36,6 @@ class WorkloadAllocations {
   /// (absent attributes consume nothing).
   const trace::DemandTrace* attribute(trace::Attribute attribute) const;
 
-  /// Peak demand of a non-CPU attribute (0 when absent).
-  double attribute_peak(trace::Attribute attribute) const;
-
  private:
   AllocationTrace cpu_;
   std::array<std::optional<trace::DemandTrace>, trace::kAttributeCount>

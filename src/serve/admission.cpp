@@ -16,15 +16,6 @@ void AdmissionPolicy::validate() const {
   ROPUS_REQUIRE(renegotiate_tdegr >= 0.0, "renegotiated T_degr must be >= 0");
 }
 
-const char* admission_decision_name(AdmissionDecision d) {
-  switch (d) {
-    case AdmissionDecision::kAccepted: return "accepted";
-    case AdmissionDecision::kRenegotiated: return "renegotiated";
-    case AdmissionDecision::kRejected: return "rejected";
-  }
-  return "unknown";
-}
-
 AdmissionOutcome place_candidate(sim::IncrementalEvaluator& engine,
                                  std::size_t candidate_id,
                                  double candidate_peak, double revenue_weight,

@@ -39,8 +39,6 @@ struct AdmissionPolicy {
 
 enum class AdmissionDecision { kAccepted, kRenegotiated, kRejected };
 
-const char* admission_decision_name(AdmissionDecision d);
-
 struct AdmissionOutcome {
   AdmissionDecision decision = AdmissionDecision::kRejected;
   std::size_t host = 0;      // valid unless rejected

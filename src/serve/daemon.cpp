@@ -599,19 +599,9 @@ std::string DaemonCore::stats_reply() const {
     }
   }
   w.end_array();
-  // Sampling-profiler state: same shape as the `profiler` block that the
-  // HTTP listener splices into /stats.json, so `top` can read either.
-  const obs::prof::ProfilerState prof = obs::prof::Profiler::global().state();
-  w.key("profiler").begin_object();
-  w.key("supported").value(obs::prof::Profiler::supported());
-  w.key("active").value(prof.active);
-  w.key("hz").value(static_cast<std::int64_t>(prof.hz));
-  w.key("seconds").value(prof.seconds);
-  w.key("samples").value(static_cast<std::int64_t>(prof.samples));
-  w.key("dropped").value(static_cast<std::int64_t>(prof.dropped));
-  w.key("threads").value(static_cast<std::int64_t>(prof.threads));
-  w.key("captures").value(static_cast<std::int64_t>(prof.captures));
-  w.end_object();
+  // Sampling-profiler state: the `profiler` block that the HTTP listener
+  // also splices into /stats.json, so `top` can read either.
+  w.key("profiler").raw(obs::prof::state_json());
   w.end_object();
   return w.str();
 }

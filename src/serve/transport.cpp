@@ -146,24 +146,6 @@ std::string http_error_body(std::string_view error, std::string_view detail) {
   return w.str() + "\n";
 }
 
-/// The /stats.json "profiler" block (also spliced into the stats verb by
-/// DaemonCore::stats_reply): live capture state, not capture results.
-std::string profiler_stats_object() {
-  const obs::prof::ProfilerState state = obs::prof::Profiler::global().state();
-  json::Writer w;
-  w.begin_object();
-  w.key("supported").value(obs::prof::Profiler::supported());
-  w.key("active").value(state.active);
-  w.key("hz").value(static_cast<std::int64_t>(state.hz));
-  w.key("seconds").value(state.seconds);
-  w.key("samples").value(static_cast<std::int64_t>(state.samples));
-  w.key("dropped").value(static_cast<std::int64_t>(state.dropped));
-  w.key("threads").value(static_cast<std::int64_t>(state.threads));
-  w.key("captures").value(static_cast<std::int64_t>(state.captures));
-  w.end_object();
-  return w.str();
-}
-
 }  // namespace
 
 void TransportOptions::validate() const {
@@ -480,7 +462,7 @@ int SocketServer::run(std::ostream& err) {
       // Splice the live profiler block in after the opening brace; the
       // series document's own keys stay untouched.
       std::string body = series.to_json();
-      body.insert(1, "\"profiler\":" + profiler_stats_object() + ",");
+      body.insert(1, "\"profiler\":" + obs::prof::state_json() + ",");
       h.outbuf += http_response(200, "OK", "application/json", body + "\n");
     } else if (path == "/debug/profile") {
       respond_profile(h, target);

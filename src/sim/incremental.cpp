@@ -31,11 +31,9 @@ constexpr std::size_t kCpuIndex = trace::attribute_index(trace::Attribute::kCpu)
 
 IncrementalEvaluator::IncrementalEvaluator(const trace::Calendar& calendar,
                                            const qos::CosCommitment& cos2,
-                                           std::vector<double> server_cpus,
-                                           double tolerance)
-    : calendar_(calendar), cos2_(cos2), tolerance_(tolerance) {
+                                           std::vector<double> server_cpus)
+    : calendar_(calendar), cos2_(cos2) {
   cos2_.validate();
-  ROPUS_REQUIRE(tolerance > 0.0, "tolerance must be > 0");
   servers_.resize(server_cpus.size());
   for (std::size_t s = 0; s < server_cpus.size(); ++s) {
     ROPUS_REQUIRE(server_cpus[s] >= 0.0, "server capacity must be >= 0");
@@ -281,7 +279,7 @@ IncrementalEvaluator::Verdict IncrementalEvaluator::verdict(
     stats_.delta_verdicts += 1;
     delta_verdicts_counter().add(1);
   }
-  return Verdict{required_capacity(view_of(s), s.cpus, cos2_, tolerance_),
+  return Verdict{required_capacity(view_of(s), s.cpus, cos2_),
                  s.peaks};
 }
 
@@ -302,7 +300,7 @@ IncrementalEvaluator::Verdict IncrementalEvaluator::probe(std::size_t server,
   s.sum_peak_cos1 += w.peak_cos1;
   AggregateView v = view_of(s);
   v.workloads = s.ids.size() + 1;
-  const Verdict out{required_capacity(v, s.cpus, cos2_, tolerance_), s.peaks};
+  const Verdict out{required_capacity(v, s.cpus, cos2_), s.peaks};
   // Exact restore: the subtraction returns every slot (and hence every
   // recomputed peak) to its previous bits.
   apply_series(s, w, -1.0);

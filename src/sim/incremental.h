@@ -75,8 +75,7 @@ class IncrementalEvaluator {
   /// limit. Workload traces must live on `calendar`.
   IncrementalEvaluator(const trace::Calendar& calendar,
                        const qos::CosCommitment& cos2,
-                       std::vector<double> server_cpus,
-                       double tolerance = 0.05);
+                       std::vector<double> server_cpus);
 
   std::size_t server_count() const { return servers_.size(); }
   double server_cpus(std::size_t server) const { return servers_[server].cpus; }
@@ -190,7 +189,6 @@ class IncrementalEvaluator {
 
   trace::Calendar calendar_;
   qos::CosCommitment cos2_;
-  double tolerance_;
   std::vector<Workload> workloads_;  // indexed by id
   std::vector<Server> servers_;
   /// Attributes with a sum column on every server, ascending.

@@ -1,5 +1,7 @@
 #include "sim/server.h"
 
+#include <utility>
+
 #include "common/error.h"
 
 namespace ropus::sim {
@@ -32,9 +34,10 @@ std::vector<ServerSpec> homogeneous_pool(std::size_t count, std::size_t cpus,
   std::vector<ServerSpec> pool;
   pool.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    const std::string suffix =
-        (i + 1 < 10 ? "0" : "") + std::to_string(i + 1);
-    pool.push_back(ServerSpec{prefix + "-" + suffix, cpus});
+    std::string name = prefix;
+    name += i + 1 < 10 ? "-0" : "-";
+    name += std::to_string(i + 1);
+    pool.push_back(ServerSpec{std::move(name), cpus});
   }
   return pool;
 }

@@ -145,13 +145,6 @@ ThetaBreakdown theta_breakdown(const Aggregate& agg, double capacity) {
   return breakdown;
 }
 
-double capacity_grid_step(double tolerance) {
-  ROPUS_REQUIRE(tolerance > 0.0, "tolerance must be > 0");
-  int e = 0;
-  std::frexp(tolerance, &e);  // tolerance = m * 2^e with m in [0.5, 1)
-  return std::ldexp(1.0, e - 1);
-}
-
 const char* kind_name(Binding::Kind kind) {
   switch (kind) {
     case Binding::Kind::kNone:
@@ -182,10 +175,8 @@ std::string to_string(const Binding& binding) {
 }
 
 RequiredCapacity required_capacity(const AggregateView& agg, double limit,
-                                   const qos::CosCommitment& cos2,
-                                   double tolerance) {
+                                   const qos::CosCommitment& cos2) {
   ROPUS_REQUIRE(limit >= 0.0, "capacity limit must be >= 0");
-  ROPUS_REQUIRE(tolerance > 0.0, "tolerance must be > 0");
   static obs::Counter& searches = obs::counter("sim.required_capacity.searches");
   static obs::Histogram& seconds =
       obs::histogram("sim.required_capacity.seconds");
@@ -215,7 +206,7 @@ RequiredCapacity required_capacity(const AggregateView& agg, double limit,
   // with `limit` itself as the last resort when no grid point qualifies.
   // Each constraint holds from its own floor up, so the answer is the
   // largest of the three floors (docs/algorithms.md §5).
-  const double step = capacity_grid_step(tolerance);
+  constexpr double step = kCapacityStep;
   const std::int64_t k_lo =
       static_cast<std::int64_t>(std::ceil(agg.peak_cos1 / step));
   const std::int64_t k_hi =

@@ -134,18 +134,17 @@ struct RequiredCapacity {
   Binding binding;          // the constraint that set `capacity`
 };
 
-/// The capacity search grid: the largest power of two <= `tolerance`
-/// (0.03125 CPUs for the default 0.05). Searching a fixed grid instead of
-/// bisecting real endpoints makes the result a pure function of the
-/// aggregate — the minimum of a fixed candidate set under a monotone
-/// predicate — so the delta engine and the batch path land on the same
-/// bits (docs/algorithms.md §11).
-double capacity_grid_step(double tolerance);
+/// The capacity search grid step: 2^-5 = 0.03125 CPUs. Searching a fixed
+/// grid instead of bisecting real endpoints makes the result a pure
+/// function of the aggregate — the minimum of a fixed candidate set under a
+/// monotone predicate — so the delta engine and the batch path land on the
+/// same bits (docs/algorithms.md §11).
+inline constexpr double kCapacityStep = 0x1p-5;
 
 /// Section VI-A's search: first the peak-demand precheck (sum of per-
 /// workload CoS1 peaks must not exceed `limit`), then the smallest
 /// satisfying capacity among the grid candidates
-///   { k * capacity_grid_step(tolerance) : k*step in [CoS1 peak, limit] }
+///   { k * kCapacityStep : k * kCapacityStep in [CoS1 peak, limit] }
 /// with `limit` itself as the last-resort candidate. An empty aggregate
 /// trivially fits with required capacity 0.
 ///
@@ -159,7 +158,6 @@ double capacity_grid_step(double tolerance);
 /// calendar length to stay below grid::kSumLimit, which keeps every sum of
 /// the deadline floor exact.
 RequiredCapacity required_capacity(const AggregateView& agg, double limit,
-                                   const qos::CosCommitment& cos2,
-                                   double tolerance = 0.05);
+                                   const qos::CosCommitment& cos2);
 
 }  // namespace ropus::sim

@@ -1,8 +1,6 @@
 #include "stress/queue_sim.h"
 
 #include <algorithm>
-#include <queue>
-#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -45,67 +43,6 @@ QueueMetrics simulate_fcfs(const Workload& workload, double capacity_cpus,
   m.utilization = rho;
   m.mean_response = stats::summarize(responses).mean;
   m.p95_response = stats::percentile(responses, 95.0);
-  return m;
-}
-
-void ClosedWorkload::validate() const {
-  ROPUS_REQUIRE(users >= 1, "need at least one user");
-  ROPUS_REQUIRE(think_seconds >= 0.0, "think time must be >= 0");
-  ROPUS_REQUIRE(mean_service_demand > 0.0, "service demand must be > 0");
-}
-
-ClosedMetrics simulate_closed(const ClosedWorkload& workload,
-                              double capacity_cpus, std::size_t requests,
-                              std::uint64_t seed) {
-  workload.validate();
-  ROPUS_REQUIRE(capacity_cpus > 0.0, "capacity must be > 0");
-  ROPUS_REQUIRE(requests >= 100, "need at least 100 requests to measure");
-
-  Rng rng(seed);
-  // Earliest-ready user first == FCFS arrival order at the single station.
-  using Ready = std::pair<double, std::size_t>;  // (ready time, user)
-  std::priority_queue<Ready, std::vector<Ready>, std::greater<>> ready;
-  for (std::size_t u = 0; u < workload.users; ++u) {
-    const double first_think =
-        workload.think_seconds > 0.0
-            ? rng.exponential(1.0 / workload.think_seconds)
-            : 0.0;
-    ready.push({first_think, u});
-  }
-
-  const std::size_t warmup = requests / 10;
-  std::vector<double> responses;
-  responses.reserve(requests - warmup);
-  double server_free = 0.0;
-  double measure_start = 0.0;
-  double last_finish = 0.0;
-  for (std::size_t n = 0; n < requests; ++n) {
-    const auto [arrival, user] = ready.top();
-    ready.pop();
-    const double start = std::max(arrival, server_free);
-    const double service =
-        rng.exponential(1.0 / workload.mean_service_demand) / capacity_cpus;
-    const double finish = start + service;
-    server_free = finish;
-    if (n == warmup) measure_start = arrival;
-    if (n >= warmup) {
-      responses.push_back(finish - arrival);
-      last_finish = finish;
-    }
-    const double think =
-        workload.think_seconds > 0.0
-            ? rng.exponential(1.0 / workload.think_seconds)
-            : 0.0;
-    ready.push({finish + think, user});
-  }
-
-  ClosedMetrics m;
-  m.completed = responses.size();
-  m.mean_response = stats::summarize(responses).mean;
-  m.p95_response = stats::percentile(responses, 95.0);
-  const double span = last_finish - measure_start;
-  m.throughput =
-      span > 0.0 ? static_cast<double>(responses.size()) / span : 0.0;
   return m;
 }
 

@@ -44,30 +44,4 @@ QueueMetrics simulate_fcfs(const Workload& workload, double capacity_cpus,
 /// Used to cross-check the simulator in tests. Requires rho < 1.
 double analytic_mm1_response(const Workload& workload, double capacity_cpus);
 
-/// A closed, session-based workload (the kind the paper's stress-testing
-/// reference [10] generates): `users` clients cycle think -> request ->
-/// think. Both think times and CPU demands are exponential.
-struct ClosedWorkload {
-  std::size_t users = 50;
-  double think_seconds = 1.0;         // mean think time Z
-  double mean_service_demand = 0.02;  // CPU-seconds per request
-
-  void validate() const;
-};
-
-struct ClosedMetrics {
-  double mean_response = 0.0;  // seconds
-  double p95_response = 0.0;
-  double throughput = 0.0;     // completed requests per second
-  std::size_t completed = 0;
-};
-
-/// Simulates `requests` completions of the closed system at container speed
-/// `capacity_cpus` (single FCFS station), discarding a warmup prefix.
-/// Deterministic in `seed`. The interactive response-time law
-/// N = X (R + Z) holds in steady state and is checked by tests.
-ClosedMetrics simulate_closed(const ClosedWorkload& workload,
-                              double capacity_cpus, std::size_t requests,
-                              std::uint64_t seed);
-
 }  // namespace ropus::stress

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "common/stats.h"
+#include "common/error.h"
 
 namespace ropus::trace {
 
@@ -46,26 +46,6 @@ std::vector<std::vector<double>> correlation_matrix(
     }
   }
   return matrix;
-}
-
-double peak_coincidence(const DemandTrace& a, const DemandTrace& b,
-                        double q) {
-  ROPUS_REQUIRE(a.calendar() == b.calendar(),
-                "peak coincidence needs traces on one calendar");
-  ROPUS_REQUIRE(q > 0.0 && q < 1.0, "q must be in (0, 1)");
-  const double cut_a = stats::quantile(a.values(), q);
-  const double cut_b = stats::quantile(b.values(), q);
-  std::size_t a_peaks = 0;
-  std::size_t both = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i] > cut_a) {
-      ++a_peaks;
-      if (b[i] > cut_b) ++both;
-    }
-  }
-  return a_peaks > 0
-             ? static_cast<double>(both) / static_cast<double>(a_peaks)
-             : 0.0;
 }
 
 }  // namespace ropus::trace

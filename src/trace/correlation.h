@@ -20,10 +20,4 @@ double correlation(const DemandTrace& a, const DemandTrace& b);
 std::vector<std::vector<double>> correlation_matrix(
     std::span<const DemandTrace> traces);
 
-/// Peak coincidence: the fraction of `a`'s top (1-q)-quantile observations
-/// at which `b` is also in its own top (1-q) quantile. 1 = peaks always
-/// coincide (bad sharing partners), 0 = never. q in (0, 1).
-double peak_coincidence(const DemandTrace& a, const DemandTrace& b,
-                        double q = 0.95);
-
 }  // namespace ropus::trace

@@ -75,15 +75,6 @@ DemandTrace DemandTrace::scaled(double factor) const {
   return DemandTrace(name_, calendar_, std::move(out));
 }
 
-DemandTrace DemandTrace::capped(double cap) const {
-  ROPUS_REQUIRE(cap >= 0.0, "cap must be >= 0");
-  std::vector<double> out(values_.size());
-  for (std::size_t i = 0; i < values_.size(); ++i) {
-    out[i] = std::min(values_[i], cap);
-  }
-  return DemandTrace(name_, calendar_, std::move(out));
-}
-
 DemandTrace head_weeks(const DemandTrace& t, std::size_t weeks) {
   const Calendar& cal = t.calendar();
   ROPUS_REQUIRE(weeks >= 1 && weeks <= cal.weeks(),
@@ -117,36 +108,6 @@ DemandTrace weeks_slice(const DemandTrace& t, std::size_t first,
       static_cast<std::ptrdiff_t>(first * cal.slots_per_week());
   std::vector<double> values(
       begin, begin + static_cast<std::ptrdiff_t>(out_cal.size()));
-  return DemandTrace(t.name(), out_cal, std::move(values));
-}
-
-DemandTrace resample(const DemandTrace& t, std::size_t minutes_per_sample,
-                     ResamplePolicy policy) {
-  const Calendar& cal = t.calendar();
-  ROPUS_REQUIRE(minutes_per_sample >= cal.minutes_per_sample(),
-                "resample only coarsens; the target interval must be >= "
-                "the source interval");
-  ROPUS_REQUIRE(minutes_per_sample % cal.minutes_per_sample() == 0,
-                "target interval must be a multiple of the source interval");
-  const Calendar out_cal(cal.weeks(), minutes_per_sample);
-  const std::size_t group = minutes_per_sample / cal.minutes_per_sample();
-
-  std::vector<double> values(out_cal.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    const std::size_t begin = i * group;
-    double acc = policy == ResamplePolicy::kMax ? 0.0 : 0.0;
-    for (std::size_t j = 0; j < group; ++j) {
-      const double v = t[begin + j];
-      if (policy == ResamplePolicy::kMax) {
-        acc = std::max(acc, v);
-      } else {
-        acc += v;
-      }
-    }
-    values[i] = policy == ResamplePolicy::kMax
-                    ? acc
-                    : acc / static_cast<double>(group);
-  }
   return DemandTrace(t.name(), out_cal, std::move(values));
 }
 

@@ -55,9 +55,6 @@ class DemandTrace {
   /// Returns a copy scaled by `factor` (>= 0).
   DemandTrace scaled(double factor) const;
 
-  /// Returns a copy with every observation clamped to at most `cap` (>= 0).
-  DemandTrace capped(double cap) const;
-
   /// Renames in place (handy when deriving traces).
   void set_name(std::string name) { name_ = std::move(name); }
 
@@ -83,19 +80,5 @@ DemandTrace tail_weeks(const DemandTrace& t, std::size_t weeks);
 /// window the medium-term repair loop re-plans from.
 DemandTrace weeks_slice(const DemandTrace& t, std::size_t first,
                         std::size_t count);
-
-/// How resample() folds finer observations into a coarser slot.
-enum class ResamplePolicy {
-  kMean,  // utilization semantics: the coarser slot's mean demand
-  kMax,   // conservative: the worst burst inside the coarser slot
-};
-
-/// Re-grids a trace onto `minutes_per_sample` (a multiple of the source
-/// interval that divides a day). Monitoring systems often record at 1-min
-/// granularity; the paper's method runs on 5-min slots. kMean reproduces
-/// what a 5-min utilization counter would have read; kMax keeps
-/// sub-slot bursts visible at the price of inflating demand.
-DemandTrace resample(const DemandTrace& t, std::size_t minutes_per_sample,
-                     ResamplePolicy policy = ResamplePolicy::kMean);
 
 }  // namespace ropus::trace

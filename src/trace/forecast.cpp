@@ -66,36 +66,10 @@ DemandTrace forecast(const DemandTrace& history, const ForecastOptions& opts) {
     const std::size_t week = i / slots_per_week;
     const double scale =
         std::pow(ratio, lead + static_cast<double>(week));
-    double v = profile[i % slots_per_week] * scale;
-    v = std::max(0.0, v);
-    if (opts.ceiling > 0.0) v = std::min(v, opts.ceiling);
-    values[i] = v;
+    values[i] = std::max(0.0, profile[i % slots_per_week] * scale);
   }
   return DemandTrace(history.name() + "/forecast", out_cal,
                      std::move(values));
-}
-
-ForecastError forecast_error(const DemandTrace& actual,
-                             const DemandTrace& forecasted) {
-  ROPUS_REQUIRE(actual.calendar() == forecasted.calendar(),
-                "actual and forecast must share a calendar");
-  ForecastError err;
-  double abs_sum = 0.0;
-  double pct_sum = 0.0;
-  std::size_t pct_count = 0;
-  for (std::size_t i = 0; i < actual.size(); ++i) {
-    const double diff = actual[i] - forecasted[i];
-    abs_sum += std::abs(diff);
-    err.peak_underestimate = std::max(err.peak_underestimate, diff);
-    if (actual[i] > 0.0) {
-      pct_sum += std::abs(diff) / actual[i];
-      ++pct_count;
-    }
-  }
-  err.mean_absolute = abs_sum / static_cast<double>(actual.size());
-  err.mean_absolute_pct =
-      pct_count > 0 ? 100.0 * pct_sum / static_cast<double>(pct_count) : 0.0;
-  return err;
 }
 
 }  // namespace ropus::trace

@@ -4,9 +4,7 @@
 // to recent history and that most workloads "change slowly (e.g., over
 // several months)" (Section II). This module makes that operational: a
 // seasonal-naive forecast with a linear week-over-week trend projects the
-// next W weeks from history, and an error report quantifies whether the
-// assumption held — the signal an operator uses to decide when placements
-// need re-running.
+// next W weeks from history.
 #pragma once
 
 #include "trace/demand_trace.h"
@@ -20,27 +18,13 @@ struct ForecastOptions {
   /// ratio is clamped to [1/(1+cap), 1+cap] so one anomalous week cannot
   /// produce a runaway projection.
   double max_weekly_trend = 0.25;
-  /// When true, projected values may not fall below zero (always enforced)
-  /// nor exceed `ceiling` (only when ceiling > 0).
-  double ceiling = 0.0;
 };
 
 /// Projects `history` (>= 1 week) forward. Slot (d, t) of each projected
 /// week is the across-week mean of slot (d, t) scaled by the fitted trend
-/// ratio compounded per projected week. The result's calendar has
-/// `horizon_weeks` weeks on the same sampling interval.
+/// ratio compounded per projected week, and never below zero. The result's
+/// calendar has `horizon_weeks` weeks on the same sampling interval.
 DemandTrace forecast(const DemandTrace& history, const ForecastOptions& opts);
-
-/// Forecast-accuracy report: compares a projection against what actually
-/// happened (same calendar).
-struct ForecastError {
-  double mean_absolute = 0.0;       // mean |actual - forecast| (CPUs)
-  double mean_absolute_pct = 0.0;   // MAPE over non-zero actuals (%)
-  double peak_underestimate = 0.0;  // max(actual - forecast), >= 0
-};
-
-ForecastError forecast_error(const DemandTrace& actual,
-                             const DemandTrace& forecasted);
 
 /// Fitted week-over-week demand growth ratio of a trace (1.0 = flat);
 /// exposed because tests and capacity-planning reports both want it.

@@ -31,21 +31,6 @@ double peak_to_percentile_ratio(const DemandTrace& t, double pct) {
   return p > 0.0 ? peak / p : 1.0;
 }
 
-std::vector<double> diurnal_profile(const DemandTrace& t) {
-  const Calendar& cal = t.calendar();
-  std::vector<double> sums(cal.slots_per_day(), 0.0);
-  std::vector<std::size_t> counts(cal.slots_per_day(), 0);
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    const std::size_t slot = cal.slot_of(i);
-    sums[slot] += t[i];
-    counts[slot] += 1;
-  }
-  for (std::size_t s = 0; s < sums.size(); ++s) {
-    if (counts[s] > 0) sums[s] /= static_cast<double>(counts[s]);
-  }
-  return sums;
-}
-
 double coefficient_of_variation(const DemandTrace& t) {
   const stats::Summary s = stats::summarize(t.values());
   return s.mean > 0.0 ? s.stddev / s.mean : 0.0;

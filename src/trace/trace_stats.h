@@ -1,5 +1,5 @@
-// Trace-level statistics: the percentile curves of Figure 6, burstiness
-// metrics, and per-slot diurnal profiles.
+// Trace-level statistics: the percentile curves of Figure 6 and burstiness
+// metrics.
 #pragma once
 
 #include <vector>
@@ -25,9 +25,6 @@ PercentileCurve percentile_curve(const DemandTrace& t,
 /// The paper's Figure 6 discussion orders applications by this. Zero traces
 /// report 1.
 double peak_to_percentile_ratio(const DemandTrace& t, double pct);
-
-/// Mean demand per slot-of-day across all weeks/days — the diurnal profile.
-std::vector<double> diurnal_profile(const DemandTrace& t);
 
 /// Coefficient of variation of demand (stddev / mean); 0 for a zero trace.
 double coefficient_of_variation(const DemandTrace& t);

@@ -16,11 +16,6 @@ slo::Band band_of(const qos::Requirement& req) {
   return band;
 }
 
-bool ComplianceReport::satisfies(const qos::Requirement& req,
-                                 double slack_percent) const {
-  return slo::BandCounts::satisfies(band_of(req), slack_percent);
-}
-
 namespace {
 
 ComplianceReport check_range_impl(std::span<const double> demand,
@@ -30,10 +25,8 @@ ComplianceReport check_range_impl(std::span<const double> demand,
                                   const qos::Requirement& req,
                                   double minutes_per_sample) {
   req.validate();
-  ComplianceReport report;
-  static_cast<slo::BandCounts&>(report) = slo::accumulate_bands(
-      demand, granted, band_of(req), minutes_per_sample, mask, fallback);
-  return report;
+  return slo::accumulate_bands(demand, granted, band_of(req),
+                               minutes_per_sample, mask, fallback);
 }
 
 }  // namespace

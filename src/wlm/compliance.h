@@ -12,15 +12,9 @@
 namespace ropus::wlm {
 
 /// Classification of a run against a Requirement: the slo kernel's counts
-/// (src/slo/kernel.h — the single home of the band arithmetic) plus the
-/// Requirement-typed satisfies() bridge.
-struct ComplianceReport : slo::BandCounts {
-  using slo::BandCounts::satisfies;
-
-  /// True when the run satisfies `req` with `slack_percent` extra headroom
-  /// on the M_degr budget (controller reaction lag costs a little).
-  bool satisfies(const qos::Requirement& req, double slack_percent) const;
-};
+/// (src/slo/kernel.h — the single home of the band arithmetic). Judge it
+/// with satisfies(band_of(req), slack_percent).
+using ComplianceReport = slo::BandCounts;
 
 /// The kernel Band for a Requirement (an unset T_degr maps to the kernel's
 /// "<= 0 means unconstrained" convention).

@@ -25,13 +25,6 @@ TelemetryChannel::TelemetryChannel(const TelemetryFaultModel& model,
   model_.validate();
 }
 
-void TelemetryChannel::reset() {
-  // The ring keeps its slots: a repeat reaches back at most `interval_`
-  // values, all written since this reset.
-  interval_ = 0;
-  blackout_left_ = 0;
-}
-
 inline Observation TelemetryChannel::observe_one(double true_demand) {
   const std::size_t t = interval_;
   interval_ += 1;

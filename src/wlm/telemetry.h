@@ -98,10 +98,6 @@ class TelemetryChannel {
   void observe_block(std::span<const double> true_demand,
                      std::span<Observation> out);
 
-  /// Forgets history and restarts the fault processes (new trace/trial);
-  /// the random stream continues, it is not re-seeded.
-  void reset();
-
  private:
   // The per-interval body of observe() and observe_block(), defined in
   // telemetry.cpp (the only caller) and forced inline there.

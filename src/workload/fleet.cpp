@@ -110,10 +110,6 @@ std::vector<Profile> case_study_profiles() {
   return profiles;
 }
 
-std::vector<trace::DemandTrace> case_study_traces(std::uint64_t seed) {
-  return case_study_traces(trace::Calendar::standard(4), seed);
-}
-
 std::vector<trace::DemandTrace> case_study_traces(
     const trace::Calendar& calendar, std::uint64_t seed) {
   const std::vector<Profile> profiles = case_study_profiles();

@@ -22,11 +22,9 @@ inline constexpr std::size_t kCaseStudyApps = 26;
 /// paper's Figure 6 orders applications the same way).
 std::vector<Profile> case_study_profiles();
 
-/// Generates the 26 four-week traces at 5-minute resolution. Deterministic in
+/// Generates the 26 traces on `calendar` (the paper's is four weeks at
+/// 5-minute resolution, trace::Calendar::standard(4)). Deterministic in
 /// `seed`; the paper's experiments use seed = 2006 (the publication year).
-std::vector<trace::DemandTrace> case_study_traces(std::uint64_t seed = 2006);
-
-/// Same, but on an arbitrary calendar (tests use short calendars).
 std::vector<trace::DemandTrace> case_study_traces(
     const trace::Calendar& calendar, std::uint64_t seed);
 

@@ -42,44 +42,4 @@ Profile batch_nightly(const std::string& name, double peak_cpus) {
   return p;
 }
 
-Profile reporting(const std::string& name, double base_cpus) {
-  Profile p;
-  p.name = name;
-  p.base_cpus = base_cpus;
-  p.diurnal_amplitude = 0.3;
-  p.peak_hour = 9.0;
-  p.peak_width_hours = 4.0;
-  p.night_factor = 0.3;
-  p.weekend_factor = 0.2;
-  p.noise_cv = 0.15;
-  p.noise_phi = 0.7;
-  p.spikes_per_day = 0.15;      // rare...
-  p.spike_mean_minutes = 120.0; // ...but long
-  p.spike_pareto_alpha = 1.2;
-  p.spike_scale = 4.0;
-  p.max_cpus = base_cpus * 10.0;
-  p.validate();
-  return p;
-}
-
-Profile steady_backend(const std::string& name, double base_cpus) {
-  Profile p;
-  p.name = name;
-  p.base_cpus = base_cpus;
-  p.diurnal_amplitude = 0.15;
-  p.peak_hour = 12.0;
-  p.peak_width_hours = 6.0;
-  p.night_factor = 0.85;
-  p.weekend_factor = 0.9;
-  p.noise_cv = 0.06;
-  p.noise_phi = 0.8;
-  p.spikes_per_day = 0.05;
-  p.spike_mean_minutes = 10.0;
-  p.spike_pareto_alpha = 2.5;
-  p.spike_scale = 0.3;
-  p.max_cpus = base_cpus * 2.0;
-  p.validate();
-  return p;
-}
-
 }  // namespace ropus::workload::presets

@@ -17,12 +17,4 @@ Profile interactive_web(const std::string& name, double base_cpus);
 /// a week, almost no daytime load.
 Profile batch_nightly(const std::string& name, double peak_cpus);
 
-/// Weekly reporting: mostly idle, heavy bursts (quarter-close style) with
-/// long durations.
-Profile reporting(const std::string& name, double base_cpus);
-
-/// Steady backend (message broker, cache): flat around the clock with
-/// small noise.
-Profile steady_backend(const std::string& name, double base_cpus);
-
 }  // namespace ropus::workload::presets

@@ -31,35 +31,6 @@ trace::DemandTrace time_shift(const trace::DemandTrace& t, double minutes) {
   return trace::DemandTrace(t.name() + "/shifted", cal, std::move(out));
 }
 
-trace::DemandTrace scale_window(const trace::DemandTrace& t, double factor,
-                                double start_hour, double end_hour) {
-  ROPUS_REQUIRE(factor >= 0.0, "factor must be >= 0");
-  ROPUS_REQUIRE(start_hour >= 0.0 && start_hour < 24.0 && end_hour > 0.0 &&
-                    end_hour <= 24.0 && start_hour < end_hour,
-                "window must satisfy 0 <= start < end <= 24");
-  const trace::Calendar& cal = t.calendar();
-  const double interval = static_cast<double>(cal.minutes_per_sample());
-  std::vector<double> out(t.size());
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    const double hour =
-        static_cast<double>(cal.slot_of(i)) * interval / 60.0;
-    out[i] = (hour >= start_hour && hour < end_hour) ? t[i] * factor : t[i];
-  }
-  return trace::DemandTrace(t.name() + "/window", cal, std::move(out));
-}
-
-trace::DemandTrace boost_week(const trace::DemandTrace& t, std::size_t week,
-                              double factor) {
-  ROPUS_REQUIRE(factor >= 0.0, "factor must be >= 0");
-  const trace::Calendar& cal = t.calendar();
-  ROPUS_REQUIRE(week < cal.weeks(), "week out of range");
-  std::vector<double> out(t.values().begin(), t.values().end());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    if (cal.week_of(i) == week) out[i] *= factor;
-  }
-  return trace::DemandTrace(t.name() + "/boosted", cal, std::move(out));
-}
-
 std::vector<trace::DemandTrace> apply_scenario(
     std::span<const trace::DemandTrace> fleet, const Scenario& scenario) {
   ROPUS_REQUIRE(scenario.scale.empty() ||

@@ -18,16 +18,6 @@ namespace ropus::workload {
 /// multiple of the sampling interval.
 trace::DemandTrace time_shift(const trace::DemandTrace& t, double minutes);
 
-/// Scales only the business-hours demand (inside [start_hour, end_hour))
-/// by `factor`, leaving nights untouched — a campaign or seasonal push.
-trace::DemandTrace scale_window(const trace::DemandTrace& t, double factor,
-                                double start_hour, double end_hour);
-
-/// Splices a one-week burst into week `week`: demand during that week is
-/// multiplied by `factor`. Models a known upcoming event (quarter close).
-trace::DemandTrace boost_week(const trace::DemandTrace& t, std::size_t week,
-                              double factor);
-
 /// A fleet-level scenario: per-application multiplicative scaling plus
 /// optional new workloads joining the pool.
 struct Scenario {

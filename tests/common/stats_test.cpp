@@ -135,43 +135,6 @@ TEST(QuantileUpper, RejectsEmptyAndOutOfRange) {
   EXPECT_THROW(quantile_upper(v, 1.1), InvalidArgument);
 }
 
-TEST(Runs, FindsMaximalRuns) {
-  const std::vector<bool> flags{false, true, true, false, true, true, true};
-  const auto runs = find_runs(flags);
-  ASSERT_EQ(runs.size(), 2u);
-  EXPECT_EQ(runs[0].begin, 1u);
-  EXPECT_EQ(runs[0].length, 2u);
-  EXPECT_EQ(runs[1].begin, 4u);
-  EXPECT_EQ(runs[1].length, 3u);
-}
-
-TEST(Runs, AllTrueIsOneRun) {
-  const std::vector<bool> flags{true, true, true};
-  const auto runs = find_runs(flags);
-  ASSERT_EQ(runs.size(), 1u);
-  EXPECT_EQ(runs[0].begin, 0u);
-  EXPECT_EQ(runs[0].length, 3u);
-}
-
-TEST(Runs, LongestRun) {
-  EXPECT_EQ(longest_run(std::vector<bool>{}), 0u);
-  EXPECT_EQ(longest_run(std::vector<bool>{false, false}), 0u);
-  EXPECT_EQ(longest_run(std::vector<bool>{true, false, true, true}), 2u);
-}
-
-TEST(Runs, FractionTrue) {
-  EXPECT_DOUBLE_EQ(fraction_true(std::vector<bool>{}), 0.0);
-  EXPECT_DOUBLE_EQ(fraction_true(std::vector<bool>{true, false, true, false}),
-                   0.5);
-}
-
-TEST(Sum, KahanAccumulatesSmallTerms) {
-  // 1 + 1e-16 * n with naive summation loses the small terms entirely.
-  std::vector<double> v{1.0};
-  for (int i = 0; i < 10000; ++i) v.push_back(1e-16);
-  EXPECT_NEAR(sum(v), 1.0 + 1e-12, 1e-15);
-}
-
 TEST(MaxValue, ThrowsOnEmpty) {
   EXPECT_THROW(max_value({}), InvalidArgument);
 }

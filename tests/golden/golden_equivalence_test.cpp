@@ -115,7 +115,7 @@ void add_report(Lines& out, const std::string& prefix,
           std::uint64_t{r.violating_telemetry});
   out.add(prefix + ".longest_degraded_minutes", r.longest_degraded_minutes);
   out.add(prefix + ".degraded_fraction", r.degraded_fraction());
-  out.add(prefix + ".satisfies", r.satisfies(req, 0.0));
+  out.add(prefix + ".satisfies", r.satisfies(wlm::band_of(req)));
 }
 
 /// The deterministic scenario: demand replayed against its own translated

@@ -4,12 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "core/capacity_planner.h"
-#include "workload/fleet.h"
 
 namespace ropus {
 namespace {
-
-using trace::Calendar;
 
 // Structural JSON sanity: balanced braces/brackets outside strings.
 void expect_balanced(const std::string& doc) {
@@ -34,60 +31,6 @@ void expect_balanced(const std::string& doc) {
   }
   EXPECT_EQ(depth, 0);
   EXPECT_FALSE(in_string);
-}
-
-CapacityPlan make_plan(bool with_failover) {
-  qos::PoolCommitments commitments;
-  commitments.cos2 = qos::CosCommitment{0.9, 60.0};
-  Pool pool(commitments, sim::homogeneous_pool(5, 16));
-  auto traces = workload::case_study_traces(Calendar(1, 5), 2006);
-  for (std::size_t i = 0; i < 5; ++i) {
-    qos::ApplicationQos q;
-    q.app_name = traces[i].name();
-    q.normal.m_percent = 97.0;
-    q.failure = q.normal;
-    q.failure.u_low = 0.6;
-    q.failure.u_high = 0.8;
-    q.failure.u_degr = 0.95;
-    pool.add_application(std::move(traces[i]), q);
-  }
-  PlanOptions opts;
-  opts.consolidation.genetic.population = 16;
-  opts.consolidation.genetic.max_generations = 30;
-  opts.consolidation.genetic.stagnation_limit = 8;
-  opts.plan_failures = with_failover;
-  opts.failover.normal.genetic = opts.consolidation.genetic;
-  opts.failover.failure.genetic = opts.consolidation.genetic;
-  return pool.plan(opts);
-}
-
-TEST(PlanExport, CapacityPlanJsonHasKeySections) {
-  const std::string doc = to_json(make_plan(true));
-  expect_balanced(doc);
-  for (const char* needle :
-       {"\"servers_used\"", "\"applications\"", "\"placement\"",
-        "\"failover\"", "\"spare_needed\"", "\"breakpoint_p\"",
-        "\"app-01\""}) {
-    EXPECT_NE(doc.find(needle), std::string::npos) << needle;
-  }
-}
-
-TEST(PlanExport, PlacementNamesEachServersBinding) {
-  const CapacityPlan plan = make_plan(false);
-  const std::string doc = to_json(plan);
-  std::size_t bindings = 0;
-  for (std::size_t at = doc.find("\"binding\":{\"kind\":\"");
-       at != std::string::npos;
-       at = doc.find("\"binding\":{\"kind\":\"", at + 1)) {
-    ++bindings;
-  }
-  EXPECT_EQ(bindings, plan.servers_used);
-}
-
-TEST(PlanExport, NoFailoverSerializesNull) {
-  const std::string doc = to_json(make_plan(false));
-  expect_balanced(doc);
-  EXPECT_NE(doc.find("\"failover\":null"), std::string::npos);
 }
 
 TEST(PlanExport, PlanningReportJson) {

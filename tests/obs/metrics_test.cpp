@@ -38,14 +38,14 @@ TEST(Gauge, LastWriteWins) {
 }
 
 TEST(Histogram, EmptySnapshot) {
-  Histogram h;
+  Histogram h{Histogram::Options{}};
   const HistogramSnapshot snap = h.snapshot();
   EXPECT_EQ(snap.count, 0u);
   EXPECT_DOUBLE_EQ(snap.mean(), 0.0);
 }
 
 TEST(Histogram, ExactMinMaxAndSum) {
-  Histogram h;
+  Histogram h{Histogram::Options{}};
   h.record(0.001);
   h.record(0.25);
   h.record(3.0);
@@ -68,7 +68,7 @@ TEST(Histogram, OutOfRangeValuesClampToEdgeBuckets) {
 }
 
 TEST(Histogram, NanIgnored) {
-  Histogram h;
+  Histogram h{Histogram::Options{}};
   h.record(std::nan(""));
   EXPECT_EQ(h.snapshot().count, 0u);
 }
@@ -76,7 +76,7 @@ TEST(Histogram, NanIgnored) {
 TEST(Histogram, PercentilesTrackExactQuantiles) {
   // Log-uniform samples across four decades: the bucket-midpoint estimate
   // must stay within one bucket ratio of the exact order statistic.
-  Histogram h;
+  Histogram h{Histogram::Options{}};
   Rng rng(7);
   std::vector<double> samples;
   for (int i = 0; i < 20000; ++i) {

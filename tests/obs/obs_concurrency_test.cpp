@@ -63,7 +63,6 @@ TEST(ObsConcurrencyTest, RegistryMutationDuringExportAndSampling) {
         fake_now += 0.001;
         series.maybe_sample(registry, fake_now);
         (void)series.to_json();
-        (void)series.counter_delta("stress.hot", 1.0);
         exports.fetch_add(1, std::memory_order_relaxed);
       }
     });

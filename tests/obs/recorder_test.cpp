@@ -168,8 +168,6 @@ TEST_F(RecorderTest, RingKeepsNewestRecords) {
     r.slot = i;
     recorder.append(r);
   }
-  EXPECT_EQ(recorder.appended(), 40u);
-  EXPECT_EQ(recorder.retained(), 16u);
   recorder.finish();
 
   const Recording back = read_recording(path);

@@ -15,21 +15,29 @@ Snapshot snap_with_counter(const std::string& name, std::uint64_t value) {
   return snap;
 }
 
+using Windows = std::vector<json::Value>;
+
+/// One metric's windows as GET /stats.json serves them, oldest first.
+const Windows& windows(const json::Value& doc, const char* kind,
+                       const char* name) {
+  return doc.at(kind).at(name).as_array();
+}
+
 TEST(TimeSeriesTest, CounterDeltasAreMeasuredAgainstPreviousSample) {
   TimeSeries ts;
   ts.sample(snap_with_counter("reqs", 10), 1.0);
   ts.sample(snap_with_counter("reqs", 25), 2.0);
   ts.sample(snap_with_counter("reqs", 25), 3.0);
 
-  const auto series = ts.counter_series("reqs");
+  const json::Value doc = json::parse(ts.to_json());
+  const Windows& series = windows(doc, "counters", "reqs");
   ASSERT_EQ(series.size(), 3u);
-  EXPECT_EQ(series[0].delta, 10u);  // first sample: delta from zero
-  EXPECT_EQ(series[0].total, 10u);
-  EXPECT_EQ(series[1].delta, 15u);
-  EXPECT_EQ(series[1].total, 25u);
-  EXPECT_EQ(series[2].delta, 0u);
-  EXPECT_DOUBLE_EQ(series[1].duration_seconds, 1.0);
-  EXPECT_DOUBLE_EQ(series[1].rate(), 15.0);
+  EXPECT_EQ(series[0].at("delta").as_number(), 10.0);  // delta from zero
+  EXPECT_EQ(series[0].at("total").as_number(), 10.0);
+  EXPECT_EQ(series[1].at("delta").as_number(), 15.0);
+  EXPECT_EQ(series[1].at("total").as_number(), 25.0);
+  EXPECT_EQ(series[2].at("delta").as_number(), 0.0);
+  EXPECT_DOUBLE_EQ(series[1].at("dt").as_number(), 1.0);
 }
 
 TEST(TimeSeriesTest, CounterResetRestartsDeltaInsteadOfWrapping) {
@@ -37,10 +45,11 @@ TEST(TimeSeriesTest, CounterResetRestartsDeltaInsteadOfWrapping) {
   ts.sample(snap_with_counter("reqs", 100), 1.0);
   ts.sample(snap_with_counter("reqs", 4), 2.0);  // process restarted
 
-  const auto series = ts.counter_series("reqs");
+  const json::Value doc = json::parse(ts.to_json());
+  const Windows& series = windows(doc, "counters", "reqs");
   ASSERT_EQ(series.size(), 2u);
-  EXPECT_EQ(series[1].delta, 4u);
-  EXPECT_EQ(series[1].total, 4u);
+  EXPECT_EQ(series[1].at("delta").as_number(), 4.0);
+  EXPECT_EQ(series[1].at("total").as_number(), 4.0);
 }
 
 TEST(TimeSeriesTest, RingOverwritesOldestAtCapacity) {
@@ -51,27 +60,15 @@ TEST(TimeSeriesTest, RingOverwritesOldestAtCapacity) {
     ts.sample(snap_with_counter("c", static_cast<std::uint64_t>(i)),
               static_cast<double>(i));
   }
-  const auto series = ts.counter_series("c");
+  const json::Value doc = json::parse(ts.to_json());
+  const Windows& series = windows(doc, "counters", "c");
   ASSERT_EQ(series.size(), 4u);
   // Oldest-first: samples 7..10 survive, each with delta 1.
-  EXPECT_EQ(series.front().total, 7u);
-  EXPECT_EQ(series.back().total, 10u);
-  for (const CounterWindow& w : series) EXPECT_EQ(w.delta, 1u);
-}
-
-TEST(TimeSeriesTest, TrailingWindowDeltaMergesWindows) {
-  TimeSeries ts;
-  for (int i = 1; i <= 10; ++i) {
-    ts.sample(snap_with_counter("c", static_cast<std::uint64_t>(3 * i)),
-              static_cast<double>(i));
+  EXPECT_EQ(series.front().at("total").as_number(), 7.0);
+  EXPECT_EQ(series.back().at("total").as_number(), 10.0);
+  for (const json::Value& w : series) {
+    EXPECT_EQ(w.at("delta").as_number(), 1.0);
   }
-  // Trailing 4 seconds: windows closing at t=7..10 (>= 10 - 4 + epsilon
-  // handling aside, at least the last four windows), 3 events each.
-  const std::uint64_t delta = ts.counter_delta("c", 4.0);
-  EXPECT_GE(delta, 9u);
-  EXPECT_LE(delta, 15u);
-  EXPECT_GT(ts.counter_rate("c", 4.0), 0.0);
-  EXPECT_EQ(ts.counter_delta("missing", 4.0), 0u);
 }
 
 TEST(TimeSeriesTest, MaybeSampleHonorsCadence) {
@@ -85,7 +82,8 @@ TEST(TimeSeriesTest, MaybeSampleHonorsCadence) {
   EXPECT_FALSE(ts.maybe_sample(registry, 10.5));  // inside the cadence
   EXPECT_TRUE(ts.maybe_sample(registry, 11.0));
   EXPECT_EQ(ts.samples(), 2u);
-  EXPECT_DOUBLE_EQ(ts.last_sample_seconds(), 11.0);
+  const json::Value doc = json::parse(ts.to_json());
+  EXPECT_DOUBLE_EQ(doc.at("last_sample_seconds").as_number(), 11.0);
 }
 
 TEST(TimeSeriesTest, GaugesAndHistogramsAreSampled) {
@@ -98,15 +96,16 @@ TEST(TimeSeriesTest, GaugesAndHistogramsAreSampled) {
   registry.histogram("h").record(0.5);
   ts.sample(registry.snapshot(), 2.0);
 
-  const auto gauges = ts.gauge_series("g");
+  const json::Value doc = json::parse(ts.to_json());
+  const Windows& gauges = windows(doc, "gauges", "g");
   ASSERT_EQ(gauges.size(), 2u);
-  EXPECT_DOUBLE_EQ(gauges[0].value, 4.5);
+  EXPECT_DOUBLE_EQ(gauges[0].at("value").as_number(), 4.5);
 
-  const auto hists = ts.histogram_series("h");
+  const Windows& hists = windows(doc, "histograms", "h");
   ASSERT_EQ(hists.size(), 2u);
-  EXPECT_EQ(hists[0].delta, 2u);  // first window: all recorded so far
-  EXPECT_EQ(hists[1].delta, 1u);
-  EXPECT_EQ(hists[1].snapshot.count, 3u);
+  EXPECT_EQ(hists[0].at("delta").as_number(), 2.0);  // all recorded so far
+  EXPECT_EQ(hists[1].at("delta").as_number(), 1.0);
+  EXPECT_EQ(hists[1].at("count").as_number(), 3.0);
 }
 
 TEST(TimeSeriesTest, ToJsonParsesAndCarriesTheSeries) {

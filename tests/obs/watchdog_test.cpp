@@ -115,7 +115,7 @@ TEST(Watchdog, StreamingMatchesBatchRangeCheck) {
   expect_reports_equal(*streaming, batch);
   EXPECT_EQ(wd.report(0, true), nullptr);  // no failure-mode slots streamed
   EXPECT_EQ(streaming->satisfies(paper_band()),
-            batch.satisfies(paper_requirement(), 0.0));
+            batch.satisfies(wlm::band_of(paper_requirement()), 0.0));
 }
 
 TEST(Watchdog, StreamingMatchesBatchMaskedByMode) {

@@ -50,7 +50,9 @@ TEST(Exact, HeterogeneousPoolsHandled) {
   f.cos2 = qos::CosCommitment{1.0, 10080.0};
   const trace::Calendar cal = testing::tiny_calendar();
   for (double d : {5.0, 5.0, 2.0}) {  // 10,10,4 CPUs of allocation
-    f.demands.emplace_back("w" + std::to_string(f.demands.size()), cal,
+    std::string name = "w";
+    name += std::to_string(f.demands.size());
+    f.demands.emplace_back(std::move(name), cal,
                            std::vector<double>(cal.size(), d));
   }
   for (const auto& d : f.demands) {

@@ -67,7 +67,9 @@ inline Fixture flat_problem(const std::vector<double>& demand_cpus,
   f.cos2 = qos::CosCommitment{theta, 10080.0};
   const trace::Calendar cal = tiny_calendar();
   for (std::size_t i = 0; i < demand_cpus.size(); ++i) {
-    f.demands.emplace_back("w" + std::to_string(i), cal,
+    std::string name = "w";
+    name += std::to_string(i);
+    f.demands.emplace_back(std::move(name), cal,
                            std::vector<double>(cal.size(), demand_cpus[i]));
   }
   for (const auto& d : f.demands) {
@@ -106,7 +108,8 @@ inline AttributedFixture flat_attributed_problem(
   AttributedFixture f;
   const trace::Calendar cal = tiny_calendar();
   for (std::size_t i = 0; i < demand_cpus.size(); ++i) {
-    const std::string name = "w" + std::to_string(i);
+    std::string name = "w";
+    name += std::to_string(i);
     const trace::DemandTrace cpu(
         name, cal, std::vector<double>(cal.size(), demand_cpus[i]));
     qos::WorkloadAllocations w(qos::AllocationTrace(

@@ -83,14 +83,15 @@ TEST(GeneticConfig, Validation) {
   GeneticConfig cfg = fast_config();
   cfg.population = 1;
   EXPECT_THROW(cfg.validate(), InvalidArgument);
+  cfg.population = 2;  // a tournament of 3 and two elites need 3
+  EXPECT_THROW(cfg.validate(), InvalidArgument);
+  cfg.population = 3;
+  EXPECT_NO_THROW(cfg.validate());
   cfg = fast_config();
-  cfg.tournament = 0;
+  cfg.max_generations = 0;
   EXPECT_THROW(cfg.validate(), InvalidArgument);
   cfg = fast_config();
-  cfg.elite = cfg.population;
-  EXPECT_THROW(cfg.validate(), InvalidArgument);
-  cfg = fast_config();
-  cfg.crossover_rate = 1.5;
+  cfg.stagnation_limit = 0;
   EXPECT_THROW(cfg.validate(), InvalidArgument);
 }
 

@@ -17,7 +17,9 @@ testing::Fixture hetero_problem(const std::vector<double>& demand_cpus,
   f.cos2 = qos::CosCommitment{theta, 10080.0};
   const trace::Calendar cal = testing::tiny_calendar();
   for (std::size_t i = 0; i < demand_cpus.size(); ++i) {
-    f.demands.emplace_back("w" + std::to_string(i), cal,
+    std::string name = "w";
+    name += std::to_string(i);
+    f.demands.emplace_back(std::move(name), cal,
                            std::vector<double>(cal.size(), demand_cpus[i]));
   }
   for (const auto& d : f.demands) {
@@ -26,8 +28,9 @@ testing::Fixture hetero_problem(const std::vector<double>& demand_cpus,
   }
   std::vector<sim::ServerSpec> servers;
   for (std::size_t i = 0; i < server_cpus.size(); ++i) {
-    servers.push_back(
-        sim::ServerSpec{"srv-" + std::to_string(i), server_cpus[i]});
+    std::string name = "srv-";
+    name += std::to_string(i);
+    servers.push_back(sim::ServerSpec{std::move(name), server_cpus[i]});
   }
   f.problem = std::make_unique<PlacementProblem>(f.allocations,
                                                  std::move(servers), f.cos2);

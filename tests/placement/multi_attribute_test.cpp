@@ -120,7 +120,6 @@ TEST(WorkloadAllocations, RejectsCpuAttributeAndForeignCalendar) {
                                DemandTrace::zeros("x", Calendar(2, 720))),
                InvalidArgument);
   EXPECT_EQ(w.attribute(Attribute::kDiskMbps), nullptr);
-  EXPECT_DOUBLE_EQ(w.attribute_peak(Attribute::kDiskMbps), 0.0);
 }
 
 TEST(WorkloadAllocations, SnapsAttributesToTheGrid) {

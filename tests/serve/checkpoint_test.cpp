@@ -282,6 +282,16 @@ void set_app_field(std::string& payload, const std::string& app,
   set_field(payload, field, value, record);
 }
 
+/// Sets the first `field` of the saved backlogs to the JSON scalar `value`.
+void set_backlog_field(std::string& payload, const std::string& field,
+                       const std::string& value) {
+  const std::size_t key =
+      payload.find("\"" + field + "\":", payload.find("\"backlogs\":"));
+  ASSERT_NE(key, std::string::npos) << field;
+  const std::size_t begin = key + field.size() + 3;
+  payload.replace(begin, payload.find_first_of(",}]", begin) - begin, value);
+}
+
 TEST_F(CheckpointTest, CraftedAppIdentityIsRefused) {
   const std::string path = (dir_ / "crafted.ckpt").string();
   const ServeConfig config = small_config();  // 2 servers
@@ -291,6 +301,19 @@ TEST_F(CheckpointTest, CraftedAppIdentityIsRefused) {
   original.handle(parse_message(
       R"({"type":"admit","app":"db","profile":[)" + profile + "]}"));
   ASSERT_EQ(original.app_count(), 2u);  // web has id 0, db id 1
+  // A third app with a one-slot spike, sized for its peak (M = 100), fits
+  // only beside web, and its first tick requests that peak: 3 CPUs for web
+  // and 5.8 for it on an 8-CPU server, so the checkpoint carries a
+  // deferral. Its revenue outweighs the penalty for the thin headroom.
+  std::string burst = "2.0,2.0,2.9";
+  for (std::size_t i = 3; i < kWeekSlots; ++i) burst += ",2.0";
+  original.handle(parse_message(
+      R"({"type":"admit","app":"burst","m":100,"revenue":10,"profile":[)" +
+      burst + "]}"));
+  original.handle(parse_message(
+      R"({"type":"tick","slot":2,"demand":{"web":1.0,"db":1.0,"burst":2.9}})"));
+  ASSERT_EQ(original.app_count(), 3u);
+  ASSERT_GT(original.backlog_total(), 0.0);
 
   // The re-framing itself is sound: an untouched payload still loads.
   write_checkpoint(path, original, 4);
@@ -339,6 +362,29 @@ TEST_F(CheckpointTest, CraftedAppIdentityIsRefused) {
            [](std::string& p) {
              set_field(p, "run", "-1", p.find("\"watchdog\":"));
            }},
+          // A tick for slot 100 would re-emit stale replies, and the next
+          // one would fill the slots in between as missing telemetry.
+          {"last tick slot not the one before next_slot",
+           [](std::string& p) { set_field(p, "last_tick_slot", "100"); }},
+          {"ticks recorded as never seen",
+           [](std::string& p) { set_field(p, "any_tick", "false"); }},
+          // A drain would serve -5 CPUs and hand 5 back to the spare.
+          {"negative deferred remainder",
+           [](std::string& p) { set_backlog_field(p, "remaining", "-5"); }},
+          {"deferred remainder retired by drain",
+           [](std::string& p) { set_backlog_field(p, "remaining", "0"); }},
+          {"deferral from a slot not yet judged",
+           [](std::string& p) { set_backlog_field(p, "created", "3"); }},
+          {"deferrals out of creation order",
+           [](std::string& p) {
+             const std::string entries = "\"entries\":[";
+             const std::size_t at =
+                 p.find(entries + "{", p.find("\"backlogs\":"));
+             ASSERT_NE(at, std::string::npos);
+             p.insert(at + entries.size(), R"({"created":2,"remaining":1},)");
+           }},
+          {"negative backlog total",
+           [](std::string& p) { set_backlog_field(p, "total", "-1"); }},
       };
   for (const auto& [what, edit] : faults) {
     write_checkpoint(path, original, 4);

@@ -457,7 +457,10 @@ TEST_F(DaemonTest, AdmissionRejectStormFiresBurnAlert) {
               std::string::npos);
   }
   EXPECT_GT(core.active_alert_count(), 0u);
-  EXPECT_TRUE(core.admission_burn().rule_active("fast"));
+  const std::vector<obs::BurnAlert> admission =
+      core.admission_burn().active_alerts();
+  ASSERT_FALSE(admission.empty());
+  EXPECT_EQ(admission.front().rule, "fast");
   EXPECT_EQ(core.slo_burn().active_count(), 0u);
 
   const json::Value stats = json::parse(core.stats_reply());

@@ -36,16 +36,22 @@ ServeConfig small_config() {
 std::string admit_line(const std::string& app, double level) {
   std::string profile = std::to_string(level);
   for (std::size_t i = 1; i < kWeekSlots; ++i) {
-    profile += "," + std::to_string(level);
+    profile += ',';
+    profile += std::to_string(level);
   }
   return R"({"type":"admit","app":")" + app + R"(","profile":[)" + profile +
          "]}";
 }
 
 std::string tick_line(std::size_t slot, double web, double db) {
-  return R"({"type":"tick","slot":)" + std::to_string(slot) +
-         R"(,"demand":{"web":)" + std::to_string(web) + R"(,"db":)" +
-         std::to_string(db) + "}}";
+  std::string line = R"({"type":"tick","slot":)";
+  line += std::to_string(slot);
+  line += R"(,"demand":{"web":)";
+  line += std::to_string(web);
+  line += R"(,"db":)";
+  line += std::to_string(db);
+  line += "}}";
+  return line;
 }
 
 /// The accepted-line script every cell replays a suffix of.

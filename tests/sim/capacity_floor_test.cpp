@@ -34,15 +34,14 @@ std::uint64_t replays() {
 /// The required capacity by definition: the first candidate, in ascending
 /// order, that a replay accepts.
 RequiredCapacity linear_scan(const Aggregate& agg, double limit,
-                             const qos::CosCommitment& cos2,
-                             double tolerance) {
+                             const qos::CosCommitment& cos2) {
   RequiredCapacity rc;
   if (agg.empty()) {
     rc.fits = true;
     return rc;
   }
   if (agg.sum_peak_cos1 > limit + slo::kCapacityEps) return rc;
-  const double step = capacity_grid_step(tolerance);
+  constexpr double step = kCapacityStep;
   const auto k_lo = static_cast<std::int64_t>(std::ceil(agg.peak_cos1 / step));
   const auto k_hi = static_cast<std::int64_t>(std::floor(limit / step));
   std::vector<double> candidates;
@@ -68,7 +67,6 @@ enum class Shape { kBursty, kZeroCos2, kSingleSpike, kFlat };
 struct Case {
   Aggregate agg;
   double limit = 0.0;
-  double tolerance = 0.05;
   qos::CosCommitment cos2;
   std::string what;
 };
@@ -132,15 +130,12 @@ Case random_case(Rng& rng) {
       d == 0 ? 0 : d == 1 ? 1 : d == 2 ? 1 + rng.uniform_index(12) : n + 1;
   c.cos2 = qos::CosCommitment{
       theta, static_cast<double>(deadline_slots * minutes)};
-  const double tolerances[] = {0.05, 0.05, 0.01, 1.0};
-  c.tolerance = tolerances[rng.uniform_index(4)];
 
   // Limits below the CoS1 peak, inside the search range and above the
   // total peak; half of them on the search grid.
   double limit = rng.uniform(0.8 * c.agg.peak_cos1, c.agg.peak_total + 2.0);
   if (rng.bernoulli(0.5)) {
-    const double step = capacity_grid_step(c.tolerance);
-    limit = std::floor(limit / step) * step;
+    limit = std::floor(limit / kCapacityStep) * kCapacityStep;
   }
   c.limit = std::max(0.0, limit);
   c.what = "weeks=" + std::to_string(weeks) +
@@ -149,7 +144,6 @@ Case random_case(Rng& rng) {
            " on_grid=" + std::to_string(on_grid) +
            " theta=" + std::to_string(theta) +
            " deadline_slots=" + std::to_string(deadline_slots) +
-           " tolerance=" + std::to_string(c.tolerance) +
            " limit=" + std::to_string(c.limit);
   return c;
 }
@@ -165,12 +159,11 @@ void expect_same_bits(const RequiredCapacity& a, const RequiredCapacity& b,
 /// answer.
 RequiredCapacity expect_matches_scan(const Aggregate& agg, double limit,
                                      const qos::CosCommitment& cos2,
-                                     const std::string& what,
-                                     double tolerance = 0.05) {
+                                     const std::string& what) {
   const std::uint64_t before = replays();
-  const RequiredCapacity rc = required_capacity(agg, limit, cos2, tolerance);
+  const RequiredCapacity rc = required_capacity(agg, limit, cos2);
   const std::uint64_t cost = replays() - before;
-  expect_same_bits(rc, linear_scan(agg, limit, cos2, tolerance), what);
+  expect_same_bits(rc, linear_scan(agg, limit, cos2), what);
   if (rc.binding.kind == Binding::Kind::kLimit) {
     EXPECT_LE(cost, 1u) << what;
   } else {
@@ -186,7 +179,7 @@ TEST(CapacityFloor, RequiredCapacityMatchesLinearScanOracle) {
   for (int i = 0; i < 600; ++i) {
     const Case c = random_case(rng);
     const RequiredCapacity rc =
-        expect_matches_scan(c.agg, c.limit, c.cos2, c.what, c.tolerance);
+        expect_matches_scan(c.agg, c.limit, c.cos2, c.what);
     if (HasFatalFailure()) return;
     EXPECT_NE(rc.binding.kind, Binding::Kind::kNone)
         << "a non-empty aggregate named no binding: " << c.what;
@@ -202,7 +195,7 @@ TEST(CapacityFloor, ThetaFloorIsTheReplaysThetaPredicate) {
   Rng rng(77);
   for (int i = 0; i < 400; ++i) {
     const Case c = random_case(rng);
-    const double step = capacity_grid_step(c.tolerance);
+    constexpr double step = kCapacityStep;
     const auto k_lo =
         static_cast<std::int64_t>(std::ceil(c.agg.peak_cos1 / step));
     const auto k_hi = static_cast<std::int64_t>(std::floor(c.limit / step));
@@ -306,10 +299,10 @@ TEST(CapacityFloor, BindingDeadlineNamesTheSlotAndItsBacklog) {
 }
 
 TEST(CapacityFloor, BindingLimitWhenNothingFitsOrTheLimitIsTheAnswer) {
-  // A 5-CPU spike with a one-slot deadline needs 2.5 CPUs: a 2-CPU server
-  // cannot host it...
+  // A (5 + 2^-5)-CPU spike with a one-slot deadline needs 2.5 + 2^-6 CPUs,
+  // between two grid points: a 2-CPU server cannot host it...
   std::vector<double> cos2(2016, 0.0);
-  cos2[10] = 5.0;
+  cos2[10] = 5.0 + kCapacityStep;
   const Aggregate agg = series(Calendar(1, 5), {}, cos2);
   const qos::CosCommitment commitment{0.05, 5.0};
   const RequiredCapacity none = required_capacity(agg, 2.0, commitment);
@@ -317,12 +310,11 @@ TEST(CapacityFloor, BindingLimitWhenNothingFitsOrTheLimitIsTheAnswer) {
   EXPECT_EQ(none.binding.kind, Binding::Kind::kLimit);
   EXPECT_EQ(to_string(none.binding), "limit");
 
-  // ...and on a 1-CPU grid a 2.75-CPU server hosts it only at its full,
-  // off-grid limit.
-  const RequiredCapacity at_limit =
-      required_capacity(agg, 2.75, commitment, 1.0);
+  // ...and a 2.52-CPU server, whose largest grid point 2.5 falls short,
+  // hosts it only at its full, off-grid limit.
+  const RequiredCapacity at_limit = required_capacity(agg, 2.52, commitment);
   ASSERT_TRUE(at_limit.fits);
-  EXPECT_EQ(at_limit.capacity, 2.75);
+  EXPECT_EQ(at_limit.capacity, 2.52);
   EXPECT_EQ(at_limit.binding.kind, Binding::Kind::kLimit);
 
   const RequiredCapacity empty =
@@ -351,7 +343,7 @@ TEST(CapacityFloor, DeficitsOfOneGridUnitMatchTheScan) {
   // or 2^-19 CPU — above kCapacityEps, so the replay counts them, as the
   // floor's exact sums do.
   Rng rng(2020);
-  const double step = capacity_grid_step(0.05);
+  constexpr double step = kCapacityStep;
   for (int i = 0; i < 40; ++i) {
     const Calendar cal(1, rng.bernoulli(0.5) ? 480 : 160);
     std::vector<double> cos1(cal.size(), 0.0);

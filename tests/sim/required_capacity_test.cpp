@@ -61,14 +61,15 @@ TEST(RequiredCapacity, GuaranteedOnlyWorkloadNeedsItsAggregatePeak) {
 
 TEST(RequiredCapacity, ThetaConstraintSizesCos2) {
   // Constant cos2 = 2 everywhere: theta(L) = min(2, L) / 2 per group, so
-  // theta >= 0.8 requires exactly L = 1.6. (The deferred remainder's
-  // deadline extends past the trace horizon, so theta is the binding
-  // constraint here; deadline pressure is exercised separately below.)
+  // theta >= 0.8 requires L >= 1.6, and the first grid point at or above
+  // it is 52 * 2^-5 = 1.625. (The deferred remainder's deadline extends
+  // past the trace horizon, so theta is the binding constraint here;
+  // deadline pressure is exercised separately below.)
   const Aggregate agg = make_aggregate({}, std::vector<double>(14, 2.0));
   const qos::CosCommitment loose{0.8, 10080.0};
-  const RequiredCapacity rc = required_capacity(agg, 16.0, loose, 0.01);
+  const RequiredCapacity rc = required_capacity(agg, 16.0, loose);
   ASSERT_TRUE(rc.fits);
-  EXPECT_NEAR(rc.capacity, 1.6, 0.02);
+  EXPECT_EQ(rc.capacity, 1.625);
 }
 
 TEST(RequiredCapacity, DeadlinePressureRaisesCapacity) {
@@ -78,9 +79,9 @@ TEST(RequiredCapacity, DeadlinePressureRaisesCapacity) {
   cos2[1] = 6.0;
   const Aggregate agg = make_aggregate({}, cos2);
   const RequiredCapacity slow =
-      required_capacity(agg, 16.0, qos::CosCommitment{0.5, 4320.0}, 0.01);
+      required_capacity(agg, 16.0, qos::CosCommitment{0.5, 4320.0});
   const RequiredCapacity fast =
-      required_capacity(agg, 16.0, qos::CosCommitment{0.5, 720.0}, 0.01);
+      required_capacity(agg, 16.0, qos::CosCommitment{0.5, 720.0});
   ASSERT_TRUE(slow.fits);
   ASSERT_TRUE(fast.fits);
   EXPECT_GT(fast.capacity, slow.capacity);
@@ -93,12 +94,12 @@ TEST(RequiredCapacity, OneOffBurstCanRideTheDeadline) {
   cos2[3] = 4.0;
   const Aggregate agg = make_aggregate({}, cos2);
   const qos::CosCommitment c{0.5, 10080.0};
-  const RequiredCapacity rc = required_capacity(agg, 16.0, c, 0.01);
+  const RequiredCapacity rc = required_capacity(agg, 16.0, c);
   ASSERT_TRUE(rc.fits);
   EXPECT_LT(rc.capacity, 2.0);
   // Tightening theta to 0.95 forces capacity toward the burst.
   const RequiredCapacity tight =
-      required_capacity(agg, 16.0, qos::CosCommitment{0.95, 10080.0}, 0.01);
+      required_capacity(agg, 16.0, qos::CosCommitment{0.95, 10080.0});
   ASSERT_TRUE(tight.fits);
   EXPECT_GT(tight.capacity, rc.capacity);
 }
@@ -119,7 +120,7 @@ TEST(RequiredCapacity, ResultSatisfiesCommitmentOnReEvaluation) {
   std::vector<const qos::AllocationTrace*> ptrs;
   for (const auto& a : allocs) ptrs.push_back(&a);
   const Aggregate agg = aggregate_workloads(ptrs, traces[0].calendar());
-  const RequiredCapacity rc = required_capacity(agg, 16.0, cos2, 0.01);
+  const RequiredCapacity rc = required_capacity(agg, 16.0, cos2);
   ASSERT_TRUE(rc.fits);
   EXPECT_TRUE(evaluate(agg, rc.capacity, cos2).satisfies(cos2));
   // Minimality: a meaningfully smaller capacity must fail.
@@ -138,17 +139,6 @@ TEST(RequiredCapacity, InfeasibleWithinLimitReported) {
   const RequiredCapacity rc =
       required_capacity(agg, 1.0, qos::CosCommitment{0.9, 720.0});
   EXPECT_FALSE(rc.fits);
-}
-
-TEST(RequiredCapacity, ToleranceControlsPrecision) {
-  const Aggregate agg = make_aggregate({}, std::vector<double>(14, 2.0));
-  const qos::CosCommitment c{0.8, 10080.0};
-  const RequiredCapacity coarse = required_capacity(agg, 16.0, c, 1.0);
-  const RequiredCapacity fine = required_capacity(agg, 16.0, c, 0.001);
-  ASSERT_TRUE(coarse.fits);
-  ASSERT_TRUE(fine.fits);
-  EXPECT_GE(coarse.capacity + 1e-12, fine.capacity);
-  EXPECT_LE(coarse.capacity - fine.capacity, 1.0 + 1e-9);
 }
 
 }  // namespace

@@ -59,53 +59,5 @@ TEST(Analytic, DivergesNearSaturation) {
 }
 
 
-TEST(Closed, Deterministic) {
-  const ClosedWorkload w{20, 0.5, 0.02};
-  const ClosedMetrics a = simulate_closed(w, 1.0, 20000, 3);
-  const ClosedMetrics b = simulate_closed(w, 1.0, 20000, 3);
-  EXPECT_DOUBLE_EQ(a.mean_response, b.mean_response);
-  EXPECT_DOUBLE_EQ(a.throughput, b.throughput);
-}
-
-TEST(Closed, InteractiveResponseTimeLaw) {
-  // N = X (R + Z) in steady state (Little's law on the closed loop).
-  const ClosedWorkload w{30, 0.5, 0.02};
-  const ClosedMetrics m = simulate_closed(w, 1.0, 400000, 7);
-  const double n_implied = m.throughput * (m.mean_response + w.think_seconds);
-  EXPECT_NEAR(n_implied, 30.0, 30.0 * 0.05);
-}
-
-TEST(Closed, ThroughputBoundedByCapacityAndPopulation) {
-  const ClosedWorkload w{10, 1.0, 0.05};
-  const ClosedMetrics m = simulate_closed(w, 1.0, 100000, 9);
-  // X <= 1 / D (service bound) and X <= N / (D + Z) (population bound).
-  EXPECT_LE(m.throughput, 1.0 / w.mean_service_demand * 1.02);
-  EXPECT_LE(m.throughput,
-            10.0 / (w.mean_service_demand + w.think_seconds) * 1.05);
-}
-
-TEST(Closed, MoreUsersMoreContention) {
-  const ClosedWorkload few{5, 0.2, 0.05};
-  const ClosedWorkload many{60, 0.2, 0.05};
-  const double r_few = simulate_closed(few, 1.0, 100000, 11).mean_response;
-  const double r_many = simulate_closed(many, 1.0, 100000, 11).mean_response;
-  EXPECT_GT(r_many, 2.0 * r_few);  // 60 users saturate a 20-req/s server
-}
-
-TEST(Closed, ZeroThinkTimeSaturates) {
-  // With Z = 0 and N >= 2 the server never idles: X ~ 1/D.
-  const ClosedWorkload w{4, 0.0, 0.05};
-  const ClosedMetrics m = simulate_closed(w, 1.0, 100000, 13);
-  EXPECT_NEAR(m.throughput, 20.0, 1.0);
-}
-
-TEST(Closed, Validation) {
-  EXPECT_THROW((ClosedWorkload{0, 1.0, 0.05}.validate()), InvalidArgument);
-  EXPECT_THROW((ClosedWorkload{5, -1.0, 0.05}.validate()), InvalidArgument);
-  const ClosedWorkload w{5, 1.0, 0.05};
-  EXPECT_THROW(simulate_closed(w, 0.0, 1000, 1), InvalidArgument);
-  EXPECT_THROW(simulate_closed(w, 1.0, 50, 1), InvalidArgument);
-}
-
 }  // namespace
 }  // namespace ropus::stress

@@ -60,22 +60,5 @@ TEST(CorrelationMatrix, SymmetricWithUnitDiagonal) {
   }
 }
 
-TEST(PeakCoincidence, IdenticalTracesCoincide) {
-  const DemandTrace a = sine_trace("a", 0.0);
-  EXPECT_NEAR(peak_coincidence(a, a, 0.9), 1.0, 1e-12);
-}
-
-TEST(PeakCoincidence, AntiphasePeaksAvoidEachOther) {
-  const DemandTrace a = sine_trace("a", 0.0);
-  const DemandTrace b = sine_trace("b", std::numbers::pi);
-  EXPECT_LT(peak_coincidence(a, b, 0.9), 0.2);
-}
-
-TEST(PeakCoincidence, ValidatesQuantile) {
-  const DemandTrace a = sine_trace("a", 0.0);
-  EXPECT_THROW(peak_coincidence(a, a, 0.0), InvalidArgument);
-  EXPECT_THROW(peak_coincidence(a, a, 1.0), InvalidArgument);
-}
-
 }  // namespace
 }  // namespace ropus::trace

@@ -91,11 +91,7 @@ TEST(DemandTrace, ScaledAndCapped) {
   const DemandTrace r("r", tiny(), ramp(tiny().size()));
   const DemandTrace s = r.scaled(2.0);
   EXPECT_DOUBLE_EQ(s[3], 6.0);
-  const DemandTrace c = r.capped(4.0);
-  EXPECT_DOUBLE_EQ(c[3], 3.0);
-  EXPECT_DOUBLE_EQ(c[10], 4.0);
   EXPECT_THROW(r.scaled(-1.0), InvalidArgument);
-  EXPECT_THROW(r.capped(-1.0), InvalidArgument);
 }
 
 TEST(DemandTrace, AggregateSumsAll) {

@@ -76,16 +76,6 @@ TEST(Forecast, TrendCapLimitsRunaway) {
   EXPECT_LT(next.at(1, 0, 1), profile_peak * 1.5);
 }
 
-TEST(Forecast, CeilingClampsProjection) {
-  const DemandTrace history = weekly_pattern(4, 0.2);
-  ForecastOptions opts;
-  opts.ceiling = 2.0;
-  const DemandTrace next = forecast(history, opts);
-  for (std::size_t i = 0; i < next.size(); ++i) {
-    EXPECT_LE(next[i], 2.0);
-  }
-}
-
 TEST(Forecast, MultiWeekHorizonCompounds) {
   const DemandTrace history = weekly_pattern(4, 0.10);
   ForecastOptions opts;
@@ -104,31 +94,6 @@ TEST(Forecast, RejectsBadOptions) {
   opts = {};
   opts.max_weekly_trend = -0.1;
   EXPECT_THROW(forecast(history, opts), InvalidArgument);
-}
-
-TEST(ForecastError, PerfectForecastIsZero) {
-  const DemandTrace history = weekly_pattern(4, 0.0);
-  const DemandTrace next = forecast(history, {});
-  const ForecastError err = forecast_error(next, next);
-  EXPECT_DOUBLE_EQ(err.mean_absolute, 0.0);
-  EXPECT_DOUBLE_EQ(err.mean_absolute_pct, 0.0);
-  EXPECT_DOUBLE_EQ(err.peak_underestimate, 0.0);
-}
-
-TEST(ForecastError, UnderestimateTracked) {
-  const Calendar cal(1, 720);
-  const DemandTrace actual("a", cal, std::vector<double>(cal.size(), 3.0));
-  const DemandTrace fc("f", cal, std::vector<double>(cal.size(), 2.0));
-  const ForecastError err = forecast_error(actual, fc);
-  EXPECT_NEAR(err.mean_absolute, 1.0, 1e-12);
-  EXPECT_NEAR(err.peak_underestimate, 1.0, 1e-12);
-  EXPECT_NEAR(err.mean_absolute_pct, 100.0 / 3.0, 1e-9);
-}
-
-TEST(ForecastError, RequiresSharedCalendar) {
-  const DemandTrace a = DemandTrace::zeros("a", Calendar(1, 720));
-  const DemandTrace b = DemandTrace::zeros("b", Calendar(2, 720));
-  EXPECT_THROW(forecast_error(a, b), InvalidArgument);
 }
 
 TEST(Forecast, RealisticWorkloadNextWeekErrorModest) {
@@ -155,10 +120,18 @@ TEST(Forecast, RealisticWorkloadNextWeekErrorModest) {
                            four.values().end());
   const DemandTrace actual("fc-app", one, std::move(tail));
 
-  const ForecastError err = forecast_error(actual, projection);
-  // The seasonal-naive projection should land well under 50% MAPE on a
-  // diurnal workload with mild noise.
-  EXPECT_LT(err.mean_absolute_pct, 50.0);
+  // The seasonal-naive projection should land well under 50% mean absolute
+  // percentage error (over non-zero actuals) on a diurnal workload with
+  // mild noise.
+  double pct_sum = 0.0;
+  std::size_t pct_count = 0;
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    if (actual[i] <= 0.0) continue;
+    pct_sum += std::abs(actual[i] - projection[i]) / actual[i];
+    ++pct_count;
+  }
+  ASSERT_GT(pct_count, 0u);
+  EXPECT_LT(100.0 * pct_sum / static_cast<double>(pct_count), 50.0);
 }
 
 }  // namespace

@@ -42,17 +42,6 @@ TEST(PeakToPercentile, ZeroTraceIsOne) {
       peak_to_percentile_ratio(DemandTrace::zeros("z", tiny()), 97.0), 1.0);
 }
 
-TEST(DiurnalProfile, AveragesAcrossDays) {
-  // 2 slots/day: slot 0 always 1, slot 1 always 3.
-  std::vector<double> v(tiny().size());
-  for (std::size_t i = 0; i < v.size(); ++i) v[i] = (i % 2 == 0) ? 1.0 : 3.0;
-  const std::vector<double> profile =
-      diurnal_profile(DemandTrace("d", tiny(), v));
-  ASSERT_EQ(profile.size(), 2u);
-  EXPECT_DOUBLE_EQ(profile[0], 1.0);
-  EXPECT_DOUBLE_EQ(profile[1], 3.0);
-}
-
 TEST(CoefficientOfVariation, FlatIsZero) {
   EXPECT_DOUBLE_EQ(coefficient_of_variation(DemandTrace(
                        "f", tiny(), std::vector<double>(tiny().size(), 5.0))),

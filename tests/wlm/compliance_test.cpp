@@ -67,22 +67,22 @@ TEST(Compliance, SatisfiesChecksAllTerms) {
   r.intervals = 100;
   r.acceptable = 98;
   r.degraded = 2;
-  EXPECT_TRUE(r.satisfies(req(), 0.0));  // 2% <= 3% budget
+  EXPECT_TRUE(r.satisfies(band_of(req()), 0.0));  // 2% <= 3% budget
 
   r.degraded = 5;
   r.acceptable = 95;
-  EXPECT_FALSE(r.satisfies(req(), 0.0));  // 5% > 3%
-  EXPECT_TRUE(r.satisfies(req(), 2.5));   // slack covers it
+  EXPECT_FALSE(r.satisfies(band_of(req()), 0.0));  // 5% > 3%
+  EXPECT_TRUE(r.satisfies(band_of(req()), 2.5));   // slack covers it
 
   r.degraded = 2;
   r.acceptable = 98;
   r.violating = 1;
-  EXPECT_FALSE(r.satisfies(req(), 10.0));  // any violation fails
+  EXPECT_FALSE(r.satisfies(band_of(req()), 10.0));  // any violation fails
 
   r.violating = 0;
   r.longest_degraded_minutes = 1440.0;
-  EXPECT_FALSE(r.satisfies(req(720.0), 10.0));  // run too long
-  EXPECT_TRUE(r.satisfies(req(2000.0), 10.0));
+  EXPECT_FALSE(r.satisfies(band_of(req(720.0)), 10.0));  // run too long
+  EXPECT_TRUE(r.satisfies(band_of(req(2000.0)), 10.0));
 }
 
 TEST(Compliance, MismatchedLengthsThrow) {

@@ -259,15 +259,19 @@ Scenario random_scenario(std::uint64_t seed) {
       if (rng.bernoulli(0.02)) x *= 3.0;
     }
     const double peak = *std::max_element(v.begin(), v.end()) + 0.1;
-    s.demands.emplace_back("app-" + std::to_string(a), cal, std::move(v));
+    std::string name = "app-";
+    name += std::to_string(a);
+    s.demands.emplace_back(std::move(name), cal, std::move(v));
     s.normal.push_back(random_translation(rng, peak));
     s.failure.push_back(random_translation(rng, peak));
   }
 
   const std::size_t servers = 1 + rng.uniform_index(8);
   for (std::size_t k = 0; k < servers; ++k) {
-    s.pool.push_back(sim::ServerSpec{"s" + std::to_string(k),
-                                     1 + rng.uniform_index(16)});
+    std::string name = "s";
+    name += std::to_string(k);
+    s.pool.push_back(
+        sim::ServerSpec{std::move(name), 1 + rng.uniform_index(16)});
   }
 
   // Phase starts: slot 0, a few random slots, and the slots around the
@@ -448,9 +452,14 @@ TEST_F(ScheduleBlocking, RandomSchedulesMatchTheSlotMajorReplayBitForBit) {
   std::size_t by_source[3] = {0, 0, 0};
   for (std::uint64_t seed = 1; seed <= 300; ++seed) {
     const Scenario s = random_scenario(seed);
-    SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
-                 std::to_string(s.demands.size()) + " apps, " +
-                 std::to_string(s.demands.front().size()) + " slots");
+    std::string trace = "seed ";
+    trace += std::to_string(seed);
+    trace += ", ";
+    trace += std::to_string(s.demands.size());
+    trace += " apps, ";
+    trace += std::to_string(s.demands.front().size());
+    trace += " slots";
+    SCOPED_TRACE(trace);
     by_source[static_cast<int>(s.source)] += 1;
     if (s.record_stride > 0) recorded += 1;
 
@@ -524,7 +533,9 @@ TEST(ScheduleTelemetry, EveryAppIsAskedForEverySlotOnceInSlotOrder) {
   for (std::size_t a = 0; a < n; ++a) {
     std::vector<double> v(cal.size());
     for (double& x : v) x = rng.uniform(0.0, 3.0);
-    demands.emplace_back("app-" + std::to_string(a), cal, std::move(v));
+    std::string name = "app-";
+    name += std::to_string(a);
+    demands.emplace_back(std::move(name), cal, std::move(v));
     translations.push_back(random_translation(rng, 3.5));
   }
   const std::vector<sim::ServerSpec> pool = sim::homogeneous_pool(2, 8);
@@ -569,12 +580,6 @@ class ErasingChannel {
  public:
   ErasingChannel(const TelemetryFaultModel& model, std::uint64_t seed)
       : model_(model), rng_(seed) {}
-
-  void reset() {
-    recent_.clear();
-    interval_ = 0;
-    blackout_left_ = 0;
-  }
 
   Observation observe(double true_demand) {
     const std::size_t t = interval_;
@@ -647,15 +652,16 @@ TEST(TelemetryChannel, RingMatchesAnErasingHistoryAcrossResets) {
     model.corrupt_rate = 0.05;
     model.noise_stddev = 0.1;
     model.blackout_rate = 0.02;
-    TelemetryChannel ring(model, 100 + max_staleness);
-    ErasingChannel reference(model, 100 + max_staleness);
     Rng values(max_staleness);
-    // Runs shorter than, equal to and longer than the ring, each ended by a
-    // reset — including resets while the ring is still growing.
+    // Runs shorter than, equal to and longer than the ring, each on a
+    // fresh pair of channels, as each trial builds its own — so some end
+    // while the ring is still growing.
     for (const std::size_t run :
          {std::size_t{2}, max_staleness, max_staleness + 1,
           std::size_t{3}, 5 * max_staleness + 7, std::size_t{1},
           std::size_t{40}}) {
+      TelemetryChannel ring(model, 100 + max_staleness + run);
+      ErasingChannel reference(model, 100 + max_staleness + run);
       for (std::size_t i = 0; i < run; ++i) {
         const double v = values.uniform(0.0, 5.0);
         const Observation want = reference.observe(v);
@@ -666,8 +672,6 @@ TEST(TelemetryChannel, RingMatchesAnErasingHistoryAcrossResets) {
         ASSERT_EQ(got.kind, want.kind);
         ASSERT_EQ(got.staleness, want.staleness);
       }
-      ring.reset();
-      reference.reset();
     }
   }
 }

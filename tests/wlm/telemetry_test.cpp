@@ -163,18 +163,6 @@ TEST(TelemetryChannel, HigherDropRateSupersetsLowerUnderOneSeed) {
   }
 }
 
-TEST(TelemetryChannel, ResetForgetsHistoryForStaleRepeats) {
-  TelemetryFaultModel model;
-  model.stale_rate = 1.0;
-  model.max_staleness = 3;
-  TelemetryChannel channel(model, 5);
-  (void)channel.observe(1.0);
-  (void)channel.observe(2.0);
-  channel.reset();
-  // After reset interval 0 has no history again: k >= 1 > t = 0.
-  EXPECT_EQ(channel.observe(9.0).kind, ObservationClass::kMissing);
-}
-
 TEST(HealthReport, MergeAddsCountsAndMaxesBlackout) {
   HealthReport a;
   a.intervals = 10;

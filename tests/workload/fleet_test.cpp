@@ -26,7 +26,7 @@ TEST(Fleet, AllProfilesValidate) {
 }
 
 TEST(Fleet, FourWeekFiveMinuteCalendarByDefault) {
-  const auto traces = case_study_traces(2006);
+  const auto traces = case_study_traces(trace::Calendar::standard(4), 2006);
   ASSERT_EQ(traces.size(), kCaseStudyApps);
   EXPECT_EQ(traces[0].calendar().weeks(), 4u);
   EXPECT_EQ(traces[0].calendar().minutes_per_sample(), 5u);
@@ -35,7 +35,7 @@ TEST(Fleet, FourWeekFiveMinuteCalendarByDefault) {
 TEST(Fleet, BurstinessDecreasesAcrossTheFleet) {
   // Figure 6: the leftmost applications are the most bursty. We check the
   // class averages rather than strict per-app ordering (noise).
-  const auto traces = case_study_traces(2006);
+  const auto traces = case_study_traces(trace::Calendar::standard(4), 2006);
   auto class_mean = [&traces](std::size_t lo, std::size_t hi) {
     double total = 0.0;
     for (std::size_t i = lo; i < hi; ++i) {
@@ -53,7 +53,7 @@ TEST(Fleet, BurstinessDecreasesAcrossTheFleet) {
 TEST(Fleet, ExtremeAppsHaveFigure6Shape) {
   // The two leftmost applications: a small fraction of points much larger
   // than the rest (top 0.1% >= ~4x the 97th percentile).
-  const auto traces = case_study_traces(2006);
+  const auto traces = case_study_traces(trace::Calendar::standard(4), 2006);
   for (std::size_t i = 0; i < 2; ++i) {
     EXPECT_GT(trace::peak_to_percentile_ratio(traces[i], 97.0), 4.0)
         << traces[i].name();
@@ -62,7 +62,7 @@ TEST(Fleet, ExtremeAppsHaveFigure6Shape) {
 
 TEST(Fleet, HighBurstAppsWithinFigure6Band) {
   // Applications 3-10: top 3% of demand roughly 2-10x the remaining.
-  const auto traces = case_study_traces(2006);
+  const auto traces = case_study_traces(trace::Calendar::standard(4), 2006);
   std::size_t in_band = 0;
   for (std::size_t i = 2; i < 10; ++i) {
     const double r = trace::peak_to_percentile_ratio(traces[i], 97.0);
@@ -75,7 +75,7 @@ TEST(Fleet, FleetScaleSuitsA128CpuPool) {
   // Table I context: 26 applications consolidate onto ~8 16-way servers.
   // Peak demands must be large enough to be interesting and small enough
   // to fit: total peak demand between 60 and 160 CPUs.
-  const auto traces = case_study_traces(2006);
+  const auto traces = case_study_traces(trace::Calendar::standard(4), 2006);
   double total_peak = 0.0;
   for (const auto& t : traces) total_peak += t.peak();
   EXPECT_GT(total_peak, 60.0);
@@ -83,8 +83,8 @@ TEST(Fleet, FleetScaleSuitsA128CpuPool) {
 }
 
 TEST(Fleet, DeterministicAcrossCalls) {
-  const auto a = case_study_traces(2006);
-  const auto b = case_study_traces(2006);
+  const auto a = case_study_traces(trace::Calendar::standard(4), 2006);
+  const auto b = case_study_traces(trace::Calendar::standard(4), 2006);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(a[i].peak(), b[i].peak());
   }

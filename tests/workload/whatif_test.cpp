@@ -48,37 +48,6 @@ TEST(TimeShift, RejectsNonMultipleOfInterval) {
   EXPECT_THROW(time_shift(ramp_trace(), 90.0), InvalidArgument);
 }
 
-TEST(ScaleWindow, OnlyBusinessHoursChange) {
-  std::vector<double> v(hourly().size(), 2.0);
-  const DemandTrace t("flat", hourly(), v);
-  const DemandTrace scaled = scale_window(t, 3.0, 9.0, 17.0);
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    const auto hour = t.calendar().slot_of(i);
-    if (hour >= 9 && hour < 17) {
-      EXPECT_DOUBLE_EQ(scaled[i], 6.0) << i;
-    } else {
-      EXPECT_DOUBLE_EQ(scaled[i], 2.0) << i;
-    }
-  }
-}
-
-TEST(ScaleWindow, RejectsBadWindow) {
-  const DemandTrace t = ramp_trace();
-  EXPECT_THROW(scale_window(t, 2.0, 17.0, 9.0), InvalidArgument);
-  EXPECT_THROW(scale_window(t, -1.0, 9.0, 17.0), InvalidArgument);
-}
-
-TEST(BoostWeek, OnlyTargetWeekScales) {
-  const Calendar two(2, 60);
-  std::vector<double> v(two.size(), 1.0);
-  const DemandTrace t("flat", two, v);
-  const DemandTrace boosted = boost_week(t, 1, 5.0);
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    EXPECT_DOUBLE_EQ(boosted[i], two.week_of(i) == 1 ? 5.0 : 1.0);
-  }
-  EXPECT_THROW(boost_week(t, 2, 2.0), InvalidArgument);
-}
-
 TEST(Scenario, ScaleRemoveAdd) {
   std::vector<DemandTrace> fleet;
   fleet.push_back(DemandTrace("a", hourly(),
