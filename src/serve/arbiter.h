@@ -144,9 +144,9 @@ class Arbiter {
   obs::Watchdog watchdog_;
   std::size_t next_slot_ = 0;
   std::size_t reported_alerts_ = 0;  // alerts already carried in verdicts
-  bool any_tick_ = false;
-  std::size_t last_tick_slot_ = 0;
-  std::vector<std::string> last_tick_replies_;  // duplicate re-emit cache
+  /// The replies of the latest tick, which judged slot next_slot_ - 1: a
+  /// resend of that slot re-emits them.
+  std::vector<std::string> last_tick_replies_;
   std::size_t next_app_id_ = 0;  // monotone: departed ids are never reused
   std::size_t departed_ = 0;     // lifetime departures (incl. evictions)
   /// FIFO of (request id, reply lines) for retry idempotency; bounded at

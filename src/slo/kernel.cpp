@@ -166,12 +166,7 @@ void DeferralQueue::defer(std::size_t slot, double deficit) {
 
 void DeferralQueue::restore(std::span<const Entry> entries, double total) {
   entries_.assign(entries.begin(), entries.end());
-  if (total >= 0.0) {
-    total_ = total;
-  } else {
-    total_ = 0.0;
-    for (const Entry& e : entries_) total_ += e.remaining;
-  }
+  total_ = total;
 }
 
 GridFloor deadline_floor(std::span<const double> cos1,

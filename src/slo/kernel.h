@@ -367,11 +367,11 @@ class DeferralQueue {
   }
 
   /// Replaces the queue contents with entries saved by entries(), in
-  /// creation order. `total` restores the exact running total — drain()
-  /// leaves sub-epsilon residue in total() that the sum of remainders
-  /// lacks, and an exact restore must resume byte-identically. Pass a
-  /// negative total to recompute it as the plain sum.
-  void restore(std::span<const Entry> entries, double total = -1.0);
+  /// creation order, and the running total saved by total(). The total is
+  /// taken as given: drain() leaves sub-epsilon residue in total() that
+  /// the sum of remainders lacks, and an exact restore must resume
+  /// byte-identically.
+  void restore(std::span<const Entry> entries, double total);
 
  private:
   std::deque<Entry> entries_;

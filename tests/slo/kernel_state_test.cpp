@@ -144,14 +144,14 @@ TEST(DeferralQueueState, DrainResidueSurvivesExactRestore) {
   EXPECT_EQ(exact.total(), q.total());
 
   DeferralQueue recomputed(4);
-  recomputed.restore(q.entries());
+  recomputed.restore(q.entries(), sum);
   EXPECT_EQ(recomputed.total(), sum);
 }
 
 TEST(DeferralQueueState, RestoreEmptyClearsState) {
   DeferralQueue q(4);
   q.defer(0, 5.0);
-  q.restore({}, -1.0);
+  q.restore({}, 0.0);
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.total(), 0.0);
   EXPECT_FALSE(q.overdue(100));
