@@ -726,11 +726,41 @@ int main() {
                      }),
            reporter);
 
-    // One admission probe: temporary add, required-capacity search, exact
-    // removal — what each per-server fit check costs the serve daemon's
-    // delta admission path (vs the batch `required_capacity` phase above).
+    // One admission probe: the candidate's series added in one blocked pass
+    // that also takes the CoS1 peak, the required-capacity search, and the
+    // series subtracted again with no peak scan — what each per-server fit
+    // check costs the serve daemon's delta admission path (vs the batch
+    // `required_capacity` phase above).
     report(run_bench("sim/required_capacity_delta", cal.size(),
                      [&] { do_not_optimize(engine.probe(2, n)); }),
+           reporter);
+  }
+
+  {
+    // A verdict after a queue at least as long as the hosted set, which
+    // rebuilds the sums in one blocked pass: the server swaps two of its
+    // three workloads for two others, four queued ops against three
+    // hosted. Most of the genetic search's memo misses take this path.
+    const trace::Calendar cal = demands()[0].calendar();
+    sim::IncrementalEvaluator engine(cal, cos2(), std::vector<double>{64.0});
+    for (std::size_t id = 0; id < 5; ++id) {
+      engine.register_workload(id, allocations()[id].cos1(),
+                               allocations()[id].cos2());
+    }
+    for (std::size_t id = 0; id < 3; ++id) engine.add(id, 0);
+    (void)engine.verdict(0);
+    bool swapped = false;
+    report(run_bench("sim/delta_rebuild", cal.size(),
+                     [&] {
+                       const std::size_t out = swapped ? 3 : 0;
+                       const std::size_t in = swapped ? 0 : 3;
+                       engine.remove(out);
+                       engine.remove(out + 1);
+                       engine.add(in, 0);
+                       engine.add(in + 1, 0);
+                       do_not_optimize(engine.verdict(0));
+                       swapped = !swapped;
+                     }),
            reporter);
   }
 

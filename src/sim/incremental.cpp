@@ -27,6 +27,72 @@ obs::Counter& delta_probes_counter() {
 bool exact_value(double v) { return std::isfinite(v) && grid::on_grid(v); }
 
 constexpr std::size_t kCpuIndex = trace::attribute_index(trace::Attribute::kCpu);
+
+/// Slots per block of a series flush: a block of one sum column (4 KiB)
+/// stays in L1 while every queued series is applied to it.
+constexpr std::size_t kFlushBlock = 512;
+
+/// max(0, x[i]) over the `len` values at `x`, in four independent chains.
+/// The sums it scans are finite and never -0.0 (they start at +0.0 and
+/// only add and subtract), so the max does not depend on the order it is
+/// taken in and has the bits of one running max.
+double peak_of(const double* x, std::size_t len) {
+  double m0 = 0.0;
+  double m1 = 0.0;
+  double m2 = 0.0;
+  double m3 = 0.0;
+  std::size_t i = 0;
+  for (; i + 4 <= len; i += 4) {
+    m0 = std::max(m0, x[i]);
+    m1 = std::max(m1, x[i + 1]);
+    m2 = std::max(m2, x[i + 2]);
+    m3 = std::max(m3, x[i + 3]);
+  }
+  for (; i < len; ++i) m0 = std::max(m0, x[i]);
+  return std::max(std::max(m0, m1), std::max(m2, m3));
+}
+
+/// sum[i] += series[i] for sign +1, -= for -1, over `len` slots. Called
+/// with len == kFlushBlock, the loop has a fixed trip count over pointers
+/// that cannot alias, which lets the compiler vectorize it at -O2.
+inline void apply_run(double* __restrict sum,
+                      const double* __restrict series, std::size_t len,
+                      double sign) {
+  if (sign > 0.0) {
+    for (std::size_t i = 0; i < len; ++i) sum[i] += series[i];
+  } else {
+    for (std::size_t i = 0; i < len; ++i) sum[i] -= series[i];
+  }
+}
+
+/// Applies every op's series to `sum` (skipping an op whose series is
+/// empty), one block of kFlushBlock slots at a time: each block is zeroed
+/// first when `zero` and takes every series while it sits in L1. Returns
+/// max(0, sum[i]) over the result when `peak`, else 0. The sums are exact
+/// on the 2^-20 grid, so the order the series arrive in does not change a
+/// bit.
+template <typename Ops, typename SeriesOf>
+double apply_blocked(std::span<double> sum, bool zero, const Ops& ops,
+                     SeriesOf series_of, bool peak) {
+  const std::size_t n = sum.size();
+  double out = 0.0;
+  for (std::size_t b = 0; b < n; b += kFlushBlock) {
+    double* const block = sum.data() + b;
+    const std::size_t len = std::min(kFlushBlock, n - b);
+    if (zero) std::fill_n(block, len, 0.0);
+    for (const auto& op : ops) {
+      const std::span<const double> series = series_of(op);
+      if (series.empty()) continue;
+      if (len == kFlushBlock) {
+        apply_run(block, series.data() + b, kFlushBlock, op.sign);
+      } else {
+        apply_run(block, series.data() + b, len, op.sign);
+      }
+    }
+    if (peak) out = std::max(out, peak_of(block, len));
+  }
+  return out;
+}
 }  // namespace
 
 IncrementalEvaluator::IncrementalEvaluator(const trace::Calendar& calendar,
@@ -141,43 +207,30 @@ const IncrementalEvaluator::Workload& IncrementalEvaluator::workload_checked(
   return workloads_[id];
 }
 
-void IncrementalEvaluator::apply_series(Server& s, const Workload& w,
-                                        double sign) {
-  const std::size_t n = calendar_.size();
-  double* const a1 = s.sum1.data();
-  double* const a2 = s.sum2.data();
-  const double* const c1 = w.cos1.data();
-  const double* const c2 = w.cos2.data();
-  // Every slot is touched, so the running max over the pass IS the new
-  // aggregate CoS1 peak — and after an exact remove it lands back on the
-  // previous bits, because the sums do.
-  double peak = 0.0;
-  if (sign > 0.0) {
-    for (std::size_t i = 0; i < n; ++i) {
-      a1[i] += c1[i];
-      a2[i] += c2[i];
-      peak = std::max(peak, a1[i]);
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      a1[i] -= c1[i];
-      a2[i] -= c2[i];
-      peak = std::max(peak, a1[i]);
-    }
-  }
-  s.peak_cos1 = peak;
-  // The columns w carries, the same way; the others keep their peaks.
+void IncrementalEvaluator::flush(Server& s, bool rebuild, bool peaks) {
+  const std::vector<PendingOp>& ops = s.pending;
+  const double peak1 = apply_blocked(
+      s.sum1, rebuild, ops,
+      [&](const PendingOp& op) { return workloads_[op.id].cos1; }, peaks);
+  if (peaks) s.peak_cos1 = peak1;
+  apply_blocked(
+      s.sum2, rebuild, ops,
+      [&](const PendingOp& op) { return workloads_[op.id].cos2; }, false);
+  // A rebuild re-derives every column; otherwise only the columns some
+  // queued workload carries change, and the others keep their peaks.
   for (const trace::Attribute a : columns_) {
     const std::size_t k = trace::attribute_index(a);
-    const std::span<const double> series = w.attributes[k];
-    if (series.empty()) continue;
-    double* const col = s.columns[k].data();
-    double col_peak = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      col[i] += sign * series[i];
-      col_peak = std::max(col_peak, col[i]);
+    const auto series_of = [&](const PendingOp& op) {
+      return workloads_[op.id].attributes[k];
+    };
+    if (!rebuild && std::ranges::none_of(ops, [&](const PendingOp& op) {
+          return !series_of(op).empty();
+        })) {
+      continue;
     }
-    s.peaks[k] = col_peak;
+    const double peak = apply_blocked(s.columns[k], rebuild, ops, series_of,
+                                      peaks);
+    if (peaks) s.peaks[k] = peak;
   }
 }
 
@@ -234,38 +287,21 @@ AggregateView IncrementalEvaluator::view_of(const Server& s) const {
   return v;
 }
 
-void IncrementalEvaluator::rebuild_sums(Server& s) {
-  std::fill(s.sum1.begin(), s.sum1.end(), 0.0);
-  std::fill(s.sum2.begin(), s.sum2.end(), 0.0);
-  for (const trace::Attribute a : columns_) {
-    std::vector<double>& col = s.columns[trace::attribute_index(a)];
-    std::fill(col.begin(), col.end(), 0.0);
-  }
-  s.sum_peak_cos1 = 0.0;
-  s.peak_cos1 = 0.0;
-  s.peaks = {};
-  for (const std::size_t id : s.ids) {
-    const Workload& w = workloads_[id];
-    apply_series(s, w, +1.0);
-    s.sum_peak_cos1 += w.peak_cos1;
-  }
-  s.pending.clear();
-}
-
 bool IncrementalEvaluator::ensure_sums(Server& s) {
-  if (s.pending.size() >= s.ids.size()) {
-    // Replaying the queue costs as much as starting over — rebuild in one
-    // pass.
-    rebuild_sums(s);
-    return true;
+  // Replaying a queue as long as the hosted set costs as much as starting
+  // over: rebuild instead, as one add per hosted id onto zeroed sums.
+  const bool rebuild = s.pending.size() >= s.ids.size();
+  if (rebuild) {
+    s.pending.clear();
+    for (const std::size_t id : s.ids) s.pending.push_back(PendingOp{id, +1.0});
+    s.sum_peak_cos1 = 0.0;
   }
   for (const PendingOp& op : s.pending) {
-    const Workload& w = workloads_[op.id];
-    apply_series(s, w, op.sign);
-    s.sum_peak_cos1 += op.sign * w.peak_cos1;
+    s.sum_peak_cos1 += op.sign * workloads_[op.id].peak_cos1;
   }
+  flush(s, rebuild, true);
   s.pending.clear();
-  return false;
+  return rebuild;
 }
 
 IncrementalEvaluator::Verdict IncrementalEvaluator::verdict(
@@ -295,16 +331,24 @@ IncrementalEvaluator::Verdict IncrementalEvaluator::probe(std::size_t server,
   }
   stats_.delta_probes += 1;
   delta_probes_counter().add(1);
+  // w goes in as a one-op flush, which sets the peaks with it in place,
+  // and comes out as one with no peak scan: the subtraction returns every
+  // slot to its saved bits, so the saved peaks are the peaks again.
   const double saved_sum_peak = s.sum_peak_cos1;
-  apply_series(s, w, +1.0);
+  const double saved_peak = s.peak_cos1;
+  const AttributePeaks saved_peaks = s.peaks;
+  s.pending.push_back(PendingOp{id, +1.0});
   s.sum_peak_cos1 += w.peak_cos1;
+  flush(s, false, true);
   AggregateView v = view_of(s);
   v.workloads = s.ids.size() + 1;
   const Verdict out{required_capacity(v, s.cpus, cos2_), s.peaks};
-  // Exact restore: the subtraction returns every slot (and hence every
-  // recomputed peak) to its previous bits.
-  apply_series(s, w, -1.0);
+  s.pending.front().sign = -1.0;
+  flush(s, false, false);
+  s.pending.clear();
   s.sum_peak_cos1 = saved_sum_peak;
+  s.peak_cos1 = saved_peak;
+  s.peaks = saved_peaks;
   return out;
 }
 

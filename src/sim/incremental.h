@@ -173,18 +173,18 @@ class IncrementalEvaluator {
   /// Applies every queued op referencing `id` on every server, so the
   /// workload's series can be replaced or forgotten.
   void flush_pending_of(std::size_t id);
-  /// Adds (sign +1) or removes (sign -1) w's series into s's sums,
-  /// recomputing the aggregate CoS1 peak and the peak of every column w
-  /// carries in the same pass.
-  void apply_series(Server& s, const Workload& w, double sign);
+  /// Applies s's queued ops to its sums (onto zeroed sums when
+  /// `rebuild`) in one blocked pass per sum column. With `peaks` it sets
+  /// the aggregate CoS1 peak and the peak of every column the pass
+  /// changed, once per flush.
+  void flush(Server& s, bool rebuild, bool peaks);
   /// Queues one series pass, cancelling against an opposite queued op for
   /// the same id (add-then-remove nets to nothing, exactly).
   static void queue_pending(Server& s, std::size_t id, double sign);
-  /// Brings sums up to date with the hosted set: applies the pending queue
-  /// (O(slots) per op) or rebuilds from scratch when that is cheaper.
-  /// Returns true when it rebuilt.
+  /// Brings sums up to date with the hosted set: flushes the pending queue
+  /// (O(slots) per op), or rebuilds from scratch when the queue is as long
+  /// as the hosted set. Returns true when it rebuilt.
   bool ensure_sums(Server& s);
-  void rebuild_sums(Server& s);
   AggregateView view_of(const Server& s) const;
 
   trace::Calendar calendar_;

@@ -201,7 +201,11 @@ inline constexpr std::size_t kDaysPerWeek = 7;
 /// sums and deferral deficits, the theta breakdown and both capacity floors
 /// below compute it here.
 inline double satisfied_cos2(double capacity, double cos1, double cos2) {
-  return std::min(cos2, std::max(0.0, capacity - cos1));
+  // std::min(cos2, std::max(0.0, capacity - cos1)), bit for bit, written
+  // as comparisons of values so that loops over it vectorize.
+  const double spare = capacity - cos1;
+  const double available = 0.0 < spare ? spare : 0.0;
+  return available < cos2 ? available : cos2;
 }
 
 /// Streaming theta statistic: per-(week, slot-of-day) sums of requested and
@@ -314,8 +318,10 @@ struct GridFloor {
 /// of the per-group thresholds. Each group's satisfied sum is computed as
 /// ThetaAccumulator sums it during a replay — satisfied_cos2() of each
 /// member, added in slot order — so the floor agrees with the replay's
-/// theta predicate bit for bit and needs no confirming replay. `where` is
-/// the group (week * slots_per_day + slot of day) that set k.
+/// theta predicate bit for bit and needs no confirming replay. One
+/// contiguous pass per week sums every group at the floor the week starts
+/// with; only a group that fails there is searched further, strided.
+/// `where` is the group (week * slots_per_day + slot of day) that set k.
 GridFloor theta_floor(std::span<const double> cos1,
                       std::span<const double> cos2, std::size_t slots_per_day,
                       double theta, double step, std::int64_t k_min,
@@ -390,8 +396,10 @@ class DeferralQueue {
 /// B_j = max(0, B_{j-1} + deficit_j - spare_j), and slot j's deferral meets
 /// its deadline iff B_j fits in the spare of slots j+1..j+deadline_slots
 /// (slots whose deadline falls past the end of the series are exempt, as
-/// in a replay). One pass checks each slot at the
-/// running floor; a slot that does not fit lifts the floor to the smallest
+/// in a replay). One pass checks each slot at the running floor; while
+/// nothing is queued it skips the slots that serve all of their own CoS2,
+/// and it sums a busy period's window when the period opens. A slot that
+/// does not fit lifts the floor to the smallest
 /// k at which its busy period's backlog would fit, and the backlog is
 /// re-run from the busy period's start at the new capacity. Every lift is
 /// a lower bound on the answer and every checked slot stays satisfied as k
