@@ -388,7 +388,7 @@ void report(const BenchRun& run, bench::BenchReporter& reporter) {
 
   parallel::set_thread_start_hook(&obs::prof::register_current_thread);
   obs::prof::register_current_thread();
-  if (!obs::prof::Profiler::global().start({})) return;
+  if (!obs::prof::Profiler::global().start()) return;
   const BenchRun sampled =
       run_bench("obs/profiler_overhead", items, run_schedule);
   const obs::prof::Profile profile = obs::prof::Profiler::global().stop();
@@ -701,13 +701,11 @@ int main() {
     sim::IncrementalEvaluator engine(cal, cos2(),
                                      std::vector<double>{64.0, 64.0, 64.0});
     for (std::size_t id = 0; id < n; ++id) {
-      engine.register_workload(id, allocations()[id].cos1(),
-                               allocations()[id].cos2());
+      engine.register_workload(id, allocations()[id]);
       engine.add(id, id < 6 ? id % 2 : 2);
     }
     // The probe candidate stays unhosted for the whole phase.
-    engine.register_workload(n, allocations()[n].cos1(),
-                             allocations()[n].cos2());
+    engine.register_workload(n, allocations()[n]);
     (void)engine.verdict(0);
     (void)engine.verdict(1);
     (void)engine.verdict(2);
@@ -744,8 +742,7 @@ int main() {
     const trace::Calendar cal = demands()[0].calendar();
     sim::IncrementalEvaluator engine(cal, cos2(), std::vector<double>{64.0});
     for (std::size_t id = 0; id < 5; ++id) {
-      engine.register_workload(id, allocations()[id].cos1(),
-                               allocations()[id].cos2());
+      engine.register_workload(id, allocations()[id]);
     }
     for (std::size_t id = 0; id < 3; ++id) engine.add(id, 0);
     (void)engine.verdict(0);
@@ -761,6 +758,32 @@ int main() {
                        do_not_optimize(engine.verdict(0));
                        swapped = !swapped;
                      }),
+           reporter);
+  }
+
+  {
+    // The registrations of a placement context's engine build: the 26
+    // case-study allocations on 13 16-CPU servers. Registration reads each
+    // allocation's stored peaks, so a scan of every registered value would
+    // show here. The engine's zeroed sums are built once, untimed: their
+    // page faults follow the allocator's state (15 or 136 us per build in
+    // two runs of one binary), which would drown the registrations.
+    const std::size_t n = allocations().size();
+    sim::IncrementalEvaluator engine(demands()[0].calendar(), cos2(),
+                                     std::vector<double>(13, 16.0));
+    report(run_bench(
+               "sim/engine_build", n,
+               [&] {
+                 for (std::size_t id = 0; id < n; ++id) {
+                   engine.register_workload(id, allocations()[id]);
+                 }
+                 do_not_optimize(engine.registered(n - 1));
+               },
+               [&] {
+                 for (std::size_t id = 0; id < n; ++id) {
+                   if (engine.registered(id)) engine.unregister_workload(id);
+                 }
+               }),
            reporter);
   }
 

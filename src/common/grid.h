@@ -17,10 +17,10 @@
 // under add/remove/move and still produce verdicts bit-identical to the
 // batch oracle (sim::aggregate_workloads + sim::required_capacity), at full
 // hardware speed and with no exotic arithmetic. qos::WorkloadAllocations
-// snaps attribute traces (memory, disk, network) the same way. The engine
-// refuses to register off-grid or non-finite values, and any workload that
-// would lift the summed peaks of its registered workloads to kSumLimit
-// (docs/algorithms.md §11).
+// snaps attribute traces (memory, disk, network) the same way. Where values
+// are snapped, and how the engine's registration budget keeps every sum
+// below kSumLimit, is stated once in docs/algorithms.md §11 ("The
+// precondition").
 //
 // Layering: common depends on nothing; slo, qos, and sim all share these
 // helpers.

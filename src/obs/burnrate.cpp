@@ -31,9 +31,6 @@ void BurnRateConfig::validate() const {
   if (capacity == 0) {
     throw InvalidArgument("burnrate capacity must be positive");
   }
-  if (max_alerts == 0) {
-    throw InvalidArgument("burnrate max_alerts must be positive");
-  }
   for (const BurnRateRule& rule : rules) {
     if (rule.name.empty()) {
       throw InvalidArgument("burnrate rule name must be non-empty");
@@ -143,7 +140,7 @@ void BurnRate::record_transition(const BurnRateRule& rule,
     ROPUS_LOG(kWarn) << describe(alert);
   }
 
-  if (alerts_.size() >= config_.max_alerts) {
+  if (alerts_.size() >= kMaxAlerts) {
     alerts_.erase(alerts_.begin());
     alerts_dropped_ += 1;
   }

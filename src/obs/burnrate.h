@@ -60,8 +60,6 @@ struct BurnRateConfig {
   /// Cumulative observation points retained (bounds memory and the
   /// longest honest window).
   std::size_t capacity = 1024;
-  /// Alert transition records retained; older ones are dropped counted.
-  std::size_t max_alerts = 256;
   std::vector<BurnRateRule> rules = default_burn_rules();
 
   void validate() const;
@@ -88,6 +86,9 @@ std::string describe(const BurnAlert& alert);
 /// from one loop.
 class BurnRate {
  public:
+  /// Alert transition records retained; older ones are dropped counted.
+  static constexpr std::size_t kMaxAlerts = 256;
+
   explicit BurnRate(std::string stream, BurnRateConfig config = {});
 
   /// Feeds the deltas since the previous observation for `slot` and
@@ -100,7 +101,7 @@ class BurnRate {
   /// Currently-firing rules as alert records (slot = firing edge).
   std::vector<BurnAlert> active_alerts() const;
 
-  /// Transition log, oldest first (bounded by config.max_alerts).
+  /// Transition log, oldest first (bounded by kMaxAlerts).
   const std::vector<BurnAlert>& alerts() const { return alerts_; }
   std::uint64_t alerts_dropped() const { return alerts_dropped_; }
 

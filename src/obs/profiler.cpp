@@ -50,10 +50,12 @@ namespace ropus::obs::prof {
 namespace {
 
 /// Hard caps baked into the fixed-size RawSample so the signal handler
-/// never allocates. kMaxFrames matches ProfilerOptions::max_frames's
-/// documented ceiling.
+/// never allocates.
 constexpr std::size_t kMaxFrames = 48;
 constexpr std::size_t kMaxSpans = 16;
+/// Samples buffered per thread between collector drains: ~5s of headroom
+/// at 99 Hz against a stalled collector.
+constexpr std::uint32_t kRingCapacity = 512;
 
 /// What the SIGPROF handler writes: raw return addresses (innermost
 /// first) and the open-span stack (outermost first), both by value — no
@@ -78,20 +80,19 @@ struct AggKey {
 
 /// Per-thread sampling state. The handler is the SPSC producer, the
 /// collector the consumer: head/tail are free-running counters and the
-/// slot index is `value % capacity` (a capture would need 2^32 samples —
-/// 500 days at 99 Hz — to wrap). Leaked on thread exit so the collector
-/// can still drain a dead thread's last samples.
+/// slot index is `value % kRingCapacity` (a capture would need 2^32
+/// samples — 500 days at 99 Hz — to wrap). Leaked on thread exit so the
+/// collector can still drain a dead thread's last samples.
 struct ThreadState {
   std::atomic<std::uint32_t> head{0};
   std::atomic<std::uint32_t> tail{0};
   std::atomic<std::uint64_t> dropped{0};
   std::atomic<std::uint64_t> truncated{0};
   /// Nonzero while the handler is mid-sample; start()/stop() wait for it
-  /// to clear before resizing or final-draining the ring.
+  /// to clear before resetting or final-draining the ring.
   std::atomic<std::uint32_t> in_handler{0};
   std::atomic<bool> alive{true};
-  std::vector<RawSample> ring;
-  std::uint32_t capacity = 0;
+  std::vector<RawSample> ring = std::vector<RawSample>(kRingCapacity);
   timer_t timer{};
   bool has_timer = false;
   std::uintptr_t stack_lo = 0;
@@ -106,7 +107,7 @@ std::atomic<bool> g_sampling{false};
 /// One capture in flight. Owned by start()/stop() under g_control; the
 /// collector thread touches only cv fields, agg and samples.
 struct Capture {
-  ProfilerOptions options;
+  int hz = 0;
   double start_seconds = 0.0;
   std::thread collector;
   std::mutex cv_mutex;
@@ -122,7 +123,7 @@ struct Capture {
 struct SharedState {
   std::vector<ThreadState*> threads;
   bool armed = false;
-  ProfilerOptions options;
+  int hz = 0;
 };
 
 std::mutex g_control;  // serializes start/stop/state; outer of g_threads
@@ -185,10 +186,10 @@ extern "C" void on_profile_tick(int, siginfo_t*, void* context) {
     ts->in_handler.fetch_add(1, std::memory_order_acquire);
     const std::uint32_t head = ts->head.load(std::memory_order_relaxed);
     const std::uint32_t tail = ts->tail.load(std::memory_order_acquire);
-    if (head - tail >= ts->capacity) {
+    if (head - tail >= kRingCapacity) {
       ts->dropped.fetch_add(1, std::memory_order_relaxed);
     } else {
-      RawSample& s = ts->ring[head % ts->capacity];
+      RawSample& s = ts->ring[head % kRingCapacity];
       s.n_frames =
           walk_stack(static_cast<const ucontext_t*>(context), ts, s.frames);
       if (s.n_frames == kMaxFrames) {
@@ -228,12 +229,8 @@ void wait_handler_quiesced(ThreadState& ts) {
   }
 }
 
-void reset_ring(ThreadState& ts, std::size_t capacity) {
+void reset_ring(ThreadState& ts) {
   wait_handler_quiesced(ts);
-  if (ts.ring.size() != capacity) {
-    ts.ring.assign(capacity, RawSample{});
-    ts.capacity = static_cast<std::uint32_t>(capacity);
-  }
   ts.head.store(0, std::memory_order_relaxed);
   ts.tail.store(0, std::memory_order_relaxed);
   ts.dropped.store(0, std::memory_order_relaxed);
@@ -242,20 +239,16 @@ void reset_ring(ThreadState& ts, std::size_t capacity) {
 
 /// Moves every buffered sample of `ts` into the aggregation map. SPSC
 /// consumer side: acquire head, read slots, release tail.
-std::uint64_t drain_ring(ThreadState& ts, std::size_t max_frames,
+std::uint64_t drain_ring(ThreadState& ts,
                          std::map<AggKey, std::uint64_t>& agg) {
   const std::uint32_t head = ts.head.load(std::memory_order_acquire);
   std::uint32_t tail = ts.tail.load(std::memory_order_relaxed);
   std::uint64_t drained = 0;
   while (tail != head) {
-    const RawSample& s = ts.ring[tail % ts.capacity];
+    const RawSample& s = ts.ring[tail % kRingCapacity];
     AggKey key;
-    // Frames are innermost-first; the cap keeps the innermost frames and
-    // cuts at the root end, which is what a flamegraph wants.
-    std::size_t n = s.n_frames;
-    if (n > max_frames) n = max_frames;
-    key.frames.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
+    key.frames.reserve(s.n_frames);
+    for (std::uint32_t i = 0; i < s.n_frames; ++i) {
       key.frames.push_back(reinterpret_cast<std::uintptr_t>(s.frames[i]));
     }
     key.spans.reserve(s.n_spans);
@@ -282,7 +275,7 @@ void collector_loop(Capture* cap) {
     {
       const std::lock_guard<std::mutex> threads_lock(g_threads);
       for (ThreadState* ts : shared().threads) {
-        drained += drain_ring(*ts, cap->options.max_frames, cap->agg);
+        drained += drain_ring(*ts, cap->agg);
       }
     }
     if (drained != 0) {
@@ -352,7 +345,7 @@ Profile build_profile(Capture& cap, double end_seconds,
                       std::uint64_t dropped, std::uint64_t truncated,
                       std::uint64_t threads) {
   Profile p;
-  p.hz = cap.options.hz;
+  p.hz = cap.hz;
   p.duration_seconds = end_seconds - cap.start_seconds;
   p.dropped = dropped;
   p.truncated = truncated;
@@ -476,18 +469,12 @@ void register_current_thread() {
   t_guard.activate();  // arrange timer teardown at thread exit
   const std::lock_guard<std::mutex> lock(g_threads);
   SharedState& s = shared();
-  reset_ring(*ts, s.armed ? s.options.ring_capacity
-                          : ProfilerOptions{}.ring_capacity);
   s.threads.push_back(ts);
-  if (s.armed) arm_timer(*ts, s.options.hz);
+  if (s.armed) arm_timer(*ts, s.hz);
 }
 
-bool Profiler::start(const ProfilerOptions& options) {
-  ROPUS_REQUIRE(options.hz >= 1 && options.hz <= 1000,
-                "profiler hz must be in [1, 1000]");
-  ProfilerOptions opt = options;
-  opt.max_frames = std::clamp<std::size_t>(opt.max_frames, 2, kMaxFrames);
-  opt.ring_capacity = std::clamp<std::size_t>(opt.ring_capacity, 16, 1 << 20);
+bool Profiler::start(int hz) {
+  ROPUS_REQUIRE(hz >= 1 && hz <= 1000, "profiler hz must be in [1, 1000]");
 
   const std::lock_guard<std::mutex> control(g_control);
   if (g_active) return false;
@@ -497,13 +484,13 @@ bool Profiler::start(const ProfilerOptions& options) {
   // kill the process.
   signals::install_profile_handler(&on_profile_tick);
   auto* cap = new Capture();
-  cap->options = opt;
+  cap->hz = hz;
   {
     const std::lock_guard<std::mutex> lock(g_threads);
     SharedState& s = shared();
     s.armed = true;
-    s.options = opt;
-    for (ThreadState* ts : s.threads) reset_ring(*ts, opt.ring_capacity);
+    s.hz = hz;
+    for (ThreadState* ts : s.threads) reset_ring(*ts);
   }
   spanprof::set_tracking_enabled(true);
   g_sampling.store(true, std::memory_order_release);
@@ -511,7 +498,7 @@ bool Profiler::start(const ProfilerOptions& options) {
     const std::lock_guard<std::mutex> lock(g_threads);
     for (ThreadState* ts : shared().threads) {
       if (ts->alive.load(std::memory_order_acquire)) {
-        arm_timer(*ts, opt.hz);
+        arm_timer(*ts, hz);
       }
     }
   }
@@ -551,9 +538,8 @@ Profile Profiler::stop() {
     const std::lock_guard<std::mutex> lock(g_threads);
     for (ThreadState* ts : shared().threads) {
       wait_handler_quiesced(*ts);
-      cap->samples.fetch_add(
-          drain_ring(*ts, cap->options.max_frames, cap->agg),
-          std::memory_order_relaxed);
+      cap->samples.fetch_add(drain_ring(*ts, cap->agg),
+                             std::memory_order_relaxed);
       dropped += ts->dropped.load(std::memory_order_relaxed);
       truncated += ts->truncated.load(std::memory_order_relaxed);
       ++threads;
@@ -583,7 +569,7 @@ ProfilerState Profiler::state() const {
   }
   if (g_active && g_capture != nullptr) {
     s.active = true;
-    s.hz = g_capture->options.hz;
+    s.hz = g_capture->hz;
     s.seconds = monotonic_seconds() - g_capture->start_seconds;
     s.samples = g_capture->samples.load(std::memory_order_relaxed);
   }
@@ -596,9 +582,8 @@ bool Profiler::supported() { return false; }
 
 void register_current_thread() {}
 
-bool Profiler::start(const ProfilerOptions& options) {
-  ROPUS_REQUIRE(options.hz >= 1 && options.hz <= 1000,
-                "profiler hz must be in [1, 1000]");
+bool Profiler::start(int hz) {
+  ROPUS_REQUIRE(hz >= 1 && hz <= 1000, "profiler hz must be in [1, 1000]");
   ROPUS_LOG(kWarn) << "profiler: sampling is not supported on this platform";
   return false;
 }

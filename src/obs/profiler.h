@@ -64,18 +64,6 @@ struct Profile {
   double duration_seconds = 0.0;
 };
 
-struct ProfilerOptions {
-  /// Samples per second of *CPU time* per thread. 99 (not 100) so the
-  /// sampling grid does not phase-lock with 10ms-periodic work.
-  int hz = 99;
-  /// Frames kept per sample; deeper stacks are truncated at the root end
-  /// and counted. Clamped to an internal hard cap of 48.
-  std::size_t max_frames = 48;
-  /// Samples buffered per thread between collector drains. 512 is ~5s of
-  /// headroom at 99 Hz against a stalled collector.
-  std::size_t ring_capacity = 512;
-};
-
 /// Cheap point-in-time view for `ropus_cli stats` / /stats.json / top.
 struct ProfilerState {
   bool active = false;
@@ -96,12 +84,20 @@ class Profiler {
   /// start() always fails and register_current_thread() is a no-op.
   static bool supported();
 
-  /// Begins a capture: resets per-thread rings, installs the SIGPROF
-  /// action (via common/signals, the single owner of all dispositions),
-  /// enables span tracking, arms every registered thread's timer and
-  /// launches the collector. Returns false — without side effects — when
-  /// a capture is already active or the platform is unsupported.
-  bool start(const ProfilerOptions& options = {});
+  /// The default rate: 99 (not 100) so the sampling grid does not
+  /// phase-lock with 10ms-periodic work.
+  static constexpr int kDefaultHz = 99;
+
+  /// Begins a capture at `hz` samples per second of *CPU time* per thread
+  /// (1 to 1000, else InvalidArgument): resets per-thread rings, installs
+  /// the SIGPROF action (via common/signals, the single owner of all
+  /// dispositions), enables span tracking, arms every registered thread's
+  /// timer and launches the collector. A sample keeps 48 frames (deeper
+  /// stacks are truncated at the root end and counted), and each thread
+  /// buffers 512 samples between collector drains (~5s at 99 Hz). Returns
+  /// false — without side effects — when a capture is already active or
+  /// the platform is unsupported.
+  bool start(int hz = kDefaultHz);
 
   /// Ends the capture: disarms timers, drains the rings one final time,
   /// symbolizes and aggregates. Throws InvalidArgument when no capture is

@@ -119,7 +119,7 @@ std::ptrdiff_t Watchdog::emit(Alert alert) {
     suppressed.add(1);
   }
 
-  if (alerts_.size() >= config_.max_alerts) {
+  if (alerts_.size() >= kMaxAlerts) {
     alerts_dropped_ += 1;
     return -1;
   }

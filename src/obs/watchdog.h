@@ -47,8 +47,6 @@ struct WatchdogConfig {
   /// Active slots per (app, mode) before the M% band-occupancy estimator
   /// may alert; 0 = one day. Too-early fractions are all noise.
   std::size_t band_warmup_slots = 0;
-  /// Alerts retained; overflow is counted, not stored.
-  std::size_t max_alerts = 4096;
 };
 
 enum class AlertKind : std::uint8_t {
@@ -92,6 +90,9 @@ void read_band_state(const json::Value& v, slo::BandAccumulator& acc);
 
 class Watchdog {
  public:
+  /// Alerts retained; overflow is counted, not stored.
+  static constexpr std::size_t kMaxAlerts = 4096;
+
   explicit Watchdog(WatchdogConfig config);
 
   /// Consumes one record. Records must arrive in nondecreasing slot order
@@ -132,7 +133,7 @@ class Watchdog {
   std::vector<ThetaPoint> theta_trajectory() const;
 
   const std::vector<Alert>& alerts() const { return alerts_; }
-  /// Alerts beyond max_alerts (counted, not stored).
+  /// Alerts beyond kMaxAlerts (counted, not stored).
   std::uint64_t alerts_dropped() const { return alerts_dropped_; }
 
   /// Serializes the complete mutable state (per-app accumulators, theta

@@ -68,18 +68,6 @@ PlacementProblem::PlacementProblem(
   }
 }
 
-sim::AttributeSeries PlacementProblem::attribute_series(std::size_t id) const {
-  sim::AttributeSeries series{};
-  if (attributed_.empty()) return series;
-  for (const trace::Attribute a : trace::kAllAttributes) {
-    if (a == trace::Attribute::kCpu) continue;
-    if (const trace::DemandTrace* t = attributed_[id].attribute(a)) {
-      series[trace::attribute_index(a)] = t->values();
-    }
-  }
-  return series;
-}
-
 std::optional<Assignment> PlacementProblem::greedy_seed() const {
   return first_fit_decreasing(*this);
 }
@@ -291,9 +279,11 @@ DeltaPlacementContext::DeltaPlacementContext(const PlacementProblem& problem)
   static obs::Counter& builds = obs::counter("placement.delta_context.builds");
   builds.add(1);
   for (std::size_t id = 0; id < problem.cpu_.size(); ++id) {
-    const qos::AllocationTrace& w = *problem.cpu_[id];
-    engine_.register_workload(id, w.cos1(), w.cos2(),
-                              problem.attribute_series(id));
+    if (problem.attributed_.empty()) {
+      engine_.register_workload(id, *problem.cpu_[id]);
+    } else {
+      engine_.register_workload(id, problem.attributed_[id]);
+    }
   }
 }
 

@@ -126,9 +126,6 @@ class PlacementProblem {
                    std::vector<sim::ServerSpec> servers,
                    qos::CosCommitment cos2, std::shared_ptr<Memo> memo);
 
-  /// Workload `id`'s attribute series (all empty for CPU-only problems).
-  sim::AttributeSeries attribute_series(std::size_t id) const;
-
   /// Memo lookup by borrowed key — no allocation on a hit.
   bool memo_find(std::span<const std::size_t> sorted_ids, std::size_t cpus,
                  ServerVerdict& out) const;

@@ -6,10 +6,11 @@
 // CoS2), and scaled by the burst factor 1/U_low into an allocation request.
 //
 // Every per-slot value is snapped to the 2^-20 CPU allocation grid
-// (common/grid.h) at construction. On-grid values sum exactly in plain
-// doubles, which makes aggregate sums order-independent and reversible —
-// the contract sim::IncrementalEvaluator and the placement delta path rely
-// on (docs/algorithms.md §11).
+// (common/grid.h) at construction, and the peaks are stored as the values
+// are snapped. On-grid values sum exactly in plain doubles, which makes
+// aggregate sums order-independent and reversible; sim::IncrementalEvaluator
+// trusts the grid and the stored peaks instead of checking them (the
+// contract: docs/algorithms.md §11, "The precondition").
 #pragma once
 
 #include <string>

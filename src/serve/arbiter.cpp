@@ -163,7 +163,7 @@ sim::IncrementalEvaluator& Arbiter::engine_for(
     engine_ = std::make_unique<sim::IncrementalEvaluator>(
         calendar, config_.cos2, server_cpus_);
     for (const App& app : apps_) {
-      engine_->register_workload(app.id, app.alloc.cos1(), app.alloc.cos2());
+      engine_->register_workload(app.id, app.alloc);
       engine_->add(app.id, app.host);
     }
   }
@@ -216,28 +216,38 @@ std::string Arbiter::admit(const AdmitMessage& msg, bool* state_changed) {
             std::to_string(apps_.front().alloc.size()) + " slots)");
   }
 
-  // The candidate is registered for the probes and unregistered before
-  // this lambda returns, so a rejection (or the renegotiation retry with a
-  // different allocation under the same id) leaves no trace in the
-  // persistent engine. The engine refuses an allocation outside its exact
-  // range (non-finite, or summed peaks reaching 2^33 CPUs) without
-  // registering it; that is the client's input being out of domain, like a
-  // translation failure.
+  // The candidate is registered for the probes and unregistered on every
+  // exit from this lambda, so a rejection, a refusal, or the renegotiation
+  // retry with a different allocation under the same id leaves no trace in
+  // the persistent engine. The engine refuses an allocation outside its
+  // exact range (overflowed to +inf, or summed peaks reaching 2^33 CPUs)
+  // without registering it, and the capacity search refuses a profile so
+  // long that the server capacity times its length reaches 2^33; both are
+  // the client's input being out of domain, like a translation failure.
   const auto place = [&](const App& app) {
     sim::IncrementalEvaluator& engine = engine_for(app.alloc.calendar());
     try {
-      engine.register_workload(app.id, app.alloc.cos1(), app.alloc.cos2());
+      engine.register_workload(app.id, app.alloc);
     } catch (const InvalidArgument&) {
       throw ProtocolViolation(
           ProtocolError::kBadValue,
           "profile out of range: allocations must be finite and the fleet's "
           "summed peaks below 2^33 CPUs");
     }
-    const AdmissionOutcome out =
-        place_candidate(engine, app.id, app.alloc.peak_allocation(),
-                        msg.revenue, config_.admission);
-    engine.unregister_workload(app.id);
-    return out;
+    const struct Unregister {
+      sim::IncrementalEvaluator& engine;
+      std::size_t id;
+      ~Unregister() { engine.unregister_workload(id); }
+    } unregister{engine, app.id};
+    try {
+      return place_candidate(engine, app.id, app.alloc.peak_allocation(),
+                             msg.revenue, config_.admission);
+    } catch (const InvalidArgument&) {
+      throw ProtocolViolation(
+          ProtocolError::kBadValue,
+          "profile out of range: the server capacity in CPUs times the "
+          "profile length in slots must stay below 2^33");
+    }
   };
 
   App candidate = build_app(msg, msg.requirement);
@@ -292,11 +302,10 @@ std::string Arbiter::admit(const AdmitMessage& msg, bool* state_changed) {
   apps_.push_back(std::move(candidate));
   {
     // Mirror the admission into the persistent engine place() built.
-    // Registering the *stored* app's spans (not the moved-from local's)
-    // keeps the borrow tied to the allocation that now lives in apps_.
+    // Registering the *stored* app's allocation (not the moved-from
+    // local's) keeps the borrow tied to the buffers that now live in apps_.
     const App& stored = apps_.back();
-    engine_->register_workload(stored.id, stored.alloc.cos1(),
-                               stored.alloc.cos2());
+    engine_->register_workload(stored.id, stored.alloc);
     engine_->add(stored.id, stored.host);
   }
   next_app_id_ += 1;

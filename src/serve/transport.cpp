@@ -397,7 +397,7 @@ int SocketServer::run(std::ostream& err) {
       return;
     }
     double seconds = 2.0;
-    int hz = 99;
+    int hz = obs::prof::Profiler::kDefaultHz;
     std::string format = "folded";
     try {
       if (const auto v = query_param(target, "seconds")) {
@@ -427,9 +427,7 @@ int SocketServer::run(std::ostream& err) {
       profile_refused.add();
       return;
     }
-    obs::prof::ProfilerOptions options;
-    options.hz = hz;
-    if (!obs::prof::Profiler::global().start(options)) {
+    if (!obs::prof::Profiler::global().start(hz)) {
       h.outbuf += http_response(
           409, "Conflict", "application/json",
           http_error_body("profiler_busy",

@@ -1,7 +1,6 @@
 #include "sim/incremental.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.h"
 #include "common/grid.h"
@@ -22,9 +21,6 @@ obs::Counter& delta_probes_counter() {
   static obs::Counter& c = obs::counter("sim.incremental.delta_probes");
   return c;
 }
-
-/// The exactness contract for one value: finite and on the 2^-20 grid.
-bool exact_value(double v) { return std::isfinite(v) && grid::on_grid(v); }
 
 constexpr std::size_t kCpuIndex = trace::attribute_index(trace::Attribute::kCpu);
 
@@ -109,61 +105,52 @@ IncrementalEvaluator::IncrementalEvaluator(const trace::Calendar& calendar,
   }
 }
 
-void IncrementalEvaluator::register_workload(std::size_t id,
-                                             std::span<const double> cos1,
-                                             std::span<const double> cos2,
-                                             const AttributeSeries& attributes) {
-  const std::size_t n = calendar_.size();
-  ROPUS_REQUIRE(cos1.size() == n && cos2.size() == n,
-                "workload series must match the engine calendar");
-  ROPUS_REQUIRE(attributes[kCpuIndex].empty(),
-                "CPU is registered as cos1/cos2, not as an attribute");
-  const bool replacing = registered(id);
-  ROPUS_REQUIRE(!replacing || workloads_[id].host == npos,
-                "cannot re-register a hosted workload");
+void IncrementalEvaluator::register_workload(
+    std::size_t id, const qos::AllocationTrace& alloc) {
+  insert(id, alloc, nullptr);
+}
 
-  // Validate everything before touching engine state, so a refusal leaves
-  // the engine exactly as it was.
+void IncrementalEvaluator::register_workload(
+    std::size_t id, const qos::WorkloadAllocations& alloc) {
+  insert(id, alloc.cpu(), &alloc);
+}
+
+void IncrementalEvaluator::insert(std::size_t id,
+                                  const qos::AllocationTrace& cpu,
+                                  const qos::WorkloadAllocations* attributed) {
+  ROPUS_REQUIRE(cpu.calendar() == calendar_,
+                "workload calendar must match the engine calendar");
+  ROPUS_REQUIRE(!registered(id), "workload id already registered");
   Workload w;
-  w.cos1 = cos1;
-  w.cos2 = cos2;
-  w.attributes = attributes;
-  for (std::size_t i = 0; i < n; ++i) {
-    ROPUS_REQUIRE(exact_value(cos1[i]) && exact_value(cos2[i]),
-                  "allocation values must be finite multiples of 2^-20");
-    w.peak_cos1 = std::max(w.peak_cos1, cos1[i]);
-    w.magnitude[kCpuIndex] = std::max(w.magnitude[kCpuIndex],
-                                      std::abs(cos1[i]) + std::abs(cos2[i]));
-  }
+  w.cos1 = cpu.cos1();
+  w.cos2 = cpu.cos2();
+  w.peak_cos1 = cpu.peak_cos1();
+  w.peaks[kCpuIndex] = cpu.peak_allocation();
   for (const trace::Attribute a : trace::kAllAttributes) {
+    const trace::DemandTrace* t =
+        attributed != nullptr ? attributed->attribute(a) : nullptr;
+    if (t == nullptr) continue;
     const std::size_t k = trace::attribute_index(a);
-    if (attributes[k].empty()) continue;
-    ROPUS_REQUIRE(attributes[k].size() == n,
-                  "attribute series must match the engine calendar");
-    for (const double v : attributes[k]) {
-      ROPUS_REQUIRE(exact_value(v),
-                    "attribute values must be finite multiples of 2^-20");
-      w.magnitude[k] = std::max(w.magnitude[k], std::abs(v));
-    }
+    w.attributes[k] = t->values();
+    w.peaks[k] = t->peak();
   }
   // The summed peaks of every registered workload bound every per-slot sum
   // a server (or a probe) can reach; keeping them below kSumLimit keeps all
   // engine arithmetic exact. The budget sums are exact below the limit, and
-  // a sum that reaches it rounds to at least the limit, so the check is too.
+  // a sum that reaches it (or +inf) rounds to at least the limit, so the
+  // check is too.
   AttributePeaks total = registered_;
   for (std::size_t k = 0; k < total.size(); ++k) {
-    if (replacing) total[k] -= workloads_[id].magnitude[k];
-    total[k] += w.magnitude[k];
+    total[k] += w.peaks[k];
     ROPUS_REQUIRE(total[k] < grid::kSumLimit,
                   "registered workloads' summed peaks must stay below "
                   "grid::kSumLimit (2^33)");
   }
 
-  // A queued op still references the old series; apply it first.
-  if (replacing) flush_pending_of(id);
+  const std::size_t n = calendar_.size();
   for (const trace::Attribute a : trace::kAllAttributes) {
     const std::size_t k = trace::attribute_index(a);
-    if (attributes[k].empty() ||
+    if (w.attributes[k].empty() ||
         std::ranges::find(columns_, a) != columns_.end()) {
       continue;
     }
@@ -182,22 +169,16 @@ void IncrementalEvaluator::unregister_workload(std::size_t id) {
   ROPUS_REQUIRE(w.host == npos, "cannot unregister a hosted workload");
   // A queued remove may still reference the workload's series; flush it
   // before the spans go away.
-  flush_pending_of(id);
-  for (std::size_t k = 0; k < registered_.size(); ++k) {
-    registered_[k] -= w.magnitude[k];
-  }
-  workloads_[id] = Workload{};
-}
-
-void IncrementalEvaluator::flush_pending_of(std::size_t id) {
   for (Server& s : servers_) {
-    for (const PendingOp& op : s.pending) {
-      if (op.id == id) {
-        (void)ensure_sums(s);
-        break;
-      }
+    if (std::ranges::any_of(s.pending,
+                            [&](const PendingOp& op) { return op.id == id; })) {
+      (void)ensure_sums(s);
     }
   }
+  for (std::size_t k = 0; k < registered_.size(); ++k) {
+    registered_[k] -= w.peaks[k];
+  }
+  workloads_[id] = Workload{};
 }
 
 const IncrementalEvaluator::Workload& IncrementalEvaluator::workload_checked(

@@ -2,23 +2,23 @@
 // updates under add/remove/move of one workload in O(slots), with verdicts
 // (sim::required_capacity results) bit-identical to the batch oracle.
 //
-// Why this works (docs/algorithms.md §11): allocation traces are snapped to
-// the 2^-20 CPU grid at construction (common/grid.h), so per-slot sums of
-// registered workloads are computed *exactly* by plain double arithmetic as
-// long as they stay under grid::kSumLimit. Exact sums are order-independent
-// and reversible: after any sequence of adds and removes a server's per-slot
-// aggregate holds the same bits the batch `sim::aggregate_workloads` would
-// produce, and removing a workload restores the previous bits. Verdicts run
-// through the same `sim::required_capacity` search as the batch path — a
-// pure function of the aggregate whose answer is its exact capacity floor —
-// so a move re-verdicts in one pass of the floors over maintained sums,
-// with no replay and no rebuilt aggregate.
+// Why this works: allocation traces hold multiples of 2^-20 CPU
+// (common/grid.h), so per-slot sums of registered workloads are computed
+// *exactly* by plain double arithmetic as long as they stay under
+// grid::kSumLimit. Exact sums are order-independent and reversible: after
+// any sequence of adds and removes a server's per-slot aggregate holds the
+// same bits the batch `sim::aggregate_workloads` would produce, and
+// removing a workload restores the previous bits. Verdicts run through the
+// same `sim::required_capacity` search as the batch path — a pure function
+// of the aggregate whose answer is its exact capacity floor — so a move
+// re-verdicts in one pass of the floors over maintained sums, with no
+// replay and no rebuilt aggregate.
 //
-// The exactness contract is a checked precondition: register_workload
-// refuses non-finite or off-grid values, and any registration that would
-// lift the summed peaks of all registered workloads to grid::kSumLimit.
-// That total bounds every per-slot sum a server or a probe can reach, so
-// add/move/probe need no check of their own.
+// The contract is stated once, in docs/algorithms.md §11 ("The
+// precondition"): the allocation types snap every value where it is made,
+// and register_workload keeps the summed peaks of all registered workloads
+// below grid::kSumLimit, which bounds every per-slot sum a server or a
+// probe can reach.
 //
 // The Section IX attributes (memory, disk, network) are guaranteed demand:
 // their verdict is the peak of the aggregate per-slot demand. The engine
@@ -26,9 +26,10 @@
 // registered workload carries — resource-major, so a CPU-only pool
 // allocates none — and every verdict and probe reports each column's peak.
 //
-// The engine does not own trace data: register_workload borrows spans that
-// must outlive the registration (placement borrows from its workload list,
-// serve from the admitted App's allocation trace).
+// The engine does not own trace data: register_workload borrows the
+// allocation's buffers, which must outlive the registration. It keeps
+// spans, not the allocation's address, so the object may move (serve's
+// admitted apps live in a vector) while its buffers stay put.
 #pragma once
 
 #include <array>
@@ -37,7 +38,9 @@
 #include <span>
 #include <vector>
 
+#include "qos/allocation.h"
 #include "qos/requirements.h"
+#include "qos/workload_allocations.h"
 #include "sim/simulator.h"
 #include "trace/attribute.h"
 #include "trace/calendar.h"
@@ -47,12 +50,6 @@ namespace ropus::sim {
 /// One value per capacity attribute, indexed by trace::attribute_index.
 /// Where it holds non-CPU peaks the kCpu entry is unused (0).
 using AttributePeaks = std::array<double, trace::kAttributeCount>;
-
-/// A workload's per-slot non-CPU attribute series, indexed like
-/// AttributePeaks. The kCpu entry must be empty; an empty entry is an
-/// attribute the workload does not carry (it consumes nothing).
-using AttributeSeries =
-    std::array<std::span<const double>, trace::kAttributeCount>;
 
 class IncrementalEvaluator {
  public:
@@ -81,16 +78,18 @@ class IncrementalEvaluator {
   double server_cpus(std::size_t server) const { return servers_[server].cpus; }
   const trace::Calendar& calendar() const { return calendar_; }
 
-  /// Registers (or re-registers) workload data under `id`. The spans must
-  /// match the calendar length and stay valid until unregistration; the
-  /// engine scans them once for peaks and the exactness contract. Throws
-  /// InvalidArgument, leaving the engine unchanged, when a value is
-  /// non-finite or off the 2^-20 grid, or when the summed peaks of all
-  /// registered workloads would reach grid::kSumLimit on CPU (CoS1 + CoS2)
-  /// or on any attribute. A hosted id cannot be re-registered.
-  void register_workload(std::size_t id, std::span<const double> cos1,
-                         std::span<const double> cos2,
-                         const AttributeSeries& attributes = {});
+  /// Registers `alloc` under `id`, which must not be registered. The
+  /// allocation must live on the engine's calendar and its buffers stay
+  /// valid until unregistration; the engine reads its stored peaks and no
+  /// per-slot value. Throws InvalidArgument, leaving the engine unchanged,
+  /// when the summed peaks of all registered workloads would reach
+  /// grid::kSumLimit on CPU (CoS1 + CoS2) or on any attribute — which also
+  /// refuses an allocation that overflowed to +inf.
+  void register_workload(std::size_t id, const qos::AllocationTrace& alloc);
+  /// The same, with every Section IX attribute `alloc` carries; an
+  /// attribute trace's peak() is one pass over its values.
+  void register_workload(std::size_t id,
+                         const qos::WorkloadAllocations& alloc);
 
   /// Forgets `id` (must not be hosted).
   void unregister_workload(std::size_t id);
@@ -134,11 +133,13 @@ class IncrementalEvaluator {
   struct Workload {
     std::span<const double> cos1;
     std::span<const double> cos2;
-    AttributeSeries attributes;
+    /// Per attribute, indexed like AttributePeaks; empty where the
+    /// workload carries none (and always for kCpu).
+    std::array<std::span<const double>, trace::kAttributeCount> attributes;
     double peak_cos1 = 0.0;
-    /// Per-slot magnitude peaks: kCpu holds max |cos1| + |cos2|, the other
-    /// entries max |value| of the attribute — the registration budget.
-    AttributePeaks magnitude{};
+    /// The registration budget: kCpu holds the peak of cos1 + cos2, the
+    /// other entries each carried attribute's peak.
+    AttributePeaks peaks{};
     bool active = false;
     std::size_t host = npos;
   };
@@ -169,10 +170,11 @@ class IncrementalEvaluator {
     AttributePeaks peaks{};  // per-column peak of the maintained sums
   };
 
+  /// Registers `cpu` under `id`, with the attributes of `attributed`
+  /// (its owner) when not null.
+  void insert(std::size_t id, const qos::AllocationTrace& cpu,
+              const qos::WorkloadAllocations* attributed);
   const Workload& workload_checked(std::size_t id) const;
-  /// Applies every queued op referencing `id` on every server, so the
-  /// workload's series can be replaced or forgotten.
-  void flush_pending_of(std::size_t id);
   /// Applies s's queued ops to its sums (onto zeroed sums when
   /// `rebuild`) in one blocked pass per sum column. With `peaks` it sets
   /// the aggregate CoS1 peak and the peak of every column the pass
@@ -193,8 +195,8 @@ class IncrementalEvaluator {
   std::vector<Server> servers_;
   /// Attributes with a sum column on every server, ascending.
   std::vector<trace::Attribute> columns_;
-  /// Summed magnitude peaks of all registered workloads, per column; each
-  /// stays below grid::kSumLimit, which keeps every per-slot sum exact.
+  /// Summed peaks of all registered workloads, per column; each stays
+  /// below grid::kSumLimit, which keeps every per-slot sum exact.
   AttributePeaks registered_{};
   Stats stats_;
 };

@@ -64,9 +64,7 @@ class ProfilerTest : public ::testing::Test {
 };
 
 TEST_F(ProfilerTest, CaptureCollectsSamplesAndSymbolizedStacks) {
-  ProfilerOptions options;
-  options.hz = 500;
-  ASSERT_TRUE(Profiler::global().start(options));
+  ASSERT_TRUE(Profiler::global().start(500));
   burn_cpu(0.3);
   const Profile profile = Profiler::global().stop();
 
@@ -86,9 +84,7 @@ TEST_F(ProfilerTest, CaptureCollectsSamplesAndSymbolizedStacks) {
 }
 
 TEST_F(ProfilerTest, SpanAttributionSeparatesSelfFromTotal) {
-  ProfilerOptions options;
-  options.hz = 500;
-  ASSERT_TRUE(Profiler::global().start(options));
+  ASSERT_TRUE(Profiler::global().start(500));
   {
     ScopedSpan outer("proftest.outer");
     burn_cpu(0.15);
@@ -139,11 +135,8 @@ TEST_F(ProfilerTest, StopWithoutStartThrows) {
 }
 
 TEST_F(ProfilerTest, InvalidRateThrows) {
-  ProfilerOptions options;
-  options.hz = 0;
-  EXPECT_THROW((void)Profiler::global().start(options), InvalidArgument);
-  options.hz = 100000;
-  EXPECT_THROW((void)Profiler::global().start(options), InvalidArgument);
+  EXPECT_THROW((void)Profiler::global().start(0), InvalidArgument);
+  EXPECT_THROW((void)Profiler::global().start(100000), InvalidArgument);
 }
 
 TEST_F(ProfilerTest, CapturesPoolWorkersUnderChurn) {
@@ -151,9 +144,7 @@ TEST_F(ProfilerTest, CapturesPoolWorkersUnderChurn) {
   // collector drains rings and detached threads register and die
   // mid-capture. Run it at the default 99 Hz plus churn.
   parallel::set_thread_start_hook(&register_current_thread);
-  ProfilerOptions options;
-  options.hz = 500;
-  ASSERT_TRUE(Profiler::global().start(options));
+  ASSERT_TRUE(Profiler::global().start(500));
 
   std::thread churn([] {
     for (int i = 0; i < 4; ++i) {
@@ -191,9 +182,7 @@ TEST_F(ProfilerTest, SignalStormWhileArtifactsAreWritten) {
       std::filesystem::temp_directory_path() / "ropus_profiler_storm";
   std::filesystem::create_directories(dir);
 
-  ProfilerOptions options;
-  options.hz = 997;
-  ASSERT_TRUE(Profiler::global().start(options));
+  ASSERT_TRUE(Profiler::global().start(997));
   for (int i = 0; i < 10; ++i) {
     burn_cpu(0.02);
     io::write_file_atomic(dir / "artifact.json", "{\"tick\":true}\n");
@@ -214,12 +203,10 @@ TEST_F(ProfilerTest, SignalStormWhileArtifactsAreWritten) {
 }
 
 TEST_F(ProfilerTest, BackToBackCapturesAreIndependent) {
-  ProfilerOptions options;
-  options.hz = 500;
-  ASSERT_TRUE(Profiler::global().start(options));
+  ASSERT_TRUE(Profiler::global().start(500));
   burn_cpu(0.1);
   const Profile first = Profiler::global().stop();
-  ASSERT_TRUE(Profiler::global().start(options));
+  ASSERT_TRUE(Profiler::global().start(500));
   const Profile second = Profiler::global().stop();
   EXPECT_GE(first.samples, 5u);
   // The second capture lasted microseconds: its rings were reset, so it

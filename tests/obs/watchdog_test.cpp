@@ -397,13 +397,13 @@ TEST(Watchdog, AlertOverflowIsCountedAndRateLimitIsAccounted) {
   const std::uint64_t kind_before = kind_counter.value();
   const std::uint64_t suppressed_before = suppressed.value();
 
-  WatchdogConfig config = paper_config();
-  config.max_alerts = 4;
-  Watchdog wd(config);
-  // 30 isolated overcommit breaches (a fully-granted slot between each, so
-  // no run merging): 30 alerts, of which only 4 are stored.
+  Watchdog wd(paper_config());
+  // 26 more isolated overcommit breaches than the watchdog stores (a
+  // fully-granted slot between each, so no run merging): each one alerts,
+  // and the last 26 alerts are counted, not stored.
+  constexpr std::size_t kBreaches = Watchdog::kMaxAlerts + 26;
   std::uint32_t slot = 0;
-  for (int i = 0; i < 30; ++i) {
+  for (std::size_t i = 0; i < kBreaches; ++i) {
     SlotRecord r;
     r.slot = slot++;
     r.demand = 0.5;
@@ -414,14 +414,15 @@ TEST(Watchdog, AlertOverflowIsCountedAndRateLimitIsAccounted) {
   }
   wd.finish();
 
-  EXPECT_EQ(wd.alerts().size(), 4u);
+  EXPECT_EQ(wd.alerts().size(), Watchdog::kMaxAlerts);
   EXPECT_EQ(wd.alerts_dropped(), 26u);
   // Every emission reaches the registry even when the alert list is full...
-  EXPECT_EQ(kind_counter.value() - kind_before, 30u);
+  EXPECT_EQ(kind_counter.value() - kind_before, kBreaches);
   // ...and the log rate limiter (burst 5, then 1-in-1000 sampling) accounts
   // for every line it declines. Other tests share the process-wide limiter,
-  // so only a lower bound is exact here.
-  EXPECT_GE(suppressed.value() - suppressed_before, 24u);
+  // so only a lower bound is exact here: it lets at most 5 + ceil(kBreaches
+  // / 1000) = 10 of the lines through.
+  EXPECT_GE(suppressed.value() - suppressed_before, kBreaches - 10);
 }
 
 }  // namespace

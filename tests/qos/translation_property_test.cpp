@@ -3,6 +3,10 @@
 // valid input, parameterized per combination.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <tuple>
 #include <vector>
 
@@ -11,6 +15,8 @@
 #include "oracles.h"
 #include "qos/allocation.h"
 #include "qos/translation.h"
+#include "qos/workload_allocations.h"
+#include "trace/attribute.h"
 
 namespace ropus::qos {
 namespace {
@@ -116,6 +122,46 @@ TEST_P(TranslationProperty, AllocationSplitReconstructsRequest) {
     const double expected = std::min(t[i], tr.d_new_max) / req.u_low;
     EXPECT_NEAR(alloc.total(i), expected, grid::kStep);
     EXPECT_LE(alloc.cos1()[i], tr.peak_cos1_allocation() + grid::kStep);
+  }
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST_P(TranslationProperty, AllocationsHoldTheGridContract) {
+  // What the delta engine trusts without checking (docs/algorithms.md §11,
+  // "The precondition"): every value is >= 0 and on the 2^-20 grid, and the
+  // stored peaks are the series' maxima, bit for bit.
+  const DemandTrace t = workload();
+  const AllocationTrace alloc(t, translate(t, requirement(), commitment()));
+  double peak_cos1 = 0.0;
+  double peak_total = 0.0;
+  for (std::size_t i = 0; i < alloc.size(); ++i) {
+    for (const double v : {alloc.cos1()[i], alloc.cos2()[i]}) {
+      ASSERT_GE(v, 0.0) << i;
+      ASSERT_TRUE(grid::on_grid(v)) << i;
+    }
+    peak_cos1 = std::max(peak_cos1, alloc.cos1()[i]);
+    peak_total = std::max(peak_total, alloc.total(i));
+  }
+  EXPECT_EQ(bits(alloc.peak_cos1()), bits(peak_cos1));
+  EXPECT_EQ(bits(alloc.peak_allocation()), bits(peak_total));
+
+  // Attribute traces, snapped from demand off every binary grid.
+  WorkloadAllocations w(alloc);
+  const std::array<double, 3> scales = {1.0 / 3.0, 7.3, 0.01};
+  for (std::size_t k = 1; k < trace::kAttributeCount; ++k) {
+    w.set_attribute(trace::kAllAttributes[k], t.scaled(scales[k - 1]));
+  }
+  for (std::size_t k = 1; k < trace::kAttributeCount; ++k) {
+    const DemandTrace* a = w.attribute(trace::kAllAttributes[k]);
+    ASSERT_NE(a, nullptr);
+    double peak = 0.0;
+    for (const double v : a->values()) {
+      ASSERT_GE(v, 0.0) << k;
+      ASSERT_TRUE(grid::on_grid(v)) << k;
+      peak = std::max(peak, v);
+    }
+    EXPECT_EQ(bits(a->peak()), bits(peak)) << k;
   }
 }
 

@@ -431,6 +431,48 @@ TEST_F(DaemonTest, OutOfRangeAdmissionGetsBadValueAndLeavesNoTrace) {
   EXPECT_EQ(core.arbiter().summary(), reference.arbiter().summary());
 }
 
+TEST_F(DaemonTest, AdmissionPastTheSearchRangeGetsBadValueAndKeepsServing) {
+  // On 1e6-CPU servers at 5-minute slots, a 5-week profile (10,080 slots)
+  // lifts capacity times length to 2^33 or more, which the capacity search
+  // refuses; a 1-week profile stays inside.
+  ServeConfig config;
+  config.servers = 2;
+  config.server_cpus = 1e6;
+  constexpr std::size_t kWeek = 7 * 288;
+  const auto admit = [](const std::string& app, std::size_t slots) {
+    std::string line = R"({"type":"admit","app":")" + app + R"(","profile":[1)";
+    for (std::size_t i = 1; i < slots; ++i) line += ",1";
+    return line + "]}\n";
+  };
+  const auto run = [&](const std::string& input, const DaemonOptions& opts) {
+    std::istringstream in(input);
+    std::ostringstream out;
+    std::ostringstream err;
+    EXPECT_EQ(run_daemon(config, opts, in, out, err), 0) << err.str();
+    return reply_lines(out);
+  };
+  const std::string rest = admit("web", kWeek) +
+                           tick_line(0, R"({"web":1.0})") + "\n" +
+                           tick_line(1, R"({"web":2.5})") + "\n" +
+                           R"({"type":"shutdown"})" + "\n";
+
+  DaemonOptions options;
+  options.journal_path = dir_ / "range.journal";
+  std::vector<std::string> lines =
+      run(admit("long", 5 * kWeek) + rest, options);
+  const std::vector<std::string> reference = run(rest, DaemonOptions{});
+  ASSERT_EQ(lines.size(), reference.size() + 1);
+  EXPECT_EQ(json::parse(lines[1]).at("code").as_string(), "bad_value");
+  // Every later reply is the reference daemon's, byte for byte.
+  lines.erase(lines.begin() + 1);
+  EXPECT_EQ(lines, reference);
+  EXPECT_EQ(type_of(reference[1]), "admission");
+  // The journal holds web's admission and the two ticks, nothing more.
+  const std::vector<std::string> recovered = run("", options);
+  ASSERT_FALSE(recovered.empty());
+  EXPECT_EQ(json::parse(recovered[0]).at("replayed").as_number(), 3.0);
+}
+
 TEST_F(DaemonTest, AdmissionRejectStormFiresBurnAlert) {
   DaemonCore core(small_config(), DaemonOptions{});
   const DaemonCore::Result ok = core.process_line(admit_line("web"), false);

@@ -650,7 +650,7 @@ TEST_F(TransportTest, HttpDebugProfileRejectsBadArgsAndConcurrentCaptures) {
 
   // While something else (a --profile-out run, here: the test) holds the
   // profiler, the endpoint refuses with a typed 409.
-  ASSERT_TRUE(obs::prof::Profiler::global().start({}));
+  ASSERT_TRUE(obs::prof::Profiler::global().start());
   const std::string busy =
       http_get(port, "GET /debug/profile?seconds=0.2 HTTP/1.0\r\n\r\n");
   EXPECT_EQ(busy.rfind("HTTP/1.0 409", 0), 0u) << busy;

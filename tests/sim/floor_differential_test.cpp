@@ -15,7 +15,9 @@
 // The engine cases pin the blocked series flush and the probe: a probe of a
 // server with queued ops, a queue exactly at the rebuild threshold and one
 // below it, and a probe followed by a verdict, each against an engine built
-// afresh from the same hosted set.
+// afresh from the same hosted set. Their fleets are built as the engine's
+// callers build theirs: translated random demand, every third workload
+// carrying memory.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,6 +28,9 @@
 
 #include "common/grid.h"
 #include "common/rng.h"
+#include "qos/allocation.h"
+#include "qos/translation.h"
+#include "qos/workload_allocations.h"
 #include "sim/incremental.h"
 #include "sim/simulator.h"
 #include "slo/kernel.h"
@@ -368,46 +373,44 @@ TEST(FloorDifferential, BusyPeriodsOpeningAndClosingAllAlongTheSpan) {
 using sim::IncrementalEvaluator;
 using Verdict = IncrementalEvaluator::Verdict;
 
-/// Random on-grid workloads; every third carries memory.
+/// Translated random demand; every third workload carries memory.
 struct Fleet {
   trace::Calendar calendar;
-  std::vector<std::vector<double>> cos1;
-  std::vector<std::vector<double>> cos2;
-  std::vector<std::vector<double>> memory;
+  std::vector<qos::WorkloadAllocations> workloads;
   qos::CosCommitment commitment{0.9, 30.0};
 
   Fleet(const trace::Calendar& cal, std::size_t count, std::uint64_t seed)
       : calendar(cal) {
+    // U_low / U_high above theta puts part of each allocation on CoS1.
+    qos::Requirement req;
+    req.u_low = 0.6;
+    req.u_high = 0.64;
+    req.u_degr = 0.9;
+    req.m_percent = 97.0;
     Rng rng(seed);
     const std::size_t n = cal.size();
     for (std::size_t id = 0; id < count; ++id) {
-      std::vector<double> c1(n);
-      std::vector<double> c2(n);
-      std::vector<double> mem;
-      for (std::size_t i = 0; i < n; ++i) {
-        c1[i] = grid::snap(rng.uniform(0.0, 1.2));
-        c2[i] = grid::snap(rng.bernoulli(0.1) ? rng.uniform(1.0, 4.0)
-                                              : rng.uniform(0.0, 0.8));
+      std::vector<double> demand(n);
+      for (double& d : demand) {
+        d = rng.bernoulli(0.1) ? rng.uniform(1.5, 4.0) : rng.uniform(0.2, 1.5);
       }
+      const trace::DemandTrace t("w" + std::to_string(id), cal,
+                                 std::move(demand));
+      qos::WorkloadAllocations w(
+          qos::AllocationTrace(t, qos::translate(t, req, commitment)));
       if (id % 3 == 0) {
-        mem.resize(n);
-        for (double& v : mem) v = grid::snap(rng.uniform(0.0, 8.0));
+        std::vector<double> memory(n);
+        for (double& v : memory) v = rng.uniform(0.0, 8.0);
+        w.set_attribute(trace::Attribute::kMemoryGb,
+                        trace::DemandTrace("m", cal, std::move(memory)));
       }
-      cos1.push_back(std::move(c1));
-      cos2.push_back(std::move(c2));
-      memory.push_back(std::move(mem));
+      workloads.push_back(std::move(w));
     }
   }
 
-  sim::AttributeSeries attributes(std::size_t id) const {
-    sim::AttributeSeries out{};
-    out[trace::attribute_index(trace::Attribute::kMemoryGb)] = memory[id];
-    return out;
-  }
-
   void register_all(IncrementalEvaluator& eng) const {
-    for (std::size_t id = 0; id < cos1.size(); ++id) {
-      eng.register_workload(id, cos1[id], cos2[id], attributes(id));
+    for (std::size_t id = 0; id < workloads.size(); ++id) {
+      eng.register_workload(id, workloads[id]);
     }
   }
 
@@ -519,7 +522,7 @@ TEST(EngineFlush, ProbeThenVerdictMatchesAFreshEngine) {
     f.register_all(eng);
     std::vector<std::vector<std::size_t>> hosted(cpus.size());
     for (int step = 0; step < 120; ++step) {
-      const std::size_t id = rng.uniform_index(f.cos1.size());
+      const std::size_t id = rng.uniform_index(f.workloads.size());
       const std::size_t s = rng.uniform_index(cpus.size());
       const std::size_t host = eng.host_of(id);
       const std::string what = "slots=" + std::to_string(cal.size()) +

@@ -68,20 +68,9 @@ struct Fixture {
   const qos::AllocationTrace& alloc(std::size_t id) const {
     return workloads[id].cpu();
   }
-  AttributeSeries series(std::size_t id) const {
-    AttributeSeries out{};
-    for (const Attribute a : trace::kAllAttributes) {
-      if (a == Attribute::kCpu) continue;
-      if (const trace::DemandTrace* t = workloads[id].attribute(a)) {
-        out[trace::attribute_index(a)] = t->values();
-      }
-    }
-    return out;
-  }
   void register_all(IncrementalEvaluator& eng) const {
     for (std::size_t id = 0; id < size(); ++id) {
-      eng.register_workload(id, alloc(id).cos1(), alloc(id).cos2(),
-                            series(id));
+      eng.register_workload(id, workloads[id]);
     }
   }
 };
@@ -204,6 +193,19 @@ TEST(IncrementalEvaluator, ProbeMatchesOracleAndRestoresStateExactly) {
   }
 }
 
+/// An allocation holding exactly `values` (snapped) on one class of
+/// service: U_low = 1, nothing capped, and the breakpoint at 1 (all CoS1)
+/// or 0 (all CoS2).
+qos::AllocationTrace allocation(const Calendar& cal, std::vector<double> values,
+                                bool on_cos1 = true) {
+  qos::Translation tr;
+  tr.requirement.u_low = 1.0;
+  tr.breakpoint_p = on_cos1 ? 1.0 : 0.0;
+  tr.d_new_max = std::numeric_limits<double>::max();
+  return qos::AllocationTrace(trace::DemandTrace("x", cal, std::move(values)),
+                              tr);
+}
+
 TEST(IncrementalEvaluator, RefusesRegistrationsOutsideTheExactRange) {
   const Fixture f;
   const std::vector<double> cpus = {16.0, 16.0};
@@ -211,8 +213,7 @@ TEST(IncrementalEvaluator, RefusesRegistrationsOutsideTheExactRange) {
   // A standing pool: six workloads hosted, a seventh registered for probes.
   std::vector<std::vector<std::size_t>> hosted(cpus.size());
   for (std::size_t id = 0; id < 7; ++id) {
-    eng.register_workload(id, f.alloc(id).cos1(), f.alloc(id).cos2(),
-                          f.series(id));
+    eng.register_workload(id, f.workloads[id]);
     if (id < 6) {
       eng.add(id, id % 2);
       hosted[id % 2].push_back(id);
@@ -224,38 +225,28 @@ TEST(IncrementalEvaluator, RefusesRegistrationsOutsideTheExactRange) {
 
   const std::size_t n = f.calendar().size();
   const std::vector<double> zeros(n, 0.0);
-  const std::vector<double> third(n, 1.0 / 3.0);  // off every binary grid
-  std::vector<double> nan(n, 0.5);
-  nan[17] = std::numeric_limits<double>::quiet_NaN();
-  std::vector<double> inf(n, 0.5);
-  inf[3] = std::numeric_limits<double>::infinity();
   // On the grid, one step below the limit: alone it fits, but on top of
   // the standing pool's peaks the total reaches kSumLimit.
   std::vector<double> huge(n, 0.0);
   huge[5] = grid::kSumLimit - grid::kStep;
-  const auto memory = [](const std::vector<double>& v) {
-    AttributeSeries a{};
-    a[trace::attribute_index(Attribute::kMemoryGb)] = v;
-    return a;
-  };
+  // A finite demand whose allocation overflows to +inf when snapped.
+  std::vector<double> overflow(n, 0.5);
+  overflow[3] = std::numeric_limits<double>::max();
+  qos::WorkloadAllocations memory(allocation(f.calendar(), zeros));
+  memory.set_attribute(Attribute::kMemoryGb,
+                       trace::DemandTrace("m", f.calendar(), huge));
 
-  const auto refused = [&](std::span<const double> c1,
-                           std::span<const double> c2,
-                           const AttributeSeries& attrs, const char* what) {
-    EXPECT_THROW(eng.register_workload(7, c1, c2, attrs), InvalidArgument)
-        << what;
+  const auto refused = [&](const auto& alloc, const char* what) {
+    EXPECT_THROW(eng.register_workload(7, alloc), InvalidArgument) << what;
     EXPECT_FALSE(eng.registered(7)) << what;
   };
-  refused(third, zeros, {}, "off-grid CoS1");
-  refused(zeros, third, {}, "off-grid CoS2");
-  refused(nan, zeros, {}, "NaN");
-  refused(zeros, inf, {}, "inf");
-  refused(zeros, zeros, memory(third), "off-grid attribute");
-  refused(zeros, zeros, memory(nan), "NaN attribute");
-  refused(huge, zeros, {}, "CPU peaks past kSumLimit");
-  refused(zeros, zeros, memory(huge), "memory peaks past kSumLimit");
-  // A refused re-registration keeps the old registration.
-  EXPECT_THROW(eng.register_workload(6, huge, zeros), InvalidArgument);
+  refused(allocation(f.calendar(), huge), "CoS1 peaks past kSumLimit");
+  refused(allocation(f.calendar(), huge, false), "CoS2 peaks past kSumLimit");
+  refused(allocation(f.calendar(), overflow), "CoS1 overflowed to +inf");
+  refused(allocation(f.calendar(), overflow, false), "CoS2 overflowed to +inf");
+  refused(memory, "memory peaks past kSumLimit");
+  // A registered id is refused, and its registration stays.
+  EXPECT_THROW(eng.register_workload(6, f.workloads[6]), InvalidArgument);
   EXPECT_TRUE(eng.registered(6));
 
   // Engine state is unchanged: standing verdicts, the probe, and the
@@ -277,11 +268,36 @@ TEST(IncrementalEvaluator, RefusesRegistrationsOutsideTheExactRange) {
   // kSumLimit registers, a step more does not, and unregistering frees the
   // budget.
   IncrementalEvaluator solo(f.calendar(), f.cos2, {16.0});
-  EXPECT_NO_THROW(solo.register_workload(0, huge, zeros));
-  const std::vector<double> step(n, grid::kStep);
-  EXPECT_THROW(solo.register_workload(1, step, zeros), InvalidArgument);
+  EXPECT_NO_THROW(solo.register_workload(0, allocation(f.calendar(), huge)));
+  const qos::AllocationTrace step =
+      allocation(f.calendar(), std::vector<double>(n, grid::kStep));
+  EXPECT_THROW(solo.register_workload(1, step), InvalidArgument);
   solo.unregister_workload(0);
-  EXPECT_NO_THROW(solo.register_workload(1, step, zeros));
+  EXPECT_NO_THROW(solo.register_workload(1, step));
+}
+
+TEST(IncrementalEvaluator, UnregisteringAfterARefusedProbeRestoresTheEngine) {
+  // A server so large that its capacity times the calendar length reaches
+  // kSumLimit: the capacity search refuses any hosted set on it, and the
+  // caller unregisters the candidate (as serve's admission does).
+  const Fixture f;
+  const double giant =
+      grid::kSumLimit / static_cast<double>(f.calendar().size());
+  IncrementalEvaluator eng(f.calendar(), f.cos2, {16.0, giant});
+  f.register_all(eng);
+  for (const std::size_t id : {0u, 1u, 2u}) eng.add(id, 0);
+  const Verdict before = eng.verdict(0);
+  EXPECT_THROW((void)eng.probe(1, 4), InvalidArgument);
+  EXPECT_EQ(eng.host_of(4), IncrementalEvaluator::npos);
+  eng.unregister_workload(4);
+  EXPECT_FALSE(eng.registered(4));
+  expect_bitwise_equal(eng.verdict(0), before, "verdict after the throw");
+  expect_bitwise_equal(eng.probe(0, 5), oracle(f, {0, 1, 2, 5}, 16.0),
+                       "probe after the throw");
+  eng.register_workload(4, f.workloads[4]);
+  eng.add(4, 0);
+  expect_bitwise_equal(eng.verdict(0), oracle(f, {0, 1, 2, 4}, 16.0),
+                       "verdict with the re-registered id");
 }
 
 // ---------------------------------------------------------------------------

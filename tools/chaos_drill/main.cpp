@@ -1191,7 +1191,10 @@ int main(int argc, char** argv) {
   const std::size_t interval = flags.get_size("interval", 16);
   const auto seed = static_cast<std::uint64_t>(flags.get_size("seed", 2006));
   fs::path dir = flags.get_string("dir", "");
-  if (dir.empty()) {
+  // A passing run removes the temp directory it made, but only its own
+  // subdirectories of a caller's --dir.
+  const bool own_dir = dir.empty();
+  if (own_dir) {
     dir = fs::temp_directory_path() /
           ("chaos_drill." + std::to_string(getpid()));
   }
@@ -1397,6 +1400,12 @@ int main(int argc, char** argv) {
   }
 
   std::error_code ec;
-  fs::remove_all(dir, ec);
+  if (own_dir) {
+    fs::remove_all(dir, ec);
+  } else {
+    for (const char* sub : {"ref", "chaos", "net", "introspect"}) {
+      fs::remove_all(dir / sub, ec);
+    }
+  }
   return 0;
 }

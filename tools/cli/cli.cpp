@@ -177,7 +177,7 @@ void apply_log_level(const Flags& flags) {
 /// colons keep working) overrides the default 99 Hz sampling rate.
 struct ProfileSpec {
   std::string path;
-  int hz = 99;
+  int hz = obs::prof::Profiler::kDefaultHz;
 };
 
 ProfileSpec parse_profile_spec(const std::string& spec) {
@@ -381,9 +381,7 @@ int run(std::span<const std::string> args, std::ostream& out,
       ROPUS_REQUIRE(obs::prof::Profiler::supported(),
                     "--profile-out: the sampling profiler is not supported "
                     "on this platform");
-      obs::prof::ProfilerOptions popts;
-      popts.hz = profile_spec->hz;
-      ROPUS_REQUIRE(obs::prof::Profiler::global().start(popts),
+      ROPUS_REQUIRE(obs::prof::Profiler::global().start(profile_spec->hz),
                     "--profile-out: a profile capture is already active");
     }
 
