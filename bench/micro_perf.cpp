@@ -35,6 +35,7 @@
 #include "placement/problem.h"
 #include "qos/allocation.h"
 #include "qos/translation.h"
+#include "serve/admission.h"
 #include "serve/arbiter.h"
 #include "serve/checkpoint.h"
 #include "sim/incremental.h"
@@ -784,6 +785,46 @@ int main() {
                    if (engine.registered(id)) engine.unregister_workload(id);
                  }
                }),
+           reporter);
+  }
+
+  {
+    // One admission in serve-churn's shape: a one-week candidate placed
+    // among 40 16-CPU servers that host 103 one-week apps, the case study
+    // four times over, each placed by the same admission (untimed). The
+    // bounds leave most servers unprobed. The candidate's group sums are
+    // summed on the first call and kept, as for the probes of one
+    // admission in the daemon.
+    const qos::CosCommitment commitment{0.95, 60.0};
+    qos::Requirement admitted;  // an admit request's defaults
+    admitted.m_percent = 97.0;
+    const std::vector<qos::AllocationTrace> allocs =
+        qos::build_allocations(demands(), admitted, commitment);
+    sim::IncrementalEvaluator engine(demands()[0].calendar(), commitment,
+                                     std::vector<double>(40, 16.0));
+    const serve::AdmissionPolicy policy;
+    const std::size_t candidate = 4 * allocs.size() - 1;
+    const auto alloc_of = [&](std::size_t id) -> const qos::AllocationTrace& {
+      return allocs[id % allocs.size()];
+    };
+    for (std::size_t id = 0; id <= candidate; ++id) {
+      engine.register_workload(id, alloc_of(id));
+      if (id == candidate) break;
+      const serve::AdmissionOutcome placed = serve::place_candidate(
+          engine, id, alloc_of(id).peak_allocation(), 1.0, policy);
+      if (placed.decision != serve::AdmissionDecision::kAccepted) {
+        std::fprintf(stderr, "serve/admit: the pool refused app %zu\n", id);
+        std::exit(1);
+      }
+      engine.add(id, placed.host);
+    }
+    report(run_bench("serve/admit", demands()[0].size(),
+                     [&] {
+                       do_not_optimize(serve::place_candidate(
+                           engine, candidate,
+                           alloc_of(candidate).peak_allocation(), 1.0,
+                           policy));
+                     }),
            reporter);
   }
 

@@ -21,33 +21,41 @@ void Writer::before_value() {
 
 void Writer::emit_string(std::string_view s) {
   out_.push_back('"');
-  for (const char c : s) {
+  // Each run of characters that needs no escape goes in with one append.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    const char* escape = nullptr;
     switch (c) {
       case '"':
-        out_ += "\\\"";
+        escape = "\\\"";
         break;
       case '\\':
-        out_ += "\\\\";
+        escape = "\\\\";
         break;
       case '\n':
-        out_ += "\\n";
+        escape = "\\n";
         break;
       case '\r':
-        out_ += "\\r";
+        escape = "\\r";
         break;
       case '\t':
-        out_ += "\\t";
+        escape = "\\t";
         break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out_ += buf;
-        } else {
-          out_.push_back(c);
-        }
+        if (static_cast<unsigned char>(c) >= 0x20) continue;
+    }
+    out_.append(s.data() + run, i - run);
+    run = i + 1;
+    if (escape != nullptr) {
+      out_ += escape;
+    } else {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+      out_ += buf;
     }
   }
+  out_.append(s.data() + run, s.size() - run);
   out_.push_back('"');
 }
 

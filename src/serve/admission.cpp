@@ -1,6 +1,9 @@
 #include "serve/admission.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <vector>
 
 #include "common/error.h"
 
@@ -21,17 +24,67 @@ AdmissionOutcome place_candidate(sim::IncrementalEvaluator& engine,
                                  double candidate_peak, double revenue_weight,
                                  const AdmissionPolicy& policy) {
   policy.validate();
+  const auto headroom_at = [&](std::size_t s, double capacity) {
+    const double cpus = engine.server_cpus(s);
+    return cpus > 0.0 ? (cpus - capacity) / cpus : 0.0;
+  };
+  // Each server's headroom can be no more than at its probe's lower bound,
+  // and is -inf where the bound says the candidate does not fit. Servers
+  // are probed from the highest such bound down, ties on the lower index.
+  struct Bound {
+    double headroom;
+    std::size_t server;
+  };
+  std::vector<Bound> order;
+  order.reserve(engine.server_count());
+  for (std::size_t s = 0; s < engine.server_count(); ++s) {
+    const double capacity = engine.probe_bound(s, candidate_id);
+    order.push_back({std::isinf(capacity)
+                         ? -std::numeric_limits<double>::infinity()
+                         : headroom_at(s, capacity),
+                     s});
+  }
+  std::ranges::sort(order, [](const Bound& a, const Bound& b) {
+    return a.headroom > b.headroom ||
+           (a.headroom == b.headroom && a.server < b.server);
+  });
+
+  // Best-fit by headroom, ties on the lower server index: the largest value
+  // of an exact function of the server, which no bound understates, so the
+  // order and the early stop leave the choice and its bits unchanged.
   AdmissionOutcome best;
   bool any_fit = false;
-  for (std::size_t s = 0; s < engine.server_count(); ++s) {
-    const sim::RequiredCapacity rc = engine.probe(s, candidate_id).cpu;
+  for (const Bound& b : order) {
+    if (b.headroom == -std::numeric_limits<double>::infinity()) break;
+    // Nothing from here on can beat the best, or tie it at a lower index.
+    if (any_fit && (b.headroom < best.headroom ||
+                    (b.headroom == best.headroom && b.server > best.host))) {
+      break;
+    }
+    // Past the largest grid point at which this server would tie the best,
+    // it loses, so its search stops there. At a best of 0 headroom the
+    // server's own (perhaps off-grid) capacity could still tie.
+    std::int64_t cap = sim::kUncapped;
+    if (any_fit && best.headroom > 0.0) {
+      const double cpus = engine.server_cpus(b.server);
+      const auto ties = [&](std::int64_t k) {
+        return headroom_at(b.server,
+                           static_cast<double>(k) * sim::kCapacityStep) >=
+               best.headroom;
+      };
+      cap = static_cast<std::int64_t>(
+          std::floor(cpus * (1.0 - best.headroom) / sim::kCapacityStep));
+      while (ties(cap + 1)) ++cap;
+      while (cap > 0 && !ties(cap)) --cap;
+    }
+    const sim::RequiredCapacity rc =
+        engine.probe(b.server, candidate_id, cap).cpu;
     if (!rc.fits) continue;
-    const double cpus = engine.server_cpus(s);
-    const double headroom = cpus > 0.0 ? (cpus - rc.capacity) / cpus : 0.0;
-    // Best-fit by headroom; strict > keeps ties on the lower server index.
-    if (!any_fit || headroom > best.headroom) {
+    const double headroom = headroom_at(b.server, rc.capacity);
+    if (!any_fit || headroom > best.headroom ||
+        (headroom == best.headroom && b.server < best.host)) {
       any_fit = true;
-      best.host = s;
+      best.host = b.server;
       best.headroom = headroom;
     }
   }

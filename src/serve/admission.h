@@ -6,6 +6,16 @@
 // rejected by comparing the expected revenue of hosting it against the
 // penalty exposure of the headroom it would leave.
 //
+// The placement is branch-and-bound over the servers. The engine's
+// probe_bound, O(groups) per hosted workload, caps each server's headroom;
+// servers are probed from the highest cap down, the scan stops once no
+// server left can beat the best or tie it at a lower index, and each later
+// probe's search stops at the grid point that would tie the best. Every
+// bound is at most the probe's answer, so the chosen host, headroom and
+// score are those of probing every server (docs/serve.md, "Admission
+// control"; tests/serve/admission_bound_test.cpp keeps that scan as its
+// oracle).
+//
 // The arbiter passes its long-lived engine, whose per-server sums survive
 // across admissions; by the engine's bit-equality contract its verdict
 // bytes are those of an engine rebuilt from the fleet for every admission
@@ -48,11 +58,11 @@ struct AdmissionOutcome {
 };
 
 /// Scores the registered, unhosted workload `candidate_id` (weighting
-/// `revenue_weight`, peaking at `candidate_peak` CPUs) against every server
-/// of `engine`: each server is probed with the candidate temporarily added;
-/// feasible servers are ranked best-fit by post-admission headroom and the
-/// winner's revenue/penalty score decides acceptance. Deterministic: ties
-/// break on the lower server index. Engine state is unchanged.
+/// `revenue_weight`, peaking at `candidate_peak` CPUs) against the servers
+/// of `engine`: feasible servers are ranked best-fit by post-admission
+/// headroom, found by probing the servers whose bound could still win, and
+/// the winner's revenue/penalty score decides acceptance. Deterministic:
+/// ties break on the lower server index. Engine state is unchanged.
 AdmissionOutcome place_candidate(sim::IncrementalEvaluator& engine,
                                  std::size_t candidate_id,
                                  double candidate_peak, double revenue_weight,

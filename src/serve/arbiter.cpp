@@ -193,8 +193,9 @@ Arbiter::App Arbiter::build_app(const AdmitMessage& msg,
     throw;
   } catch (const Error& e) {
     // Translation / trace validation failures are the client's input being
-    // out of domain, not a daemon fault.
-    throw ProtocolViolation(ProtocolError::kBadValue, e.what());
+    // out of domain, not a daemon fault. The reply names the failed
+    // requirement, not where in the source it is checked.
+    throw ProtocolViolation(ProtocolError::kBadValue, std::string(e.message()));
   }
 }
 

@@ -129,7 +129,7 @@ AdmitMessage parse_admit(const json::Value& v) {
   try {
     admit.requirement.validate();
   } catch (const Error& e) {
-    violate(ProtocolError::kBadValue, e.what());
+    violate(ProtocolError::kBadValue, std::string(e.message()));
   }
   return admit;
 }

@@ -1,10 +1,13 @@
 #include "sim/incremental.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "common/error.h"
 #include "common/grid.h"
 #include "obs/metrics.h"
+#include "slo/kernel.h"
 
 namespace ropus::sim {
 
@@ -301,7 +304,8 @@ IncrementalEvaluator::Verdict IncrementalEvaluator::verdict(
 }
 
 IncrementalEvaluator::Verdict IncrementalEvaluator::probe(std::size_t server,
-                                                          std::size_t id) {
+                                                          std::size_t id,
+                                                          std::int64_t max_k) {
   ROPUS_REQUIRE(server < servers_.size(), "server index out of range");
   const Workload& w = workload_checked(id);
   ROPUS_REQUIRE(w.host == npos, "probe requires an unhosted workload");
@@ -323,7 +327,7 @@ IncrementalEvaluator::Verdict IncrementalEvaluator::probe(std::size_t server,
   flush(s, false, true);
   AggregateView v = view_of(s);
   v.workloads = s.ids.size() + 1;
-  const Verdict out{required_capacity(v, s.cpus, cos2_), s.peaks};
+  const Verdict out{required_capacity(v, s.cpus, cos2_, max_k), s.peaks};
   s.pending.front().sign = -1.0;
   flush(s, false, false);
   s.pending.clear();
@@ -331,6 +335,68 @@ IncrementalEvaluator::Verdict IncrementalEvaluator::probe(std::size_t server,
   s.peak_cos1 = saved_peak;
   s.peaks = saved_peaks;
   return out;
+}
+
+const std::vector<double>& IncrementalEvaluator::group_cos2(Workload& w) {
+  if (w.group_cos2.empty()) {
+    const std::size_t spd = calendar_.slots_per_day();
+    w.group_cos2.assign(calendar_.weeks() * spd, 0.0);
+    for (std::size_t day = 0; day < w.cos2.size(); day += spd) {
+      double* const groups =
+          w.group_cos2.data() + calendar_.week_of(day) * spd;
+      const double* const slots = w.cos2.data() + day;
+      for (std::size_t t = 0; t < spd; ++t) groups[t] += slots[t];
+    }
+  }
+  return w.group_cos2;
+}
+
+double IncrementalEvaluator::probe_bound(std::size_t server, std::size_t id) {
+  ROPUS_REQUIRE(server < servers_.size(), "server index out of range");
+  workload_checked(id);
+  Workload& w = workloads_[id];
+  ROPUS_REQUIRE(w.host == npos, "probe requires an unhosted workload");
+  const Server& s = servers_[server];
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // required_capacity's range check, so that a caller probing only where
+  // the bound allows is refused as a probe would be.
+  ROPUS_REQUIRE(s.cpus * static_cast<double>(calendar_.size()) <
+                    grid::kSumLimit,
+                "capacity limit times calendar length must stay below "
+                "grid::kSumLimit");
+  // Every sum below is exact on the grid, so it has the bits of the sums
+  // the probe's search reads, whatever order it is taken in.
+  double sum_peak = w.peak_cos1;
+  double peak = w.peak_cos1;
+  std::vector<double> requested = group_cos2(w);
+  for (const std::size_t h : s.ids) {
+    Workload& hosted = workloads_[h];
+    sum_peak += hosted.peak_cos1;
+    peak = std::max(peak, hosted.peak_cos1);
+    const std::vector<double>& sums = group_cos2(hosted);
+    for (std::size_t g = 0; g < requested.size(); ++g) {
+      requested[g] += sums[g];
+    }
+  }
+  // The search's §VI-A precheck.
+  if (sum_peak > s.cpus + slo::kCapacityEps) return kInf;
+  // No grid point up to the theta bound holds the group of the largest
+  // request, and neither does a replay at a capacity at or below it
+  // (docs/algorithms.md §5), so past the server's last grid point nothing
+  // fits.
+  const std::int64_t theta_k = slo::theta_group_bound(
+      *std::ranges::max_element(requested), trace::Calendar::kDaysPerWeek,
+      cos2_.theta, kCapacityStep);
+  if (theta_k > static_cast<std::int64_t>(std::floor(s.cpus / kCapacityStep))) {
+    return kInf;
+  }
+  // Every grid answer is at or above both indices; the answer at an
+  // off-grid capacity is the capacity itself.
+  const auto peak_k =
+      static_cast<std::int64_t>(std::ceil(peak / kCapacityStep));
+  return std::min(static_cast<double>(std::max(theta_k, peak_k)) *
+                      kCapacityStep,
+                  s.cpus);
 }
 
 }  // namespace ropus::sim

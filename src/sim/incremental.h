@@ -124,8 +124,22 @@ class IncrementalEvaluator {
   Verdict verdict(std::size_t server);
 
   /// The verdict `server` would have with `id` (unhosted) temporarily
-  /// added; every bit of engine state is restored before returning.
-  Verdict probe(std::size_t server, std::size_t id);
+  /// added; every bit of engine state is restored before returning. A grid
+  /// cap `max_k` ends the search as in required_capacity: the verdict is
+  /// the uncapped one when that fits at or below max_k * kCapacityStep,
+  /// and does not fit otherwise.
+  Verdict probe(std::size_t server, std::size_t id,
+                std::int64_t max_k = kUncapped);
+
+  /// A lower bound on probe(server, id).cpu.capacity, +inf only where that
+  /// probe does not fit. It comes from the largest CoS1 peak among the
+  /// hosted workloads and `id`, the §VI-A precheck on their summed CoS1
+  /// peaks, and slo::theta_group_bound on their summed requested CoS2 per
+  /// (week, slot-of-day) group. Each workload's group sums are computed
+  /// the first time a bound needs them and kept until it is unregistered;
+  /// the server's sums are not flushed. Throws InvalidArgument where the
+  /// uncapped probe would refuse the search range.
+  double probe_bound(std::size_t server, std::size_t id);
 
   const Stats& stats() const { return stats_; }
 
@@ -140,6 +154,9 @@ class IncrementalEvaluator {
     /// The registration budget: kCpu holds the peak of cos1 + cos2, the
     /// other entries each carried attribute's peak.
     AttributePeaks peaks{};
+    /// Requested CoS2 per (week, slot-of-day) group; empty until
+    /// probe_bound first needs it.
+    std::vector<double> group_cos2;
     bool active = false;
     std::size_t host = npos;
   };
@@ -175,6 +192,8 @@ class IncrementalEvaluator {
   void insert(std::size_t id, const qos::AllocationTrace& cpu,
               const qos::WorkloadAllocations* attributed);
   const Workload& workload_checked(std::size_t id) const;
+  /// w's requested CoS2 per group, summed on first use.
+  const std::vector<double>& group_cos2(Workload& w);
   /// Applies s's queued ops to its sums (onto zeroed sums when
   /// `rebuild`) in one blocked pass per sum column. With `peaks` it sets
   /// the aggregate CoS1 peak and the peak of every column the pass

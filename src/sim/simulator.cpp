@@ -175,8 +175,10 @@ std::string to_string(const Binding& binding) {
 }
 
 RequiredCapacity required_capacity(const AggregateView& agg, double limit,
-                                   const qos::CosCommitment& cos2) {
+                                   const qos::CosCommitment& cos2,
+                                   std::int64_t max_k) {
   ROPUS_REQUIRE(limit >= 0.0, "capacity limit must be >= 0");
+  ROPUS_REQUIRE(max_k >= 0, "grid cap must be >= 0");
   static obs::Counter& searches = obs::counter("sim.required_capacity.searches");
   static obs::Histogram& seconds =
       obs::histogram("sim.required_capacity.seconds");
@@ -203,14 +205,15 @@ RequiredCapacity required_capacity(const AggregateView& agg, double limit,
   cos2.validate();
 
   // The candidate set: grid multiples k*step inside [CoS1 peak, limit],
-  // with `limit` itself as the last resort when no grid point qualifies.
-  // Each constraint holds from its own floor up, so the answer is the
-  // largest of the three floors (docs/algorithms.md §5).
+  // with `limit` itself as the last resort when no grid point qualifies,
+  // all cut at the cap. Each constraint holds from its own floor up, so
+  // the answer is the largest of the three floors (docs/algorithms.md §5).
   constexpr double step = kCapacityStep;
+  const bool capped = static_cast<double>(max_k) * step < limit;
   const std::int64_t k_lo =
       static_cast<std::int64_t>(std::ceil(agg.peak_cos1 / step));
   const std::int64_t k_hi =
-      static_cast<std::int64_t>(std::floor(limit / step));
+      capped ? max_k : static_cast<std::int64_t>(std::floor(limit / step));
   if (k_lo <= k_hi) {
     const slo::GridFloor theta =
         slo::theta_floor(agg.cos1, agg.cos2, cal.slots_per_day(), cos2.theta,
@@ -238,10 +241,11 @@ RequiredCapacity required_capacity(const AggregateView& agg, double limit,
     }
   }
 
-  // No grid point qualifies: an off-grid `limit` is the last candidate.
-  // Its replay must not reach a flight recording; callers record a real
-  // configuration by calling evaluate() directly.
-  if (k_lo > k_hi || limit > static_cast<double>(k_hi) * step) {
+  // No grid point qualifies: an off-grid `limit` is the last candidate,
+  // unless the cap is below it. Its replay must not reach a flight
+  // recording; callers record a real configuration by calling evaluate()
+  // directly.
+  if (!capped && (k_lo > k_hi || limit > static_cast<double>(k_hi) * step)) {
     struct RecorderPause {
       obs::Recorder* const rec = obs::Recorder::active();
       RecorderPause() { obs::Recorder::set_active(nullptr); }

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -141,12 +142,23 @@ struct RequiredCapacity {
 /// same bits (docs/algorithms.md §11).
 inline constexpr double kCapacityStep = 0x1p-5;
 
+/// required_capacity() without a cap on its grid.
+inline constexpr std::int64_t kUncapped =
+    std::numeric_limits<std::int64_t>::max();
+
 /// Section VI-A's search: first the peak-demand precheck (sum of per-
 /// workload CoS1 peaks must not exceed `limit`), then the smallest
 /// satisfying capacity among the grid candidates
 ///   { k * kCapacityStep : k * kCapacityStep in [CoS1 peak, limit] }
 /// with `limit` itself as the last-resort candidate. An empty aggregate
 /// trivially fits with required capacity 0.
+///
+/// A cap `max_k` (>= 0) whose grid point max_k * kCapacityStep lies below
+/// `limit` ends the candidates there, the limit included: the answer is
+/// the uncapped one when that is at or below the cap, and "does not fit"
+/// otherwise. The precheck still holds the CoS1 peaks against `limit`. A
+/// caller that only needs to know whether a server beats a given capacity
+/// stops the floors at the first group or slot that exceeds it.
 ///
 /// The answer is the largest of the CoS1-peak grid index, the theta floor
 /// and the deadline floor (slo::theta_floor, slo::deadline_floor). On the
@@ -158,6 +170,7 @@ inline constexpr double kCapacityStep = 0x1p-5;
 /// calendar length to stay below grid::kSumLimit, which keeps every sum of
 /// the deadline floor exact.
 RequiredCapacity required_capacity(const AggregateView& agg, double limit,
-                                   const qos::CosCommitment& cos2);
+                                   const qos::CosCommitment& cos2,
+                                   std::int64_t max_k = kUncapped);
 
 }  // namespace ropus::sim

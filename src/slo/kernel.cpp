@@ -1,6 +1,7 @@
 #include "slo/kernel.h"
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "common/error.h"
@@ -138,6 +139,14 @@ std::vector<double> ThetaAccumulator::ratios() const {
   return out;
 }
 
+std::int64_t theta_group_bound(double requested, std::size_t days,
+                               double theta, double step) {
+  const double q = theta * requested / (static_cast<double>(days) * step);
+  // Past 2^50 the quotient's rounding could exceed the one-step slack;
+  // the cap is far above any capacity the search can reach.
+  return static_cast<std::int64_t>(std::floor(q < 0x1p50 ? q : 0x1p50)) - 1;
+}
+
 GridFloor theta_floor(std::span<const double> cos1,
                       std::span<const double> cos2, std::size_t slots_per_day,
                       double theta, double step, std::int64_t k_min,
@@ -153,6 +162,7 @@ GridFloor theta_floor(std::span<const double> cos1,
   std::vector<double> satisfied(slots_per_day);
   for (std::size_t w = 0; w < n; w += week) {
     const std::size_t end = std::min(n, w + week);
+    const std::size_t groups = std::min(slots_per_day, end - w);
     const std::int64_t week_k = floor.k;
     const double week_capacity = static_cast<double>(week_k) * step;
     // Day by day over contiguous slots: each group still gets its members
@@ -171,7 +181,21 @@ GridFloor theta_floor(std::span<const double> cos1,
                      cos1.data() + day + t, cos2.data() + day + t, len - t,
                      week_capacity);
     }
-    for (std::size_t t = 0; t < std::min(slots_per_day, end - w); ++t) {
+    // No group holds at or below its bound, so the group of the week's
+    // largest request holds nowhere up to the bound of that request over
+    // the week's most members. Lifting the floor there (k_max at most)
+    // leaves that group failing, so k, raised and where come out as from
+    // the week's start (docs/algorithms.md §5); a group that fails at the
+    // start is first checked at the lifted floor, below.
+    const double most = *std::max_element(
+        requested.begin(),
+        requested.begin() + static_cast<std::ptrdiff_t>(groups));
+    floor.k = std::max(
+        floor.k,
+        std::min(k_max, theta_group_bound(
+                            most, (end - w + slots_per_day - 1) / slots_per_day,
+                            theta, step)));
+    for (std::size_t t = 0; t < groups; ++t) {
       // ThetaAccumulator::theta() skips groups with nothing requested and
       // lowers theta only on a ratio below it, hence `!(ratio < theta)`.
       if (!(requested[t] > 0.0)) continue;
@@ -187,7 +211,8 @@ GridFloor theta_floor(std::span<const double> cos1,
         }
         return !(sum / requested[t] < theta);
       };
-      // An earlier group of the week may have lifted the floor already.
+      // The bound, or an earlier group of the week, may have lifted the
+      // floor already.
       if (floor.k > week_k && holds(floor.k)) continue;
       floor.k = first_passing(floor.k, k_max, holds);
       floor.raised = true;

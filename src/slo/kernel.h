@@ -300,6 +300,17 @@ std::int64_t first_passing(std::int64_t lo, std::int64_t k_max, Pred passes) {
   return hi;
 }
 
+/// The group bound: a (week, slot-of-day) group whose `days` members
+/// request `requested` CPUs of CoS2 in all can hold `theta` at capacity C
+/// only if theta * requested <= days * C, because no member is served more
+/// than C. Returns floor(theta * requested / (days * step)) - 1: every grid
+/// index at which such a group holds lies strictly above it, and so does
+/// every capacity at which a replay's theta holds it, in floating point as
+/// in real arithmetic (docs/algorithms.md §5). Requires nonnegative CoS1
+/// and CoS2; -1 when nothing is requested.
+std::int64_t theta_group_bound(double requested, std::size_t days,
+                               double theta, double step);
+
 /// A floor of a capacity search over the grid { k * step }.
 struct GridFloor {
   std::int64_t k = 0;      // the floor's grid index
@@ -320,8 +331,11 @@ struct GridFloor {
 /// member, added in slot order — so the floor agrees with the replay's
 /// theta predicate bit for bit and needs no confirming replay. One
 /// contiguous pass per week sums every group at the floor the week starts
-/// with; only a group that fails there is searched further, strided.
+/// with, which then rises to the week's group bound (theta_group_bound)
+/// when that is higher. Only a group that fails at the week's start is
+/// looked at again, strided: at the risen floor, then searched upwards.
 /// `where` is the group (week * slots_per_day + slot of day) that set k.
+/// Requires nonnegative CoS1 and CoS2.
 GridFloor theta_floor(std::span<const double> cos1,
                       std::span<const double> cos2, std::size_t slots_per_day,
                       double theta, double step, std::int64_t k_min,

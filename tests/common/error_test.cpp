@@ -23,6 +23,28 @@ TEST(Require, ThrowsInvalidArgumentWithContext) {
   }
 }
 
+TEST(Require, MessageLeavesOutTheSourceLocation) {
+  try {
+    ROPUS_REQUIRE(1 > 2, "one is not above two");
+    FAIL() << "should have thrown";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.message(), "one is not above two");
+  }
+  try {
+    ROPUS_REQUIRE(1 > 2, "");
+    FAIL() << "should have thrown";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.message(), "requirement failed: 1 > 2");
+  }
+  try {
+    ROPUS_ASSERT(false, "bug");
+    FAIL() << "should have thrown";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.message(), "bug");
+  }
+  EXPECT_EQ(IoError("plain").message(), "plain");
+}
+
 TEST(Assert, ThrowsInternalError) {
   EXPECT_THROW(ROPUS_ASSERT(false, "bug"), InternalError);
 }

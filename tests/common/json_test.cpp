@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "common/error.h"
 
@@ -55,6 +57,36 @@ TEST(Json, ControlCharactersEscaped) {
   Writer w;
   w.begin_array().value(std::string_view("\x01", 1)).end_array();
   EXPECT_EQ(w.str(), "[\"\\u0001\"]");
+}
+
+// The writer copies unescaped runs whole, so each escape must land right
+// at the start of a string, between two runs and at its end.
+TEST(Json, EachEscapeAtStartMiddleAndEnd) {
+  const struct {
+    char raw;
+    const char* escaped;
+  } classes[] = {{'"', "\\\""},  {'\\', "\\\\"},    {'\n', "\\n"},
+                 {'\r', "\\r"},  {'\t', "\\t"},     {'\x01', "\\u0001"},
+                 {'\x1f', "\\u001f"}};
+  for (const auto& c : classes) {
+    const std::string e = c.escaped;
+    const std::pair<std::string, std::string> cases[] = {
+        {std::string(1, c.raw) + "ab", e + "ab"},
+        {"ab" + std::string(1, c.raw) + "cd", "ab" + e + "cd"},
+        {"ab" + std::string(1, c.raw), "ab" + e},
+        {std::string(1, c.raw), e},
+        {std::string(2, c.raw), e + e},
+    };
+    for (const auto& [raw, escaped] : cases) {
+      Writer w;
+      w.value(raw);
+      EXPECT_EQ(w.str(), "\"" + escaped + "\"") << "escaped=" << c.escaped;
+      EXPECT_EQ(parse(w.str()).as_string(), raw) << "escaped=" << c.escaped;
+    }
+  }
+  Writer empty;
+  empty.value(std::string_view{});
+  EXPECT_EQ(empty.str(), "\"\"");
 }
 
 TEST(Json, DoublesRoundTrip) {

@@ -389,6 +389,35 @@ TEST_F(DaemonTest, StatsVerbIsFramedAndNeverJournaled) {
   EXPECT_TRUE(stats.at("alerts").as_array().empty());
 }
 
+// A requirement the admission refuses is named by its own message: the
+// reply carries no source path or line of the build that checked it, so its
+// bytes do not depend on where the daemon was built.
+TEST_F(DaemonTest, BadValueDetailNamesTheRequirementNotTheSource) {
+  DaemonCore core(small_config(), DaemonOptions{});
+  std::string profile = "[1";
+  for (std::size_t s = 1; s < kWeekSlots; ++s) profile += ",1";
+  profile += "]";
+  const struct {
+    const char* fields;
+    const char* detail;
+  } cases[] = {{R"("ulow":0.9,"uhigh":0.5)", "U_low must be < U_high"},
+               {R"("m":0)", "M must be in (0, 100]"}};
+  for (const auto& c : cases) {
+    const std::string line = R"({"type":"admit","app":"web",)" +
+                             std::string(c.fields) + R"(,"profile":)" +
+                             profile + "}";
+    const DaemonCore::Result r = core.process_line(line, false);
+    ASSERT_EQ(r.replies.size(), 1u);
+    const json::Value v = json::parse(r.replies[0]);
+    EXPECT_EQ(v.at("code").as_string(), "bad_value") << c.fields;
+    const std::string detail = v.at("detail").as_string();
+    EXPECT_EQ(detail, c.detail) << c.fields;
+    EXPECT_EQ(detail.find('/'), std::string::npos) << detail;
+    EXPECT_EQ(detail.find(".cpp:"), std::string::npos) << detail;
+  }
+  EXPECT_EQ(core.arbiter().app_count(), 0u);
+}
+
 // An allocation the admission engine cannot sum exactly — its peaks past
 // 2^33 CPUs — is the client's input out of domain: a typed bad_value reply
 // that registers nothing, journals nothing, and leaves every later reply

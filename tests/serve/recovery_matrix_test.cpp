@@ -8,6 +8,7 @@
 // match the documented loss).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -101,15 +102,20 @@ std::string cell_name(const ::testing::TestParamInfo<Cell>& info) {
   return name;
 }
 
+/// "<seed>_<test name>" as one path component: a parameterized test's
+/// name holds a '/', which would nest a directory that TearDown's
+/// remove_all leaves behind.
+std::string test_dir_suffix() {
+  const ::testing::UnitTest& unit = *::testing::UnitTest::GetInstance();
+  std::string name = unit.current_test_info()->name();
+  std::ranges::replace(name, '/', '_');
+  return std::to_string(unit.random_seed()) + "_" + name;
+}
+
 class RecoveryMatrixTest : public ::testing::TestWithParam<Cell> {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("ropus_recovery_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + ::testing::UnitTest::GetInstance()
-                      ->current_test_info()
-                      ->name());
+    dir_ = fs::temp_directory_path() / ("ropus_recovery_" + test_dir_suffix());
     fs::create_directories(dir_);
   }
   void TearDown() override {
@@ -230,12 +236,7 @@ INSTANTIATE_TEST_SUITE_P(
 class CompactionRefusalTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("ropus_refusal_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + ::testing::UnitTest::GetInstance()
-                      ->current_test_info()
-                      ->name());
+    dir_ = fs::temp_directory_path() / ("ropus_refusal_" + test_dir_suffix());
     fs::create_directories(dir_);
     options_.journal_path = dir_ / "state.journal";
     options_.checkpoint_path = dir_ / "state.ckpt";
