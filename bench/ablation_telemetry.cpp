@@ -1,10 +1,10 @@
 // Ablation: what degraded telemetry costs, per fallback policy. Each
-// application's control loop runs in isolation (granted = requested) with a
-// TelemetryChannel between the measured demand and the controller, sweeping
-// the drop rate — and separately the staleness rate — for each fallback
-// policy. Sweep points share per-app channel seeds (common random numbers),
-// so a reading dropped at rate r is also dropped at every rate above r and
-// the violation columns are monotone in the fault rate.
+// application's control loop runs in isolation (wlm::run_isolated: granted =
+// requested) with a TelemetryChannel between the measured demand and the
+// controller, sweeping the drop rate — and separately the staleness rate —
+// for each fallback policy. Sweep points share per-app channel seeds (common
+// random numbers), so a reading dropped at rate r is also dropped at every
+// rate above r and the violation columns are monotone in the fault rate.
 #include <iostream>
 #include <string>
 #include <vector>
@@ -14,7 +14,7 @@
 #include "qos/translation.h"
 #include "support.h"
 #include "wlm/compliance.h"
-#include "wlm/controller.h"
+#include "wlm/failure_drill.h"
 #include "wlm/telemetry.h"
 
 namespace {
@@ -45,25 +45,15 @@ SweepPoint run_fleet(const std::vector<trace::DemandTrace>& demands,
   SplitMix64 streams(bench::kSeed);
   for (std::size_t a = 0; a < demands.size(); ++a) {
     const trace::DemandTrace& t = demands[a];
-    wlm::Controller ctl(translations[a], wlm::Policy::kReactive, 3, degraded);
     wlm::TelemetryChannel channel(model, streams.next());
-    std::vector<double> granted(t.size(), 0.0);
-    std::vector<bool> fallback(t.size(), false);
-    const std::vector<bool> mask(t.size(), true);
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      const wlm::AllocationRequest r =
-          model.enabled() ? ctl.observe(channel.observe(t[i]))
-                          : ctl.step(t[i]);
-      granted[i] = r.total();
-      fallback[i] = ctl.in_fallback();
-    }
-    const wlm::ComplianceReport rep = wlm::check_compliance_attributed(
-        t.values(), granted, mask,
-        model.enabled() ? fallback : std::vector<bool>{}, req, minutes);
-    const wlm::HealthReport& health = ctl.health();
-    point.missing += health.missing;
-    point.stale += health.stale;
-    point.fallback += health.fallback_intervals;
+    const wlm::ScheduleAppOutcome run =
+        wlm::run_isolated(t, translations[a], wlm::Policy::kReactive,
+                          wlm::kDefaultHistoryWindow, channel, degraded);
+    const wlm::ComplianceReport rep =
+        wlm::check_compliance_range(t.values(), run.granted, req, minutes);
+    point.missing += run.telemetry.missing;
+    point.stale += run.telemetry.stale;
+    point.fallback += run.telemetry.fallback_intervals;
     active += static_cast<double>(rep.intervals - rep.idle);
     degraded_ivals += static_cast<double>(rep.degraded + rep.violating);
     violating_ivals += static_cast<double>(rep.violating);

@@ -1,6 +1,7 @@
 #include "common/file_io.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -22,6 +23,34 @@ std::atomic<std::uint64_t> g_dir_fsyncs{0};
   throw IoError(what + " " + path.string() + ": " + std::strerror(errno));
 }
 }  // namespace
+
+std::optional<std::string> read_file(const std::filesystem::path& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    if (errno == ENOENT) return std::nullopt;
+    fail_errno("cannot open", path);
+  }
+  std::string content;
+  struct stat st {};
+  if (::fstat(fd, &st) == 0 && st.st_size > 0) {
+    content.reserve(static_cast<std::size_t>(st.st_size));
+  }
+  char chunk[1 << 16];
+  while (true) {
+    const ssize_t n = ::read(fd, chunk, sizeof chunk);
+    if (n == 0) break;
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      const int saved = errno;
+      ::close(fd);
+      errno = saved;
+      fail_errno("cannot read", path);
+    }
+    content.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  return content;
+}
 
 FsyncStats fsync_stats() {
   return FsyncStats{g_file_fsyncs.load(std::memory_order_relaxed),

@@ -1,4 +1,9 @@
-// Crash-safe file output.
+// Whole-file input that reports read errors, and crash-safe file output.
+//
+// read_file reads with read(2) and throws on any failure but a missing
+// file: a stream's `buf << in.rdbuf()` swallows a read error (a directory
+// reads as an empty file), so a short read would pass for the end of the
+// file — and a journal's torn tail would be cut where the read failed.
 //
 // Reports that take minutes of Monte-Carlo to produce must never be left
 // half-written by a crash or a full disk: write_file_atomic stages the
@@ -17,9 +22,16 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <optional>
+#include <string>
 #include <string_view>
 
 namespace ropus::io {
+
+/// The whole content of the file at `path`, or std::nullopt when no file
+/// is there. Throws IoError on any other open failure and on any read
+/// failure (a directory, EIO).
+std::optional<std::string> read_file(const std::filesystem::path& path);
 
 /// Writes `content` to `path` atomically (temp file in the same directory +
 /// fsync + rename + directory fsync). Throws IoError on any failure; the

@@ -14,37 +14,6 @@ std::string_view burn_severity_name(BurnSeverity severity) {
   return severity == BurnSeverity::kCritical ? "critical" : "warning";
 }
 
-std::vector<BurnRateRule> default_burn_rules() {
-  std::vector<BurnRateRule> rules;
-  rules.push_back({"fast", 5.0, 60.0, 14.4, BurnSeverity::kCritical});
-  rules.push_back({"slow", 60.0, 360.0, 3.0, BurnSeverity::kWarning});
-  return rules;
-}
-
-void BurnRateConfig::validate() const {
-  if (!(budget > 0.0) || budget > 1.0) {
-    throw InvalidArgument("burnrate budget must be in (0, 1]");
-  }
-  if (!(minutes_per_slot > 0.0)) {
-    throw InvalidArgument("burnrate minutes_per_slot must be positive");
-  }
-  if (capacity == 0) {
-    throw InvalidArgument("burnrate capacity must be positive");
-  }
-  for (const BurnRateRule& rule : rules) {
-    if (rule.name.empty()) {
-      throw InvalidArgument("burnrate rule name must be non-empty");
-    }
-    if (!(rule.short_minutes > 0.0) ||
-        rule.long_minutes < rule.short_minutes) {
-      throw InvalidArgument("burnrate rule windows must satisfy 0 < short <= long");
-    }
-    if (!(rule.threshold > 0.0)) {
-      throw InvalidArgument("burnrate rule threshold must be positive");
-    }
-  }
-}
-
 std::string describe(const BurnAlert& alert) {
   char buf[64];
   std::string out = "[burnrate] " + alert.stream + "/" + alert.rule;
@@ -60,23 +29,24 @@ std::string describe(const BurnAlert& alert) {
   return out;
 }
 
-BurnRate::BurnRate(std::string stream, BurnRateConfig config)
-    : stream_(std::move(stream)), config_(std::move(config)) {
+BurnRate::BurnRate(std::string stream, double minutes_per_slot)
+    : stream_(std::move(stream)), minutes_per_slot_(minutes_per_slot) {
   if (stream_.empty()) {
     throw InvalidArgument("burnrate stream must be non-empty");
   }
-  config_.validate();
-  states_.resize(config_.rules.size());
+  if (!(minutes_per_slot_ > 0.0)) {
+    throw InvalidArgument("burnrate minutes_per_slot must be positive");
+  }
 }
 
 std::uint64_t BurnRate::window_slots(double minutes) const {
-  const double slots = minutes / config_.minutes_per_slot;
+  const double slots = minutes / minutes_per_slot_;
   return static_cast<std::uint64_t>(std::max(1LL, std::llround(slots)));
 }
 
 double BurnRate::burn_over_slots(std::uint64_t slots) const {
   if (!any_ || ring_.empty()) return 0.0;
-  const bool full = ring_.size() >= config_.capacity;
+  const bool full = ring_.size() >= kCapacity;
   const Point& last = ring_[full ? (head_ + ring_.size() - 1) % ring_.size()
                                  : ring_.size() - 1];
   const std::uint64_t start_slot =
@@ -105,7 +75,7 @@ double BurnRate::burn_over_slots(std::uint64_t slots) const {
   const std::uint64_t bad = last.bad >= base.bad ? last.bad - base.bad : 0;
   const double frac =
       static_cast<double>(bad) / static_cast<double>(std::max<std::uint64_t>(1, total));
-  return frac / config_.budget;
+  return frac / kBudget;
 }
 
 void BurnRate::record_transition(const BurnRateRule& rule,
@@ -120,7 +90,8 @@ void BurnRate::record_transition(const BurnRateRule& rule,
   alert.threshold = rule.threshold;
   alert.active = firing;
 
-  const std::string base = "obs.burnrate." + stream_ + "." + rule.name;
+  const std::string base =
+      "obs.burnrate." + stream_ + "." + std::string(rule.name);
   if (firing) counter(base + ".fired").add(1);
   gauge(base + ".active").set(firing ? 1.0 : 0.0);
 
@@ -130,7 +101,7 @@ void BurnRate::record_transition(const BurnRateRule& rule,
     // request spans of the same stream.
     SpanRecord span;
     span.name = firing ? "burnrate.fire" : "burnrate.resolve";
-    span.tag = stream_ + "/" + rule.name;
+    span.tag = stream_ + "/" + std::string(rule.name);
     span.start_seconds = monotonic_seconds();
     span.duration_seconds = 0.0;
     tracer.append(std::move(span));
@@ -154,14 +125,14 @@ void BurnRate::observe(std::uint64_t slot, std::uint64_t total,
   }
   Point next;
   if (!ring_.empty()) {
-    const bool full = ring_.size() >= config_.capacity;
+    const bool full = ring_.size() >= kCapacity;
     next = ring_[full ? (head_ + ring_.size() - 1) % ring_.size()
                       : ring_.size() - 1];
   }
   next.slot = slot;
   next.total += total;
   next.bad += bad;
-  if (ring_.size() < config_.capacity) {
+  if (ring_.size() < kCapacity) {
     ring_.push_back(next);
   } else {
     ring_[head_] = next;
@@ -170,8 +141,8 @@ void BurnRate::observe(std::uint64_t slot, std::uint64_t total,
   last_slot_ = slot;
   any_ = true;
 
-  for (std::size_t i = 0; i < config_.rules.size(); ++i) {
-    const BurnRateRule& rule = config_.rules[i];
+  for (std::size_t i = 0; i < states_.size(); ++i) {
+    const BurnRateRule& rule = kBurnRules[i];
     RuleState& state = states_[i];
     state.burn_short = burn_over_slots(window_slots(rule.short_minutes));
     state.burn_long = burn_over_slots(window_slots(rule.long_minutes));
@@ -194,9 +165,9 @@ std::size_t BurnRate::active_count() const {
 
 std::vector<BurnAlert> BurnRate::active_alerts() const {
   std::vector<BurnAlert> out;
-  for (std::size_t i = 0; i < config_.rules.size(); ++i) {
+  for (std::size_t i = 0; i < states_.size(); ++i) {
     if (!states_[i].active) continue;
-    const BurnRateRule& rule = config_.rules[i];
+    const BurnRateRule& rule = kBurnRules[i];
     BurnAlert alert;
     alert.stream = stream_;
     alert.rule = rule.name;

@@ -10,10 +10,11 @@
 // the threshold: the long window keeps one noisy tick from paging, the
 // short window clears the alert promptly once the burn stops.
 //
-// Windows are specified in minutes and scaled to tick-time through
-// `minutes_per_slot`, so the same rule set works for a live daemon
-// (1 slot = 1 simulated hour) and an offline replay. Observations are
-// kept as cumulative points in a bounded ring, so evaluating a rule is
+// Every stream evaluates the same constants: a 1% error budget and the
+// two rules of kBurnRules. Windows are specified in minutes and scaled to
+// tick-time through `minutes_per_slot`, so the same rules work for a live
+// daemon (one slot per pool sample) and an offline replay. Observations
+// are kept as cumulative points in a bounded ring, so evaluating a rule is
 // O(points in the window) and memory never grows with uptime.
 //
 // Alert transitions are emitted three ways: typed BurnAlert records
@@ -24,8 +25,10 @@
 // through log::Every so a sustained burn does not flood stderr.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,30 +42,20 @@ enum class BurnSeverity { kWarning, kCritical };
 std::string_view burn_severity_name(BurnSeverity severity);
 
 struct BurnRateRule {
-  std::string name;           // e.g. "fast", "slow"
-  double short_minutes = 5.0;
-  double long_minutes = 60.0;
+  std::string_view name;
+  double short_minutes;
+  double long_minutes;
   /// Burn multiple both windows must reach for the rule to fire.
-  double threshold = 14.4;
-  BurnSeverity severity = BurnSeverity::kCritical;
+  double threshold;
+  BurnSeverity severity;
 };
 
-/// The canonical two-rule page/ticket pair: fast = 5m+1h at 14.4x
-/// (exhausts a 30-day budget in ~2 days), slow = 1h+6h at 3x.
-std::vector<BurnRateRule> default_burn_rules();
-
-struct BurnRateConfig {
-  /// Tolerated bad fraction (the SLO's error budget), e.g. 0.01 = 99%.
-  double budget = 0.01;
-  /// Wall-minutes one slot represents; windows are converted to slots as
-  /// max(1, round(minutes / minutes_per_slot)).
-  double minutes_per_slot = 1.0;
-  /// Cumulative observation points retained (bounds memory and the
-  /// longest honest window).
-  std::size_t capacity = 1024;
-  std::vector<BurnRateRule> rules = default_burn_rules();
-
-  void validate() const;
+/// The canonical two-rule page/ticket pair every stream evaluates:
+/// fast = 5m+1h at 14.4x (exhausts a 30-day budget in ~2 days), critical;
+/// slow = 1h+6h at 3x, warning.
+inline constexpr BurnRateRule kBurnRules[] = {
+    {"fast", 5.0, 60.0, 14.4, BurnSeverity::kCritical},
+    {"slow", 60.0, 360.0, 3.0, BurnSeverity::kWarning},
 };
 
 /// One alert transition. `active` = true is a firing edge, false a clear.
@@ -88,8 +81,17 @@ class BurnRate {
  public:
   /// Alert transition records retained; older ones are dropped counted.
   static constexpr std::size_t kMaxAlerts = 256;
+  /// Tolerated bad fraction (the SLO's error budget): 99% good.
+  static constexpr double kBudget = 0.01;
+  /// Cumulative observation points retained (bounds memory and the
+  /// longest honest window).
+  static constexpr std::size_t kCapacity = 1024;
 
-  explicit BurnRate(std::string stream, BurnRateConfig config = {});
+  /// `minutes_per_slot` is the wall-minutes one slot represents; a rule's
+  /// windows are converted to slots as max(1, round(minutes /
+  /// minutes_per_slot)). Throws InvalidArgument on an empty stream name or
+  /// a `minutes_per_slot` that is not positive.
+  BurnRate(std::string stream, double minutes_per_slot);
 
   /// Feeds the deltas since the previous observation for `slot` and
   /// re-evaluates every rule. Slots must be non-decreasing; repeated
@@ -106,7 +108,6 @@ class BurnRate {
   std::uint64_t alerts_dropped() const { return alerts_dropped_; }
 
   const std::string& stream() const { return stream_; }
-  const BurnRateConfig& config() const { return config_; }
   std::uint64_t last_slot() const { return last_slot_; }
 
  private:
@@ -131,10 +132,10 @@ class BurnRate {
                          bool firing);
 
   std::string stream_;
-  BurnRateConfig config_;
-  std::vector<Point> ring_;   // cumulative, bounded by config_.capacity
+  double minutes_per_slot_;
+  std::vector<Point> ring_;   // cumulative, bounded by kCapacity
   std::size_t head_ = 0;      // next write position once full
-  std::vector<RuleState> states_;  // parallel to config_.rules
+  std::array<RuleState, std::size(kBurnRules)> states_{};
   std::vector<BurnAlert> alerts_;
   std::uint64_t alerts_dropped_ = 0;
   std::uint64_t last_slot_ = 0;

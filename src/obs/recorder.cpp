@@ -7,9 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <limits>
-#include <sstream>
 
 #include "common/error.h"
 #include "common/file_io.h"
@@ -142,14 +140,9 @@ bool all_digits(std::string_view s) {
 }
 
 std::string read_whole_file(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open recording: " + path.string());
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (!in.good() && !in.eof()) {
-    throw IoError("cannot read recording: " + path.string());
-  }
-  return std::move(buf).str();
+  std::optional<std::string> content = io::read_file(path);
+  if (!content) throw IoError("cannot open recording: " + path.string());
+  return std::move(*content);
 }
 
 std::vector<std::string_view> split(std::string_view s, char sep) {

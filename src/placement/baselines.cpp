@@ -11,8 +11,9 @@ namespace ropus::placement {
 namespace {
 
 /// Greedy core: place workloads in `order`, choosing a server for each via
-/// `pick`, which receives the candidate servers that fit and returns the
-/// chosen index into that list (or nullopt to fail). Fit checks ride the
+/// `pick(w, fits, hosted)`, which receives the workload, the servers it
+/// fits on in ascending server order and each server's hosted workloads,
+/// and returns the chosen index into `fits`. Fit checks ride the
 /// delta-evaluation engine: each candidate is a probe() against the
 /// server's maintained exact sums (memoized through the problem's shared
 /// verdict memo), and the chosen server absorbs the workload in O(slots)
@@ -43,7 +44,7 @@ std::optional<Assignment> greedy_place(const PlacementProblem& problem,
       }
     }
     if (fits.empty()) return std::nullopt;
-    const std::size_t choice = pick(fits, hosted);
+    const std::size_t choice = pick(w, fits, hosted);
     ctx->add(w, fits[choice].server);
     hosted[fits[choice].server].push_back(w);
     result[w] = fits[choice].server;
@@ -68,39 +69,27 @@ std::vector<std::size_t> decreasing_peak_order(
   return order;
 }
 
+/// The lowest-index server that fits: `fits` is in ascending server order.
+constexpr auto first_fitting = [](std::size_t, const auto&,
+                                  const auto&) -> std::size_t { return 0; };
+
 }  // namespace
 
 std::optional<Assignment> first_fit(const PlacementProblem& problem) {
-  const auto order = identity_order(problem.workload_count());
-  return greedy_place(problem, order,
-                      [](const auto& fits, const auto&) -> std::size_t {
-                        std::size_t best = 0;
-                        for (std::size_t i = 1; i < fits.size(); ++i) {
-                          if (fits[i].server < fits[best].server) best = i;
-                        }
-                        return best;
-                      });
+  return greedy_place(problem, identity_order(problem.workload_count()),
+                      first_fitting);
 }
 
 std::optional<Assignment> first_fit_decreasing(
     const PlacementProblem& problem) {
-  const auto order = decreasing_peak_order(problem);
-  return greedy_place(problem, order,
-                      [](const auto& fits, const auto&) -> std::size_t {
-                        std::size_t best = 0;
-                        for (std::size_t i = 1; i < fits.size(); ++i) {
-                          if (fits[i].server < fits[best].server) best = i;
-                        }
-                        return best;
-                      });
+  return greedy_place(problem, decreasing_peak_order(problem), first_fitting);
 }
 
 std::optional<Assignment> best_fit_decreasing(
     const PlacementProblem& problem) {
-  const auto order = decreasing_peak_order(problem);
   return greedy_place(
-      problem, order,
-      [](const auto& fits, const auto& hosted) -> std::size_t {
+      problem, decreasing_peak_order(problem),
+      [](std::size_t, const auto& fits, const auto& hosted) -> std::size_t {
         // Prefer already-used servers with the least remaining headroom;
         // fall back to the first empty server.
         std::size_t best = fits.size();
@@ -131,42 +120,27 @@ std::optional<Assignment> correlation_aware_greedy(
   }
   const auto corr = trace::correlation_matrix(totals);
 
-  const auto order = decreasing_peak_order(problem);
-  ContextLease ctx(problem);
-  ctx->clear();
-  std::vector<std::vector<std::size_t>> hosted(problem.server_count());
-  Assignment result(n);
-  for (std::size_t w : order) {
-    // Among servers that fit, prefer the used one with the lowest mean
-    // correlation to its residents; empty servers are the fallback.
-    std::size_t best = problem.server_count();
-    double best_corr = 0.0;
-    std::size_t first_empty = problem.server_count();
-    for (std::size_t s = 0; s < problem.server_count(); ++s) {
-      if (!ctx->probe(s, w).fits) {
-        continue;
-      }
-      if (hosted[s].empty()) {
-        if (first_empty == problem.server_count()) first_empty = s;
-        continue;
-      }
-      double mean_corr = 0.0;
-      for (std::size_t other : hosted[s]) {
-        mean_corr += corr[w][other];
-      }
-      mean_corr /= static_cast<double>(hosted[s].size());
-      if (best == problem.server_count() || mean_corr < best_corr) {
-        best = s;
-        best_corr = mean_corr;
-      }
-    }
-    if (best == problem.server_count()) best = first_empty;
-    if (best == problem.server_count()) return std::nullopt;
-    ctx->add(w, best);
-    hosted[best].push_back(w);
-    result[w] = best;
-  }
-  return result;
+  return greedy_place(
+      problem, decreasing_peak_order(problem),
+      [&corr](std::size_t w, const auto& fits,
+              const auto& hosted) -> std::size_t {
+        // Among used servers, the lowest mean correlation to its residents;
+        // the first empty server is the fallback.
+        std::size_t best = fits.size();
+        double best_corr = 0.0;
+        for (std::size_t i = 0; i < fits.size(); ++i) {
+          const std::vector<std::size_t>& residents = hosted[fits[i].server];
+          if (residents.empty()) continue;
+          double mean_corr = 0.0;
+          for (std::size_t other : residents) mean_corr += corr[w][other];
+          mean_corr /= static_cast<double>(residents.size());
+          if (best == fits.size() || mean_corr < best_corr) {
+            best = i;
+            best_corr = mean_corr;
+          }
+        }
+        return best == fits.size() ? 0 : best;
+      });
 }
 
 std::optional<Assignment> random_search(const PlacementProblem& problem,

@@ -10,7 +10,6 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
-#include "obs/recorder.h"
 #include "obs/span.h"
 
 namespace ropus::placement {
@@ -185,12 +184,8 @@ GeneticResult genetic_search(const PlacementProblem& problem,
   // master-rng draws (selection, crossover, per-child mutation seeds)
   // happen sequentially before dispatch, each child mutates under its own
   // seeded stream, and results land in index-addressed slots — so the
-  // search returns the same result at any --threads value. An active
-  // flight recorder forces the serial path (sim::required_capacity toggles
-  // the process-global recorder around its search).
-  const std::size_t threads = obs::Recorder::active() != nullptr
-                                  ? 1
-                                  : parallel::thread_count();
+  // search returns the same result at any --threads value.
+  const std::size_t threads = parallel::thread_count();
 
   // Evaluations run through per-worker delta contexts: a context
   // re-verdicts only the servers an assignment changed relative to the last

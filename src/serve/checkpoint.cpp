@@ -4,8 +4,7 @@
 #include <charconv>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
+#include <optional>
 #include <system_error>
 
 #include "common/crc32.h"
@@ -41,18 +40,6 @@ bool parse_u64(std::string_view text, std::uint64_t& out) {
   const auto [ptr, ec] =
       std::from_chars(text.data(), text.data() + text.size(), out, 10);
   return ec == std::errc() && ptr == text.data() + text.size();
-}
-
-std::string read_whole_file(const std::filesystem::path& path, bool& exists) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    exists = false;
-    return {};
-  }
-  exists = true;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return std::move(buf).str();
 }
 
 /// `ROPUS-JOURNAL v2 <crc8> base=<N>\n` — the CRC covers `base=<N>`, so a
@@ -96,13 +83,19 @@ void write_checkpoint(const std::filesystem::path& path,
 CheckpointLoad load_checkpoint(const std::filesystem::path& path,
                                Arbiter& arbiter) {
   CheckpointLoad result;
-  bool exists = false;
-  const std::string content = read_whole_file(path, exists);
-  if (!exists) {
+  std::optional<std::string> file;
+  try {
+    file = io::read_file(path);
+  } catch (const IoError& e) {
+    result.error = e.what();
+    return result;
+  }
+  if (!file) {
     result.missing = true;
     result.error = "no checkpoint file";
     return result;
   }
+  const std::string& content = *file;
   const std::size_t nl = content.find('\n');
   if (nl == std::string::npos) {
     result.error = "checkpoint header is truncated";
@@ -158,9 +151,9 @@ CheckpointLoad load_checkpoint(const std::filesystem::path& path,
 
 Journal::Recovered Journal::recover(const std::filesystem::path& path) {
   Recovered r;
-  bool exists = false;
-  const std::string content = read_whole_file(path, exists);
-  if (!exists) return r;
+  const std::optional<std::string> file = io::read_file(path);
+  if (!file) return r;
+  const std::string& content = *file;
   std::size_t pos = 0;
   // Optional compaction header. A file that starts with the magic but whose
   // header does not parse (or fails its CRC) is corrupt at offset zero:

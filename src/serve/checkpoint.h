@@ -55,9 +55,9 @@ struct CheckpointLoad {
 };
 
 /// Restores `arbiter` from the checkpoint at `path`. Never throws on a
-/// bad file — a missing/truncated/corrupt checkpoint reports ok == false
-/// (with the reason) and leaves `arbiter` untouched, so the caller falls
-/// back to journal replay.
+/// bad file — a missing/unreadable/truncated/corrupt checkpoint reports
+/// ok == false (with the reason) and leaves `arbiter` untouched, so the
+/// caller falls back to journal replay.
 CheckpointLoad load_checkpoint(const std::filesystem::path& path,
                                Arbiter& arbiter);
 
@@ -84,7 +84,9 @@ class Journal {
   /// Parses the journal at `path` (missing file -> empty). A malformed or
   /// CRC-failing suffix is treated as a torn tail: everything before it is
   /// returned, everything after discarded. A file without the v2 header is
-  /// read as the v1 format with base 0.
+  /// read as the v1 format with base 0. Throws IoError when the file cannot
+  /// be read (a directory, EIO): a read error is not a torn tail, and the
+  /// truncation that follows one would delete journaled entries.
   static Recovered recover(const std::filesystem::path& path);
 
   /// Opens `path` for appending after truncating it to `valid_bytes`

@@ -131,13 +131,6 @@ obs::Histogram& request_histogram(MessageType type) {
   return *hists[index];
 }
 
-/// Burn-rate rules scaled to this pool's tick length.
-obs::BurnRateConfig burn_config(const ServeConfig& config) {
-  obs::BurnRateConfig bc;
-  bc.minutes_per_slot = config.minutes_per_sample;
-  return bc;
-}
-
 }  // namespace
 
 std::string best_effort_id(const std::string& line) {
@@ -309,8 +302,8 @@ RecoveryReport recover_state(const ServeConfig& config,
 DaemonCore::DaemonCore(const ServeConfig& config, const DaemonOptions& options)
     : options_(options),
       arbiter_(config),
-      slo_burn_("slo", burn_config(config)),
-      admission_burn_("admission", burn_config(config)) {
+      slo_burn_("slo", config.minutes_per_sample),
+      admission_burn_("admission", config.minutes_per_sample) {
   config.validate();
   options_.validate();
   recovery_ = recover_state(config, options_, arbiter_);

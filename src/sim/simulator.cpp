@@ -48,8 +48,11 @@ Aggregate aggregate_workloads(
   return agg;
 }
 
-Evaluation evaluate(const AggregateView& agg, double capacity,
-                    const qos::CosCommitment& cos2) {
+namespace {
+
+/// evaluate()'s body, recording into `rec` when it is not null.
+Evaluation evaluate_into(const AggregateView& agg, double capacity,
+                         const qos::CosCommitment& cos2, obs::Recorder* rec) {
   ROPUS_REQUIRE(capacity >= 0.0, "capacity must be >= 0");
   cos2.validate();
   // Replay volume (docs/observability.md), in per-call relaxed counters.
@@ -66,7 +69,6 @@ Evaluation evaluate(const AggregateView& agg, double capacity,
   // Flight recording: each evaluate() call opens its own section, so
   // repeated passes over the same slots stay separable in the recording.
   // Pool-aggregate records carry the exact satisfied CoS2.
-  obs::Recorder* const rec = obs::Recorder::active();
   if (rec != nullptr) {
     rec->set_calendar(static_cast<double>(cal.minutes_per_sample()),
                       cal.slots_per_day());
@@ -122,6 +124,13 @@ Evaluation evaluate(const AggregateView& agg, double capacity,
 
   ev.theta = theta.theta();
   return ev;
+}
+
+}  // namespace
+
+Evaluation evaluate(const AggregateView& agg, double capacity,
+                    const qos::CosCommitment& cos2) {
+  return evaluate_into(agg, capacity, cos2, obs::Recorder::active());
 }
 
 ThetaBreakdown theta_breakdown(const Aggregate& agg, double capacity) {
@@ -242,16 +251,10 @@ RequiredCapacity required_capacity(const AggregateView& agg, double limit,
   }
 
   // No grid point qualifies: an off-grid `limit` is the last candidate,
-  // unless the cap is below it. Its replay must not reach a flight
-  // recording; callers record a real configuration by calling evaluate()
-  // directly.
+  // unless the cap is below it. Its replay records nothing; callers record
+  // a real configuration by calling evaluate() directly.
   if (!capped && (k_lo > k_hi || limit > static_cast<double>(k_hi) * step)) {
-    struct RecorderPause {
-      obs::Recorder* const rec = obs::Recorder::active();
-      RecorderPause() { obs::Recorder::set_active(nullptr); }
-      ~RecorderPause() { obs::Recorder::set_active(rec); }
-    } pause;
-    if (evaluate(agg, limit, cos2).satisfies(cos2)) {
+    if (evaluate_into(agg, limit, cos2, nullptr).satisfies(cos2)) {
       result.fits = true;
       result.capacity = limit;
     }

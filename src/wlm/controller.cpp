@@ -182,10 +182,6 @@ AllocationRequest Controller::observe(const Observation& obs) {
   return observe_one(obs);
 }
 
-AllocationRequest Controller::step(double measured_demand) {
-  return observe_one(Observation::ok(measured_demand));
-}
-
 void Controller::observe_run(std::span<const Observation> readings,
                              std::span<AllocationRequest> out,
                              std::span<std::uint8_t> fallback) {

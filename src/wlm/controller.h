@@ -90,17 +90,12 @@ class Controller {
              std::size_t history_window = kDefaultHistoryWindow,
              const DegradedModeConfig& degraded = {});
 
-  /// Feeds one measured demand observation (CPUs) and returns the request
-  /// for the *next* interval under kReactive, or for this interval under
-  /// kClairvoyant. A non-finite or negative value is routed through the
-  /// corrupt-observation path (degraded-mode fallback), never into an
-  /// allocation request.
-  AllocationRequest step(double measured_demand);
-
-  /// Full observation interface: classifies `obs` (value sanity plus the
-  /// pipeline's own kind/staleness tags) and either steps on the
-  /// measurement or serves the interval from the fallback policy. With an
-  /// ok observation this is bit-identical to step(obs.value).
+  /// Feeds one demand reading (CPUs) and returns the request for the
+  /// *next* interval under kReactive, or for this interval under
+  /// kClairvoyant. Classifies `obs` (value sanity plus the pipeline's own
+  /// kind/staleness tags) and either steps on the measurement or serves
+  /// the interval from the fallback policy: a non-finite or negative value
+  /// takes the corrupt-observation path, never an allocation request.
   AllocationRequest observe(const Observation& obs);
 
   /// observe() over a run of consecutive readings: `out[k]` is what
@@ -111,8 +106,9 @@ class Controller {
                    std::span<AllocationRequest> out,
                    std::span<std::uint8_t> fallback);
 
-  /// step() over a run of consecutive measured demands: `out[k]` is what
-  /// step(demand[k]) returns. The spans must have equal length.
+  /// observe() over a run of consecutive perfect readings: `out[k]` is what
+  /// observe(Observation::ok(demand[k])) returns. The spans must have
+  /// equal length.
   void step_run(std::span<const double> demand,
                 std::span<AllocationRequest> out);
 
@@ -166,9 +162,9 @@ class Controller {
   void restore(const Snapshot& s);
 
  private:
-  // The per-reading body of observe(), step(), observe_run() and
-  // step_run(), and the steps it takes. Defined in controller.cpp (the
-  // only caller), forced inline so a run takes no call per reading.
+  // The per-reading body of observe(), observe_run() and step_run(), and
+  // the steps it takes. Defined in controller.cpp (the only caller),
+  // forced inline so a run takes no call per reading.
   [[gnu::always_inline]] inline AllocationRequest observe_one(
       const Observation& obs);
   [[gnu::always_inline]] inline AllocationRequest request_for(

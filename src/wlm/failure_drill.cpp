@@ -1,6 +1,7 @@
 #include "wlm/failure_drill.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/error.h"
 #include "obs/metrics.h"
@@ -314,6 +315,33 @@ ScheduleResult run_event_schedule(
     result.outage_unserved += result.apps[a].outage_unserved;
   }
   return result;
+}
+
+ScheduleAppOutcome run_isolated(const trace::DemandTrace& demand,
+                                const qos::Translation& translation,
+                                Policy policy, std::size_t history_window,
+                                TelemetryChannel& channel,
+                                const DegradedModeConfig& degraded) {
+  sim::ServerSpec server;
+  server.name = "isolated";
+  server.cpus =
+      static_cast<std::size_t>(std::ceil(translation.peak_allocation())) + 1;
+  SchedulePhase phase;
+  phase.hosts = {0};
+  phase.failure_mode = {false};
+  phase.down = {false};
+  ScheduleTelemetry telemetry;
+  telemetry.observe = [&channel](std::size_t, std::size_t,
+                                 std::span<const double> true_demand,
+                                 std::span<Observation> out) {
+    channel.observe_block(true_demand, out);
+  };
+  telemetry.degraded = degraded;
+  ScheduleResult result = run_event_schedule(
+      std::span(&demand, 1), std::span(&translation, 1),
+      std::span(&translation, 1), std::span(&server, 1), std::span(&phase, 1),
+      {}, policy, history_window, telemetry);
+  return std::move(result.apps.front());
 }
 
 DrillResult run_failure_drill(

@@ -7,13 +7,15 @@
 // failure instant, the failed server's containers suffer a migration outage,
 // and then everyone runs the failure-mode configuration on the survivors.
 //
-// Two entry points:
+// Three entry points:
 //  * run_event_schedule replays an arbitrary sequence of fleet
 //    configurations (failures, repairs, re-placements, unplaceable
 //    applications) — the engine behind the Monte-Carlo fault-injection
 //    campaigns in faultsim/;
 //  * run_failure_drill is the classic single-failure drill, now a thin
-//    wrapper that builds a two-phase schedule.
+//    wrapper that builds a two-phase schedule;
+//  * run_isolated replays one application alone, the control loop of
+//    `ropus_cli wlm` and the telemetry ablation, as a one-phase schedule.
 #pragma once
 
 #include <cstdint>
@@ -140,6 +142,20 @@ ScheduleResult run_event_schedule(
     std::span<const OutageWindow> outages, Policy policy,
     std::size_t history_window = kDefaultHistoryWindow,
     const ScheduleTelemetry& telemetry = {});
+
+/// Replays application `demand` alone, in one phase, on a server of
+/// ceil(translation.peak_allocation()) + 1 CPUs, with its readings pulled
+/// from `channel` one block at a time (TelemetryChannel::observe_block; a
+/// channel whose model enables no fault reads the true demand). No request
+/// exceeds the peak allocation, so every slo::grant_scales factor is
+/// exactly 1 and each grant equals its request bit for bit: granted =
+/// requested, as for a controller with the server to itself. The outcome's
+/// `telemetry` and `fallback_slots` are always filled.
+ScheduleAppOutcome run_isolated(const trace::DemandTrace& demand,
+                                const qos::Translation& translation,
+                                Policy policy, std::size_t history_window,
+                                TelemetryChannel& channel,
+                                const DegradedModeConfig& degraded = {});
 
 struct DrillConfig {
   /// Observation index at which the server dies.

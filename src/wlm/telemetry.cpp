@@ -92,10 +92,6 @@ inline Observation TelemetryChannel::observe_one(double true_demand) {
   return Observation::ok(value);
 }
 
-Observation TelemetryChannel::observe(double true_demand) {
-  return observe_one(true_demand);
-}
-
 void TelemetryChannel::observe_block(std::span<const double> true_demand,
                                      std::span<Observation> out) {
   ROPUS_REQUIRE(out.size() == true_demand.size(),

@@ -80,27 +80,25 @@ struct TelemetryFaultModel {
 
 /// Deterministic per-application fault injector: feeds true demand values in
 /// trace order and emits the observations the controller would see. A pure
-/// function of (model, seed, input sequence). Stale repeats read a ring of
+/// function of (model, seed, input sequence), so the readings do not depend
+/// on how the sequence is split into blocks. Stale repeats read a ring of
 /// the last `max_staleness + 1` true values, grown on first use and then
-/// overwritten in place.
+/// overwritten in place. With no fault enabled every reading is the true
+/// demand, tagged ok.
 class TelemetryChannel {
  public:
   TelemetryChannel(const TelemetryFaultModel& model, std::uint64_t seed);
 
-  /// Consumes the true demand of the next interval and returns the possibly
-  /// faulted observation.
-  Observation observe(double true_demand);
-
-  /// observe() over consecutive intervals: `out[k]` is the observation of
-  /// `true_demand[k]`, exactly as that many observe() calls in order would
-  /// return. One call per block, the per-interval body inlined. The spans
-  /// must have equal length.
+  /// Consumes the true demand of the next `true_demand.size()` intervals:
+  /// `out[k]` is the possibly faulted observation of `true_demand[k]`. One
+  /// call per block, the per-interval body inlined. The spans must have
+  /// equal length.
   void observe_block(std::span<const double> true_demand,
                      std::span<Observation> out);
 
  private:
-  // The per-interval body of observe() and observe_block(), defined in
-  // telemetry.cpp (the only caller) and forced inline there.
+  // The per-interval body of observe_block(), defined in telemetry.cpp
+  // (the only caller) and forced inline there.
   [[gnu::always_inline]] inline Observation observe_one(double true_demand);
 
   TelemetryFaultModel model_;

@@ -748,6 +748,10 @@ TEST_F(ProfileCmdTest, ValidationAndErrorPaths) {
                           ("--render=" + a).c_str()})),
             1);
   EXPECT_EQ(run_cli(args({"profile", "--top=/nonexistent.folded"})), 2);
+  // A directory is a read error, not an empty profile.
+  EXPECT_EQ(run_cli(args({"profile", ("--render=" + dir_.string()).c_str()})),
+            2);
+  EXPECT_NE(err_.str().find("cannot read"), std::string::npos);
   const std::string bad = write_folded("bad.folded", "no-count-here\n");
   EXPECT_EQ(run_cli(args({"profile", ("--top=" + bad).c_str()})), 2);
   EXPECT_NE(err_.str().find("bad.folded"), std::string::npos);

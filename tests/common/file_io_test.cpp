@@ -4,7 +4,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <string>
 
 #include "common/error.h"
 
@@ -94,6 +96,19 @@ TEST_F(FileIoTest, EveryAtomicWriteFsyncsFileAndParentDirectory) {
   const FsyncStats after_three = fsync_stats();
   EXPECT_EQ(after_three.file_fsyncs, before.file_fsyncs + 3);
   EXPECT_EQ(after_three.dir_fsyncs, before.dir_fsyncs + 3);
+}
+
+TEST_F(FileIoTest, ReadFileTellsMissingFromEmptyAndRefusesADirectory) {
+  EXPECT_EQ(read_file(dir_ / "absent.txt"), std::nullopt);
+  write_file_atomic(dir_ / "empty.txt", "");
+  EXPECT_EQ(read_file(dir_ / "empty.txt"), std::optional<std::string>(""));
+  // More than one read(2) chunk, with a NUL byte: read whole and exact.
+  std::string big(200000, 'x');
+  big[100000] = '\0';
+  write_file_atomic(dir_ / "big.bin", big);
+  EXPECT_EQ(read_file(dir_ / "big.bin"), std::optional<std::string>(big));
+  // A directory opens, but reading it fails: an error, not an empty file.
+  EXPECT_THROW(read_file(dir_), IoError);
 }
 
 TEST_F(FileIoTest, FailedWriteFsyncsNothingExtra) {

@@ -129,7 +129,8 @@ TEST(EndToEnd, ClairvoyantWlmRunHonoursQosOnEveryServer) {
     std::vector<double> cos1(servers, 0.0);
     std::vector<double> cos2(servers, 0.0);
     for (std::size_t a = 0; a < apps; ++a) {
-      requests[a] = controllers[a].step(s.demands[a][i]);
+      requests[a] =
+          controllers[a].observe(wlm::Observation::ok(s.demands[a][i]));
       cos1[report.assignment[a]] += requests[a].cos1;
       cos2[report.assignment[a]] += requests[a].cos2;
     }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/crc32.h"
+#include "common/error.h"
 #include "common/json.h"
 #include "serve/arbiter.h"
 
@@ -75,6 +76,24 @@ TEST_F(CheckpointTest, JournalRecoverOnMissingFileIsEmpty) {
   EXPECT_TRUE(r.lines.empty());
   EXPECT_EQ(r.valid_bytes, 0u);
   EXPECT_FALSE(r.torn_tail);
+}
+
+TEST_F(CheckpointTest, UnreadableJournalOrCheckpointIsAnErrorNotATornTail) {
+  // A directory in the journal's place opens but cannot be read. Recovery
+  // refuses it instead of taking the failed read for a torn tail (which
+  // the Journal constructor would then truncate), and leaves it alone.
+  const fs::path path = dir_ / "a.journal";
+  fs::create_directory(path);
+  fs::create_directory(path / "inside");
+  EXPECT_THROW(Journal::recover(path), IoError);
+  EXPECT_TRUE(fs::is_directory(path / "inside"));
+
+  // The same checkpoint is reported, not mistaken for a missing one.
+  Arbiter arbiter(small_config());
+  const CheckpointLoad load = load_checkpoint(path, arbiter);
+  EXPECT_FALSE(load.ok);
+  EXPECT_FALSE(load.missing);
+  EXPECT_NE(load.error.find("cannot read"), std::string::npos) << load.error;
 }
 
 TEST_F(CheckpointTest, JournalAppendRecoverRoundTrip) {

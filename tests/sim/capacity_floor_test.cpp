@@ -13,12 +13,14 @@
 
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "common/grid.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
+#include "obs/recorder.h"
 #include "sim/simulator.h"
 #include "slo/kernel.h"
 
@@ -320,6 +322,46 @@ TEST(CapacityFloor, BindingLimitWhenNothingFitsOrTheLimitIsTheAnswer) {
   const RequiredCapacity empty =
       required_capacity(Aggregate{}, 2.0, commitment);
   EXPECT_EQ(empty.binding.kind, Binding::Kind::kNone);
+}
+
+TEST(CapacityFloor, OffGridReplayRecordsNothingAndLeavesTheRecorderActive) {
+  // The 2.52-CPU limit of the test above is answered by a replay. Under an
+  // active flight recorder that replay appends no record and opens no
+  // section, and the process-global pointer is never cleared, so parallel
+  // searches may run beside a recording.
+  std::vector<double> cos2(2016, 0.0);
+  cos2[10] = 5.0 + kCapacityStep;
+  const Aggregate agg = series(Calendar(1, 5), {}, cos2);
+  const qos::CosCommitment commitment{0.05, 5.0};
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("ropus_offgrid_" +
+       std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
+       ".bin");
+  obs::RecorderConfig config;
+  config.path = path;
+  obs::Recorder recorder(config);
+  obs::Recorder::set_active(&recorder);
+
+  const std::uint64_t before = replays();
+  const RequiredCapacity at_limit = required_capacity(agg, 2.52, commitment);
+  EXPECT_EQ(replays() - before, 1u);  // the off-grid check still counts
+  ASSERT_TRUE(at_limit.fits);
+  EXPECT_EQ(at_limit.capacity, 2.52);
+  EXPECT_EQ(obs::Recorder::active(), &recorder);
+  EXPECT_EQ(recorder.section(), 0u);
+
+  // A direct evaluate() of the same limit records its pass in section 1.
+  EXPECT_TRUE(evaluate(agg, 2.52, commitment).satisfies(commitment));
+  EXPECT_EQ(replays() - before, 2u);
+  obs::Recorder::set_active(nullptr);
+  recorder.finish();
+  const obs::Recording recording = obs::read_recording(path);
+  std::filesystem::remove(path);
+  ASSERT_EQ(recording.records.size(), agg.calendar.size());
+  for (const obs::SlotRecord& r : recording.records) {
+    ASSERT_EQ(r.section, 1u);
+  }
 }
 
 // ---------------------------------------------------------------------------

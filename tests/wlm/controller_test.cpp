@@ -33,7 +33,7 @@ qos::Translation make_translation(double theta) {
 
 TEST(Controller, ClairvoyantTracksCurrentDemand) {
   Controller c(make_translation(0.6), Policy::kClairvoyant);
-  const AllocationRequest r = c.step(1.0);
+  const AllocationRequest r = c.observe(Observation::ok(1.0));
   // Burst factor 2: total allocation = 2.0.
   EXPECT_NEAR(r.total(), 2.0, 1e-9);
 }
@@ -41,19 +41,19 @@ TEST(Controller, ClairvoyantTracksCurrentDemand) {
 TEST(Controller, ReactiveLagsByOneInterval) {
   Controller c(make_translation(0.6), Policy::kReactive);
   // First interval: no history -> conservative maximum request.
-  const AllocationRequest first = c.step(1.0);
+  const AllocationRequest first = c.observe(Observation::ok(1.0));
   EXPECT_NEAR(first.total(), 4.0 / 0.5, 1e-9);  // D_new_max / U_low
   // Second interval: based on the 1.0 measured previously.
-  const AllocationRequest second = c.step(3.0);
+  const AllocationRequest second = c.observe(Observation::ok(3.0));
   EXPECT_NEAR(second.total(), 2.0, 1e-9);
   // Third: based on 3.0.
-  const AllocationRequest third = c.step(0.5);
+  const AllocationRequest third = c.observe(Observation::ok(0.5));
   EXPECT_NEAR(third.total(), 6.0, 1e-9);
 }
 
 TEST(Controller, RequestsCapAtMaxAllocation) {
   Controller c(make_translation(0.6), Policy::kClairvoyant);
-  const AllocationRequest r = c.step(100.0);
+  const AllocationRequest r = c.observe(Observation::ok(100.0));
   EXPECT_NEAR(r.total(), 4.0 / 0.5, 1e-9);
 }
 
@@ -61,23 +61,23 @@ TEST(Controller, SplitsAtBreakpoint) {
   const qos::Translation tr = make_translation(0.6);
   ASSERT_GT(tr.breakpoint_p, 0.0);
   Controller c(tr, Policy::kClairvoyant);
-  const AllocationRequest r = c.step(4.0);
+  const AllocationRequest r = c.observe(Observation::ok(4.0));
   EXPECT_NEAR(r.cos1, tr.cos1_demand_cap() / 0.5, 1e-9);
   EXPECT_NEAR(r.cos1 + r.cos2, 4.0 / 0.5, 1e-9);
 }
 
 TEST(Controller, HighThetaAllCos2) {
   Controller c(make_translation(0.95), Policy::kClairvoyant);
-  const AllocationRequest r = c.step(2.0);
+  const AllocationRequest r = c.observe(Observation::ok(2.0));
   EXPECT_DOUBLE_EQ(r.cos1, 0.0);
   EXPECT_GT(r.cos2, 0.0);
 }
 
 TEST(Controller, ResetForgetsHistory) {
   Controller c(make_translation(0.6), Policy::kReactive);
-  (void)c.step(1.0);
+  (void)c.observe(Observation::ok(1.0));
   c.reset();
-  const AllocationRequest r = c.step(2.0);
+  const AllocationRequest r = c.observe(Observation::ok(2.0));
   EXPECT_NEAR(r.total(), 4.0 / 0.5, 1e-9);  // conservative again
 }
 
@@ -86,9 +86,9 @@ TEST(Controller, NegativeDemandRoutesThroughCorruptPathNotThrow) {
   // control loop; it now counts as a corrupt observation and the interval is
   // served by the degraded-mode fallback.
   Controller c(make_translation(0.6), Policy::kClairvoyant);
-  const AllocationRequest good = c.step(1.0);
+  const AllocationRequest good = c.observe(Observation::ok(1.0));
   AllocationRequest r;
-  ASSERT_NO_THROW(r = c.step(-1.0));
+  ASSERT_NO_THROW(r = c.observe(Observation::ok(-1.0)));
   EXPECT_DOUBLE_EQ(r.total(), good.total());  // kHoldLast default
   EXPECT_EQ(c.health().corrupt, 1u);
   EXPECT_TRUE(c.in_fallback());
@@ -96,14 +96,14 @@ TEST(Controller, NegativeDemandRoutesThroughCorruptPathNotThrow) {
 
 TEST(Controller, WindowedMaxTracksRecentPeak) {
   Controller c(make_translation(0.6), Policy::kWindowedMax, 3);
-  (void)c.step(3.0);  // first interval: conservative max
-  (void)c.step(1.0);
-  (void)c.step(0.5);
+  (void)c.observe(Observation::ok(3.0));  // first interval: conservative max
+  (void)c.observe(Observation::ok(1.0));
+  (void)c.observe(Observation::ok(0.5));
   // History = {3, 1, 0.5}: request based on max = 3.
-  const AllocationRequest r = c.step(0.2);
+  const AllocationRequest r = c.observe(Observation::ok(0.2));
   EXPECT_NEAR(r.total(), 6.0, 1e-9);
   // History = {1, 0.5, 0.2}: the 3.0 has aged out.
-  const AllocationRequest r2 = c.step(0.2);
+  const AllocationRequest r2 = c.observe(Observation::ok(0.2));
   EXPECT_NEAR(r2.total(), 2.0, 1e-9);
 }
 
@@ -111,8 +111,8 @@ TEST(Controller, WindowOfOneEqualsReactive) {
   Controller windowed(make_translation(0.6), Policy::kWindowedMax, 1);
   Controller reactive(make_translation(0.6), Policy::kReactive);
   for (double d : {1.0, 3.0, 0.5, 2.0, 0.0, 4.0}) {
-    const AllocationRequest a = windowed.step(d);
-    const AllocationRequest b = reactive.step(d);
+    const AllocationRequest a = windowed.observe(Observation::ok(d));
+    const AllocationRequest b = reactive.observe(Observation::ok(d));
     ASSERT_DOUBLE_EQ(a.total(), b.total()) << d;
     ASSERT_DOUBLE_EQ(a.cos1, b.cos1) << d;
   }
@@ -123,43 +123,46 @@ TEST(Controller, WindowedNeverRequestsLessThanReactiveWouldAtPeak) {
   // `window` intervals while plain reactive drops immediately.
   Controller windowed(make_translation(0.6), Policy::kWindowedMax, 3);
   Controller reactive(make_translation(0.6), Policy::kReactive);
-  (void)windowed.step(4.0);
-  (void)reactive.step(4.0);
-  (void)windowed.step(0.1);
-  (void)reactive.step(0.1);
-  const AllocationRequest w = windowed.step(0.1);
-  const AllocationRequest r = reactive.step(0.1);
+  (void)windowed.observe(Observation::ok(4.0));
+  (void)reactive.observe(Observation::ok(4.0));
+  (void)windowed.observe(Observation::ok(0.1));
+  (void)reactive.observe(Observation::ok(0.1));
+  const AllocationRequest w = windowed.observe(Observation::ok(0.1));
+  const AllocationRequest r = reactive.observe(Observation::ok(0.1));
   EXPECT_GT(w.total(), r.total());
 }
 
 TEST(Controller, WindowedMaxWindowOfOneNeverSeesOlderPeaks) {
   // history_window == 1 must age a peak out after exactly one interval.
   Controller c(make_translation(0.6), Policy::kWindowedMax, 1);
-  (void)c.step(4.0);  // first interval: conservative max
-  const AllocationRequest r = c.step(0.5);  // history = {4}
+  (void)c.observe(Observation::ok(4.0));  // first interval: conservative max
+  // history = {4}
+  const AllocationRequest r = c.observe(Observation::ok(0.5));
   EXPECT_NEAR(r.total(), 8.0, 1e-9);
-  const AllocationRequest r2 = c.step(0.5);  // history = {0.5}: peak aged out
+  // history = {0.5}: peak aged out
+  const AllocationRequest r2 = c.observe(Observation::ok(0.5));
   EXPECT_NEAR(r2.total(), 1.0, 1e-9);
 }
 
 TEST(Controller, WindowedMaxResetMidTraceDropsTheWindow) {
   Controller c(make_translation(0.6), Policy::kWindowedMax, 3);
-  (void)c.step(4.0);
-  (void)c.step(3.0);
-  (void)c.step(2.0);
+  (void)c.observe(Observation::ok(4.0));
+  (void)c.observe(Observation::ok(3.0));
+  (void)c.observe(Observation::ok(2.0));
   c.reset();
   // First post-reset request is the conservative maximum, not max(history).
-  const AllocationRequest r = c.step(1.0);
+  const AllocationRequest r = c.observe(Observation::ok(1.0));
   EXPECT_NEAR(r.total(), 4.0 / 0.5, 1e-9);
 }
 
 TEST(Controller, WindowedMaxRefillsWindowAfterReset) {
   Controller c(make_translation(0.6), Policy::kWindowedMax, 3);
-  (void)c.step(4.0);
+  (void)c.observe(Observation::ok(4.0));
   c.reset();
-  (void)c.step(1.0);  // conservative; history = {1}
-  (void)c.step(0.5);  // based on max{1} = 1; history = {1, 0.5}
-  const AllocationRequest r = c.step(0.25);
+  (void)c.observe(Observation::ok(1.0));  // conservative; history = {1}
+  // based on max{1} = 1; history = {1, 0.5}
+  (void)c.observe(Observation::ok(0.5));
+  const AllocationRequest r = c.observe(Observation::ok(0.25));
   // max{1, 0.5} = 1 -> total 2.0; the pre-reset 4.0 must not leak back in.
   EXPECT_NEAR(r.total(), 2.0, 1e-9);
 }
@@ -343,13 +346,14 @@ TEST(Controller, RingAndRunsMatchAnErasingHistory) {
             ASSERT_EQ(request_bits(got[k]), request_bits(w));
             ASSERT_EQ(flags[k], one.in_fallback() ? 1 : 0);
           }
-          // step_run on true demand against step() one at a time.
+          // step_run on true demand against one ok reading at a time.
           Controller single = steps;
           std::vector<AllocationRequest> stepped(len);
           steps.step_run(demand, stepped);
           for (std::size_t k = 0; k < len; ++k) {
-            ASSERT_EQ(request_bits(stepped[k]),
-                      request_bits(single.step(demand[k])));
+            const AllocationRequest w =
+                single.observe(Observation::ok(demand[k]));
+            ASSERT_EQ(request_bits(stepped[k]), request_bits(w));
           }
           ASSERT_EQ(history_bits(runs.snapshot().history),
                     history_bits(want.history()));

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -108,7 +109,7 @@ ScheduleResult slot_major_schedule(
         requests[a] = ctl.observe(observations[a][i]);
         result.apps[a].fallback_slots[i] = ctl.in_fallback();
       } else {
-        requests[a] = ctl.step(demands[a][i]);
+        requests[a] = ctl.observe(Observation::ok(demands[a][i]));
       }
       requested[phase.hosts[a]].cos1 += requests[a].cos1;
       requested[phase.hosts[a]].cos2 += requests[a].cos2;
@@ -379,9 +380,8 @@ std::vector<std::vector<Observation>> sampled_streams(const Scenario& s) {
   std::vector<TelemetryChannel> channels = channels_for(s);
   out.resize(s.demands.size());
   for (std::size_t a = 0; a < s.demands.size(); ++a) {
-    for (const double d : s.demands[a].values()) {
-      out[a].push_back(channels[a].observe(d));
-    }
+    out[a].resize(s.demands[a].size());
+    channels[a].observe_block(s.demands[a].values(), out[a]);
   }
   return out;
 }
@@ -665,7 +665,8 @@ TEST(TelemetryChannel, RingMatchesAnErasingHistoryAcrossResets) {
       for (std::size_t i = 0; i < run; ++i) {
         const double v = values.uniform(0.0, 5.0);
         const Observation want = reference.observe(v);
-        const Observation got = ring.observe(v);
+        Observation got;
+        ring.observe_block(std::span(&v, 1), std::span(&got, 1));
         ASSERT_EQ(bits(got.value), bits(want.value))
             << "max_staleness " << max_staleness << ", run " << run
             << ", interval " << i;

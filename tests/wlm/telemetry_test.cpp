@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "trace/demand_trace.h"
@@ -26,6 +27,13 @@ qos::Translation make_translation(double theta = 0.6) {
   v[3] = 4.0;  // peak
   return qos::translate(DemandTrace("t", cal, v), req,
                         qos::CosCommitment{theta, 720.0});
+}
+
+/// The channel's reading of one interval, through a one-slot block.
+Observation read(TelemetryChannel& channel, double true_demand) {
+  Observation out;
+  channel.observe_block(std::span(&true_demand, 1), std::span(&out, 1));
+  return out;
 }
 
 TEST(TelemetryFaultModel, ValidatesRates) {
@@ -52,7 +60,7 @@ TEST(TelemetryFaultModel, ValidatesRates) {
 TEST(TelemetryChannel, ZeroRatesPassValuesThroughExactly) {
   TelemetryChannel channel(TelemetryFaultModel{}, 42);
   for (double v : {0.0, 1.5, 3.25, 0.125}) {
-    const Observation obs = channel.observe(v);
+    const Observation obs = read(channel, v);
     EXPECT_EQ(obs.kind, ObservationClass::kOk);
     EXPECT_EQ(obs.value, v);  // bit-exact, no noise draw
     EXPECT_EQ(obs.staleness, 0u);
@@ -64,7 +72,7 @@ TEST(TelemetryChannel, DropRateOneLosesEveryReading) {
   model.drop_rate = 1.0;
   TelemetryChannel channel(model, 7);
   for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(channel.observe(1.0).kind, ObservationClass::kMissing);
+    EXPECT_EQ(read(channel, 1.0).kind, ObservationClass::kMissing);
   }
 }
 
@@ -74,12 +82,12 @@ TEST(TelemetryChannel, StaleRepeatsEarlierTrueValue) {
   model.max_staleness = 1;
   TelemetryChannel channel(model, 7);
   // Interval 0 has no earlier reading to repeat: degenerates to missing.
-  EXPECT_EQ(channel.observe(10.0).kind, ObservationClass::kMissing);
-  const Observation obs = channel.observe(20.0);
+  EXPECT_EQ(read(channel, 10.0).kind, ObservationClass::kMissing);
+  const Observation obs = read(channel, 20.0);
   EXPECT_EQ(obs.kind, ObservationClass::kStale);
   EXPECT_EQ(obs.staleness, 1u);
   EXPECT_EQ(obs.value, 10.0);
-  const Observation obs2 = channel.observe(30.0);
+  const Observation obs2 = read(channel, 30.0);
   EXPECT_EQ(obs2.value, 20.0);
 }
 
@@ -90,7 +98,7 @@ TEST(TelemetryChannel, CorruptRateOneEmitsGarbageValues) {
   bool saw_nan = false, saw_inf = false, saw_negative = false,
        saw_spike = false;
   for (int i = 0; i < 200; ++i) {
-    const Observation obs = channel.observe(2.0);
+    const Observation obs = read(channel, 2.0);
     ASSERT_EQ(obs.kind, ObservationClass::kCorrupt);
     if (std::isnan(obs.value)) saw_nan = true;
     else if (std::isinf(obs.value)) saw_inf = true;
@@ -110,7 +118,7 @@ TEST(TelemetryChannel, BlackoutsProduceMissingRuns) {
   TelemetryChannel channel(model, 13);
   std::size_t missing = 0, longest = 0, run = 0;
   for (int i = 0; i < 2000; ++i) {
-    if (channel.observe(1.0).kind == ObservationClass::kMissing) {
+    if (read(channel, 1.0).kind == ObservationClass::kMissing) {
       missing += 1;
       run += 1;
       longest = std::max(longest, run);
@@ -132,8 +140,8 @@ TEST(TelemetryChannel, SameSeedSameFaultSequence) {
   TelemetryChannel b(model, 99);
   for (int i = 0; i < 500; ++i) {
     const double v = static_cast<double>(i % 7);
-    const Observation oa = a.observe(v);
-    const Observation ob = b.observe(v);
+    const Observation oa = read(a, v);
+    const Observation ob = read(b, v);
     ASSERT_EQ(oa.kind, ob.kind);
     ASSERT_EQ(oa.staleness, ob.staleness);
     if (!std::isnan(oa.value)) {
@@ -154,9 +162,9 @@ TEST(TelemetryChannel, HigherDropRateSupersetsLowerUnderOneSeed) {
   TelemetryChannel b(hi, 123);
   for (int i = 0; i < 2000; ++i) {
     const bool lo_missing =
-        a.observe(1.0).kind == ObservationClass::kMissing;
+        read(a, 1.0).kind == ObservationClass::kMissing;
     const bool hi_missing =
-        b.observe(1.0).kind == ObservationClass::kMissing;
+        read(b, 1.0).kind == ObservationClass::kMissing;
     if (lo_missing) {
       ASSERT_TRUE(hi_missing);
     }
@@ -201,12 +209,15 @@ TEST(DegradedController, ObserveWithOkObservationsMatchesStepBitForBit) {
   for (const auto& pc : cases) {
     Controller via_step(make_translation(), pc.policy, pc.window);
     Controller via_observe(make_translation(), pc.policy, pc.window);
+    std::vector<AllocationRequest> stepped(demand.size());
+    via_step.step_run(demand, stepped);
     TelemetryChannel perfect(TelemetryFaultModel{}, 1);
-    for (const double d : demand) {
-      const AllocationRequest a = via_step.step(d);
-      const AllocationRequest b = via_observe.observe(perfect.observe(d));
-      ASSERT_EQ(a.cos1, b.cos1);
-      ASSERT_EQ(a.cos2, b.cos2);
+    std::vector<Observation> readings(demand.size());
+    perfect.observe_block(demand, readings);
+    for (std::size_t i = 0; i < demand.size(); ++i) {
+      const AllocationRequest b = via_observe.observe(readings[i]);
+      ASSERT_EQ(stepped[i].cos1, b.cos1);
+      ASSERT_EQ(stepped[i].cos2, b.cos2);
     }
     EXPECT_EQ(via_observe.health().ok, demand.size());
     EXPECT_EQ(via_observe.health().fallback_intervals, 0u);
@@ -215,15 +226,15 @@ TEST(DegradedController, ObserveWithOkObservationsMatchesStepBitForBit) {
 }
 
 TEST(DegradedController, StepRoutesNonFiniteAndNegativeThroughCorruptPath) {
-  // The input guard: garbage demand never throws and never reaches the
-  // allocation arithmetic — it is served by the fallback policy.
+  // The input guard: garbage demand, even tagged ok, never throws and never
+  // reaches the allocation arithmetic — it is served by the fallback policy.
   Controller c(make_translation(), Policy::kClairvoyant);
-  const AllocationRequest good = c.step(1.0);
+  const AllocationRequest good = c.observe(Observation::ok(1.0));
   for (const double bad :
        {std::nan(""), std::numeric_limits<double>::infinity(),
         -std::numeric_limits<double>::infinity(), -1.0}) {
     AllocationRequest r;
-    ASSERT_NO_THROW(r = c.step(bad)) << bad;
+    ASSERT_NO_THROW(r = c.observe(Observation::ok(bad))) << bad;
     // kHoldLast: re-issues the last measurement-driven request.
     EXPECT_EQ(r.cos1, good.cos1);
     EXPECT_EQ(r.cos2, good.cos2);
@@ -232,13 +243,13 @@ TEST(DegradedController, StepRoutesNonFiniteAndNegativeThroughCorruptPath) {
   EXPECT_EQ(c.health().corrupt, 4u);
   EXPECT_EQ(c.health().ok, 1u);
   // A good reading afterwards leaves fallback.
-  (void)c.step(2.0);
+  (void)c.observe(Observation::ok(2.0));
   EXPECT_FALSE(c.in_fallback());
 }
 
 TEST(DegradedController, HoldLastRepeatsLastMeasurementRequest) {
   Controller c(make_translation(), Policy::kClairvoyant);
-  const AllocationRequest last = c.step(2.0);
+  const AllocationRequest last = c.observe(Observation::ok(2.0));
   for (int i = 0; i < 5; ++i) {
     const AllocationRequest r = c.observe(Observation::missing());
     EXPECT_EQ(r.cos1, last.cos1);
@@ -255,7 +266,7 @@ TEST(DegradedController, DecayToMaxRampsTowardMaxAllocation) {
   cfg.decay_intervals = 2;
   const qos::Translation tr = make_translation();
   Controller c(tr, Policy::kClairvoyant, 3, cfg);
-  (void)c.step(1.0);  // last basis = 1.0, d_new_max = 4.0
+  (void)c.observe(Observation::ok(1.0));  // last basis = 1.0, d_new_max = 4.0
   const double u_low = tr.requirement.u_low;
   const AllocationRequest one = c.observe(Observation::missing());
   EXPECT_NEAR(one.total(), (1.0 + (tr.d_new_max - 1.0) * 0.5) / u_low, 1e-12);
@@ -272,7 +283,7 @@ TEST(DegradedController, EntitlementFloorRequestsOnlyCos1Share) {
   const qos::Translation tr = make_translation();
   ASSERT_GT(tr.breakpoint_p, 0.0);
   Controller c(tr, Policy::kClairvoyant, 3, cfg);
-  (void)c.step(4.0);
+  (void)c.observe(Observation::ok(4.0));
   const AllocationRequest r = c.observe(Observation::missing());
   EXPECT_NEAR(r.cos1, tr.cos1_demand_cap() / tr.requirement.u_low, 1e-12);
   EXPECT_EQ(r.cos2, 0.0);
@@ -285,7 +296,7 @@ TEST(DegradedController, StaleWithinToleranceIsUsedAsMeasurement) {
   const AllocationRequest r =
       c.observe(Observation{2.0, ObservationClass::kStale, 1});
   Controller fresh(make_translation(), Policy::kClairvoyant);
-  const AllocationRequest expect = fresh.step(2.0);
+  const AllocationRequest expect = fresh.observe(Observation::ok(2.0));
   EXPECT_EQ(r.total(), expect.total());
   EXPECT_FALSE(c.in_fallback());
   EXPECT_EQ(c.health().stale, 1u);
@@ -314,14 +325,14 @@ TEST(DegradedController, SpikeFilterClassifiesImplausibleReadings) {
 
 TEST(DegradedController, ResetClearsFallbackStateButKeepsHealth) {
   Controller c(make_translation(), Policy::kReactive);
-  (void)c.step(1.0);
+  (void)c.observe(Observation::ok(1.0));
   (void)c.observe(Observation::missing());
   EXPECT_TRUE(c.in_fallback());
   c.reset();
   EXPECT_FALSE(c.in_fallback());
   EXPECT_EQ(c.health().missing, 1u);  // lifetime health persists
   // Post-reset the controller requests conservatively again.
-  const AllocationRequest r = c.step(2.0);
+  const AllocationRequest r = c.observe(Observation::ok(2.0));
   EXPECT_NEAR(r.total(), 4.0 / 0.5, 1e-9);
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <iomanip>
 #include <map>
 #include <sstream>
@@ -35,11 +34,9 @@ bool is_timing_metric(const std::string& name) {
 }
 
 std::string read_text_file(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open " + path.string());
-  std::ostringstream content;
-  content << in.rdbuf();
-  return content.str();
+  std::optional<std::string> content = io::read_file(path);
+  if (!content) throw IoError("cannot open " + path.string());
+  return std::move(*content);
 }
 
 BenchDoc read_bench(const std::filesystem::path& path) {

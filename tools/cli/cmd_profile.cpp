@@ -6,8 +6,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -21,12 +19,9 @@ namespace ropus::cli {
 namespace {
 
 std::string read_text_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open profile '" + path + "'");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (in.bad()) throw IoError("cannot read profile '" + path + "'");
-  return buf.str();
+  std::optional<std::string> content = io::read_file(path);
+  if (!content) throw IoError("cannot open profile '" + path + "'");
+  return std::move(*content);
 }
 
 obs::prof::FoldedStacks load_folded(const std::string& path) {

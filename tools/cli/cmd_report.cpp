@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -50,11 +49,9 @@ struct BenchSummary {
 };
 
 std::string read_text_file(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open " + path.string());
-  std::ostringstream content;
-  content << in.rdbuf();
-  return content.str();
+  std::optional<std::string> content = io::read_file(path);
+  if (!content) throw IoError("cannot open " + path.string());
+  return std::move(*content);
 }
 
 BenchSummary read_bench(const std::filesystem::path& path) {
@@ -116,11 +113,10 @@ const char* severity_name(obs::AlertSeverity severity) {
 /// the fire/resolve transition log — the "would the pager have gone off,
 /// and when would it have quieted" view of a recording.
 void replay_burn(RecordingReport& report) {
-  obs::BurnRateConfig config;
-  config.minutes_per_slot =
+  const double minutes_per_slot =
       report.recording.minutes_per_sample *
       static_cast<double>(std::max<std::size_t>(1, report.recording.stride));
-  obs::BurnRate burn("slo", config);
+  obs::BurnRate burn("slo", minutes_per_slot);
   if (report.recording.records.empty()) return;
 
   std::uint32_t first = report.recording.records.front().slot;

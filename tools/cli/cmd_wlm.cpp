@@ -2,24 +2,22 @@
 #include <string>
 #include <vector>
 
-#include <algorithm>
-
 #include "cli/cli_util.h"
 #include "cli/commands.h"
 #include "common/file_io.h"
 #include "common/rng.h"
 #include "common/table.h"
-#include "obs/recorder.h"
 #include "qos/translation.h"
 #include "wlm/compliance.h"
+#include "wlm/failure_drill.h"
 #include "wlm/telemetry.h"
 
 namespace ropus::cli {
 
 // Runs each application's workload-manager control loop in isolation
-// (granted = requested, no pool contention) with optional telemetry faults
-// between the measured demand and the controller — the smallest harness that
-// exposes the degraded-mode policies end to end.
+// (wlm::run_isolated: granted = requested, no pool contention) with optional
+// telemetry faults between the measured demand and the controller — the
+// smallest harness that exposes the degraded-mode policies end to end.
 int cmd_wlm(const Flags& flags, std::ostream& out, std::ostream& err) {
   std::vector<std::string> allowed{
       "traces", "theta", "deadline", "ulow",   "uhigh", "udegr",
@@ -50,61 +48,25 @@ int cmd_wlm(const Flags& flags, std::ostream& out, std::ostream& err) {
 
   const double minutes =
       static_cast<double>(traces.front().calendar().minutes_per_sample());
-  obs::Recorder* const rec = obs::Recorder::active();
-  if (rec != nullptr) {
-    rec->set_calendar(minutes, traces.front().calendar().slots_per_day());
-  }
   SplitMix64 streams(seed);
   TextTable table({"app", "ok", "stale", "miss", "corrupt", "fallback",
                    "degraded%", "violating", "verdict"});
   wlm::HealthReport fleet_health;
   std::size_t violating_apps = 0;
-  std::string summary;
   for (const trace::DemandTrace& t : traces) {
     const qos::Translation tr = qos::translate(t, req, cos2);
-    wlm::Controller ctl(tr, policy, window, degraded);
     // The channel is constructed (consuming one stream seed) even with
     // faults disabled so adding --telemetry-* flags never re-seeds apps.
     wlm::TelemetryChannel channel(telemetry, streams.next());
-    std::vector<double> granted(t.size(), 0.0);
-    std::vector<bool> fallback(t.size(), false);
-    const std::vector<bool> mask(t.size(), true);
-    const std::uint16_t rec_app =
-        rec != nullptr ? rec->app_id(t.name()) : std::uint16_t{0};
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      wlm::AllocationRequest r;
-      auto mark = static_cast<std::uint8_t>(obs::TelemetryMark::kOk);
-      if (telemetry.enabled()) {
-        const wlm::Observation o = channel.observe(t[i]);
-        mark = static_cast<std::uint8_t>(static_cast<int>(o.kind) + 1);
-        r = ctl.observe(o);
-      } else {
-        r = ctl.step(t[i]);
-      }
-      granted[i] = r.total();
-      fallback[i] = ctl.in_fallback();
-      if (rec != nullptr && rec->should_record(i)) {
-        obs::SlotRecord record;
-        record.slot = static_cast<std::uint32_t>(i);
-        record.app = rec_app;
-        record.section = rec->section();
-        record.telemetry = mark;
-        if (fallback[i]) record.flags |= obs::SlotRecord::kFallback;
-        record.demand = t[i];
-        record.cos1 = r.cos1;
-        record.cos2 = r.cos2;
-        record.granted = granted[i];
-        record.satisfied2 =
-            std::min(r.cos2, std::max(0.0, granted[i] - r.cos1));
-        rec->append(record);
-      }
-    }
+    // One replay per app, so a flight recording stays app-major.
+    const wlm::ScheduleAppOutcome run =
+        wlm::run_isolated(t, tr, policy, window, channel, degraded);
     const wlm::ComplianceReport report = wlm::check_compliance_attributed(
-        t.values(), granted, mask, telemetry.enabled()
-                                       ? fallback
-                                       : std::vector<bool>{},
+        t.values(), run.granted, std::vector<bool>(t.size(), true),
+        std::vector<bool>(run.fallback_slots.begin(),
+                          run.fallback_slots.end()),
         req, minutes);
-    const wlm::HealthReport& health = ctl.health();
+    const wlm::HealthReport& health = run.telemetry;
     fleet_health.merge(health);
     const bool violates = report.violating > 0;
     if (violates) violating_apps += 1;
