@@ -31,15 +31,12 @@ struct SweepPoint {
 
 SweepPoint run_fleet(const std::vector<trace::DemandTrace>& demands,
                      const std::vector<qos::Translation>& translations,
-                     const qos::Requirement& req,
                      const wlm::TelemetryFaultModel& model,
                      const wlm::DegradedModeConfig& degraded) {
   SweepPoint point;
   double active = 0.0;
   double degraded_ivals = 0.0;
   double violating_ivals = 0.0;
-  const double minutes = static_cast<double>(
-      demands.front().calendar().minutes_per_sample());
   // Re-derived identically at every sweep point: app a's channel seed does
   // not depend on the fault rates, which is what makes the sweep CRN-coupled.
   SplitMix64 streams(bench::kSeed);
@@ -49,8 +46,7 @@ SweepPoint run_fleet(const std::vector<trace::DemandTrace>& demands,
     const wlm::ScheduleAppOutcome run =
         wlm::run_isolated(t, translations[a], wlm::Policy::kReactive,
                           wlm::kDefaultHistoryWindow, channel, degraded);
-    const wlm::ComplianceReport rep =
-        wlm::check_compliance_range(t.values(), run.granted, req, minutes);
+    const wlm::ComplianceReport& rep = run.normal_mode;
     point.missing += run.telemetry.missing;
     point.stale += run.telemetry.stale;
     point.fallback += run.telemetry.fallback_intervals;
@@ -103,8 +99,7 @@ int main() {
     for (const double rate : drop_rates) {
       wlm::TelemetryFaultModel model;
       model.drop_rate = rate;
-      const SweepPoint p =
-          run_fleet(demands, translations, req, model, degraded);
+      const SweepPoint p = run_fleet(demands, translations, model, degraded);
       drops.add_row({pc.label, TextTable::num(rate, 2),
                      std::to_string(p.missing), std::to_string(p.fallback),
                      TextTable::num(p.degraded_pct, 2),
@@ -124,8 +119,7 @@ int main() {
       wlm::TelemetryFaultModel model;
       model.stale_rate = rate;
       model.max_staleness = 4;
-      const SweepPoint p =
-          run_fleet(demands, translations, req, model, degraded);
+      const SweepPoint p = run_fleet(demands, translations, model, degraded);
       stales.add_row({pc.label, TextTable::num(rate, 2),
                       std::to_string(p.stale), std::to_string(p.fallback),
                       TextTable::num(p.degraded_pct, 2),

@@ -46,8 +46,6 @@ int main() {
   for (const qos::AllocationTrace& a : allocations) {
     translations.push_back(a.translation());
   }
-  const auto minutes =
-      static_cast<double>(demands.front().calendar().minutes_per_sample());
 
   struct PolicyCase {
     const char* label;
@@ -69,8 +67,7 @@ int main() {
         demands, translations, translations, pool, std::span(&phase, 1), {},
         pc.policy, pc.window);
     for (std::size_t a = 0; a < demands.size(); ++a) {
-      const wlm::ComplianceReport rep = wlm::check_compliance_range(
-          demands[a].values(), run.apps[a].granted, req, minutes);
+      const wlm::ComplianceReport& rep = run.apps[a].normal_mode;
       const double active = static_cast<double>(rep.intervals - rep.idle);
       const double degraded = 100.0 * rep.degraded_fraction();
       sum_degraded += degraded;

@@ -284,8 +284,8 @@ void report(const BenchRun& run, bench::BenchReporter& reporter) {
 /// One fault-injection trial in the end-to-end benchmark's shape: the 26
 /// apps over four weeks, first-fit-decreasing onto 13 x 16-way servers,
 /// 0.5 surges per week and 2% telemetry drops; every iteration replays the
-/// same sampled timeline (event schedule with pulled telemetry, then the
-/// trial's compliance pass).
+/// same sampled timeline (the event schedule, which pulls the telemetry and
+/// judges each slot it grants, then the trial's accounting).
 [[gnu::noinline]] void bench_faultsim_trial(bench::BenchReporter& reporter) {
   const std::vector<trace::DemandTrace> fleet = bench::case_study(4);
   std::vector<qos::ApplicationQos> app_qos;
@@ -686,11 +686,15 @@ int main() {
     cfg.stagnation_limit = 1;
     const placement::Assignment initial(problem.workload_count(), 0);
     std::uint64_t seed = 1;
+    // At one worker, so the phase times the code rather than the cores the
+    // host leaves free; campaign/threads=max measures the thread pool.
+    parallel::set_thread_count(1);
     report(run_bench("genetic_generation", 0, [&] {
              cfg.seed = seed++;
              do_not_optimize(placement::genetic_search(problem, initial, cfg));
            }),
            reporter);
+    parallel::set_thread_count(0);  // back to the hardware default
   }
 
   {

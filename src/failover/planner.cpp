@@ -43,7 +43,6 @@ std::vector<qos::AllocationTrace> FailurePlanner::build_allocations(
 
 placement::ConsolidationReport FailurePlanner::consolidate_survivors(
     const placement::ConsolidationReport& normal,
-    std::span<const qos::AllocationTrace> normal_allocs,
     const placement::PlacementProblem& failure_problem,
     const std::vector<std::size_t>& active,
     const std::vector<std::size_t>& failed, const PlannerConfig& config,
@@ -59,26 +58,11 @@ placement::ConsolidationReport FailurePlanner::consolidate_survivors(
   survivors.reserve(surviving_servers->size());
   for (std::size_t s : *surviving_servers) survivors.push_back(pool_[s]);
 
-  // Affected apps always run at failure-mode QoS; the rest degrade too when
-  // the pool operates the whole fleet under failure constraints until the
-  // repair completes (the case-study policy). Then every scenario places
-  // the same allocations, so its problem derives from `failure_problem` and
-  // shares its verdict memo; otherwise each scenario places its own mix.
-  std::vector<qos::AllocationTrace> mixed;
-  if (!config.degrade_all_apps) {
-    mixed.reserve(demands_.size());
-    for (std::size_t a = 0; a < demands_.size(); ++a) {
-      const bool affected = std::binary_search(failed.begin(), failed.end(),
-                                               normal.assignment[a]);
-      mixed.push_back(affected ? failure_problem.workload(a)
-                               : normal_allocs[a]);
-    }
-  }
-  const placement::PlacementProblem problem =
-      config.degrade_all_apps
-          ? placement::PlacementProblem(failure_problem, std::move(survivors))
-          : placement::PlacementProblem(mixed, std::move(survivors),
-                                        commitments_.cos2);
+  // The whole fleet runs failure-mode QoS until the repair completes (the
+  // case-study policy), so every scenario places the same allocations and
+  // its problem shares `failure_problem`'s verdict memo.
+  const placement::PlacementProblem problem(failure_problem,
+                                            std::move(survivors));
 
   // Start from the normal placement restricted to the survivors; displaced
   // applications are spread round-robin and the search repairs from there.
@@ -103,7 +87,7 @@ FailoverReport FailurePlanner::plan(const PlannerConfig& config) const {
 
   // Normal mode: everyone under normal QoS, consolidate on the full pool.
   // Each app is translated once per QoS mode; every failure scenario reuses
-  // the two sets.
+  // the failure-mode set.
   const std::vector<qos::AllocationTrace> normal_allocs =
       build_allocations(false);
   const placement::PlacementProblem normal_problem(normal_allocs, pool_,
@@ -145,8 +129,8 @@ FailoverReport FailurePlanner::plan(const PlannerConfig& config) const {
     outcome.affected_apps = report.normal.evaluation.servers[failed].workloads;
 
     const placement::ConsolidationReport cr = consolidate_survivors(
-        report.normal, normal_allocs, failure_problem, report.active_servers,
-        {failed}, config, &outcome.surviving_servers);
+        report.normal, failure_problem, report.active_servers, {failed},
+        config, &outcome.surviving_servers);
     outcome.supported = cr.feasible;
     outcome.servers_used = cr.servers_used;
     outcome.total_required_capacity = cr.total_required_capacity;
@@ -204,7 +188,7 @@ MultiFailoverReport FailurePlanner::plan_concurrent(
     }
     std::vector<std::size_t> survivors;
     const placement::ConsolidationReport cr = consolidate_survivors(
-        report.normal, normal_allocs, failure_problem, report.active_servers,
+        report.normal, failure_problem, report.active_servers,
         outcome.failed_servers, config, &survivors);
     outcome.supported = cr.feasible;
     outcome.servers_used = cr.servers_used;

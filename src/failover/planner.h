@@ -8,9 +8,9 @@
 //
 // The case study operates the whole fleet under the weaker failure-mode
 // constraints while a repair is pending (all 26 applications move from
-// case-1/4 constraints to case-2/3/5/6 constraints); `degrade_all_apps`
-// models that. Setting it false degrades only the applications that lived
-// on the failed server, as in the narrower reading of the paper's text.
+// case-1/4 constraints to case-2/3/5/6 constraints), and so does the
+// planner: every scenario places every application's failure-mode
+// allocation on the survivors.
 #pragma once
 
 #include <vector>
@@ -26,7 +26,6 @@ namespace ropus::failover {
 struct PlannerConfig {
   placement::ConsolidationConfig normal;   // normal-mode consolidation
   placement::ConsolidationConfig failure;  // per-failure re-consolidation
-  bool degrade_all_apps = true;
 };
 
 /// Outcome of losing one specific server.
@@ -98,12 +97,12 @@ class FailurePlanner {
   std::vector<qos::AllocationTrace> build_allocations(bool failure_mode) const;
 
   /// Re-consolidates after the servers in `failed` (pool indices, sorted)
-  /// go down simultaneously, from the allocations each app has in either
-  /// mode; `failure_problem` places every app's failure-mode allocation on
-  /// the whole pool. Shared by the single- and multi-failure sweeps.
+  /// go down simultaneously: `failure_problem` places every app's
+  /// failure-mode allocation on the whole pool, and the scenario's problem
+  /// derives from it on the survivors, sharing its verdict memo. Shared by
+  /// the single- and multi-failure sweeps.
   placement::ConsolidationReport consolidate_survivors(
       const placement::ConsolidationReport& normal,
-      std::span<const qos::AllocationTrace> normal_allocs,
       const placement::PlacementProblem& failure_problem,
       const std::vector<std::size_t>& active,
       const std::vector<std::size_t>& failed, const PlannerConfig& config,

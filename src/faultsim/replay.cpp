@@ -1,7 +1,6 @@
 #include "faultsim/replay.h"
 
 #include <algorithm>
-#include <cstdint>
 #include <limits>
 #include <map>
 #include <set>
@@ -81,41 +80,6 @@ PlacementDecision place_apps(const std::vector<double>& peaks,
   }
   return decision;
 }
-
-namespace {
-
-/// Judges app `a`'s grants against each mode's band in one pass over the
-/// phase list: a phase's slots feed the accumulator of the mode it ran, and
-/// end the other mode's degraded run (end_run is idempotent, so once per
-/// phase equals once per slot). Degradations on fallback slots are charged
-/// to telemetry.
-void judge_modes(std::span<const double> demand,
-                 const wlm::ScheduleAppOutcome& replay,
-                 std::span<const wlm::SchedulePhase> phases, std::size_t a,
-                 const slo::Band& normal_band, const slo::Band& failure_band,
-                 double minutes_per_sample, TrialAppOutcome& app) {
-  slo::BandAccumulator normal_acc(minutes_per_sample);
-  slo::BandAccumulator failure_acc(minutes_per_sample);
-  const std::uint8_t* const fallback = replay.fallback_slots.empty()
-                                           ? nullptr
-                                           : replay.fallback_slots.data();
-  for (std::size_t p = 0; p < phases.size(); ++p) {
-    const bool failure_mode = phases[p].failure_mode[a];
-    slo::BandAccumulator& acc = failure_mode ? failure_acc : normal_acc;
-    const slo::Band& band = failure_mode ? failure_band : normal_band;
-    (failure_mode ? normal_acc : failure_acc).end_run();
-    const std::size_t end =
-        p + 1 < phases.size() ? phases[p + 1].start_slot : demand.size();
-    for (std::size_t i = phases[p].start_slot; i < end; ++i) {
-      acc.observe(demand[i], replay.granted[i], band,
-                  fallback != nullptr && fallback[i] != 0);
-    }
-  }
-  static_cast<slo::BandCounts&>(app.normal_mode) = normal_acc.counts();
-  static_cast<slo::BandCounts&>(app.failure_mode) = failure_acc.counts();
-}
-
-}  // namespace
 
 TrialOutcome replay_trial(std::span<const trace::DemandTrace> demands,
                           std::span<const qos::Translation> normal,
@@ -345,9 +309,8 @@ TrialOutcome replay_trial(std::span<const trace::DemandTrace> demands,
     app.outage_unserved = replay.apps[a].outage_unserved;
     app.unhosted_slots = replay.apps[a].unhosted_slots;
     app.migrations = app_migrations[a];
-    judge_modes(active[a].values(), replay.apps[a], phases, a,
-                wlm::band_of(normal[a].requirement),
-                wlm::band_of(failure[a].requirement), minutes, app);
+    app.normal_mode = replay.apps[a].normal_mode;
+    app.failure_mode = replay.apps[a].failure_mode;
     app.telemetry = replay.apps[a].telemetry;
     app.longest_degraded_minutes =
         std::max(app.normal_mode.longest_degraded_minutes,

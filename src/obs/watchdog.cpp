@@ -276,8 +276,8 @@ void Watchdog::observe(const SlotRecord& r) {
   const bool failure = r.has(SlotRecord::kFailureMode);
   ModeState& current = app.mode[failure ? 1 : 0];
   ModeState& other = app.mode[failure ? 0 : 1];
-  // For the other mode this slot is masked out, which ends any run — the
-  // same rule wlm::check_compliance_attributed's mask applies.
+  // A slot of this mode ends the other mode's run — the rule
+  // wlm::run_event_schedule's judges apply at each mode switch.
   end_run(other);
   const SloBand& band = failure ? config_.failure : config_.normal;
   classify(current, r, band);

@@ -8,9 +8,10 @@
 // instead of waiting for a run-end report.
 //
 // Exactness: the band classification and theta group sums are the slo
-// kernel's accumulators (src/slo/kernel.h) — the same objects the batch
-// paths (wlm::check_compliance, sim::evaluate) run on — so on a stride-1
-// recording the final reports match the batch results bit for bit by
+// kernel's accumulators (src/slo/kernel.h) — the same objects
+// wlm::run_event_schedule judges its grants with and sim::evaluate sums
+// theta in — so on a stride-1 recording the final reports match the
+// schedule's per-mode counts and the simulator's theta bit for bit by
 // construction (tests/obs/watchdog_test.cpp and tests/golden/ hold this).
 // The watchdog itself owns only what is online-specific: alert emission,
 // run-open/rewrite bookkeeping, and section handling.
@@ -77,8 +78,8 @@ struct Alert {
 std::string describe(const Alert& alert);
 
 /// Per (app, mode) band attainment: the kernel's counts, field-for-field
-/// what wlm::ComplianceReport holds, so batch and streaming results are
-/// directly comparable. `satisfies(band)` is the zero-slack verdict.
+/// what wlm::ComplianceReport holds, so the schedule's and the streaming
+/// results are directly comparable. `satisfies(band)` is the zero-slack verdict.
 using BandReport = slo::BandCounts;
 
 /// The checkpoint codec of a band accumulator's state, shared by the

@@ -87,7 +87,6 @@ Arbiter::Arbiter(const ServeConfig& config)
       watchdog_([&config] {
         obs::WatchdogConfig wc;
         wc.normal = config.normal;
-        wc.failure = config.failure;
         wc.theta = config.cos2.theta;
         wc.minutes_per_sample = config.minutes_per_sample;
         wc.slots_per_day = config.slots_per_day;
@@ -398,6 +397,7 @@ std::string Arbiter::advance_slot(const TickMessage& msg, bool filler) {
     bool fallback = false;
     double granted = 0.0;
     double satisfied2 = 0.0;
+    slo::BandClass band = slo::BandClass::kIdle;  // against the app's band
   };
   std::vector<SlotState> states(apps_.size());
 
@@ -470,7 +470,7 @@ std::string Arbiter::advance_slot(const TickMessage& msg, bool filler) {
     rec.granted = st.granted;
     rec.satisfied2 = st.satisfied2;
     watchdog_.observe(rec);
-    app.bands.observe(st.demand, st.granted, app.band, st.fallback);
+    st.band = app.bands.observe(st.demand, st.granted, app.band, st.fallback);
     if (record) {
       rec.app = recorder->app_id(app.name);
       recorder->append(rec);
@@ -499,8 +499,7 @@ std::string Arbiter::advance_slot(const TickMessage& msg, bool filler) {
     w.key("app").value(app.name);
     w.key("demand").value(st.demand);
     w.key("granted").value(st.granted);
-    w.key("class").value(
-        band_class_name(slo::classify_band(st.demand, st.granted, app.band)));
+    w.key("class").value(band_class_name(st.band));
     w.key("telemetry").value(telemetry_name(st.cls));
     if (st.fallback) w.key("fallback").value(true);
     w.end_object();

@@ -34,11 +34,9 @@ namespace ropus::serve {
 
 struct ServeConfig {
   /// Pool-level band for the watchdog's alerts; per-app verdicts use the
-  /// band each app was admitted with.
+  /// band each app was admitted with. The pool never runs failure mode, so
+  /// the watchdog judges no slot against a failure-mode band.
   slo::Band normal;
-  /// Failure-mode band (WatchdogConfig requires one; serve records never
-  /// set the failure flag today).
-  slo::Band failure;
   qos::CosCommitment cos2{0.95, 60.0};
   double minutes_per_sample = 5.0;
   std::size_t slots_per_day = 288;

@@ -55,24 +55,13 @@ bool BandCounts::satisfies(const Band& band, double slack_percent) const {
 
 BandCounts accumulate_bands(std::span<const double> demand,
                             std::span<const double> granted, const Band& band,
-                            double minutes_per_sample,
-                            const std::vector<bool>* mask,
-                            const std::vector<bool>* fallback) {
+                            double minutes_per_sample) {
   ROPUS_REQUIRE(granted.size() == demand.size(),
                 "grants and demand must align");
   ROPUS_REQUIRE(minutes_per_sample > 0.0, "sample interval must be > 0");
-  ROPUS_REQUIRE(mask == nullptr || mask->size() == demand.size(),
-                "mask and demand must align");
-  ROPUS_REQUIRE(fallback == nullptr || fallback->size() == demand.size(),
-                "fallback flags and demand must align");
   BandAccumulator acc(minutes_per_sample);
   for (std::size_t i = 0; i < demand.size(); ++i) {
-    if (mask != nullptr && !(*mask)[i]) {
-      acc.end_run();
-      continue;
-    }
-    acc.observe(demand[i], granted[i], band,
-                fallback != nullptr && (*fallback)[i]);
+    acc.observe(demand[i], granted[i], band);
   }
   return acc.counts();
 }

@@ -1,9 +1,10 @@
 // The SLO kernel: the single source of truth for the paper's contract
 // arithmetic. Every layer that judges a run against a QoS contract — the
-// batch compliance checks (wlm), the placement simulator's theta and
+// workload manager's event schedule, which judges each slot it grants
+// (wlm), the serve arbiter's ticks, the placement simulator's theta and
 // deferral accounting (sim), the online watchdog's streaming estimators
-// (obs), faultsim's per-trial scoring, and the placement objective (via the
-// simulator) — routes through the types in this header, so the band
+// (obs), faultsim's per-trial breach count, and the placement objective
+// (via the simulator) — routes through the types in this header, so the band
 // classification, M%/T_degr budgets, per-(week, slot-of-day) theta, and
 // CoS1-overcommit rules are stated exactly once: here, or in kernel.cpp.
 // The per-slot rules (grant_scales, classify_band, BandAccumulator::
@@ -11,10 +12,10 @@
 // through them without a call.
 //
 // Both shapes are exposed: batch functions over `std::span<const double>`
-// for offline whole-trace checks, and incremental accumulators for online
-// streams. The batch path is implemented ON TOP of the accumulators, so
-// offline and online results are bit-for-bit identical by construction
-// (tests/golden/ pins the pre-extraction values).
+// for offline whole-trace checks, and incremental accumulators for the
+// replays and online streams. The batch path is implemented ON TOP of the
+// accumulators, so offline and online results are bit-for-bit identical by
+// construction (tests/golden/ pins the pre-extraction values).
 //
 // Layering: slo depends only on common. Thresholds arrive as plain numbers
 // (`Band`), not qos::Requirement — the qos layer converts.
@@ -91,11 +92,10 @@ struct BandCounts {
 };
 
 /// Classification of a single observation against a Band — the stateless
-/// core of BandAccumulator::observe, exposed so one-shot consumers (the
-/// serve arbiter's per-tick verdicts) share the exact comparison arithmetic
-/// without carrying accumulator state. Inline, like observe() and
-/// grant_scales(), because the per-slot loops of the fault-trial replay
-/// call it once per (app, slot).
+/// core of BandAccumulator::observe, which returns the class it counted
+/// (the serve arbiter's per-tick verdicts print it). Inline, like observe()
+/// and grant_scales(), because the event schedule judges once per
+/// (app, slot).
 inline BandClass classify_band(double demand, double granted,
                                const Band& band) {
   if (demand <= 0.0) return BandClass::kIdle;
@@ -107,9 +107,10 @@ inline BandClass classify_band(double demand, double granted,
 }
 
 /// Streaming band classifier: one observation at a time, with the idle /
-/// run-reset rules and the T_degr run bookkeeping. A masked-out slot (the
-/// other mode's turn, in faultsim's alternation) is reported via end_run(),
-/// which terminates the current degraded run without counting an interval.
+/// run-reset rules and the T_degr run bookkeeping. A slot judged in the
+/// other mode (an app alternates as servers fail and are repaired) is
+/// reported via end_run(), which terminates the current degraded run
+/// without counting an interval.
 class BandAccumulator {
  public:
   explicit BandAccumulator(double minutes_per_sample = 5.0)
@@ -180,16 +181,12 @@ class BandAccumulator {
   std::size_t longest_ = 0;
 };
 
-/// Batch classification of a whole (or masked) series. `mask`, when
-/// non-null, selects the slots to judge — a masked-out slot ends any
-/// degraded run. `fallback`, when non-null, attributes degradations to
-/// telemetry. Sizes must match `demand`; `granted` must align with
-/// `demand`.
+/// Batch classification of a whole series, one observe() per slot — the
+/// reference the streaming judges are tested against. `granted` must align
+/// with `demand`.
 BandCounts accumulate_bands(std::span<const double> demand,
                             std::span<const double> granted, const Band& band,
-                            double minutes_per_sample,
-                            const std::vector<bool>* mask = nullptr,
-                            const std::vector<bool>* fallback = nullptr);
+                            double minutes_per_sample);
 
 /// Days per theta week; mirrors trace::Calendar::kDaysPerWeek without
 /// depending on trace.

@@ -94,6 +94,13 @@ ScheduleResult run_event_schedule(
                              telemetry.degraded);
   }
 
+  // One judge per app per mode, like the controllers.
+  const auto minutes = static_cast<double>(cal.minutes_per_sample());
+  std::vector<slo::BandAccumulator> normal_judge(n,
+                                                 slo::BandAccumulator(minutes));
+  std::vector<slo::BandAccumulator> failure_judge(
+      n, slo::BandAccumulator(minutes));
+
   ScheduleResult result;
   result.apps.resize(n);
   for (std::size_t a = 0; a < n; ++a) {
@@ -107,8 +114,7 @@ ScheduleResult run_event_schedule(
   obs::Recorder* const rec = obs::Recorder::active();
   std::vector<std::uint16_t> rec_app;
   if (rec != nullptr) {
-    rec->set_calendar(static_cast<double>(cal.minutes_per_sample()),
-                      cal.slots_per_day());
+    rec->set_calendar(minutes, cal.slots_per_day());
     rec_app.resize(n);
     for (std::size_t a = 0; a < n; ++a) {
       rec_app[a] = rec->app_id(demands[a].name());
@@ -235,16 +241,28 @@ ScheduleResult run_event_schedule(
       }
     }
 
-    // Pass 3: each app takes its grants and counts what went unserved.
+    // Pass 3: each app takes its grants, counts what went unserved and
+    // judges each slot in the mode it ran. A segment ends the other mode's
+    // degraded run; end_run is idempotent, so once per segment is once per
+    // slot.
     for (std::size_t a = 0; a < n; ++a) {
       ScheduleAppOutcome& app = result.apps[a];
       const double* const demand = demands[a].values().data();
       const char* const outage = in_outage[a].data();
       const AllocationRequest* const req = requests.data() + a * kBlock;
+      const std::uint8_t* const fallback =
+          faulted ? app.fallback_slots.data() : nullptr;
       for (const Segment& seg : segments) {
-        const std::size_t host = phases[seg.phase].hosts[a];
+        const SchedulePhase& phase = phases[seg.phase];
+        const std::size_t host = phase.hosts[a];
         const slo::GrantScales* const grant =
             host == kUnhosted ? nullptr : scales.data() + host * kBlock;
+        const bool failure_mode = phase.failure_mode[a];
+        slo::BandAccumulator& judge =
+            failure_mode ? failure_judge[a] : normal_judge[a];
+        const slo::Band band =
+            band_of((failure_mode ? failure : normal)[a].requirement);
+        (failure_mode ? normal_judge[a] : failure_judge[a]).end_run();
         for (std::size_t i = seg.begin; i < seg.end; ++i) {
           const std::size_t j = i - b0;
           if (grant == nullptr) {
@@ -257,6 +275,8 @@ ScheduleResult run_event_schedule(
             app.unserved_demand += lost;
             if (outage[i] != 0) app.outage_unserved += lost;
           }
+          judge.observe(demand[i], app.granted[i], band,
+                        fallback != nullptr && fallback[i] != 0);
         }
       }
     }
@@ -311,6 +331,8 @@ ScheduleResult run_event_schedule(
       result.apps[a].telemetry = normal_ctl[a].health();
       result.apps[a].telemetry.merge(failure_ctl[a].health());
     }
+    result.apps[a].normal_mode = normal_judge[a].counts();
+    result.apps[a].failure_mode = failure_judge[a].counts();
     result.unserved_demand += result.apps[a].unserved_demand;
     result.outage_unserved += result.apps[a].outage_unserved;
   }
@@ -400,21 +422,14 @@ DrillResult run_failure_drill(
   result.failed_server = failed_server;
   result.outage_unserved = replay.outage_unserved;
   result.apps.resize(n);
-  const auto minutes = static_cast<double>(cal.minutes_per_sample());
   for (std::size_t a = 0; a < n; ++a) {
     DrillAppOutcome& app = result.apps[a];
     app.name = demands[a].name();
     app.affected = normal_assignment[a] == failed_server;
     if (app.affected) result.affected_apps += 1;
     app.unserved_demand = replay.apps[a].unserved_demand;
-    const std::span<const double> d = demands[a].values();
-    const std::span<const double> g = replay.apps[a].granted;
-    app.before = check_compliance_range(
-        d.subspan(0, config.failure_slot),
-        g.subspan(0, config.failure_slot), normal[a].requirement, minutes);
-    app.after = check_compliance_range(
-        d.subspan(config.failure_slot), g.subspan(config.failure_slot),
-        failure[a].requirement, minutes);
+    app.before = replay.apps[a].normal_mode;
+    app.after = replay.apps[a].failure_mode;
   }
   return result;
 }

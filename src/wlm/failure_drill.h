@@ -73,6 +73,10 @@ struct ScheduleAppOutcome {
   /// slot from its fallback policy, else 0. Empty when the run had perfect
   /// telemetry.
   std::vector<std::uint8_t> fallback_slots;
+  /// The slots the app ran in each mode, judged against that mode's
+  /// requirement; degradations on fallback slots are charged to telemetry.
+  ComplianceReport normal_mode;
+  ComplianceReport failure_mode;
 };
 
 struct ScheduleResult {
@@ -119,18 +123,22 @@ struct ScheduleTelemetry {
 /// Each slot grants every server through slo::grant_scales. Controllers
 /// carry per-mode history; a controller is reset whenever its
 /// application's host or mode changes at a phase boundary (the container
-/// was just re-placed, so its history is gone). Compliance is not judged
-/// here — callers window the granted series however their analysis needs
-/// (see check_compliance_attributed). A single phase over a placed pool is a
-/// plain shared-server run.
+/// was just re-placed, so its history is gone). A single phase over a
+/// placed pool is a plain shared-server run.
+///
+/// Each slot is judged where it is granted, including outage and unhosted
+/// slots (demand with no grant violates): it feeds the app's
+/// slo::BandAccumulator of the mode it runs, against band_of that mode's
+/// Translation::requirement, and ends the other mode's degraded run. The
+/// counts come back as ScheduleAppOutcome::normal_mode / failure_mode.
 ///
 /// The calendar is replayed in blocks of kScheduleBlockSlots slots. Within
 /// a block each app, in ascending order, pulls the block's readings in one
 /// call, steps its controller through each run of hosted, non-outage
 /// slots in one call (Controller::observe_run / step_run) and adds its
 /// requests into per-(server, slot) sums; then every (server, slot) is
-/// granted; then each app takes its grants. Each sum still adds the apps in
-/// ascending order from zero, so the result is bit for bit the
+/// granted; then each app takes and judges its grants. Each sum still adds
+/// the apps in ascending order from zero, so the result is bit for bit the
 /// slot-by-slot replay's, while one app's trace, telemetry and grants stay
 /// in cache for a whole block.
 ScheduleResult run_event_schedule(
@@ -150,7 +158,8 @@ ScheduleResult run_event_schedule(
 /// exceeds the peak allocation, so every slo::grant_scales factor is
 /// exactly 1 and each grant equals its request bit for bit: granted =
 /// requested, as for a controller with the server to itself. The outcome's
-/// `telemetry` and `fallback_slots` are always filled.
+/// `telemetry` and `fallback_slots` are always filled, and every slot is
+/// judged in `normal_mode`.
 ScheduleAppOutcome run_isolated(const trace::DemandTrace& demand,
                                 const qos::Translation& translation,
                                 Policy policy, std::size_t history_window,
@@ -170,8 +179,8 @@ struct DrillConfig {
 struct DrillAppOutcome {
   std::string name;
   bool affected = false;        // lived on the failed server
-  ComplianceReport before;      // compliance up to the failure slot
-  ComplianceReport after;       // compliance from the failure slot on
+  ComplianceReport before;      // normal mode, up to the failure slot
+  ComplianceReport after;       // failure mode, from the failure slot on
   double unserved_demand = 0.0; // CPU-intervals lost (outage + contention)
 };
 
@@ -191,8 +200,9 @@ struct DrillResult {
 ///  * `failure_assignment`: app -> pool server after (must avoid
 ///    `failed_server`);
 ///  * `pool`: server specs; `failed_server` indexes into it.
-/// Compliance is judged against each mode's requirement on its own side of
-/// the failure instant.
+/// Every app runs normal mode before the failure instant and failure mode
+/// from it on, so `before` and `after` are the schedule's two per-mode
+/// counts.
 DrillResult run_failure_drill(
     std::span<const trace::DemandTrace> demands,
     std::span<const qos::Translation> normal,

@@ -153,47 +153,43 @@ TEST(MultiFailure, ReportsAreIdenticalAtAnyThreadCount) {
   Scenario s = make_scenario(band(0.8, 0.9, 0.95));
   FailurePlanner planner(s.demands, s.qos, s.commitments,
                          sim::homogeneous_pool(4, 16));
-  for (const bool degrade_all : {true, false}) {
-    PlannerConfig cfg = fast_config();
-    cfg.degrade_all_apps = degrade_all;
-    parallel::set_thread_count(1);
-    const FailoverReport single = planner.plan(cfg);
-    const MultiFailoverReport pairs = planner.plan_concurrent(cfg, 2);
-    ASSERT_EQ(pairs.outcomes.size(), 3u);
-    for (const std::size_t threads : {2u, 8u}) {
-      SCOPED_TRACE(::testing::Message() << threads << " threads, "
-                                        << "degrade_all_apps=" << degrade_all);
-      parallel::set_thread_count(threads);
-      const FailoverReport single_t = planner.plan(cfg);
-      expect_same_consolidation(single_t.normal, single.normal);
-      EXPECT_EQ(single_t.active_servers, single.active_servers);
-      EXPECT_EQ(single_t.spare_needed, single.spare_needed);
-      ASSERT_EQ(single_t.outcomes.size(), single.outcomes.size());
-      for (std::size_t i = 0; i < single.outcomes.size(); ++i) {
-        const FailureOutcome& x = single_t.outcomes[i];
-        const FailureOutcome& y = single.outcomes[i];
-        EXPECT_EQ(x.failed_server, y.failed_server);
-        EXPECT_EQ(x.affected_apps, y.affected_apps);
-        EXPECT_EQ(x.surviving_servers, y.surviving_servers);
-        EXPECT_EQ(x.supported, y.supported);
-        EXPECT_EQ(x.servers_used, y.servers_used);
-        EXPECT_EQ(x.total_required_capacity, y.total_required_capacity);
-        EXPECT_EQ(x.assignment, y.assignment);
-      }
+  const PlannerConfig cfg = fast_config();
+  parallel::set_thread_count(1);
+  const FailoverReport single = planner.plan(cfg);
+  const MultiFailoverReport pairs = planner.plan_concurrent(cfg, 2);
+  ASSERT_EQ(pairs.outcomes.size(), 3u);
+  for (const std::size_t threads : {2u, 8u}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    parallel::set_thread_count(threads);
+    const FailoverReport single_t = planner.plan(cfg);
+    expect_same_consolidation(single_t.normal, single.normal);
+    EXPECT_EQ(single_t.active_servers, single.active_servers);
+    EXPECT_EQ(single_t.spare_needed, single.spare_needed);
+    ASSERT_EQ(single_t.outcomes.size(), single.outcomes.size());
+    for (std::size_t i = 0; i < single.outcomes.size(); ++i) {
+      const FailureOutcome& x = single_t.outcomes[i];
+      const FailureOutcome& y = single.outcomes[i];
+      EXPECT_EQ(x.failed_server, y.failed_server);
+      EXPECT_EQ(x.affected_apps, y.affected_apps);
+      EXPECT_EQ(x.surviving_servers, y.surviving_servers);
+      EXPECT_EQ(x.supported, y.supported);
+      EXPECT_EQ(x.servers_used, y.servers_used);
+      EXPECT_EQ(x.total_required_capacity, y.total_required_capacity);
+      EXPECT_EQ(x.assignment, y.assignment);
+    }
 
-      const MultiFailoverReport pairs_t = planner.plan_concurrent(cfg, 2);
-      expect_same_consolidation(pairs_t.normal, pairs.normal);
-      EXPECT_EQ(pairs_t.unsupported, pairs.unsupported);
-      ASSERT_EQ(pairs_t.outcomes.size(), pairs.outcomes.size());
-      for (std::size_t i = 0; i < pairs.outcomes.size(); ++i) {
-        const MultiFailureOutcome& x = pairs_t.outcomes[i];
-        const MultiFailureOutcome& y = pairs.outcomes[i];
-        EXPECT_EQ(x.failed_servers, y.failed_servers);
-        EXPECT_EQ(x.affected_apps, y.affected_apps);
-        EXPECT_EQ(x.supported, y.supported);
-        EXPECT_EQ(x.servers_used, y.servers_used);
-        EXPECT_EQ(x.total_required_capacity, y.total_required_capacity);
-      }
+    const MultiFailoverReport pairs_t = planner.plan_concurrent(cfg, 2);
+    expect_same_consolidation(pairs_t.normal, pairs.normal);
+    EXPECT_EQ(pairs_t.unsupported, pairs.unsupported);
+    ASSERT_EQ(pairs_t.outcomes.size(), pairs.outcomes.size());
+    for (std::size_t i = 0; i < pairs.outcomes.size(); ++i) {
+      const MultiFailureOutcome& x = pairs_t.outcomes[i];
+      const MultiFailureOutcome& y = pairs.outcomes[i];
+      EXPECT_EQ(x.failed_servers, y.failed_servers);
+      EXPECT_EQ(x.affected_apps, y.affected_apps);
+      EXPECT_EQ(x.supported, y.supported);
+      EXPECT_EQ(x.servers_used, y.servers_used);
+      EXPECT_EQ(x.total_required_capacity, y.total_required_capacity);
     }
   }
 }

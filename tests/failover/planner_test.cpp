@@ -132,21 +132,6 @@ TEST(FailurePlanner, ValidatesInputs) {
                InvalidArgument);
 }
 
-TEST(FailurePlanner, DegradeOnlyAffectedMode) {
-  // With degrade_all_apps = false the unaffected apps keep their (bigger)
-  // normal allocations; the relaxed failure QoS of the affected apps alone
-  // is not enough to fit one 16-way survivor (16 normal + 7.5 failure
-  // CPUs > 16), so a spare is needed.
-  Scenario s = make_scenario(band(0.8, 0.9, 0.95));
-  FailurePlanner planner(s.demands, s.qos, s.commitments,
-                         sim::homogeneous_pool(3, 16));
-  PlannerConfig cfg = fast_config();
-  cfg.degrade_all_apps = false;
-  const FailoverReport report = planner.plan(cfg);
-  ASSERT_TRUE(report.normal.feasible);
-  EXPECT_TRUE(report.spare_needed);
-}
-
 TEST(FailurePlanner, TranslatesEachAppOncePerQosMode) {
   // Two active servers, so two failure scenarios; each of the six apps is
   // translated once under normal QoS and once under failure QoS, however
@@ -155,26 +140,20 @@ TEST(FailurePlanner, TranslatesEachAppOncePerQosMode) {
   FailurePlanner planner(s.demands, s.qos, s.commitments,
                          sim::homogeneous_pool(3, 16));
   const obs::Counter& translations = obs::counter("qos.translate.calls");
-  for (const bool degrade_all : {true, false}) {
-    PlannerConfig cfg = fast_config();
-    cfg.degrade_all_apps = degrade_all;
-    std::uint64_t before = translations.value();
-    const FailoverReport report = planner.plan(cfg);
-    ASSERT_EQ(report.outcomes.size(), 2u);
-    EXPECT_EQ(translations.value() - before, 2 * s.demands.size())
-        << "degrade_all_apps=" << degrade_all;
+  std::uint64_t before = translations.value();
+  const FailoverReport report = planner.plan(fast_config());
+  ASSERT_EQ(report.outcomes.size(), 2u);
+  EXPECT_EQ(translations.value() - before, 2 * s.demands.size());
 
-    before = translations.value();
-    const MultiFailoverReport multi = planner.plan_concurrent(cfg, 1);
-    ASSERT_EQ(multi.outcomes.size(), 2u);
-    EXPECT_EQ(translations.value() - before, 2 * s.demands.size())
-        << "degrade_all_apps=" << degrade_all;
-  }
+  before = translations.value();
+  const MultiFailoverReport multi = planner.plan_concurrent(fast_config(), 1);
+  ASSERT_EQ(multi.outcomes.size(), 2u);
+  EXPECT_EQ(translations.value() - before, 2 * s.demands.size());
 }
 
 TEST(FailurePlanner, LaterScenariosPackFromTheSharedMemo) {
-  // Under degrade_all_apps every scenario places the same failure-mode
-  // allocations on identical 16-way survivors, so its problem shares the
+  // Every scenario places the same failure-mode allocations on identical
+  // 16-way survivors, so its problem shares the
   // sweep's memo and every scenario after the first repeats the first
   // one's greedy packing from memo hits alone: the whole sweep probes the
   // engine exactly as often as a sweep of its first scenario.
@@ -203,14 +182,9 @@ TEST(FailurePlanner, BuildsOneDeltaContextPerScenarioPlusNormal) {
   FailurePlanner planner(s.demands, s.qos, s.commitments,
                          sim::homogeneous_pool(3, 16));
   const obs::Counter& builds = obs::counter("placement.delta_context.builds");
-  for (const bool degrade_all : {true, false}) {
-    PlannerConfig cfg = fast_config();
-    cfg.degrade_all_apps = degrade_all;
-    const std::uint64_t before = builds.value();
-    const FailoverReport report = planner.plan(cfg);
-    EXPECT_EQ(builds.value() - before, 1 + report.outcomes.size())
-        << "degrade_all_apps=" << degrade_all;
-  }
+  const std::uint64_t before = builds.value();
+  const FailoverReport report = planner.plan(fast_config());
+  EXPECT_EQ(builds.value() - before, 1 + report.outcomes.size());
 }
 
 }  // namespace

@@ -52,6 +52,7 @@
 #include "serve/checkpoint.h"
 #include "serve/daemon.h"
 #include "sim/simulator.h"
+#include "slo/kernel.h"
 #include "trace/calendar.h"
 #include "trace/demand_trace.h"
 #include "wlm/compliance.h"
@@ -152,37 +153,39 @@ void compliance_lines(Lines& out) {
       full[i] = alloc.cos1()[i] + alloc.cos2()[i];
       squeezed[i] = full[i] * 0.72;
     }
+    const slo::Band band = wlm::band_of(s.req);
     add_report(out, app + ".full",
-               wlm::check_compliance_range(demand, full, s.req,
-                                           kMinutesPerSample),
+               slo::accumulate_bands(demand, full, band, kMinutesPerSample),
                s.req);
     add_report(out, app + ".squeezed",
-               wlm::check_compliance_range(demand, squeezed, s.req,
-                                           kMinutesPerSample),
+               slo::accumulate_bands(demand, squeezed, band,
+                                     kMinutesPerSample),
                s.req);
 
-    // A mid-trace range and a periodic mask, as faultsim phases produce.
+    // A mid-trace range and a periodic mask, as faultsim phases produce:
+    // a masked-out slot (the other mode's) ends the degraded run, and
+    // degradations on fallback slots are charged to telemetry, as the
+    // event schedule judges them.
     const std::size_t lo = t.size() / 5;
     const std::size_t hi = (4 * t.size()) / 5;
     add_report(out, app + ".range",
-               wlm::check_compliance_range(
-                   std::span(demand).subspan(lo, hi - lo),
-                   std::span(squeezed).subspan(lo, hi - lo), s.req,
-                   kMinutesPerSample),
+               slo::accumulate_bands(std::span(demand).subspan(lo, hi - lo),
+                                     std::span(squeezed).subspan(lo, hi - lo),
+                                     band, kMinutesPerSample),
                s.req);
-    std::vector<bool> mask(t.size());
-    for (std::size_t i = 0; i < t.size(); ++i) mask[i] = (i % 40) >= 13;
-    add_report(out, app + ".masked",
-               wlm::check_compliance_attributed(demand, squeezed, mask, {},
-                                                s.req, kMinutesPerSample),
-               s.req);
-    std::vector<bool> fallback(t.size());
-    for (std::size_t i = 0; i < t.size(); ++i) fallback[i] = i % 7 == 0;
-    add_report(out, app + ".attributed",
-               wlm::check_compliance_attributed(demand, squeezed, mask,
-                                                fallback, s.req,
-                                                kMinutesPerSample),
-               s.req);
+    const auto masked = [&](bool attributed) {
+      slo::BandAccumulator acc(kMinutesPerSample);
+      for (std::size_t i = 0; i < t.size(); ++i) {
+        if ((i % 40) < 13) {
+          acc.end_run();
+          continue;
+        }
+        acc.observe(demand[i], squeezed[i], band, attributed && i % 7 == 0);
+      }
+      return acc.counts();
+    };
+    add_report(out, app + ".masked", masked(false), s.req);
+    add_report(out, app + ".attributed", masked(true), s.req);
   }
 }
 
@@ -728,7 +731,6 @@ std::vector<std::string> generate_admissions() {
   EXPECT_FALSE(requests.empty()) << "no request lines in " << path;
 
   serve::ServeConfig config;
-  config.failure.t_degr_minutes = 30.0;  // the daemon's default failure band
   serve::DaemonCore core(config, serve::DaemonOptions{});
   Lines out;
   for (const std::string& request : requests) {

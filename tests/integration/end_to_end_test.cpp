@@ -154,8 +154,8 @@ TEST(EndToEnd, ClairvoyantWlmRunHonoursQosOnEveryServer) {
   const auto minutes =
       static_cast<double>(s.demands[0].calendar().minutes_per_sample());
   for (std::size_t a = 0; a < apps; ++a) {
-    const wlm::ComplianceReport compliance = wlm::check_compliance_range(
-        s.demands[a].values(), granted[a], s.req, minutes);
+    const wlm::ComplianceReport compliance = slo::accumulate_bands(
+        s.demands[a].values(), granted[a], wlm::band_of(s.req), minutes);
     // The theta commitment is an average over the days of a week-slot
     // group, so individual intervals may receive less than theta even at
     // the required capacity (the deadline term covers the deferral).

@@ -2,16 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "qos/requirements.h"
+#include "qos/translation.h"
 #include "sim/simulator.h"
+#include "slo/kernel.h"
 #include "trace/calendar.h"
 #include "wlm/compliance.h"
+#include "wlm/failure_drill.h"
+#include "wlm/telemetry.h"
 
 namespace ropus::obs {
 namespace {
@@ -108,8 +115,8 @@ TEST(Watchdog, StreamingMatchesBatchRangeCheck) {
   }
   wd.finish();
 
-  const wlm::ComplianceReport batch = wlm::check_compliance_range(
-      s.demand, s.granted, paper_requirement(), 5.0);
+  const wlm::ComplianceReport batch = slo::accumulate_bands(
+      s.demand, s.granted, wlm::band_of(paper_requirement()), 5.0);
   const BandReport* streaming = wd.report(0, false);
   ASSERT_NE(streaming, nullptr);
   expect_reports_equal(*streaming, batch);
@@ -118,61 +125,141 @@ TEST(Watchdog, StreamingMatchesBatchRangeCheck) {
             batch.satisfies(wlm::band_of(paper_requirement()), 0.0));
 }
 
-TEST(Watchdog, StreamingMatchesBatchMaskedByMode) {
-  // Mode alternates in stretches, the faultsim pattern: each mode's slots
-  // form a non-contiguous subset, and a masked-out slot must end the other
-  // mode's degraded run.
-  const Series s = mixed_series(1200, 42);
-  std::vector<bool> failure_mask(s.demand.size());
-  for (std::size_t i = 0; i < s.demand.size(); ++i) {
-    failure_mask[i] = (i % 40) < 13;
+/// A recorded wlm event schedule whose phases alternate the apps' modes,
+/// the faultsim pattern: failure mode for 13 of every 40 slots, so each
+/// mode's slots form a non-contiguous subset and a slot of the other mode
+/// must end a mode's degraded run. Three apps with noisy demand share a
+/// server too small for their peaks, so every band class occurs; with
+/// `faulted`, each app's readings drop and go stale, so some slots are
+/// served from the fallback.
+struct RecordedSchedule {
+  wlm::ScheduleResult result;
+  Recording recording;
+  WatchdogConfig config;
+};
+
+RecordedSchedule record_alternating_schedule(bool faulted) {
+  const trace::Calendar cal = trace::Calendar::standard(1);
+  qos::Requirement failure_req = paper_requirement();
+  failure_req.u_high = 0.8;
+  failure_req.u_degr = 0.95;
+  failure_req.m_percent = 90.0;
+  failure_req.t_degr_minutes = 60.0;
+  const qos::CosCommitment cos2{0.95, 60.0};
+  Rng rng(45);
+  std::vector<trace::DemandTrace> demands;
+  std::vector<qos::Translation> normal;
+  std::vector<qos::Translation> failure;
+  for (std::size_t a = 0; a < 3; ++a) {
+    std::vector<double> v(cal.size());
+    for (double& x : v) x = rng.bernoulli(0.1) ? 0.0 : rng.uniform(0.2, 3.0);
+    demands.emplace_back("app-" + std::to_string(a), cal, std::move(v));
+    normal.push_back(qos::translate(demands.back(), paper_requirement(), cos2));
+    failure.push_back(qos::translate(demands.back(), failure_req, cos2));
   }
-  std::vector<bool> normal_mask(s.demand.size());
-  for (std::size_t i = 0; i < s.demand.size(); ++i) {
-    normal_mask[i] = !failure_mask[i];
+  const std::vector<sim::ServerSpec> pool{sim::ServerSpec{"s", 7}};
+  std::vector<wlm::SchedulePhase> phases;
+  for (std::size_t start = 0; start < cal.size(); start += 40) {
+    for (const std::size_t offset : {std::size_t{0}, std::size_t{13}}) {
+      wlm::SchedulePhase phase;
+      phase.start_slot = start + offset;
+      phase.hosts.assign(demands.size(), 0);
+      phase.failure_mode.assign(demands.size(), offset == 0);
+      phase.down.assign(pool.size(), false);
+      if (phase.start_slot < cal.size()) phases.push_back(std::move(phase));
+    }
+  }
+  wlm::TelemetryFaultModel model;
+  model.drop_rate = 0.2;
+  model.stale_rate = 0.1;
+  std::vector<wlm::TelemetryChannel> channels;
+  wlm::ScheduleTelemetry telemetry;
+  if (faulted) {
+    for (std::uint64_t a = 0; a < demands.size(); ++a) {
+      channels.emplace_back(model, 46 + a);
+    }
+    telemetry.observe = [&channels](std::size_t app, std::size_t,
+                                    std::span<const double> true_demand,
+                                    std::span<wlm::Observation> out) {
+      channels[app].observe_block(true_demand, out);
+    };
   }
 
-  Watchdog wd(paper_config());
-  for (std::size_t i = 0; i < s.demand.size(); ++i) {
-    wd.observe(band_record(
-        static_cast<std::uint32_t>(i), s.demand[i], s.granted[i],
-        failure_mask[i] ? SlotRecord::kFailureMode : std::uint8_t{0}));
-  }
+  const fs::path path =
+      fs::temp_directory_path() /
+      ("ropus_watchdog_schedule_" +
+       std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
+       "_" + ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+       ".bin");
+  RecorderConfig rec_config;
+  rec_config.path = path;
+  rec_config.ring_records = 0;
+  Recorder recorder(rec_config);
+  Recorder::set_active(&recorder);
+  RecordedSchedule out;
+  out.result = wlm::run_event_schedule(demands, normal, failure, pool, phases,
+                                       {}, wlm::Policy::kReactive,
+                                       wlm::kDefaultHistoryWindow, telemetry);
+  Recorder::set_active(nullptr);
+  recorder.finish();
+  out.recording = read_recording(path);
+  fs::remove(path);
+
+  out.config = paper_config();
+  out.config.normal = wlm::band_of(paper_requirement());
+  out.config.failure = wlm::band_of(failure_req);
+  return out;
+}
+
+/// Streams a recorded schedule through the watchdog and checks each app's
+/// per-mode reports against the counts the schedule judged, as `ropus_cli
+/// report` claims for a stride-1 recording; returns the counts summed over
+/// apps and modes.
+wlm::ComplianceReport expect_watchdog_matches_schedule(
+    const RecordedSchedule& s) {
+  Watchdog wd(s.config);
+  for (const SlotRecord& r : s.recording.records) wd.observe(r);
   wd.finish();
+  wlm::ComplianceReport total;
+  for (const wlm::ScheduleAppOutcome& app : s.result.apps) {
+    SCOPED_TRACE(app.name);
+    const auto it =
+        std::find(s.recording.apps.begin(), s.recording.apps.end(), app.name);
+    EXPECT_NE(it, s.recording.apps.end());
+    if (it == s.recording.apps.end()) continue;
+    const auto id = static_cast<std::uint16_t>(it - s.recording.apps.begin());
+    const BandReport* normal = wd.report(id, false);
+    const BandReport* failure = wd.report(id, true);
+    EXPECT_NE(normal, nullptr);
+    EXPECT_NE(failure, nullptr);
+    if (normal == nullptr || failure == nullptr) continue;
+    expect_reports_equal(*normal, app.normal_mode);
+    expect_reports_equal(*failure, app.failure_mode);
+    for (const wlm::ComplianceReport* r :
+         {&app.normal_mode, &app.failure_mode}) {
+      total.degraded += r->degraded;
+      total.violating += r->violating;
+      total.degraded_telemetry += r->degraded_telemetry;
+      total.violating_telemetry += r->violating_telemetry;
+    }
+  }
+  return total;
+}
 
-  const qos::Requirement req = paper_requirement();
-  const BandReport* normal = wd.report(0, false);
-  const BandReport* failure = wd.report(0, true);
-  ASSERT_NE(normal, nullptr);
-  ASSERT_NE(failure, nullptr);
-  expect_reports_equal(*normal, wlm::check_compliance_attributed(
-                                    s.demand, s.granted, normal_mask, {},
-                                    req, 5.0));
-  expect_reports_equal(*failure, wlm::check_compliance_attributed(
-                                     s.demand, s.granted, failure_mask, {},
-                                     req, 5.0));
+TEST(Watchdog, StreamingMatchesBatchMaskedByMode) {
+  const RecordedSchedule s = record_alternating_schedule(false);
+  const wlm::ComplianceReport total = expect_watchdog_matches_schedule(s);
+  EXPECT_GT(total.degraded, 0u);
+  EXPECT_GT(total.violating, 0u);
+  EXPECT_EQ(total.degraded_telemetry + total.violating_telemetry, 0u);
 }
 
 TEST(Watchdog, StreamingMatchesBatchTelemetryAttribution) {
-  const Series s = mixed_series(900, 43);
-  std::vector<bool> mask(s.demand.size(), true);
-  std::vector<bool> fallback(s.demand.size());
-  for (std::size_t i = 0; i < s.demand.size(); ++i) fallback[i] = i % 5 == 0;
-
-  Watchdog wd(paper_config());
-  for (std::size_t i = 0; i < s.demand.size(); ++i) {
-    wd.observe(band_record(
-        static_cast<std::uint32_t>(i), s.demand[i], s.granted[i],
-        fallback[i] ? SlotRecord::kFallback : std::uint8_t{0}));
-  }
-  wd.finish();
-
-  const wlm::ComplianceReport batch = wlm::check_compliance_attributed(
-      s.demand, s.granted, mask, fallback, paper_requirement(), 5.0);
-  EXPECT_GT(batch.degraded_telemetry + batch.violating_telemetry, 0u);
-  const BandReport* streaming = wd.report(0, false);
-  ASSERT_NE(streaming, nullptr);
-  expect_reports_equal(*streaming, batch);
+  const RecordedSchedule s = record_alternating_schedule(true);
+  const wlm::ComplianceReport total = expect_watchdog_matches_schedule(s);
+  EXPECT_GT(total.degraded_telemetry + total.violating_telemetry, 0u);
+  EXPECT_LT(total.degraded_telemetry + total.violating_telemetry,
+            total.degraded + total.violating);
 }
 
 TEST(Watchdog, ThetaMatchesSimEvaluateBitForBit) {

@@ -5,7 +5,10 @@
 #include <vector>
 
 #include "common/error.h"
+#include "qos/translation.h"
+#include "slo/kernel.h"
 #include "trace/calendar.h"
+#include "wlm/failure_drill.h"
 
 namespace ropus::wlm {
 namespace {
@@ -27,7 +30,7 @@ qos::Requirement req(std::optional<double> t_degr = std::nullopt) {
 /// Judges a whole tiny-calendar trace.
 ComplianceReport check(const std::vector<double>& demand,
                        const std::vector<double>& grants) {
-  return check_compliance_range(demand, grants, req(), 720.0);
+  return slo::accumulate_bands(demand, grants, band_of(req()), 720.0);
 }
 
 TEST(Compliance, ClassifiesBands) {
@@ -91,17 +94,18 @@ TEST(Compliance, MismatchedLengthsThrow) {
 }
 
 TEST(Compliance, AttributedSplitsDegradationByFallbackCause) {
+  // The schedule's judge: a slot served from the telemetry fallback charges
+  // its degradation to the measurement pipeline.
   const std::vector<double> demand(tiny().size(), 1.0);
   std::vector<double> grants(tiny().size(), 2.0);  // acceptable baseline
   grants[1] = 1.25;  // degraded, on fallback -> telemetry-attributed
   grants[2] = 1.0;   // violating, on fallback -> telemetry-attributed
   grants[3] = 1.25;  // degraded, measurement-driven -> capacity-attributed
-  const std::vector<bool> mask(tiny().size(), true);
-  std::vector<bool> fallback(tiny().size(), false);
-  fallback[1] = true;
-  fallback[2] = true;
-  const ComplianceReport r = check_compliance_attributed(
-      demand, grants, mask, fallback, req(), 720.0);
+  slo::BandAccumulator judge(720.0);
+  for (std::size_t i = 0; i < demand.size(); ++i) {
+    judge.observe(demand[i], grants[i], band_of(req()), i == 1 || i == 2);
+  }
+  const ComplianceReport& r = judge.counts();
   EXPECT_EQ(r.degraded, 2u);
   EXPECT_EQ(r.violating, 1u);
   EXPECT_EQ(r.degraded_telemetry, 1u);
@@ -109,31 +113,63 @@ TEST(Compliance, AttributedSplitsDegradationByFallbackCause) {
 }
 
 TEST(Compliance, AttributedWithEmptyFallbackEqualsMasked) {
-  const std::vector<double> demand(tiny().size(), 1.0);
-  std::vector<double> grants(tiny().size(), 2.0);
-  grants[1] = 1.25;
-  grants[2] = 1.0;
-  std::vector<bool> mask(tiny().size(), true);
-  mask[4] = false;
-  const slo::BandCounts masked =
-      slo::accumulate_bands(demand, grants, band_of(req()), 720.0, &mask);
-  const ComplianceReport attributed = check_compliance_attributed(
-      demand, grants, mask, {}, req(), 720.0);
-  EXPECT_EQ(attributed.intervals, masked.intervals);
-  EXPECT_EQ(attributed.degraded, masked.degraded);
-  EXPECT_EQ(attributed.violating, masked.violating);
-  EXPECT_EQ(attributed.degraded_telemetry, 0u);
-  EXPECT_EQ(attributed.violating_telemetry, 0u);
-}
+  // A perfect-telemetry schedule whose app alternates modes (failure mode
+  // in slots 4-7): each mode's counts attribute nothing to telemetry and
+  // equal its slots judged alone, a slot of the other mode ending the run.
+  const std::vector<double> v{1.0, 3.0, 3.0, 3.0, 3.0, 3.0, 1.0,
+                              3.0, 3.0, 3.0, 1.0, 0.0, 0.5, 3.0};
+  const std::vector<trace::DemandTrace> demands{
+      trace::DemandTrace("a", tiny(), v), trace::DemandTrace("b", tiny(), v)};
+  const qos::CosCommitment cos2{1.0, 10080.0};
+  std::vector<qos::Translation> normal;
+  std::vector<qos::Translation> failure;
+  qos::Requirement relaxed = req(1440.0);
+  relaxed.u_high = 0.8;
+  relaxed.u_degr = 0.95;
+  for (const trace::DemandTrace& d : demands) {
+    normal.push_back(qos::translate(d, req(), cos2));
+    failure.push_back(qos::translate(d, relaxed, cos2));
+  }
+  // Two clairvoyant apps on 9 CPUs: each asks for 6 at demand 3, so
+  // those slots are squeezed to 4.5 (U = 0.67).
+  const std::vector<sim::ServerSpec> pool{sim::ServerSpec{"s", 9}};
+  std::vector<SchedulePhase> phases(3);
+  for (std::size_t p = 0; p < phases.size(); ++p) {
+    phases[p].start_slot = std::vector<std::size_t>{0, 4, 8}[p];
+    phases[p].hosts = {0, 0};
+    phases[p].failure_mode.assign(2, p == 1);
+    phases[p].down = {false};
+  }
+  const ScheduleResult r = run_event_schedule(
+      demands, normal, failure, pool, phases, {}, Policy::kClairvoyant);
 
-TEST(Compliance, AttributedRejectsMisalignedFallback) {
-  const std::vector<double> demand(tiny().size(), 1.0);
-  const std::vector<double> grants(tiny().size(), 2.0);
-  const std::vector<bool> mask(tiny().size(), true);
-  const std::vector<bool> fallback(3, true);
-  EXPECT_THROW(check_compliance_attributed(demand, grants, mask, fallback,
-                                           req(), 720.0),
-               InvalidArgument);
+  const ScheduleAppOutcome& app = r.apps[0];
+  for (const bool failure_mode : {false, true}) {
+    slo::BandAccumulator masked(720.0);
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      if ((i >= 4 && i < 8) != failure_mode) {
+        masked.end_run();
+        continue;
+      }
+      masked.observe(v[i], app.granted[i],
+                     band_of(failure_mode ? relaxed : req()));
+    }
+    const ComplianceReport& want = masked.counts();
+    const ComplianceReport& got =
+        failure_mode ? app.failure_mode : app.normal_mode;
+    EXPECT_EQ(got.intervals, want.intervals);
+    EXPECT_EQ(got.idle, want.idle);
+    EXPECT_EQ(got.acceptable, want.acceptable);
+    EXPECT_EQ(got.degraded, want.degraded);
+    EXPECT_EQ(got.violating, want.violating);
+    EXPECT_EQ(got.longest_degraded_minutes, want.longest_degraded_minutes);
+    EXPECT_EQ(got.degraded_telemetry, 0u);
+    EXPECT_EQ(got.violating_telemetry, 0u);
+  }
+  // Slots 1-3 and 8-9 are degraded in normal mode; the failure-mode
+  // stretch between them ends the first run.
+  EXPECT_EQ(app.normal_mode.degraded, 6u);
+  EXPECT_EQ(app.normal_mode.longest_degraded_minutes, 3.0 * 720.0);
 }
 
 }  // namespace

@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
+#include "common/rng.h"
+#include "slo/kernel.h"
 
 namespace ropus::wlm {
 namespace {
@@ -168,6 +172,91 @@ TEST(FailureDrill, OutageLongerThanRemainingTraceIsClamped) {
       rig.failure_assignment, rig.pool, 0, cfg);
   // 2 affected apps x 2 CPUs x the 2 slots that actually exist.
   EXPECT_NEAR(r.outage_unserved, 8.0, 1e-9);
+}
+
+void expect_counts_equal(const ComplianceReport& got,
+                         const ComplianceReport& want) {
+  EXPECT_EQ(got.intervals, want.intervals);
+  EXPECT_EQ(got.idle, want.idle);
+  EXPECT_EQ(got.acceptable, want.acceptable);
+  EXPECT_EQ(got.degraded, want.degraded);
+  EXPECT_EQ(got.violating, want.violating);
+  EXPECT_EQ(got.degraded_telemetry, want.degraded_telemetry);
+  EXPECT_EQ(got.violating_telemetry, want.violating_telemetry);
+  EXPECT_EQ(got.longest_degraded_minutes, want.longest_degraded_minutes);
+}
+
+TEST(FailureDrill, BeforeAndAfterAreEachSideJudgedAlone) {
+  // Noisy demand under a reactive controller, migration outages and a
+  // survivor too small for everyone: every band class, and degraded runs
+  // that reach the failure instant.
+  const Calendar cal(1, 60);
+  const qos::CosCommitment cos2{1.0, 10080.0};
+  Rng rng(11);
+  Rig rig;
+  for (int a = 0; a < 4; ++a) {
+    std::vector<double> v(cal.size());
+    for (double& x : v) x = rng.uniform(0.5, 3.0);
+    rig.demands.emplace_back("app-" + std::to_string(a), cal, std::move(v));
+    rig.normal.push_back(
+        qos::translate(rig.demands.back(), band(0.5, 0.66, 0.9), cos2));
+    rig.failure.push_back(
+        qos::translate(rig.demands.back(), band(0.8, 0.9, 0.95), cos2));
+  }
+  rig.pool = {sim::ServerSpec{"a", 16}, sim::ServerSpec{"b", 10}};
+  rig.normal_assignment = {0, 0, 1, 1};
+  rig.failure_assignment = {1, 1, 1, 1};
+  const auto minutes = static_cast<double>(cal.minutes_per_sample());
+  ComplianceReport seen;
+  for (const std::size_t f :
+       {std::size_t{0}, std::size_t{1}, std::size_t{70}, cal.size() - 1}) {
+    SCOPED_TRACE("failure slot " + std::to_string(f));
+    DrillConfig cfg;
+    cfg.failure_slot = f;
+    cfg.migration_outage_slots = 3;
+    cfg.policy = Policy::kReactive;
+    const DrillResult r = run_failure_drill(
+        rig.demands, rig.normal, rig.failure, rig.normal_assignment,
+        rig.failure_assignment, rig.pool, 0, cfg);
+
+    // The drill's schedule, replayed for its grants.
+    SchedulePhase before;
+    before.hosts = rig.normal_assignment;
+    before.failure_mode.assign(4, false);
+    before.down.assign(2, false);
+    SchedulePhase after;
+    after.start_slot = f;
+    after.hosts = rig.failure_assignment;
+    after.failure_mode.assign(4, true);
+    after.down = {true, false};
+    std::vector<SchedulePhase> phases;
+    if (f > 0) phases.push_back(before);
+    phases.push_back(after);
+    const std::vector<OutageWindow> outages{{0, f, f + 3}, {1, f, f + 3}};
+    const ScheduleResult replay =
+        run_event_schedule(rig.demands, rig.normal, rig.failure, rig.pool,
+                           phases, outages, Policy::kReactive);
+
+    for (std::size_t a = 0; a < 4; ++a) {
+      const std::span<const double> d = rig.demands[a].values();
+      const std::span<const double> g = replay.apps[a].granted;
+      expect_counts_equal(
+          r.apps[a].before,
+          slo::accumulate_bands(d.first(f), g.first(f),
+                                band_of(rig.normal[a].requirement), minutes));
+      expect_counts_equal(
+          r.apps[a].after,
+          slo::accumulate_bands(d.subspan(f), g.subspan(f),
+                                band_of(rig.failure[a].requirement),
+                                minutes));
+      for (const ComplianceReport* c : {&r.apps[a].before, &r.apps[a].after}) {
+        seen.degraded += c->degraded;
+        seen.violating += c->violating;
+      }
+    }
+  }
+  EXPECT_GT(seen.degraded, 0u);
+  EXPECT_GT(seen.violating, 0u);
 }
 
 TEST(EventSchedule, UnhostedAppRecordedNotFatal) {

@@ -3,8 +3,9 @@
 // schedules (1-40 apps on heterogeneous pools, calendars whose length is
 // and is not a multiple of the block, phases and outages straddling block
 // edges, every policy and telemetry source, the flight recorder on and off)
-// must replay bit for bit the same through both. Also pins the telemetry
-// pull contract and the channel's stale-value ring.
+// must replay bit for bit the same through both, per-mode band counts
+// included. Also pins the telemetry pull contract and the channel's
+// stale-value ring.
 #include "wlm/failure_drill.h"
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include "common/rng.h"
 #include "obs/recorder.h"
 #include "slo/kernel.h"
+#include "wlm/compliance.h"
 
 namespace ropus::wlm {
 namespace {
@@ -30,9 +32,11 @@ using trace::Calendar;
 using trace::DemandTrace;
 
 /// The slot-major replay: every slot steps all apps, sums their requests
-/// per host, grants every server, then hands each app its grant. Telemetry
-/// arrives as streams sampled up front (`observations`, one per app;
-/// empty for perfect telemetry). Inputs are assumed valid.
+/// per host, grants every server, then hands each app its grant and judges
+/// it in the mode the app runs, ending the other mode's degraded run at
+/// each mode switch. Telemetry arrives as streams sampled up front
+/// (`observations`, one per app; empty for perfect telemetry). Inputs are
+/// assumed valid.
 ScheduleResult slot_major_schedule(
     std::span<const DemandTrace> demands,
     std::span<const qos::Translation> normal,
@@ -59,6 +63,12 @@ ScheduleResult slot_major_schedule(
     normal_ctl.emplace_back(normal[a], policy, history_window, degraded);
     failure_ctl.emplace_back(failure[a], policy, history_window, degraded);
   }
+
+  // judges[a][0] judges app a's normal-mode slots, [1] its failure-mode
+  // ones.
+  const auto minutes = static_cast<double>(cal.minutes_per_sample());
+  std::vector<std::vector<slo::BandAccumulator>> judges(
+      n, std::vector<slo::BandAccumulator>(2, slo::BandAccumulator(minutes)));
 
   ScheduleResult result;
   result.apps.resize(n);
@@ -133,6 +143,16 @@ ScheduleResult slot_major_schedule(
         app.unserved_demand += lost;
         if (in_outage[a][i]) app.outage_unserved += lost;
       }
+      const bool failure_mode = phase.failure_mode[a];
+      const slo::Band band = band_of(failure_mode ? failure[a].requirement
+                                                  : normal[a].requirement);
+      const bool switched = i > 0 && phase.start_slot == i &&
+                            phases[phase_idx - 1].failure_mode[a] !=
+                                failure_mode;
+      if (switched) judges[a][failure_mode ? 0 : 1].end_run();
+      judges[a][failure_mode ? 1 : 0].observe(
+          d, app.granted[i], band,
+          faulted && app.fallback_slots[i] != 0);
     }
 
     if (rec != nullptr && rec->should_record(i)) {
@@ -175,6 +195,8 @@ ScheduleResult slot_major_schedule(
       result.apps[a].telemetry = normal_ctl[a].health();
       result.apps[a].telemetry.merge(failure_ctl[a].health());
     }
+    result.apps[a].normal_mode = judges[a][0].counts();
+    result.apps[a].failure_mode = judges[a][1].counts();
     result.unserved_demand += result.apps[a].unserved_demand;
     result.outage_unserved += result.apps[a].outage_unserved;
   }
@@ -201,11 +223,13 @@ struct Scenario {
   std::size_t record_stride = 0;     // 0 = no recorder
 };
 
-qos::Translation random_translation(Rng& rng, double peak) {
+qos::Translation random_translation(Rng& rng, double peak,
+                                    double u_high = 0.66,
+                                    double u_degr = 0.9) {
   qos::Translation tr;
   tr.requirement.u_low = rng.uniform(0.3, 0.6);
-  tr.requirement.u_high = 0.66;
-  tr.requirement.u_degr = 0.9;
+  tr.requirement.u_high = u_high;
+  tr.requirement.u_degr = u_degr;
   tr.requirement.m_percent = 97.0;
   tr.theta = rng.uniform(0.3, 1.0);
   tr.breakpoint_p = qos::breakpoint(tr.requirement.u_low,
@@ -264,7 +288,9 @@ Scenario random_scenario(std::uint64_t seed) {
     name += std::to_string(a);
     s.demands.emplace_back(std::move(name), cal, std::move(v));
     s.normal.push_back(random_translation(rng, peak));
-    s.failure.push_back(random_translation(rng, peak));
+    // A relaxed failure-mode band, so judging a slot in the wrong mode
+    // shows.
+    s.failure.push_back(random_translation(rng, peak, 0.8, 0.95));
   }
 
   const std::size_t servers = 1 + rng.uniform_index(8);
@@ -429,6 +455,13 @@ std::vector<std::size_t> health_fields(const HealthReport& h) {
           h.fallback_activations, h.longest_blackout};
 }
 
+std::vector<std::uint64_t> count_fields(const ComplianceReport& r) {
+  return {r.intervals,          r.idle,
+          r.acceptable,         r.degraded,
+          r.violating,          r.degraded_telemetry,
+          r.violating_telemetry, bits(r.longest_degraded_minutes)};
+}
+
 class ScheduleBlocking : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -450,6 +483,8 @@ class ScheduleBlocking : public ::testing::Test {
 TEST_F(ScheduleBlocking, RandomSchedulesMatchTheSlotMajorReplayBitForBit) {
   std::size_t recorded = 0;
   std::size_t by_source[3] = {0, 0, 0};
+  ComplianceReport judged;  // summed over every app and mode
+  std::size_t failure_judged = 0;
   for (std::uint64_t seed = 1; seed <= 300; ++seed) {
     const Scenario s = random_scenario(seed);
     std::string trace = "seed ";
@@ -504,9 +539,22 @@ TEST_F(ScheduleBlocking, RandomSchedulesMatchTheSlotMajorReplayBitForBit) {
       ASSERT_EQ(bits(g.outage_unserved), bits(w.outage_unserved));
       ASSERT_EQ(g.unhosted_slots, w.unhosted_slots);
       ASSERT_EQ(health_fields(g.telemetry), health_fields(w.telemetry));
+      ASSERT_EQ(count_fields(g.normal_mode), count_fields(w.normal_mode))
+          << "app " << a;
+      ASSERT_EQ(count_fields(g.failure_mode), count_fields(w.failure_mode))
+          << "app " << a;
     }
     ASSERT_EQ(bits(got.unserved_demand), bits(want.unserved_demand));
     ASSERT_EQ(bits(got.outage_unserved), bits(want.outage_unserved));
+    for (const ScheduleAppOutcome& app : got.apps) {
+      for (const ComplianceReport* r : {&app.normal_mode, &app.failure_mode}) {
+        judged.degraded += r->degraded;
+        judged.violating += r->violating;
+        judged.degraded_telemetry += r->degraded_telemetry;
+        judged.violating_telemetry += r->violating_telemetry;
+      }
+      failure_judged += app.failure_mode.intervals;
+    }
 
     ASSERT_EQ(got_rec.apps, want_rec.apps);
     ASSERT_EQ(got_rec.records.size(), want_rec.records.size());
@@ -519,6 +567,11 @@ TEST_F(ScheduleBlocking, RandomSchedulesMatchTheSlotMajorReplayBitForBit) {
   // The generator really covered every telemetry source and the recorder.
   EXPECT_GT(recorded, 20u);
   for (const std::size_t count : by_source) EXPECT_GT(count, 50u);
+  // ...and the judges saw every class in both modes, and fallback slots.
+  EXPECT_GT(judged.degraded, 0u);
+  EXPECT_GT(judged.violating, 0u);
+  EXPECT_GT(judged.degraded_telemetry + judged.violating_telemetry, 0u);
+  EXPECT_GT(failure_judged, 0u);
 }
 
 TEST(ScheduleTelemetry, EveryAppIsAskedForEverySlotOnceInSlotOrder) {

@@ -146,9 +146,10 @@ void replay_burn(RecordingReport& report) {
 // them through the online watchdog, producing the SLO-attainment report the
 // paper's contracts call for: per-app band attainment vs spec in each mode,
 // the breach timeline, the theta trajectory across sections, and the
-// watchdog alert log. The watchdog's estimators replicate wlm::compliance
-// and sim::evaluate exactly, so on a stride-1 recording this reproduces the
-// batch verdicts bit for bit.
+// watchdog alert log. The watchdog judges with the same kernel
+// accumulators as wlm::run_event_schedule and sim::evaluate, so on a
+// stride-1 recording of a schedule (wlm, faultsim) this reproduces the
+// schedule's per-mode counts bit for bit.
 int cmd_report(const Flags& flags, std::ostream& out, std::ostream& err) {
   const std::vector<std::string> allowed{
       "records",       "ulow",          "uhigh",          "udegr",

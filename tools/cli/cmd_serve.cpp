@@ -1,4 +1,3 @@
-#include <algorithm>
 #include <cmath>
 #include <iostream>
 #include <string>
@@ -21,38 +20,23 @@ namespace ropus::cli {
 // and TransportOptions (see docs/serve.md for the protocol).
 int cmd_serve(const Flags& flags, std::ostream& out, std::ostream& err) {
   std::vector<std::string> allowed{
-      "theta",          "deadline",        "ulow",
-      "uhigh",          "udegr",           "m",
-      "tdegr",          "failure-ulow",    "failure-uhigh",
-      "failure-udegr",  "failure-m",       "failure-tdegr",
-      "servers",        "cpus",            "minutes",
-      "policy",         "window",          "revenue-rate",
-      "penalty-rate",   "headroom-margin", "renegotiate-m",
-      "renegotiate-tdegr", "max-slot-gap", "checkpoint",
-      "journal",        "checkpoint-every", "queue",
-      "max-line-bytes", "tick-deadline-ms", "compact",
-      "socket",         "host",            "port",
-      "max-connections", "read-timeout",   "write-timeout",
-      "max-output-bytes", "http-port",     "drain-grace",
-      "slow-request-ms"};
+      "theta",          "deadline",          "ulow",
+      "uhigh",          "udegr",             "m",
+      "tdegr",          "servers",           "cpus",
+      "minutes",        "policy",            "window",
+      "revenue-rate",   "penalty-rate",      "headroom-margin",
+      "renegotiate-m",  "renegotiate-tdegr", "max-slot-gap",
+      "checkpoint",     "journal",           "checkpoint-every",
+      "queue",          "max-line-bytes",    "tick-deadline-ms",
+      "compact",        "socket",            "host",
+      "port",           "max-connections",   "read-timeout",
+      "write-timeout",  "max-output-bytes",  "http-port",
+      "drain-grace",    "slow-request-ms"};
   append_telemetry_flag_names(allowed);
   if (!check_flags(flags, allowed, err)) return 1;
 
-  const qos::Requirement normal = requirement_from_flags(flags);
-  qos::Requirement failure;
-  if (flags.has("failure-ulow") || flags.has("failure-uhigh") ||
-      flags.has("failure-udegr") || flags.has("failure-m") ||
-      flags.has("failure-tdegr")) {
-    failure = requirement_from_flags(flags, "failure-");
-  } else {
-    failure = normal;
-    failure.m_percent = std::min(failure.m_percent, 97.0);
-    failure.t_degr_minutes = 30.0;
-  }
-
   serve::ServeConfig config;
-  config.normal = wlm::band_of(normal);
-  config.failure = wlm::band_of(failure);
+  config.normal = wlm::band_of(requirement_from_flags(flags));
   config.cos2 = cos2_from_flags(flags);
   config.minutes_per_sample = flags.get_double("minutes", 5.0);
   if (config.minutes_per_sample <= 0.0 ||

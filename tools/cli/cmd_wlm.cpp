@@ -61,11 +61,7 @@ int cmd_wlm(const Flags& flags, std::ostream& out, std::ostream& err) {
     // One replay per app, so a flight recording stays app-major.
     const wlm::ScheduleAppOutcome run =
         wlm::run_isolated(t, tr, policy, window, channel, degraded);
-    const wlm::ComplianceReport report = wlm::check_compliance_attributed(
-        t.values(), run.granted, std::vector<bool>(t.size(), true),
-        std::vector<bool>(run.fallback_slots.begin(),
-                          run.fallback_slots.end()),
-        req, minutes);
+    const wlm::ComplianceReport& report = run.normal_mode;
     const wlm::HealthReport& health = run.telemetry;
     fleet_health.merge(health);
     const bool violates = report.violating > 0;
