@@ -96,15 +96,27 @@ Writer& Writer::end_array() {
   return *this;
 }
 
-Writer& Writer::key(std::string_view name) {
+void Writer::open_key() {
   ROPUS_ASSERT(!stack_.empty() && stack_.back() == Frame::kObject,
                "key outside an object");
   ROPUS_ASSERT(!pending_key_, "two keys in a row");
   if (has_items_.back()) out_.push_back(',');
   has_items_.back() = true;
+  pending_key_ = true;
+}
+
+Writer& Writer::key(std::string_view name) {
+  open_key();
   emit_string(name);
   out_.push_back(':');
-  pending_key_ = true;
+  return *this;
+}
+
+Writer& Writer::literal_key(std::string_view name) {
+  open_key();
+  out_.push_back('"');
+  out_ += name;
+  out_ += "\":";
   return *this;
 }
 
@@ -159,9 +171,14 @@ Writer& Writer::raw(std::string_view json) {
   return *this;
 }
 
-std::string Writer::str() const {
+std::string Writer::str() const& {
   ROPUS_ASSERT(stack_.empty() && done_, "incomplete JSON document");
   return out_;
+}
+
+std::string Writer::str() && {
+  ROPUS_ASSERT(stack_.empty() && done_, "incomplete JSON document");
+  return std::move(out_);
 }
 
 bool Value::as_bool() const {

@@ -29,7 +29,14 @@ class Writer {
   Writer& begin_array();
   Writer& end_array();
 
-  /// Introduces the next member of the enclosing object.
+  /// Introduces the next member of the enclosing object. A string literal
+  /// goes in as written, without emit_string's per-character escape test:
+  /// no literal key in the repo needs an escape.
+  template <std::size_t N>
+  Writer& key(const char (&name)[N]) {
+    return literal_key(std::string_view(name, N - 1));
+  }
+  /// A key built at run time is escaped like any string value.
   Writer& key(std::string_view name);
 
   Writer& value(std::string_view s);
@@ -46,12 +53,16 @@ class Writer {
   Writer& raw(std::string_view json);
 
   /// Final document; throws InternalError when containers are unbalanced.
-  std::string str() const;
+  std::string str() const&;
+  /// The same, moved out of a writer that is done with it.
+  std::string str() &&;
 
  private:
   enum class Frame { kObject, kArray };
   void before_value();
   void emit_string(std::string_view s);
+  void open_key();
+  Writer& literal_key(std::string_view name);
 
   std::string out_;
   std::vector<Frame> stack_;

@@ -233,6 +233,25 @@ TEST(Json, RawSplicesAWriterValue) {
   EXPECT_THROW(key_first.raw("1"), InternalError);
 }
 
+TEST(Json, LiteralAndRuntimeKeysWriteTheSameText) {
+  // A literal key is appended as written; a key built at run time, even
+  // with the same text, goes through the escape test, and one that needs
+  // escapes gets them.
+  const std::string runtime = "name";
+  const std::string quoted = "say \"hi\"";
+  Writer w;
+  w.begin_object();
+  w.key("name").value(std::int64_t{1});
+  w.key(runtime).value(std::int64_t{2});
+  w.key(quoted).value(std::int64_t{3});
+  w.key(std::string_view("tail")).value(std::int64_t{4});
+  w.end_object();
+  EXPECT_EQ(w.str(), R"({"name":1,"name":2,"say \"hi\"":3,"tail":4})");
+  // Moved out, the document is the text a copy of it holds.
+  const std::string copy = w.str();
+  EXPECT_EQ(std::move(w).str(), copy);
+}
+
 // Adversarial corpus: the serve daemon parses attacker-controllable stdin,
 // so parse() must reject hostile shapes with IoError, never crash or
 // exhaust the stack.
