@@ -460,11 +460,18 @@ void report(const BenchRun& run, bench::BenchReporter& reporter) {
              }),
          reporter);
 
+  // A v3 payload names each profile in the store beside it.
+  std::vector<std::string> names;
+  for (const serve::Arbiter::Profile& profile : arbiter.profiles()) {
+    char name[24];
+    std::snprintf(name, sizeof name, "%08x.0", profile.digest);
+    names.emplace_back(name);
+  }
   report(run_bench("serve/checkpoint_save", 0,
                    [&] {
                      json::Writer w;
-                     arbiter.save_state(w);
-                     do_not_optimize(w.str());
+                     arbiter.save_state(w, names);
+                     do_not_optimize(std::move(w).str());
                    }),
          reporter);
 }
@@ -480,11 +487,15 @@ void report(const BenchRun& run, bench::BenchReporter& reporter) {
          reporter);
 }
 
-/// The durable side of the serve daemon: one full compaction cycle —
-/// append a checkpoint interval's worth of journal frames, snapshot the
-/// arbiter (atomic write, fsync of file and parent directory), then
-/// truncate the journal to its new base. Dominated by the fsyncs, so this
-/// tracks the per-interval I/O tax the daemon pays for a bounded journal.
+/// The durable side of the serve daemon: one full compaction cycle as
+/// DaemonCore runs it, over the 26 case-study apps admitted with their
+/// one-week profiles — append a checkpoint interval's worth of journal
+/// frames, name the profiles in the store kept across cycles (the first,
+/// warm-up cycle writes them; later ones find them all), snapshot the
+/// arbiter (atomic write, fsync of file and parent directory), truncate
+/// the journal to its new base and let the store collect. Dominated by
+/// the fsyncs, so this tracks the per-interval I/O tax the daemon pays for
+/// a bounded journal.
 [[gnu::noinline]] void bench_serve_compact(bench::BenchReporter& reporter) {
   namespace fs = std::filesystem;
   const fs::path dir =
@@ -497,9 +508,25 @@ void report(const BenchRun& run, bench::BenchReporter& reporter) {
   config.minutes_per_sample = static_cast<double>(cal.minutes_per_sample());
   config.slots_per_day =
       trace::Calendar::kMinutesPerDay / cal.minutes_per_sample();
+  config.servers = 13;
+  config.server_cpus = 64.0;  // roomy: every admission must be accepted
   serve::Arbiter arbiter(config);
+  for (const trace::DemandTrace& demand : demands()) {
+    serve::Message msg;
+    msg.type = serve::MessageType::kAdmit;
+    msg.admit.app = demand.name();
+    msg.admit.requirement = bench::paper_requirement(97.0, 30.0);
+    msg.admit.profile.assign(demand.values().begin(), demand.values().end());
+    arbiter.handle(msg);
+  }
+  if (arbiter.app_count() != demands().size()) {
+    std::fprintf(stderr, "serve/compact: admission rejected a case-study app\n");
+    std::exit(1);
+  }
 
+  const fs::path checkpoint = dir / "bench.ckpt";
   serve::Journal journal(dir / "bench.journal", 0, 0, 0);
+  serve::ProfileStore store(serve::ProfileStore::path_for(checkpoint));
   const std::string line =
       R"({"type":"tick","slot":0,"demand":{"app-00":1.5,"app-01":2.25}})";
   constexpr std::size_t kInterval = 64;
@@ -508,9 +535,11 @@ void report(const BenchRun& run, bench::BenchReporter& reporter) {
                      for (std::size_t i = 0; i < kInterval; ++i) {
                        journal.append(line);
                      }
-                     serve::write_checkpoint(dir / "bench.ckpt", arbiter,
-                                             journal.entries());
+                     const std::vector<std::string> names = store.put(arbiter);
+                     serve::write_snapshot(checkpoint, arbiter,
+                                           journal.entries(), names);
                      do_not_optimize(journal.compact());
+                     do_not_optimize(store.collect(names));
                    }),
          reporter);
 

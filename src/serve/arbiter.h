@@ -14,7 +14,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -69,11 +71,33 @@ class Arbiter {
   /// own admitted band), pool theta, alert totals.
   std::string summary() const;
 
+  /// An admitted app's demand profile: the JSON array text a checkpoint's
+  /// profile store keeps, and the CRC-32 of that text, its key in the
+  /// store. Both are computed once, when the app is built; a profile never
+  /// changes after admission.
+  struct Profile {
+    std::shared_ptr<const std::string> text;
+    std::uint32_t digest = 0;
+  };
+  /// Each admitted app's profile, in admission order (save_state's order).
+  std::vector<Profile> profiles() const;
+
   /// Serializes the complete state as one JSON object (checkpoint
-  /// payload). restore via load_state on an arbiter built with the same
+  /// payload), naming the i-th app's profile `profile_names[i]` instead of
+  /// writing it. Restore via load_state on an arbiter built with the same
   /// config.
-  void save_state(json::Writer& w) const;
-  void load_state(const json::Value& v);
+  void save_state(json::Writer& w,
+                  const std::vector<std::string>& profile_names) const;
+
+  /// The text stored under a profile name; throws IoError for a name that
+  /// resolves to nothing.
+  using ProfileResolver = std::function<std::shared_ptr<const std::string>(
+      const std::string& name)>;
+  /// Restores save_state's output, resolving each app's profile name
+  /// through `resolve` and keeping the resolved text as the app's profile
+  /// text. With an empty `resolve`, each profile is the inline JSON array
+  /// of a v2 checkpoint.
+  void load_state(const json::Value& v, const ProfileResolver& resolve);
 
   std::size_t next_slot() const { return next_slot_; }
   std::size_t app_count() const { return apps_.size(); }
@@ -103,25 +127,27 @@ class Arbiter {
     bool renegotiated = false;
     double revenue = 1.0;
     std::size_t host = 0;
-    /// The demand profile as the JSON array a checkpoint writes: profiles
-    /// never change after admission, so it is printed once, here.
-    std::string profile;
+    Profile profile;
     qos::Translation translation;
     qos::AllocationTrace alloc;
     wlm::Controller controller;
     slo::Band band;                // requirement as plain numbers
     slo::BandAccumulator bands;    // per-app attainment for summary()
 
+    /// `profile_text` is `demand` as a JSON array, when the caller holds
+    /// it already (a restored app); otherwise it is printed here.
     App(std::string name_, std::uint16_t id_, qos::Requirement req,
-        const trace::DemandTrace& demand, const qos::CosCommitment& cos2,
-        const ServeConfig& cfg);
+        const trace::DemandTrace& demand,
+        std::shared_ptr<const std::string> profile_text,
+        const qos::CosCommitment& cos2, const ServeConfig& cfg);
   };
 
   std::vector<std::string> tick(const TickMessage& msg, bool* state_changed);
   std::string admit(const AdmitMessage& msg, bool* state_changed);
   std::string depart(const DepartMessage& msg, bool* state_changed);
   std::string advance_slot(const TickMessage& msg, bool filler);
-  App build_app(const AdmitMessage& msg, const qos::Requirement& req) const;
+  App build_app(const AdmitMessage& msg, const qos::Requirement& req,
+                std::shared_ptr<const std::string> profile_text = {}) const;
   /// The persistent admission engine for `calendar`, built (or
   /// rebuilt, when the fleet emptied and the calendar changed) to mirror
   /// apps_ exactly: every admitted app registered and hosted. The engine

@@ -1,6 +1,6 @@
 // Crash-safe persistence for the serve daemon.
 //
-// Two files cooperate:
+// Three files cooperate:
 //  * The **journal** is the source of truth: an append-only log of every
 //    accepted (state-changing) input line, each framed as
 //    `<crc32-8hex> <len> <line>\n` and flushed before the reply is
@@ -16,6 +16,13 @@
 //    and replays only the journal tail; a missing, truncated, or corrupt
 //    checkpoint falls back to a full journal replay — same state either
 //    way, just slower.
+//  * The **profile store** (ProfileStore) sits beside the checkpoint and
+//    holds each admitted app's demand profile once, under a name derived
+//    from its digest; a v3 checkpoint names each app's profile instead of
+//    carrying it. A checkpoint appends the profiles the store lacks and
+//    fsyncs them before the snapshot's rename, so a durable checkpoint
+//    never names a profile the store lacks. A name the store cannot
+//    resolve makes the checkpoint unusable, like a CRC failure.
 //
 // Compaction bounds the journal. A compacted journal starts with a header
 // line `ROPUS-JOURNAL v2 <crc8hex> base=<N>` recording that entries
@@ -32,6 +39,8 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,12 +49,83 @@
 
 namespace ropus::serve {
 
+/// The content-addressed store of admitted apps' demand profiles beside a
+/// checkpoint. Each record is the JSON array text of one profile, framed
+/// like a journal line as `<crc8> <len> <name> <text>\n`. The name is
+/// `<digest>.<n>`: the text's CRC-32 (Arbiter::Profile::digest) as eight
+/// hex digits, and n telling apart texts that share a digest. Records are
+/// appended, never changed; when the records the latest checkpoint does
+/// not name outweigh the ones it does, collect() rewrites the file with
+/// only the named ones. The index, and the text of every record, stay in
+/// memory, shared with the apps that hold the same text, so a checkpoint
+/// reads nothing back from the file.
+class ProfileStore {
+ public:
+  /// The store beside the checkpoint at `checkpoint`.
+  static std::filesystem::path path_for(
+      const std::filesystem::path& checkpoint);
+
+  /// Scans the store at `path` (a missing file is an empty store). A frame
+  /// that fails to parse or checksum, or whose name is malformed, repeats
+  /// an earlier name or is not its text's digest, ends the valid prefix,
+  /// as a torn tail ends a journal's; the next append truncates what
+  /// follows it. Throws IoError when the file cannot be read.
+  explicit ProfileStore(std::filesystem::path path);
+
+  /// The text stored under `name`, or nullptr.
+  std::shared_ptr<const std::string> find(std::string_view name) const;
+
+  /// Names each of `arbiter`'s profiles, in admission order. Profiles the
+  /// store lacks are appended in one write, and the file is fsynced only
+  /// when something was appended (and its directory too when the write
+  /// created the file). Throws IoError, leaving the index as it was.
+  std::vector<std::string> put(const Arbiter& arbiter);
+
+  /// Call once the checkpoint naming `names` (put's result) is durable:
+  /// when the records it does not name hold more bytes than the ones it
+  /// does, atomically rewrites the store with only the named records.
+  /// Returns whether it rewrote. Throws IoError.
+  bool collect(const std::vector<std::string>& names);
+
+  /// Length of the valid records on disk.
+  std::uint64_t bytes() const { return bytes_; }
+
+ private:
+  struct Record {
+    std::string name;
+    std::uint32_t digest = 0;
+    std::uint64_t ordinal = 0;
+    std::shared_ptr<const std::string> text;
+    std::uint64_t frame_bytes = 0;  // on disk, framing included
+  };
+  /// Index into records_ of the record named `name`, or npos.
+  std::size_t index_of(std::string_view name) const;
+  void append(const std::string& frames);
+  void reindex();
+
+  std::filesystem::path path_;
+  std::vector<Record> records_;  // file order
+  std::multimap<std::uint32_t, std::size_t> by_digest_;  // into records_
+  std::uint64_t bytes_ = 0;  // valid prefix of the file
+  bool exists_ = false;      // the file is there
+  bool torn_ = false;        // the file holds bytes past the valid prefix
+};
+
 /// Writes a checkpoint of `arbiter` covering the first `journal_entries`
-/// journal lines. Atomic and durable: the previous checkpoint survives a
+/// journal lines, through the store beside `path` (scanned for this call):
+/// appends the profiles the store lacks, then the snapshot, then lets the
+/// store collect. Atomic and durable: the previous checkpoint survives a
 /// crash mid-write, and the new one survives power loss once the call
 /// returns. Throws IoError on filesystem failure.
 void write_checkpoint(const std::filesystem::path& path,
                       const Arbiter& arbiter, std::uint64_t journal_entries);
+
+/// The snapshot step alone: a `ROPUS-CHECKPOINT v3` file naming the i-th
+/// app's profile `profile_names[i]`, which ProfileStore::put returned and
+/// made durable. Throws IoError on filesystem failure.
+void write_snapshot(const std::filesystem::path& path, const Arbiter& arbiter,
+                    std::uint64_t journal_entries,
+                    const std::vector<std::string>& profile_names);
 
 struct CheckpointLoad {
   bool ok = false;                     // state was restored
@@ -57,9 +137,15 @@ struct CheckpointLoad {
 /// Restores `arbiter` from the checkpoint at `path`. Never throws on a
 /// bad file — a missing/unreadable/truncated/corrupt checkpoint reports
 /// ok == false (with the reason) and leaves `arbiter` untouched, so the
-/// caller falls back to journal replay.
+/// caller falls back to journal replay. A v3 checkpoint resolves its
+/// profile names through `store`, or through the store beside `path`
+/// scanned for this call when `store` is null; a name the store lacks
+/// makes the checkpoint unusable. A v2 checkpoint carries its profiles
+/// inline and needs no store.
 CheckpointLoad load_checkpoint(const std::filesystem::path& path,
                                Arbiter& arbiter);
+CheckpointLoad load_checkpoint(const std::filesystem::path& path,
+                               Arbiter& arbiter, const ProfileStore* store);
 
 /// Append-only journal of accepted input lines with per-line CRC framing
 /// and checkpoint-anchored compaction.

@@ -166,7 +166,8 @@ bool should_shed(std::size_t queue_depth, std::size_t queue_capacity,
 }
 
 RecoveryReport recover_state(const ServeConfig& config,
-                             const DaemonOptions& options, Arbiter& arbiter) {
+                             const DaemonOptions& options, Arbiter& arbiter,
+                             const ProfileStore* store) {
   RecoveryReport report;
   Journal::Recovered recovered;
   if (!options.journal_path.empty()) {
@@ -207,7 +208,7 @@ RecoveryReport recover_state(const ServeConfig& config,
     }
     Arbiter candidate(config);
     const CheckpointLoad load =
-        load_checkpoint(options.checkpoint_path, candidate);
+        load_checkpoint(options.checkpoint_path, candidate, store);
     if (!load.ok) throw corrupt_header(load.error);
     arbiter = std::move(candidate);
     report.mode = RecoveryMode::kCheckpointOnly;
@@ -224,7 +225,7 @@ RecoveryReport recover_state(const ServeConfig& config,
   if (!options.checkpoint_path.empty()) {
     Arbiter candidate(config);
     const CheckpointLoad load =
-        load_checkpoint(options.checkpoint_path, candidate);
+        load_checkpoint(options.checkpoint_path, candidate, store);
     if (options.journal_path.empty()) {
       // No journal configured: the checkpoint is the sole source of truth,
       // so a --checkpoint-only daemon still restores its state on restart
@@ -306,7 +307,11 @@ DaemonCore::DaemonCore(const ServeConfig& config, const DaemonOptions& options)
       admission_burn_("admission", config.minutes_per_sample) {
   config.validate();
   options_.validate();
-  recovery_ = recover_state(config, options_, arbiter_);
+  if (!options_.checkpoint_path.empty()) {
+    store_ = std::make_unique<ProfileStore>(
+        ProfileStore::path_for(options_.checkpoint_path));
+  }
+  recovery_ = recover_state(config, options_, arbiter_, store_.get());
   // Alerts restored from the checkpoint/journal predate this process;
   // burn tracking starts from the recovered baseline, not from zero, so
   // a restart never re-fires on old history.
@@ -358,7 +363,12 @@ bool DaemonCore::checkpoint_now() {
   static obs::Counter& checkpoints = obs::counter("serve.checkpoints");
   static obs::Gauge& bytes = obs::gauge("serve.journal.bytes");
   const double started = obs::monotonic_seconds();
-  write_checkpoint(options_.checkpoint_path, arbiter_, journal_entries());
+  // Profiles first, durable before the snapshot that names them; the
+  // store is rewritten only after that snapshot is durable, so every
+  // crash leaves a checkpoint whose names all resolve.
+  const std::vector<std::string> names = store_->put(arbiter_);
+  crash_point("after-profile-store");
+  write_snapshot(options_.checkpoint_path, arbiter_, journal_entries(), names);
   crash_point("after-checkpoint");
   if (options_.compact_journal && journal_ != nullptr) {
     static obs::Counter& compactions = obs::counter("serve.compactions");
@@ -368,6 +378,7 @@ bool DaemonCore::checkpoint_now() {
     compactions.add();
     crash_point("after-compact");
   }
+  store_->collect(names);
   duration.record(obs::monotonic_seconds() - started);
   checkpoints.add();
   if (journal_ != nullptr) bytes.set(static_cast<double>(journal_->bytes()));

@@ -104,8 +104,11 @@ std::string best_effort_id(const std::string& line);
 /// unreconstructible: the journal was compacted (its base entries exist
 /// only inside a checkpoint) but no usable checkpoint covers the base —
 /// including the corrupt-header case with no usable checkpoint.
+/// A v3 checkpoint's profiles resolve through `store`, or through the
+/// store beside the checkpoint scanned for this call when it is null.
 RecoveryReport recover_state(const ServeConfig& config,
-                             const DaemonOptions& options, Arbiter& arbiter);
+                             const DaemonOptions& options, Arbiter& arbiter,
+                             const ProfileStore* store = nullptr);
 
 /// Transport-independent daemon core. Construction recovers state (same
 /// semantics as recover_state) and opens the journal for appending; then
@@ -173,6 +176,9 @@ class DaemonCore {
   Arbiter arbiter_;
   RecoveryReport recovery_;
   std::unique_ptr<Journal> journal_;
+  /// The profile store beside the checkpoint, scanned once at startup and
+  /// kept in memory across checkpoints (null without a checkpoint path).
+  std::unique_ptr<ProfileStore> store_;
   std::size_t slots_at_checkpoint_ = 0;
   double last_tick_ms_ = 0.0;
   obs::BurnRate slo_burn_;

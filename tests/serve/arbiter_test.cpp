@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -50,6 +51,33 @@ std::string tick_line(std::size_t slot, const std::string& demand) {
 std::vector<std::string> drive(Arbiter& arbiter, const std::string& line,
                                bool* state_changed = nullptr) {
   return arbiter.handle(parse_message(line), state_changed);
+}
+
+/// save_state's payload with each profile named by its position, and the
+/// texts those names stand for: a checkpoint round trip without the files.
+struct SavedState {
+  std::string payload;
+  std::vector<std::shared_ptr<const std::string>> profiles;
+};
+
+SavedState save(const Arbiter& arbiter) {
+  SavedState saved;
+  std::vector<std::string> names;
+  for (const Arbiter::Profile& profile : arbiter.profiles()) {
+    names.push_back(std::to_string(saved.profiles.size()));
+    saved.profiles.push_back(profile.text);
+  }
+  json::Writer w;
+  arbiter.save_state(w, names);
+  saved.payload = std::move(w).str();
+  return saved;
+}
+
+void load(Arbiter& arbiter, const SavedState& saved) {
+  arbiter.load_state(json::parse(saved.payload),
+                     [&saved](const std::string& name) {
+                       return saved.profiles.at(std::stoul(name));
+                     });
 }
 
 ProtocolError rejection_code(Arbiter& arbiter, const std::string& line) {
@@ -305,9 +333,7 @@ TEST(ArbiterDepart, DepartedAppIdsAreNeverReused) {
   drive(arbiter, R"({"type":"depart","app":"a"})");
   drive(arbiter, admit_line("c", std::vector<double>(kWeekSlots, 1.0)));
 
-  json::Writer w;
-  arbiter.save_state(w);
-  const json::Value state = json::parse(w.str());
+  const json::Value state = json::parse(save(arbiter).payload);
   const auto& apps = state.at("apps").as_array();
   ASSERT_EQ(apps.size(), 2u);
   EXPECT_EQ(apps[0].at("name").as_string(), "b");
@@ -386,10 +412,8 @@ TEST(ArbiterIdCache, SurvivesSaveLoad) {
   const std::vector<std::string> replies = drive(original, line);
   drive(original, tick_line(1, R"({"web":1.0})"));
 
-  json::Writer w;
-  original.save_state(w);
   Arbiter restored(config);
-  restored.load_state(json::parse(w.str()));
+  load(restored, save(original));
   bool changed = true;
   EXPECT_EQ(drive(restored, line, &changed), replies);
   EXPECT_FALSE(changed);
@@ -403,10 +427,8 @@ TEST(ArbiterIdCache, SurvivesSaveLoad) {
 /// departure and renegotiation. The replies must agree byte for byte.
 std::vector<std::string> drive_both(Arbiter& persistent,
                                     const std::string& line) {
-  json::Writer w;
-  persistent.save_state(w);
   Arbiter fresh(persistent.config());
-  fresh.load_state(json::parse(w.str()));
+  load(fresh, save(persistent));
   const std::vector<std::string> replies = drive(persistent, line);
   EXPECT_EQ(replies, drive(fresh, line)) << line;
   EXPECT_EQ(persistent.summary(), fresh.summary()) << line;
@@ -451,10 +473,8 @@ TEST(ArbiterAdmissionPath, DeltaAndBatchPathsAreByteIdentical) {
 
   // A checkpoint round-trip mid-stream: the restored arbiter rebuilds its
   // engine at the next admission and keeps answering identically.
-  json::Writer w;
-  arbiter.save_state(w);
   Arbiter restored(config);
-  restored.load_state(json::parse(w.str()));
+  load(restored, save(arbiter));
   const std::string readmit = admit_line("post-restore", profile);
   EXPECT_EQ(drive_both(restored, readmit), drive(arbiter, readmit));
   const std::string t2 = tick_line(2, R"({"late":1.2,"post-restore":0.9})");
@@ -517,12 +537,10 @@ TEST(ArbiterState, SaveLoadReproducesVerdictBytes) {
   drive(original, tick_line(1, R"({"web":null,"db":"bogus"})"));
   drive(original, tick_line(4, R"({"web":0.8,"db":1.9})"));
 
-  json::Writer w;
-  original.save_state(w);
-  const std::string blob = w.str();
+  const SavedState blob = save(original);
 
   Arbiter restored(config);
-  restored.load_state(json::parse(blob));
+  load(restored, blob);
   EXPECT_EQ(restored.next_slot(), original.next_slot());
   EXPECT_EQ(restored.app_count(), original.app_count());
 
@@ -540,14 +558,13 @@ TEST(ArbiterState, SaveLoadReproducesVerdictBytes) {
   }
   EXPECT_EQ(original.summary(), restored.summary());
 
-  // Serializing the restored arbiter reproduces the same blob.
-  json::Writer w2;
-  restored.save_state(w2);
+  // Serializing the restored arbiter reproduces the same blob, and the
+  // restored apps keep the very profile texts they were restored from.
   // (States were advanced identically above, so re-save both for a fair
   // byte comparison.)
-  json::Writer w3;
-  original.save_state(w3);
-  EXPECT_EQ(w2.str(), w3.str());
+  const SavedState again = save(restored);
+  EXPECT_EQ(again.payload, save(original).payload);
+  EXPECT_EQ(again.profiles, blob.profiles);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Durability layer: the CRC-framed journal survives torn tails and
-// flipped bytes, checkpoints round-trip the arbiter exactly, and a corrupt
-// checkpoint is refused without touching the live state.
+// flipped bytes, checkpoints round-trip the arbiter exactly, the profile
+// store beside them writes each profile once and resolves every name to
+// its own bytes, and a corrupt checkpoint is refused without touching the
+// live state.
 #include "serve/checkpoint.h"
 
 #include <gtest/gtest.h>
@@ -56,16 +58,24 @@ void append_raw(const fs::path& path, const std::string& bytes) {
   f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+/// An admission of `app` with a flat one-week profile at `level`.
+std::string flat_admit(const std::string& app, const std::string& level) {
+  std::string line = R"({"type":"admit","app":")" + app + R"(","profile":[)";
+  for (std::size_t i = 0; i < kWeekSlots; ++i) {
+    if (i > 0) line += ',';
+    line += level;
+  }
+  return line + "]}";
+}
+
+std::string read_all(const fs::path& path) {
+  std::ifstream f(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(f), {}};
+}
+
 Arbiter seeded_arbiter(const ServeConfig& config) {
   Arbiter arbiter(config);
-  arbiter.handle(parse_message(
-      R"({"type":"admit","app":"web","profile":[)" +
-      [] {
-        std::string p = "1.5";
-        for (std::size_t i = 1; i < kWeekSlots; ++i) p += ",1.5";
-        return p;
-      }() +
-      "]}"));
+  arbiter.handle(parse_message(flat_admit("web", "1.5")));
   arbiter.handle(parse_message(R"({"type":"tick","slot":0,"demand":{"web":1.2}})"));
   arbiter.handle(parse_message(R"({"type":"tick","slot":1,"demand":{"web":1.9}})"));
   return arbiter;
@@ -278,7 +288,7 @@ void reframe(const fs::path& path,
   char crc[9];
   std::snprintf(crc, sizeof crc, "%08x", crc::crc32(payload));
   fs::remove(path);
-  append_raw(path, "ROPUS-CHECKPOINT v2 len=" +
+  append_raw(path, "ROPUS-CHECKPOINT v3 len=" +
                        std::to_string(payload.size()) + " crc=" + crc + "\n" +
                        payload);
 }
@@ -524,6 +534,318 @@ TEST_F(CheckpointTest, CheckpointOverwriteIsAtomicReplacement) {
   ASSERT_TRUE(load.ok) << load.error;
   EXPECT_EQ(load.journal_entries, 4u);
   EXPECT_EQ(restored.next_slot(), 3u);
+}
+
+/// The store's name for the `ordinal`-th text with `profile`'s digest.
+std::string store_name(const Arbiter::Profile& profile, int ordinal) {
+  char name[24];
+  std::snprintf(name, sizeof name, "%08x.%d", profile.digest, ordinal);
+  return name;
+}
+
+/// `bytes` framed as one journal line or profile store record.
+std::string frame(const std::string& bytes) {
+  char crc[9];
+  std::snprintf(crc, sizeof crc, "%08x", crc::crc32(bytes));
+  return std::string(crc) + " " + std::to_string(bytes.size()) + " " + bytes +
+         "\n";
+}
+
+TEST_F(CheckpointTest, ProfileStoreWritesEachProfileOnce) {
+  const fs::path path = dir_ / "state.ckpt";
+  const fs::path store = ProfileStore::path_for(path);
+  const ServeConfig config = small_config();
+  Arbiter arbiter = seeded_arbiter(config);
+  write_checkpoint(path, arbiter, 3);
+  const std::string checkpoint = read_all(path);
+  EXPECT_EQ(checkpoint.rfind("ROPUS-CHECKPOINT v3 ", 0), 0u);
+  EXPECT_EQ(checkpoint.find("[1.5,"), std::string::npos)
+      << "the checkpoint carries a profile";
+  const std::uint64_t stored = fs::file_size(store);
+  EXPECT_GT(stored, 168u * 4);
+
+  // Later checkpoints append nothing: not for the same app, and not for a
+  // departed app admitted again with the same profile under a new id.
+  arbiter.handle(parse_message(R"({"type":"tick","slot":2,"demand":{"web":0.7}})"));
+  write_checkpoint(path, arbiter, 4);
+  arbiter.handle(parse_message(R"({"type":"depart","app":"web"})"));
+  arbiter.handle(parse_message(flat_admit("web", "1.5")));
+  arbiter.handle(parse_message(flat_admit("copy", "1.5")));
+  write_checkpoint(path, arbiter, 7);
+  EXPECT_EQ(fs::file_size(store), stored);
+
+  Arbiter restored(config);
+  const CheckpointLoad load = load_checkpoint(path, restored);
+  ASSERT_TRUE(load.ok) << load.error;
+  EXPECT_EQ(restored.summary(), arbiter.summary());
+  // Both apps share the one stored text.
+  ASSERT_EQ(restored.profiles().size(), 2u);
+  EXPECT_EQ(restored.profiles()[0].text, restored.profiles()[1].text);
+  EXPECT_EQ(*restored.profiles()[0].text, *arbiter.profiles()[0].text);
+}
+
+TEST_F(CheckpointTest, ProfileNameTheStoreLacksMakesTheCheckpointUnusable) {
+  const fs::path path = dir_ / "dangling.ckpt";
+  const ServeConfig config = small_config();
+  Arbiter original = seeded_arbiter(config);
+
+  // A crafted v3 checkpoint, well framed, naming a profile never stored.
+  write_checkpoint(path, original, 3);
+  reframe(path, [](std::string& p) {
+    set_app_field(p, "web", "profile", "\"deadbeef.0\"");
+  });
+  Arbiter victim(config);
+  CheckpointLoad load = load_checkpoint(path, victim);
+  EXPECT_FALSE(load.ok);
+  EXPECT_NE(load.error.find("not in the profile store"), std::string::npos)
+      << load.error;
+  EXPECT_EQ(victim.app_count(), 0u);
+
+  // The same for a checkpoint whose store is gone.
+  write_checkpoint(path, original, 3);
+  fs::remove(ProfileStore::path_for(path));
+  load = load_checkpoint(path, victim);
+  EXPECT_FALSE(load.ok);
+  EXPECT_NE(load.error.find("not in the profile store"), std::string::npos)
+      << load.error;
+  EXPECT_EQ(victim.app_count(), 0u);
+}
+
+TEST_F(CheckpointTest, TornStoreTailKeepsTheValidPrefix) {
+  const fs::path path = dir_ / "torn.ckpt";
+  const fs::path store = ProfileStore::path_for(path);
+  const ServeConfig config = small_config();
+  Arbiter arbiter = seeded_arbiter(config);
+  write_checkpoint(path, arbiter, 3);
+
+  // A crash mid-append leaves a partial record after web's: web resolves.
+  append_raw(store, "0badf00d 9999 0badf00d.0 [2.5,2.5");
+  EXPECT_LT(ProfileStore(store).bytes(), fs::file_size(store));
+  Arbiter restored(config);
+  CheckpointLoad load = load_checkpoint(path, restored);
+  ASSERT_TRUE(load.ok) << load.error;
+  EXPECT_EQ(restored.summary(), arbiter.summary());
+
+  // The next checkpoint cuts the tail before it appends.
+  arbiter.handle(parse_message(flat_admit("db", "2.5")));
+  write_checkpoint(path, arbiter, 4);
+  EXPECT_EQ(ProfileStore(store).bytes(), fs::file_size(store));
+  Arbiter second(config);
+  load = load_checkpoint(path, second);
+  ASSERT_TRUE(load.ok) << load.error;
+  EXPECT_EQ(second.summary(), arbiter.summary());
+
+  // A tail torn inside a named record leaves that name dangling.
+  fs::resize_file(store, fs::file_size(store) - 10);
+  Arbiter victim(config);
+  load = load_checkpoint(path, victim);
+  EXPECT_FALSE(load.ok);
+  EXPECT_EQ(victim.app_count(), 0u);
+}
+
+TEST_F(CheckpointTest, StoreRecordNotMatchingItsNameIsRefused) {
+  const fs::path path = dir_ / "mismatch.ckpt";
+  const fs::path store = ProfileStore::path_for(path);
+  const ServeConfig config = small_config();
+  Arbiter original = seeded_arbiter(config);
+  write_checkpoint(path, original, 3);
+  const std::string name = store_name(original.profiles()[0], 0);
+  ASSERT_NE(read_all(path).find("\"" + name + "\""), std::string::npos);
+  ASSERT_NE(ProfileStore(store).find(name), nullptr);
+
+  // Same name, other text, and a frame whose own CRC holds: not a torn
+  // write but a record put() never writes.
+  std::string other = *original.profiles()[0].text;
+  other[1] = '2';  // [1.5,... becomes [2.5,...
+  fs::remove(store);
+  append_raw(store, frame(name + " " + other));
+  EXPECT_EQ(ProfileStore(store).find(name), nullptr);
+  EXPECT_EQ(ProfileStore(store).bytes(), 0u);
+
+  Arbiter victim(config);
+  const CheckpointLoad load = load_checkpoint(path, victim);
+  EXPECT_FALSE(load.ok);
+  EXPECT_NE(load.error.find("not in the profile store"), std::string::npos)
+      << load.error;
+  EXPECT_EQ(victim.app_count(), 0u);
+}
+
+/// `text` with bit 0 flipped at a subset of its digit positions chosen so
+/// that the CRC-32 is unchanged: CRC-32 is affine in the message bits, so
+/// any 33 flips hold a subset whose CRC changes cancel. Flipping bit 0
+/// keeps a digit a digit; positions are the digits of `1.234` in each
+/// `1.2345`, so every number stays the shortest text of its value.
+std::string crc_twin(const std::string& text) {
+  std::vector<std::size_t> positions;
+  for (std::size_t i = 0; i + 6 <= text.size() && positions.size() < 48; ++i) {
+    if (text.compare(i, 6, "1.2345") == 0) {
+      for (const std::size_t at : {i, i + 2, i + 3, i + 4}) {
+        positions.push_back(at);
+      }
+    }
+  }
+  // Gaussian elimination over GF(2): basis[b] has top bit b and records
+  // which flips it combines.
+  const std::uint32_t base = crc::crc32(text);
+  std::vector<std::pair<std::uint32_t, std::vector<bool>>> basis(32);
+  std::vector<bool> have(32, false);
+  for (std::size_t k = 0; k < positions.size(); ++k) {
+    std::string flipped = text;
+    flipped[positions[k]] ^= 1;
+    std::uint32_t v = crc::crc32(flipped) ^ base;
+    std::vector<bool> combo(positions.size(), false);
+    combo[k] = true;
+    for (std::size_t b = 32; b-- > 0 && v != 0;) {
+      if ((v >> b & 1u) == 0) continue;
+      if (!have[b]) {
+        basis[b] = {v, combo};
+        have[b] = true;
+        v = 0;
+        combo.clear();
+        break;
+      }
+      v ^= basis[b].first;
+      for (std::size_t j = 0; j < combo.size(); ++j) {
+        combo[j] = combo[j] != basis[b].second[j];
+      }
+    }
+    if (!combo.empty()) {
+      std::string twin = text;
+      for (std::size_t j = 0; j < combo.size(); ++j) {
+        if (combo[j]) twin[positions[j]] ^= 1;
+      }
+      return twin;
+    }
+  }
+  ADD_FAILURE() << "no CRC-preserving flips found";
+  return text;
+}
+
+TEST_F(CheckpointTest, CollidingDigestsNeverRestoreEachOthersBytes) {
+  const fs::path path = dir_ / "collide.ckpt";
+  const ServeConfig config = small_config();
+  Arbiter original(config);
+  original.handle(parse_message(flat_admit("first", "1.2345")));
+  ASSERT_EQ(original.app_count(), 1u);
+  const std::string& first = *original.profiles()[0].text;
+  const std::string second = crc_twin(first);
+  ASSERT_NE(second, first);
+  ASSERT_EQ(crc::crc32(second), crc::crc32(first));
+  original.handle(parse_message(
+      R"({"type":"admit","app":"second","profile":)" + second + "}"));
+  ASSERT_EQ(original.app_count(), 2u);
+  // The arbiter printed the twin back byte for byte: same digest, two texts.
+  ASSERT_EQ(*original.profiles()[1].text, second);
+  ASSERT_EQ(original.profiles()[0].digest, original.profiles()[1].digest);
+
+  write_checkpoint(path, original, 2);
+  Arbiter restored(config);
+  const CheckpointLoad load = load_checkpoint(path, restored);
+  ASSERT_TRUE(load.ok) << load.error;
+  ASSERT_EQ(restored.profiles().size(), 2u);
+  EXPECT_EQ(*restored.profiles()[0].text, first);
+  EXPECT_EQ(*restored.profiles()[1].text, second);
+  EXPECT_EQ(restored.summary(), original.summary());
+  const Message next = parse_message(
+      R"({"type":"tick","slot":0,"demand":{"first":2.0,"second":2.0}})");
+  EXPECT_EQ(restored.handle(next), original.handle(next));
+
+  // Stored once each, under two names, and found again by the next
+  // checkpoint.
+  const std::string checkpoint = read_all(path);
+  EXPECT_NE(checkpoint.find("\"" + store_name(original.profiles()[0], 0) + "\""),
+            std::string::npos);
+  EXPECT_NE(checkpoint.find("\"" + store_name(original.profiles()[1], 1) + "\""),
+            std::string::npos);
+  const std::uint64_t stored = fs::file_size(ProfileStore::path_for(path));
+  write_checkpoint(path, restored, 3);
+  EXPECT_EQ(fs::file_size(ProfileStore::path_for(path)), stored);
+}
+
+TEST_F(CheckpointTest, StoreIsRewrittenOnlyWhenDeadBytesOutweighLive) {
+  const fs::path path = dir_ / "collect.ckpt";
+  const fs::path store = ProfileStore::path_for(path);
+  const ServeConfig config = small_config();
+  Arbiter arbiter(config);
+  arbiter.handle(parse_message(flat_admit("a", "1.25")));
+  arbiter.handle(parse_message(flat_admit("b", "1.75")));
+  arbiter.handle(parse_message(flat_admit("c", "2.25")));
+  ASSERT_EQ(arbiter.app_count(), 3u);
+  write_checkpoint(path, arbiter, 3);
+  const std::uint64_t three = fs::file_size(store);
+
+  // One dead record of three: kept.
+  arbiter.handle(parse_message(R"({"type":"depart","app":"b"})"));
+  write_checkpoint(path, arbiter, 4);
+  EXPECT_EQ(fs::file_size(store), three);
+
+  // Two dead of three: the store keeps only what the checkpoint names.
+  arbiter.handle(parse_message(R"({"type":"depart","app":"c"})"));
+  write_checkpoint(path, arbiter, 5);
+  EXPECT_EQ(fs::file_size(store), three / 3);
+  Arbiter restored(config);
+  const CheckpointLoad load = load_checkpoint(path, restored);
+  ASSERT_TRUE(load.ok) << load.error;
+  EXPECT_EQ(restored.summary(), arbiter.summary());
+
+  // A departed profile admitted again is appended again.
+  arbiter.handle(parse_message(flat_admit("b", "1.75")));
+  write_checkpoint(path, arbiter, 6);
+  EXPECT_EQ(fs::file_size(store), 2 * three / 3);
+}
+
+TEST_F(CheckpointTest, V2CheckpointWithInlineProfilesStillLoads) {
+  // Written by the v2 writer from these lines under small_config(), before
+  // profiles moved into the store: a daemon whose journal was compacted
+  // into it must come back on the v3 build.
+  const auto profile = [](double (*level)(std::size_t)) {
+    std::string p;
+    for (std::size_t i = 0; i < kWeekSlots; ++i) {
+      if (i > 0) p += ',';
+      p += std::to_string(level(i));
+    }
+    return p;
+  };
+  const std::vector<std::string> lines = {
+      R"({"type":"admit","app":"web","tdegr":120,"profile":[)" +
+          profile([](std::size_t) { return 1.5; }) + "]}",
+      R"({"type":"admit","app":"db","revenue":1.75,"profile":[)" +
+          profile([](std::size_t i) {
+            return 1.0 + 0.25 * static_cast<double>(i % 7);
+          }) +
+          "]}",
+      R"({"type":"tick","slot":0,"demand":{"web":1.2,"db":1.8}})",
+      R"({"type":"admit","app":"tmp","id":"admit-tmp","profile":[)" +
+          profile([](std::size_t) { return 0.5; }) + "]}",
+      R"({"type":"tick","slot":1,"demand":{"web":1.9,"db":0.4,"tmp":0.3}})",
+      R"({"type":"depart","app":"tmp"})",
+      R"({"type":"tick","slot":2,"demand":{"web":0.8,"db":2.2}})",
+  };
+  const ServeConfig config = small_config();
+  Arbiter reference(config);
+  for (const std::string& line : lines) reference.handle(parse_message(line));
+
+  const fs::path v2 = fs::path(ROPUS_SERVE_TESTDATA) / "checkpoint_v2.ckpt";
+  ASSERT_EQ(read_all(v2).rfind("ROPUS-CHECKPOINT v2 ", 0), 0u);
+  Arbiter restored(config);
+  const CheckpointLoad load = load_checkpoint(v2, restored);
+  ASSERT_TRUE(load.ok) << load.error;
+  EXPECT_EQ(load.journal_entries, lines.size());
+  EXPECT_EQ(restored.summary(), reference.summary());
+  EXPECT_FALSE(fs::exists(ProfileStore::path_for(v2)));
+
+  // The id cache came along, and the next checkpoint is a v3 one.
+  const Message retry = parse_message(lines[3]);
+  EXPECT_EQ(restored.handle(retry), reference.handle(retry));
+  const fs::path path = dir_ / "upgraded.ckpt";
+  write_checkpoint(path, restored, lines.size());
+  EXPECT_EQ(read_all(path).rfind("ROPUS-CHECKPOINT v3 ", 0), 0u);
+  Arbiter upgraded(config);
+  ASSERT_TRUE(load_checkpoint(path, upgraded).ok);
+  const Message next = parse_message(
+      R"({"type":"tick","slot":3,"demand":{"web":1.0,"db":1.0}})");
+  EXPECT_EQ(upgraded.handle(next), reference.handle(next));
+  EXPECT_EQ(upgraded.summary(), reference.summary());
 }
 
 }  // namespace

@@ -5,7 +5,8 @@
 // as the exact file state that crash leaves behind, recovered through
 // recover_state, and the survivor must continue byte-identically with an
 // undisturbed reference arbiter (or, where entries are legitimately lost,
-// match the documented loss).
+// match the documented loss). The profile store's own crash windows —
+// after its append, mid-append, mid-rewrite — and its loss follow.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -397,6 +398,114 @@ TEST_F(CompactionRefusalTest, CoveringCheckpointRecoversCleanly) {
   EXPECT_EQ(report.journal_base, script().size());
   Arbiter reference = arbiter_at(small_config(), script().size());
   EXPECT_EQ(survivor.summary(), reference.summary());
+}
+
+TEST_F(CompactionRefusalTest, MissingProfileStoreIsAnIoError) {
+  // The checkpoint is whole but names profiles that are gone: as unusable
+  // as a corrupt one, and the compacted entries are in neither file.
+  fs::remove(ProfileStore::path_for(options_.checkpoint_path));
+  Arbiter survivor(small_config());
+  EXPECT_THROW(recover_state(small_config(), options_, survivor), IoError);
+}
+
+class ProfileStoreCrashTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = fs::temp_directory_path() / ("ropus_store_" + test_dir_suffix());
+    fs::create_directories(dir_);
+    options_.journal_path = dir_ / "state.journal";
+    options_.checkpoint_path = dir_ / "state.ckpt";
+    store_ = ProfileStore::path_for(options_.checkpoint_path);
+  }
+  void TearDown() override {
+    std::error_code ec;
+    fs::remove_all(dir_, ec);
+  }
+  fs::path dir_;
+  fs::path store_;
+  DaemonOptions options_;
+};
+
+TEST_F(ProfileStoreCrashTest, CrashAfterTheStoreAppendKeepsTheOlderCheckpoint) {
+  const ServeConfig config = small_config();
+  const std::vector<std::string> lines = script();
+  Journal journal(options_.journal_path, 0, 0);
+  for (const std::string& line : lines) journal.append(line);
+  write_checkpoint(options_.checkpoint_path, arbiter_at(config, 1), 1);
+  // The next checkpoint died between the store's fsync and its snapshot's
+  // rename: db's profile is stored but named by no durable checkpoint,
+  // and a store rewrite left its staging file behind.
+  ProfileStore(store_).put(arbiter_at(config, lines.size()));
+  std::ofstream(dir_ / "state.ckpt.profiles.tmp.1234") << "garbage";
+  const std::uint64_t stored = fs::file_size(store_);
+
+  Arbiter survivor(config);
+  const RecoveryReport report = recover_state(config, options_, survivor);
+  EXPECT_EQ(report.mode, RecoveryMode::kCheckpointAndTail);
+  EXPECT_EQ(report.replayed, lines.size() - 1);
+  Arbiter reference = arbiter_at(config, lines.size());
+  EXPECT_EQ(survivor.summary(), reference.summary());
+
+  // The retried checkpoint finds db's profile stored and appends nothing.
+  write_checkpoint(options_.checkpoint_path, survivor, lines.size());
+  EXPECT_EQ(fs::file_size(store_), stored);
+  Arbiter again(config);
+  ASSERT_TRUE(load_checkpoint(options_.checkpoint_path, again).ok);
+  EXPECT_EQ(again.summary(), reference.summary());
+}
+
+TEST_F(ProfileStoreCrashTest, KillMidAppendLeavesATailTheNextCheckpointCuts) {
+  const ServeConfig config = small_config();
+  options_.compact_journal = true;
+  const std::vector<std::string> lines = script();
+  std::string live_summary;
+  {
+    DaemonCore core(config, options_);
+    for (std::size_t i = 0; i < 3; ++i) core.process_line(lines[i], false);
+    ASSERT_TRUE(core.checkpoint_now());
+  }
+  // Killed mid-append of the next checkpoint's records.
+  {
+    std::ofstream torn(store_, std::ios::binary | std::ios::app);
+    torn << "0badf00d 4096 0badf00d.0 [1.0,1.0";
+  }
+  {
+    DaemonCore core(config, options_);
+    EXPECT_EQ(core.recovery().mode, RecoveryMode::kCheckpointAndTail);
+    for (std::size_t i = 3; i < lines.size(); ++i) {
+      core.process_line(lines[i], false);
+    }
+    core.process_line(admit_line("late", 0.75), false);
+    ASSERT_TRUE(core.checkpoint_now());
+    live_summary = core.arbiter().summary();
+  }
+  const ProfileStore scanned(store_);
+  EXPECT_EQ(scanned.bytes(), fs::file_size(store_));
+  const DaemonCore restarted(config, options_);
+  EXPECT_EQ(restarted.recovery().mode, RecoveryMode::kCheckpointAndTail);
+  EXPECT_EQ(restarted.recovery().replayed, 0u);
+  EXPECT_EQ(restarted.arbiter().summary(), live_summary);
+}
+
+TEST_F(ProfileStoreCrashTest, DanglingProfileFallsBackToJournalReplay) {
+  // Without compaction the journal still holds every entry, so a
+  // checkpoint that names a lost profile is passed over, not trusted.
+  const ServeConfig config = small_config();
+  const std::vector<std::string> lines = script();
+  Journal journal(options_.journal_path, 0, 0);
+  for (const std::string& line : lines) journal.append(line);
+  write_checkpoint(options_.checkpoint_path, arbiter_at(config, lines.size()),
+                   lines.size());
+  fs::resize_file(store_, fs::file_size(store_) / 2);
+
+  Arbiter survivor(config);
+  const RecoveryReport report = recover_state(config, options_, survivor);
+  EXPECT_EQ(report.mode, RecoveryMode::kJournalReplay);
+  EXPECT_EQ(report.replayed, lines.size());
+  EXPECT_NE(report.checkpoint_error.find("not in the profile store"),
+            std::string::npos)
+      << report.checkpoint_error;
+  EXPECT_EQ(survivor.summary(), arbiter_at(config, lines.size()).summary());
 }
 
 }  // namespace

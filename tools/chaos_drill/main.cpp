@@ -5,12 +5,13 @@
 // uninterrupted reference run of the same request script.
 //
 // Two campaigns:
-//  * stdio: the original pipe-driven drill (kills, checkpoint corruption,
-//    garbage, consumer stalls);
+//  * stdio: the original pipe-driven drill (kills, checkpoint and profile
+//    store corruption, garbage, consumer stalls);
 //  * network (--net-ticks > 0): the same contract over a Unix-domain
 //    socket daemon with journal compaction on — mid-line disconnects,
 //    slowloris writers, duplicate retried request ids, kill -9 between
-//    snapshot and truncate (ROPUS_SERVE_CRASH), and pool departures; the
+//    profile store and snapshot or snapshot and truncate
+//    (ROPUS_SERVE_CRASH), and pool departures; the
 //    reference run is the *stdio* transport, so the campaign also proves
 //    the two transports produce identical verdict bytes. The journal is
 //    sampled at every checkpoint interval and must stay bounded by two
@@ -287,15 +288,39 @@ std::vector<std::string> daemon_args(const fs::path& dir, bool persist,
   return args;
 }
 
+/// Damages the checkpoint at `path` or the profile store beside it, as
+/// `mode` picks: a torn checkpoint, a lying checkpoint header, a flipped
+/// store byte or a torn store. Recovery must then pass over a checkpoint
+/// it cannot use, or whose profile names no longer resolve.
 void corrupt_checkpoint(const fs::path& path, std::uint64_t mode) {
   std::error_code ec;
   const auto size = fs::file_size(path, ec);
   if (ec || size == 0) return;  // no checkpoint yet — nothing to corrupt
-  if (mode % 2 == 0) {
-    fs::resize_file(path, size / 2, ec);  // torn write
-  } else {
-    std::ofstream f(path, std::ios::binary | std::ios::trunc);
-    f << "ROPUS-CHECKPOINT v1 len=999 crc=deadbeef\n{\"garbage\":";  // lies
+  const fs::path store = ropus::serve::ProfileStore::path_for(path);
+  const auto store_size = fs::file_size(store, ec);
+  if (ec || store_size == 0) mode &= ~std::uint64_t{2};  // no store yet
+  switch (mode % 4) {
+    case 0:
+      fs::resize_file(path, size / 2, ec);  // torn write
+      break;
+    case 1: {
+      std::ofstream f(path, std::ios::binary | std::ios::trunc);
+      f << "ROPUS-CHECKPOINT v1 len=999 crc=deadbeef\n{\"garbage\":";  // lies
+      break;
+    }
+    case 2: {
+      std::fstream f(store, std::ios::in | std::ios::out | std::ios::binary);
+      const auto at = static_cast<std::streamoff>((mode >> 8) % store_size);
+      char c = 0;
+      f.seekg(at);
+      f.get(c);
+      f.seekp(at);
+      f.put(static_cast<char>(c ^ 0x10));
+      break;
+    }
+    default:
+      fs::resize_file(store, store_size / 2, ec);  // torn store
+      break;
   }
 }
 
@@ -703,7 +728,8 @@ int run_network_campaign(const std::string& cli, const fs::path& dir,
   auto daemon = start_daemon(nullptr);
   auto conn = connect_greet();
   std::vector<std::unique_ptr<Sock>> lorises;
-  static const char* kCrashPoints[] = {"after-checkpoint", "after-compact",
+  static const char* kCrashPoints[] = {"after-profile-store",
+                                       "after-checkpoint", "after-compact",
                                        "after-journal-append"};
 
   std::vector<char> kill_here(events.size(), 0);
@@ -753,7 +779,7 @@ int run_network_campaign(const std::string& cli, const fs::path& dir,
       // Restart into a crash-armed daemon: it will _Exit(137) at a chosen
       // point inside the persistence path and must come back
       // byte-identical.
-      const char* point = kCrashPoints[die % 3];
+      const char* point = kCrashPoints[die % std::size(kCrashPoints)];
       daemon->kill9();
       daemon->reap();
       conn.reset();
@@ -761,9 +787,10 @@ int run_network_campaign(const std::string& cli, const fs::path& dir,
       conn = connect_greet();
       stats.crash_points += 1;
       if (std::string(point) != "after-journal-append") {
-        // An explicit checkpoint request dies between snapshot and
-        // truncate (after-checkpoint) or right after the truncate
-        // (after-compact); drain to EOF proves the death.
+        // An explicit checkpoint request dies between the profile store's
+        // fsync and the snapshot's rename (after-profile-store), between
+        // snapshot and truncate (after-checkpoint) or right after the
+        // truncate (after-compact); drain to EOF proves the death.
         conn->send_raw(with_id("{\"type\":\"checkpoint\"}", id + "-ck") +
                        "\n");
         std::string ignored;
