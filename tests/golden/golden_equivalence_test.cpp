@@ -17,9 +17,9 @@
 //    policy, plus one trial's per-app outcome each, captured while the
 //    workload manager still replayed a schedule slot by slot;
 //  * checkpoint_golden.txt — serve checkpoint files: the length and FNV-1a
-//    digest of the checkpoint written after every state-changing request of
-//    a seeded serve script, captured while save_state still printed each
-//    admitted app's profile afresh.
+//    digest of the checkpoint, and of the profile store beside it, written
+//    after every state-changing request of a seeded serve script, captured
+//    when the profiles moved out of the checkpoint into the store (v3).
 // Every double is serialised with %.17g, which round-trips exactly, so a
 // string compare IS a bit compare.
 //
@@ -765,7 +765,8 @@ std::string hex16(std::uint64_t v) {
 /// identified, one with `-0` readings in its profile, one renegotiated,
 /// one rejected), a CoS2 surge that backlogs deferred work and raises
 /// watchdog alerts, a 3-slot gap, a departure, an eviction and a late
-/// admission. Each line is the checkpoint file's length and digest.
+/// admission. Each line is the checkpoint file's length and digest, then
+/// the profile store's.
 std::vector<std::string> generate_checkpoints() {
   serve::ServeConfig config;
   config.cos2 = qos::CosCommitment{0.6, 120.0};
@@ -805,15 +806,20 @@ std::vector<std::string> generate_checkpoints() {
     if (!changed) return;
     journaled += 1;
     serve::write_checkpoint(path, arbiter, journaled);
-    std::ifstream file(path, std::ios::binary);
-    const std::string bytes{std::istreambuf_iterator<char>(file), {}};
+    const auto read = [](const std::filesystem::path& file_path) {
+      std::ifstream file(file_path, std::ios::binary);
+      return std::string{std::istreambuf_iterator<char>(file), {}};
+    };
+    const std::string bytes = read(path);
+    const std::string store = read(serve::ProfileStore::path_for(path));
     saw_tdegr_null =
         saw_tdegr_null || bytes.find(R"("tdegr":null)") != std::string::npos;
     saw_id_cache = saw_id_cache ||
                    bytes.find(R"("id_cache":[{)") != std::string::npos;
     saw_backlog = saw_backlog || arbiter.backlog_total() > 0.0;
     out.add("checkpoint" + std::to_string(journaled),
-            std::to_string(bytes.size()) + "," + hex16(fnv1a64(bytes)));
+            std::to_string(bytes.size()) + "," + hex16(fnv1a64(bytes)) + "," +
+                std::to_string(store.size()) + "," + hex16(fnv1a64(store)));
   };
 
   // Profiles: a level per app with seeded full-precision noise, or a flat
